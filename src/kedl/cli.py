@@ -85,6 +85,8 @@ def _bounds(text: Optional[str], mode: FunctionalityMode) -> Bounds:
         d, s = (int(part) for part in text.split(","))
     except ValueError:
         raise KedlError(f"bad bounds {text!r}; expected D,S")
+    if d < 1 or s < 1:
+        raise KedlError(f"bad bounds {text!r}; domains are non-empty, so both must be at least 1")
     return Bounds(d, s, mode)
 
 

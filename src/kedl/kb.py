@@ -110,16 +110,6 @@ def combined_sort(
     return sort
 
 
-def formula_sort(f: Formula, sig: Signature) -> Sort:
-    """The sort of a (non-assertion) formula's concepts."""
-    if isinstance(f, AssertionFormula):
-        a = f.assertion
-        if isinstance(a, ConceptAssertion):
-            return check_sort(a.concept, sig, expected=sig.individuals.get(a.individual))
-        return a.role.source_sort
-    return combined_sort(f.left, f.right, sig, hint=f.sort)
-
-
 class KnowledgeBaseError(KedlError):
     pass
 

@@ -3,7 +3,10 @@ instance checking, and classification.
 
 The engine builds a completion graph of sorted nodes.  TBox inclusions are
 internalized per sort (every node of a sort carries ``not L or R`` for each
-inclusion of that sort); acyclic definitions are unfolded lazily.  Cross
+inclusion of that sort); acyclic definitions are unfolded lazily.  Labels
+are sets of interned concept ids; wherever the search picks the first of
+several concepts it orders them by printed form, computed once per id, so
+searches, witnesses and clash traces do not depend on hash seeds.  Cross
 roles are functional: an object node keeps at most one successor per cross
 role (two successors are merged), and under EXACTLY_ONE a successor is
 materialized for every declared cross role.
@@ -49,6 +52,7 @@ from .syntax import (
     RoleKind,
     RoleName,
     Sort,
+    Top,
     check_sort,
     concept_to_str,
     infer_sort,
@@ -95,7 +99,7 @@ class _Node:
         self.id = node_id
         self.sort = sort
         self.root = root
-        self.label: set[ConceptExpr] = set()
+        self.label: set[int] = set()  # concept ids of the owning Tableau
         # (parent id, role name, via_inverse); via_inverse means the role
         # edge runs child -> parent (the node witnesses an inverse existential)
         self.parent = parent
@@ -153,6 +157,42 @@ class _Graph:
         return [self.nodes[i] for i in sorted(self.nodes)]
 
 
+class _ConceptTable:
+    """Hash-consed NNF concepts.  Id ``i`` is described by ``desc[i]``:
+    ``(Atom, name)``, ``(Not, atom id)``, ``(And | Or, left id, right id)``,
+    ``(Exists | Forall, role, child id)``, ``(Top,)`` or ``(Bot,)``;
+    ``key[i]`` is its printed form, the order of every choice the tableau
+    makes, and ``neg`` maps an atom's id to the id of its negation."""
+
+    def __init__(self) -> None:
+        self.ids: dict[tuple, int] = {}
+        self.desc: list[tuple] = []
+        self.key: list[str] = []
+        self.neg: dict[int, int] = {}
+
+    def intern(self, c: ConceptExpr) -> int:
+        if isinstance(c, Atom):
+            desc: tuple = (Atom, c.name)
+        elif isinstance(c, Not) and isinstance(c.expr, Atom):
+            desc = (Not, self.intern(c.expr))
+        elif isinstance(c, (And, Or)):
+            desc = (type(c), self.intern(c.left), self.intern(c.right))
+        elif isinstance(c, (Exists, Forall)):
+            desc = (type(c), c.role, self.intern(c.expr))
+        elif isinstance(c, (Top, Bot)):
+            desc = (type(c),)
+        else:
+            raise KedlError(f"internal tableau error: not in negation normal form: {c!r}")
+        cid = self.ids.get(desc)
+        if cid is None:
+            cid = self.ids[desc] = len(self.desc)
+            self.desc.append(desc)
+            self.key.append(concept_to_str(c))
+            if desc[0] is Not:
+                self.neg[desc[1]] = cid
+        return cid
+
+
 class Tableau:
     """One reasoning context: a knowledge base plus a functionality mode."""
 
@@ -160,25 +200,34 @@ class Tableau:
         self.kb = kb
         self.sig = kb.sig
         self.mode = mode
-        self.unfold_pos: dict[str, ConceptExpr] = {}
-        self.unfold_neg: dict[str, ConceptExpr] = {}
-        for name, expr in kb.definitions.items():
-            self.unfold_pos[name] = to_nnf(expr)
-            self.unfold_neg[name] = negated_nnf(expr)
-        self.globals: dict[Sort, list[ConceptExpr]] = {Sort.OBJECT: [], Sort.ATTRIBUTE: []}
-        for left, right in kb.inclusions:
-            constraint = to_nnf(Or(Not(left), right))
-            sort = infer_sort(left, self.sig) or infer_sort(right, self.sig)
-            if sort is None:
+        self.concepts = _ConceptTable()
+        # sorts are inferred here, so a badly sorted KB fails at construction;
+        # NNF and interning wait for the first query (_intern_kb)
+        self._inclusions = [
+            (left, right, infer_sort(left, self.sig) or infer_sort(right, self.sig))
+            for left, right in kb.inclusions
+        ]
+        self._unfold: dict[int, int] = {}  # defined literal -> its unfolding
+        self._globals: Optional[dict[Sort, list[int]]] = None
+
+    def _intern_kb(self) -> None:
+        if self._globals is None:
+            intern = self.concepts.intern
+            for name, expr in self.kb.definitions.items():
+                self._unfold[intern(Atom(name))] = intern(to_nnf(expr))
+                self._unfold[intern(Not(Atom(name)))] = intern(negated_nnf(expr))
+            constraints: dict[Sort, list[int]] = {Sort.OBJECT: [], Sort.ATTRIBUTE: []}
+            for left, right, sort in self._inclusions:
+                constraint = intern(to_nnf(Or(Not(left), right)))
                 # fully polymorphic inclusion (only top/bot): constrain both domains
-                self.globals[Sort.OBJECT].append(constraint)
-                self.globals[Sort.ATTRIBUTE].append(constraint)
-            else:
-                self.globals[sort].append(constraint)
+                for each in (Sort.OBJECT, Sort.ATTRIBUTE) if sort is None else (sort,):
+                    constraints[each].append(constraint)
+            self._globals = constraints  # set last: a failed run is redone by the next query
 
     # -- graph construction -------------------------------------------------
 
-    def _init_graph(self, extra: list[tuple[Sort, list[ConceptExpr]]]) -> _Graph:
+    def _init_graph(self, extra: list[tuple[Sort, int]]) -> _Graph:
+        self._intern_kb()
         g = _Graph()
         for name in sorted(self.sig.individuals):
             node = g.new_node(self.sig.individuals[name], root=True)
@@ -186,16 +235,16 @@ class Tableau:
             self._seed_label(node)
         for a in self.kb.abox:
             if isinstance(a, ConceptAssertion):
-                g.nodes[g.ind_node[a.individual]].label.add(to_nnf(a.concept))
+                g.nodes[g.ind_node[a.individual]].label.add(self.concepts.intern(to_nnf(a.concept)))
             else:
                 src, dst, role = a.source, a.target, a.role
                 if role.kind is RoleKind.CROSS_INVERSE:
                     src, dst = dst, src
                 g.add_edge(g.ind_node[src], role.name, g.ind_node[dst])
-        for sort, concepts in extra:
+        for sort, concept in extra:
             node = g.new_node(sort, root=True)
             self._seed_label(node)
-            node.label.update(concepts)
+            node.label.add(concept)
         # both domains are non-empty in every model; seed missing sorts so
         # their global constraints are exercised
         for sort in (Sort.OBJECT, Sort.ATTRIBUTE):
@@ -205,14 +254,14 @@ class Tableau:
         return g
 
     def _seed_label(self, node: _Node) -> None:
-        node.label.update(self.globals[node.sort])
+        node.label.update(self._globals[node.sort])
 
     # -- public queries -------------------------------------------------------
 
     def is_satisfiable(self, expr: ConceptExpr, sort: Optional[Sort] = None) -> SatResult:
         sort = check_sort(expr, self.sig, expected=sort)
         goal = to_nnf(expr)
-        g = self._init_graph(extra=[(sort, [goal])])
+        g = self._init_graph(extra=[(sort, self.concepts.intern(goal))])
         return self._run(g, query=(goal, sort))
 
     def is_consistent(self) -> SatResult:
@@ -230,7 +279,7 @@ class Tableau:
         sort = self.sig.individuals[individual]
         check_sort(expr, self.sig, expected=sort)
         g = self._init_graph(extra=[])
-        g.nodes[g.ind_node[individual]].label.add(negated_nnf(expr))
+        g.nodes[g.ind_node[individual]].label.add(self.concepts.intern(negated_nnf(expr)))
         return not self._run(g, query=None).satisfiable
 
     # -- expansion loop -------------------------------------------------------
@@ -265,9 +314,10 @@ class Tableau:
             kind = step[0]
             if kind == "or":
                 _, node, concept = step
-                for tag, branch in (("or-left", concept.left), ("or-right", concept.right)):
+                _, left, right = self.concepts.desc[concept]
+                for tag, branch in (("or-left", left), ("or-right", right)):
                     gg = g.clone()
-                    gg.trace.append((tag, node.id, concept_to_str(branch)))
+                    gg.trace.append((tag, node.id, self.concepts.key[branch]))
                     gg.nodes[node.id].label.add(branch)
                     result = self._expand(gg)
                     if result.satisfiable:
@@ -277,12 +327,17 @@ class Tableau:
             self._apply(g, step)
 
     def _find_clash(self, g: _Graph) -> Optional[TraceEntry]:
+        table = self.concepts
+        bot = table.ids.get((Bot,))
         for node in g.ordered_nodes():
-            for c in sorted(node.label, key=concept_to_str):
-                if isinstance(c, Bot):
+            label = node.label
+            hits = [c for c in label if c == bot or table.neg.get(c) in label]
+            if hits:
+                c = min(hits, key=table.key.__getitem__)  # the first in printed order
+                if c == bot:
                     return ("clash", node.id, "bot")
-                if isinstance(c, Atom) and Not(c) in node.label:
-                    return ("clash", node.id, f"{c.name}, not {c.name}")
+                name = table.desc[c][1]
+                return ("clash", node.id, f"{name}, not {name}")
         return None
 
     def _find_rule(self, g: _Graph):
@@ -290,19 +345,27 @@ class Tableau:
         # deterministic is left, generating rules only after that; no rule
         # at all is applied to a blocked node (propagation into one from an
         # unblocked neighbour still happens and may unblock it)
+        desc, unfold = self.concepts.desc, self._unfold
+        by_key = self.concepts.key.__getitem__
         cache: dict[int, bool] = {}
         active = [n for n in g.ordered_nodes() if not self._is_blocked(g, n, cache)]
+        ordered: dict[int, list[int]] = {}
+
+        def in_order(node: _Node) -> list[int]:
+            labels = ordered.get(node.id)
+            if labels is None:
+                labels = ordered[node.id] = sorted(node.label, key=by_key)
+            return labels
+
         for node in active:
-            for c in sorted(node.label, key=concept_to_str):
-                if isinstance(c, Atom) and c.name in self.unfold_pos:
-                    if self.unfold_pos[c.name] not in node.label:
-                        return ("unfold", node, c, self.unfold_pos[c.name])
-                if isinstance(c, Not) and isinstance(c.expr, Atom) and c.expr.name in self.unfold_neg:
-                    if self.unfold_neg[c.expr.name] not in node.label:
-                        return ("unfold", node, c, self.unfold_neg[c.expr.name])
-                if isinstance(c, And):
-                    if c.left not in node.label or c.right not in node.label:
-                        return ("and", node, c)
+            label = node.label
+            for c in in_order(node):
+                unfolded = unfold.get(c)
+                if unfolded is not None and unfolded not in label:
+                    return ("unfold", node, c, unfolded)
+                d = desc[c]
+                if d[0] is And and (d[1] not in label or d[2] not in label):
+                    return ("and", node, c)
         if self.mode is not FunctionalityMode.FREE:
             for node in active:
                 if node.sort is not Sort.OBJECT:
@@ -313,19 +376,21 @@ class Tableau:
                         if len(targets) > 1:
                             return ("merge", node, role_name, targets[0], targets[1])
         for node in active:
-            for c in sorted(node.label, key=concept_to_str):
-                if isinstance(c, Forall):
-                    for m in g.adjacent(node.id, c.role):
-                        if c.expr not in g.nodes[m].label:
+            for c in in_order(node):
+                d = desc[c]
+                if d[0] is Forall:
+                    for m in g.adjacent(node.id, d[1]):
+                        if d[2] not in g.nodes[m].label:
                             return ("forall", node, c, m)
         for node in active:
-            for c in sorted(node.label, key=concept_to_str):
-                if isinstance(c, Or):
-                    if c.left not in node.label and c.right not in node.label:
-                        return ("or", node, c)
+            label = node.label
+            for c in in_order(node):
+                d = desc[c]
+                if d[0] is Or and d[1] not in label and d[2] not in label:
+                    return ("or", node, c)
         for node in active:
-            for c in sorted(node.label, key=concept_to_str):
-                if isinstance(c, Exists):
+            for c in in_order(node):
+                if desc[c][0] is Exists:
                     step = self._exists_step(g, node, c)
                     if step is not None:
                         return step
@@ -337,34 +402,35 @@ class Tableau:
                             return ("totality", node, role_name)
         return None
 
-    def _exists_step(self, g: _Graph, node: _Node, c: Exists):
-        role = c.role
+    def _exists_step(self, g: _Graph, node: _Node, c: int):
+        _, role, child = self.concepts.desc[c]
         functional_forward = (
             role.kind is RoleKind.CROSS and self.mode is not FunctionalityMode.FREE
         )
         if functional_forward:
             targets = sorted(g.successors(node.id, role.name))
             if targets:
-                if c.expr not in g.nodes[targets[0]].label:
+                if child not in g.nodes[targets[0]].label:
                     return ("exists-reuse", node, c, targets[0])
                 return None
             return ("exists", node, c)
         for m in g.adjacent(node.id, role):
-            if c.expr in g.nodes[m].label:
+            if child in g.nodes[m].label:
                 return None
         return ("exists", node, c)
 
     def _apply(self, g: _Graph, step) -> None:
+        desc, key = self.concepts.desc, self.concepts.key
         kind = step[0]
         if kind == "unfold":
             _, node, trigger, unfolded = step
-            g.trace.append(("unfold", node.id, concept_to_str(trigger)))
+            g.trace.append(("unfold", node.id, key[trigger]))
             node.label.add(unfolded)
         elif kind == "and":
             _, node, c = step
-            g.trace.append(("and", node.id, concept_to_str(c)))
-            node.label.add(c.left)
-            node.label.add(c.right)
+            g.trace.append(("and", node.id, key[c]))
+            node.label.add(desc[c][1])
+            node.label.add(desc[c][2])
         elif kind == "merge":
             _, node, role_name, keep, drop = step
             keep, drop = self._merge_order(g, keep, drop)
@@ -372,21 +438,21 @@ class Tableau:
             self._merge_nodes(g, keep, drop)
         elif kind == "forall":
             _, node, c, m = step
-            g.trace.append(("forall", node.id, concept_to_str(c)))
-            g.nodes[m].label.add(c.expr)
+            g.trace.append(("forall", node.id, key[c]))
+            g.nodes[m].label.add(desc[c][2])
         elif kind == "exists-reuse":
             _, node, c, m = step
-            g.trace.append(("exists-reuse", node.id, concept_to_str(c)))
-            g.nodes[m].label.add(c.expr)
+            g.trace.append(("exists-reuse", node.id, key[c]))
+            g.nodes[m].label.add(desc[c][2])
         elif kind == "exists":
             _, node, c = step
-            g.trace.append(("exists", node.id, concept_to_str(c)))
-            role = c.role
+            g.trace.append(("exists", node.id, key[c]))
+            _, role, body = desc[c]
             via_inverse = role.kind is RoleKind.CROSS_INVERSE
             child = g.new_node(role.target_sort, root=False,
                                parent=(node.id, role.name, via_inverse))
             self._seed_label(child)
-            child.label.add(c.expr)
+            child.label.add(body)
             if via_inverse:
                 g.add_edge(child.id, role.name, node.id)
             else:
@@ -431,35 +497,10 @@ class Tableau:
 
     # -- blocking -------------------------------------------------------------
 
-    def _directly_blocked(self, g: _Graph, node: _Node) -> bool:
+    def _blocker(self, g: _Graph, node: _Node) -> Optional[_Node]:
+        """The ancestor that directly blocks ``node``, or None."""
         if node.root or node.parent is None or node.parent[2]:
-            return False  # roots and inverse-created witnesses are never blocked
-        parent = g.nodes[node.parent[0]]
-        tag = node.parent[1:]
-        anc = parent
-        while anc.parent is not None:
-            candidate = g.nodes[anc.parent[0]]
-            if (
-                not anc.root
-                and anc.parent[1:] == tag
-                and anc.sort is node.sort
-                and anc.label == node.label
-                and candidate.label == parent.label
-            ):
-                return True
-            anc = candidate
-        return False
-
-    def _is_blocked(self, g: _Graph, node: _Node, cache: dict[int, bool]) -> bool:
-        if node.id in cache:
-            return cache[node.id]
-        blocked = self._directly_blocked(g, node)
-        if not blocked and node.parent is not None:
-            blocked = self._is_blocked(g, g.nodes[node.parent[0]], cache)
-        cache[node.id] = blocked
-        return blocked
-
-    def _blocker(self, g: _Graph, node: _Node) -> _Node:
+            return None  # roots and inverse-created witnesses are never blocked
         parent = g.nodes[node.parent[0]]
         tag = node.parent[1:]
         anc = parent
@@ -474,7 +515,16 @@ class Tableau:
             ):
                 return anc
             anc = candidate
-        raise KedlError("internal tableau error: blocked node without a blocker")
+        return None
+
+    def _is_blocked(self, g: _Graph, node: _Node, cache: dict[int, bool]) -> bool:
+        if node.id in cache:
+            return cache[node.id]
+        blocked = self._blocker(g, node) is not None
+        if not blocked and node.parent is not None:
+            blocked = self._is_blocked(g, g.nodes[node.parent[0]], cache)
+        cache[node.id] = blocked
+        return blocked
 
     # -- witness extraction ----------------------------------------------------
 
@@ -492,18 +542,17 @@ class Tableau:
                 n_sigma += 1
 
         def resolve(nid: int) -> int:
-            node = g.nodes[nid]
-            if self._directly_blocked(g, node):
-                return self._blocker(g, node).id
-            return nid
+            blocker = self._blocker(g, g.nodes[nid])
+            return nid if blocker is None else blocker.id
 
         concept_ext: dict[str, frozenset[int]] = {}
         primitive = (self.sig.object_atoms | self.sig.attribute_atoms) - set(self.kb.definitions)
         for name in primitive:
+            atom = self.concepts.ids.get((Atom, name))
             members = {
                 index[n.id]
                 for n in elements
-                if n.sort is self.sig.atom_sort(name) and Atom(name) in n.label
+                if n.sort is self.sig.atom_sort(name) and atom in n.label
             }
             concept_ext[name] = frozenset(members)
 

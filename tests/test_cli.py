@@ -182,6 +182,12 @@ class TestOracle:
         code, out, _ = run(capsys, "oracle", "--find-model", gas_kedl, "--bounds", "1,2")
         assert code == 0
 
+    @pytest.mark.parametrize("bounds", ["0,0", "1,0"])
+    def test_bounds_below_one_are_exit_2(self, capsys, bounds):
+        code, _, err = run(capsys, "oracle", "--find-model", "-c", "bot", "--bounds", bounds)
+        assert code == 2
+        assert "bad bounds" in err
+
     def test_free_mode_separates_functionality(self, capsys):
         argv = ["oracle", "--find-model", "-c", "some has-r A and some has-r (not A)", "--bounds", "2,2"]
         code, _, _ = run(capsys, *argv)

@@ -1,8 +1,13 @@
 """Tableau procedure: satisfiability, consistency, subsumption, instance
 checking, classification, and agreement with the bounded oracle."""
 
+import os
+import pathlib
 import random
+import subprocess
+import sys
 
+import kedl
 import pytest
 
 from kedl import (
@@ -174,6 +179,78 @@ class TestConsistency:
                 assert first.witness == second.witness
             else:
                 assert first.clash_trace == second.clash_trace
+
+
+# a definition and an inclusion: refuting Gas fires unfold, and, exists,
+# forall and the or-rule (a refutation's trace is its last branch, so its
+# or-steps are all or-right)
+TRACE_TBOX = """
+oconcept Gas; aconcept Hot; aconcept Cold; xrole has-temperature;
+Gas := some has-temperature Hot and all has-temperature (Cold or not Hot);
+Cold <= not Hot;
+"""
+
+# two values of one functional role: refuting the ABox merges them
+TRACE_ABOX = """
+oconcept Gas; aconcept Hot; aconcept Cold; xrole has-temperature;
+oindividual g1; aindividual t1; aindividual t2;
+has-temperature(g1,t1); has-temperature(g1,t2);
+(all has-temperature Cold)(g1); (Hot and not Cold)(t1); (not Hot or Cold)(t2);
+"""
+
+
+class TestClashTraces:
+    def test_tbox_refutation_trace(self):
+        kb = parse_kb(TRACE_TBOX)
+        result = is_satisfiable(parse_concept("Gas", kb.sig), kb)
+        assert not result.satisfiable
+        assert trace_to_text(result.clash_trace) == (
+            "unfold\tn0\tGas\n"
+            "and\tn0\tsome has-temperature Hot and all has-temperature (Cold or not Hot)\n"
+            "or-right\tn1\tnot Hot\n"
+            "exists\tn0\tsome has-temperature Hot\n"
+            "forall\tn0\tall has-temperature (Cold or not Hot)\n"
+            "or-right\tn2\tnot Hot\n"
+            "clash\tn2\tHot, not Hot\n"
+        )
+
+    def test_abox_refutation_trace(self):
+        result = is_consistent(parse_kb(TRACE_ABOX))
+        assert not result.satisfiable
+        assert trace_to_text(result.clash_trace) == (
+            "and\tn1\tHot and not Cold\n"
+            "merge\tn0\thas-temperature\n"
+            "forall\tn0\tall has-temperature Cold\n"
+            "clash\tn1\tCold, not Cold\n"
+        )
+
+    def test_independent_of_hash_seed(self):
+        script = (
+            "from kedl import is_consistent, is_satisfiable, parse_concept, parse_kb\n"
+            "from kedl.semantics import interpretation_to_text\n"
+            "from kedl.tableau import trace_to_text\n"
+            "import sys\n"
+            "tbox, abox = sys.argv[1:]\n"
+            "kb = parse_kb(tbox)\n"
+            "print(trace_to_text(is_satisfiable(parse_concept('Gas', kb.sig), kb).clash_trace))\n"
+            "print(trace_to_text(is_consistent(parse_kb(abox)).clash_trace))\n"
+            "goal = parse_concept('some has-temperature Cold and all has-temperature (Cold or Hot)', kb.sig)\n"
+            "print(interpretation_to_text(is_satisfiable(goal, kb).witness))\n"
+            "merging = abox.replace('(all has-temperature Cold)(g1);', '').replace('not Hot or Cold', 'Cold or Hot')\n"
+            "result = is_consistent(parse_kb(merging))\n"
+            "print(result.merged_individuals, interpretation_to_text(result.witness))\n"
+        )
+        src = str(pathlib.Path(kedl.__file__).resolve().parents[1])
+        outputs = []
+        for seed in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=seed,
+                       PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+            run = subprocess.run([sys.executable, "-c", script, TRACE_TBOX, TRACE_ABOX],
+                                 capture_output=True, text=True, env=env, check=True)
+            outputs.append(run.stdout)
+        assert outputs[0] == outputs[1]
+        assert "merge\tn0\thas-temperature" in outputs[0]
+        assert "[('t1', 't2')]" in outputs[0]
 
 
 class TestSubsumption:
