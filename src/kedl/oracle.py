@@ -11,10 +11,14 @@ Two entry points with different jobs:
   depth-first assignment of one symbol slice at a time (individuals, then
   atom extensions, then role successor rows) with interval-based pruning:
   a partial assignment is abandoned only when every completion is already
-  doomed.  This is what makes ``NoModelUpToBound`` verdicts at bounds (3,3)
-  affordable.  Every returned model is re-checked with the exact evaluator
-  before being emitted, so pruning bugs cannot fabricate a Model verdict;
-  the pruning itself is property-tested against the plain enumeration.
+  doomed.  Extensions are int bitmasks during the search (bit k is element
+  k) and become frozensets only in a found model.  A sort that no symbol of
+  the goal reaches is searched at domain size 1 only: with every other
+  symbol frozen, its size cannot change the outcome.  This is what makes
+  ``NoModelUpToBound`` verdicts at bounds (3,3) affordable.  Every returned
+  model is re-checked with the exact evaluator before being emitted, so
+  pruning bugs cannot fabricate a Model verdict; the pruning itself is
+  property-tested against the plain enumeration.
 
 Verdicts are always bound-qualified: the search never claims unsatisfiability
 beyond the domain sizes it actually visited.
@@ -24,7 +28,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Optional, Union
+from typing import Iterator, Optional, Sequence, Union
 
 from .kb import (
     AssertionFormula,
@@ -104,18 +108,23 @@ SatVerdict = Union[Model, NoModelUpToBound]
 ValidityVerdict = Union[Countermodel, NoCountermodelUpToBound]
 
 
+def _members(mask: int) -> frozenset[int]:
+    """The elements whose bits are set in ``mask`` (bit k is element k)."""
+    return frozenset(k for k in range(mask.bit_length()) if mask >> k & 1)
+
+
 def _subsets(n: int) -> list[frozenset[int]]:
     """All subsets of range(n) in ascending bitmask order (empty set first)."""
-    return [frozenset(k for k in range(n) if m >> k & 1) for m in range(1 << n)]
+    return [_members(m) for m in range(1 << n)]
 
 
-def _cross_rows(s: int, mode: FunctionalityMode) -> list[frozenset[int]]:
-    """Successor-set choices for one object element under a cross role."""
+def _cross_rows(s: int, mode: FunctionalityMode) -> list[int]:
+    """Successor-set choices (as masks) for one object element under a cross role."""
     if mode is FunctionalityMode.EXACTLY_ONE:
-        return [frozenset({u}) for u in range(s)]
+        return [1 << u for u in range(s)]
     if mode is FunctionalityMode.AT_MOST_ONE:
-        return [frozenset()] + [frozenset({u}) for u in range(s)]
-    return _subsets(s)
+        return [0] + [1 << u for u in range(s)]
+    return list(range(1 << s))
 
 
 def enumerate_interpretations(sig: Signature, bounds: Bounds) -> Iterator[Interpretation]:
@@ -150,7 +159,7 @@ def _enumerate_at(sig: Signature, d: int, s: int, mode: FunctionalityMode) -> It
             axes.append([frozenset(pairs[k] for k in range(len(pairs)) if m >> k & 1)
                          for m in range(1 << len(pairs))])
         else:  # cross: one successor-set choice per object element
-            per_row = _cross_rows(s, mode)
+            per_row = [_members(m) for m in _cross_rows(s, mode)]
             axes.append([
                 frozenset((x, u) for x, row in enumerate(combo) for u in row)
                 for combo in itertools.product(per_row, repeat=d)
@@ -194,7 +203,7 @@ class _Level:
 
     __slots__ = ("kind", "name", "row", "choices")
 
-    def __init__(self, kind: str, name: str, row: Optional[int], choices: list) -> None:
+    def __init__(self, kind: str, name: str, row: Optional[int], choices: Sequence[int]) -> None:
         self.kind = kind  # "ind" | "atom" | "row"
         self.name = name
         self.row = row
@@ -204,9 +213,15 @@ class _Level:
 class _Search:
     """Depth-first assignment of interpretation components at fixed sizes.
 
-    Symbols not mentioned by the goal are frozen to canonical values up
-    front (empty extensions; for cross roles under EXACTLY_ONE, the constant
-    successor 0) and never enumerated.
+    Extensions are int bitmasks, bit k standing for element k of the sort's
+    domain: an atom's extension is one mask, a role's extension one mask of
+    successors per source element (a row), and ``None`` marks a component
+    not yet assigned.  Symbols not mentioned by the goal are frozen to
+    canonical values up front (empty extensions; for cross roles under
+    EXACTLY_ONE, the constant successor 0) and never enumerated, so the
+    outcome at sizes (d, s) depends on a domain only through the goal's
+    symbols; :func:`find_model` relies on this to search an unreached
+    sort at size 1 only.
     """
 
     def __init__(
@@ -223,8 +238,9 @@ class _Search:
         self.d = d
         self.s = s
         self.mode = mode
-        self.atom_ext: dict[str, Optional[frozenset[int]]] = {}
-        self.role_rows: dict[str, list[Optional[frozenset[int]]]] = {}
+        self.full = {Sort.OBJECT: (1 << d) - 1, Sort.ATTRIBUTE: (1 << s) - 1}
+        self.atom_ext: dict[str, Optional[int]] = {}
+        self.role_rows: dict[str, list[Optional[int]]] = {}
         self.inds: dict[str, Optional[int]] = {}
         self.levels: list[_Level] = []
 
@@ -232,7 +248,7 @@ class _Search:
             if name in used_inds:
                 self.inds[name] = None
                 size = d if sig.individuals[name] is Sort.OBJECT else s
-                self.levels.append(_Level("ind", name, None, list(range(size))))
+                self.levels.append(_Level("ind", name, None, range(size)))
             else:
                 self.inds[name] = 0
 
@@ -250,12 +266,10 @@ class _Search:
         for kind in (RoleKind.ATTR_ATTR, RoleKind.CROSS, RoleKind.OBJ_OBJ):
             for name in by_kind[kind]:
                 n_rows = s if kind is RoleKind.ATTR_ATTR else d
-                if kind is RoleKind.OBJ_OBJ:
-                    choices = _subsets(d)
-                elif kind is RoleKind.ATTR_ATTR:
-                    choices = _subsets(s)
-                else:
+                if kind is RoleKind.CROSS:
                     choices = _cross_rows(s, mode)
+                else:
+                    choices = range(1 << n_rows)
                 if name in used_roles:
                     self.role_rows[name] = [None] * n_rows
                     for row in range(n_rows):
@@ -266,30 +280,23 @@ class _Search:
     def _add_atom(self, name: str, size: int, used: bool) -> None:
         if used:
             self.atom_ext[name] = None
-            self.levels.append(_Level("atom", name, None, _subsets(size)))
+            self.levels.append(_Level("atom", name, None, range(1 << size)))
         else:
-            self.atom_ext[name] = frozenset()
+            self.atom_ext[name] = 0
 
     # -- interval evaluation ----------------------------------------------
 
-    def domain(self, sort: Sort) -> frozenset[int]:
-        return frozenset(range(self.d if sort is Sort.OBJECT else self.s))
-
-    def concept_bounds(self, e: ConceptExpr, sort: Sort) -> tuple[frozenset[int], frozenset[int]]:
-        """(lower, upper): elements in e under every / at least one completion."""
-        dom = self.domain(sort)
-        if isinstance(e, Top):
-            return dom, dom
-        if isinstance(e, Bot):
-            return frozenset(), frozenset()
+    def concept_bounds(self, e: ConceptExpr, sort: Sort) -> tuple[int, int]:
+        """(lower, upper) masks: elements in e under every / at least one completion."""
         if isinstance(e, Atom):
             ext = self.atom_ext[e.name]
             if ext is None:
-                return frozenset(), dom
+                return 0, self.full[sort]
             return ext, ext
         if isinstance(e, Not):
             lb, ub = self.concept_bounds(e.expr, sort)
-            return dom - ub, dom - lb
+            full = self.full[sort]
+            return full & ~ub, full & ~lb
         if isinstance(e, And):
             l1, u1 = self.concept_bounds(e.left, sort)
             l2, u2 = self.concept_bounds(e.right, sort)
@@ -300,74 +307,77 @@ class _Search:
             return l1 | l2, u1 | u2
         if isinstance(e, (Exists, Forall)):
             return self._quantifier_bounds(e, sort)
+        if isinstance(e, Top):
+            return self.full[sort], self.full[sort]
+        if isinstance(e, Bot):
+            return 0, 0
         raise KedlError(f"arrows must be desugared before the search: {e!r}")
 
-    def _quantifier_bounds(self, e, sort: Sort) -> tuple[frozenset[int], frozenset[int]]:
+    def _quantifier_bounds(self, e, sort: Sort) -> tuple[int, int]:
         role: RoleName = e.role
-        tgt = role.target_sort
-        clb, cub = self.concept_bounds(e.expr, tgt)
-        tgt_dom = self.domain(tgt)
-        src_dom = self.domain(role.source_sort)
+        clb, cub = self.concept_bounds(e.expr, role.target_sort)
+        rows = self.role_rows[role.name]
         existential = isinstance(e, Exists)
+        lower = upper = 0
 
         if role.kind is RoleKind.CROSS_INVERSE:
-            rows = self.role_rows[role.name]
-            lower, upper = set(), set()
-            for u in src_dom:
-                known = [x for x in range(self.d) if rows[x] is not None and u in rows[x]]
-                possible = known + [x for x in range(self.d) if rows[x] is None]
+            # predecessors of u: the assigned rows that contain u (known),
+            # and those plus every unassigned row (possible)
+            unassigned = 0
+            for x, row in enumerate(rows):
+                if row is None:
+                    unassigned |= 1 << x
+            for u in range(self.s):
+                known = 0
+                for x, row in enumerate(rows):
+                    if row is not None and row >> u & 1:
+                        known |= 1 << x
+                possible = known | unassigned
                 if existential:
-                    if any(x in clb for x in known):
-                        lower.add(u)
-                    if any(x in cub for x in possible):
-                        upper.add(u)
+                    if known & clb:
+                        lower |= 1 << u
+                    if possible & cub:
+                        upper |= 1 << u
                 else:
-                    if all(x in clb for x in possible):
-                        lower.add(u)
-                    if all(x in cub for x in known):
-                        upper.add(u)
-            return frozenset(lower), frozenset(upper)
+                    if not possible & ~clb:
+                        lower |= 1 << u
+                    if not known & ~cub:
+                        upper |= 1 << u
+            return lower, upper
 
-        rows = self.role_rows[role.name]
+        # an unassigned row ranges over every still-possible choice: under
+        # EXACTLY_ONE a cross row is one successor; otherwise the empty row
+        # is possible, so the existential may fail and the universal hold
         total = role.kind is RoleKind.CROSS and self.mode is FunctionalityMode.EXACTLY_ONE
-        lower, upper = set(), set()
-        for x in src_dom:
-            row = rows[x]
-            if row is not None:
-                if existential:
-                    if any(y in clb for y in row):
-                        lower.add(x)
-                    if any(y in cub for y in row):
-                        upper.add(x)
-                else:
-                    if all(y in clb for y in row):
-                        lower.add(x)
-                    if all(y in cub for y in row):
-                        upper.add(x)
+        open_lower = (total or not existential) and clb == self.full[role.target_sort]
+        open_upper = cub != 0 if total or existential else True
+        for x, row in enumerate(rows):
+            bit = 1 << x
+            if row is None:
+                if open_lower:
+                    lower |= bit
+                if open_upper:
+                    upper |= bit
+            elif existential:
+                if row & clb:
+                    lower |= bit
+                if row & cub:
+                    upper |= bit
             else:
-                # unassigned row: quantify over every still-possible choice
-                if total:
-                    if clb == tgt_dom:
-                        lower.add(x)
-                    if cub:
-                        upper.add(x)
-                elif existential:
-                    if cub:
-                        upper.add(x)
-                else:
-                    if clb == tgt_dom:
-                        lower.add(x)
-                    upper.add(x)  # the empty row is possible: vacuously true
-        return frozenset(lower), frozenset(upper)
+                if not row & ~clb:
+                    lower |= bit
+                if not row & ~cub:
+                    upper |= bit
+        return lower, upper
 
     # -- assembling interpretations ----------------------------------------
 
     def build(self) -> Interpretation:
-        concept_ext = {n: (x if x is not None else frozenset()) for n, x in self.atom_ext.items()}
+        concept_ext = {n: _members(x or 0) for n, x in self.atom_ext.items()}
         role_ext = {}
         for name, rows in self.role_rows.items():
             role_ext[name] = frozenset(
-                (x, y) for x, row in enumerate(rows) if row is not None for y in row
+                (x, y) for x, row in enumerate(rows) if row is not None for y in _members(row)
             )
         ind_map = {n: (v if v is not None else 0) for n, v in self.inds.items()}
         return Interpretation(
@@ -386,7 +396,12 @@ class _Search:
 
 
 class _Objective:
-    """What the search is after, with three-way partial verdicts."""
+    """What the search is after, with three-way partial verdicts.
+
+    ``concepts`` lists the desugared concepts that the status reads.
+    """
+
+    concepts: list[ConceptExpr]
 
     def status(self, search: _Search) -> Optional[bool]:
         """True: every completion succeeds; False: none can; None: open."""
@@ -400,6 +415,7 @@ class _ConceptObjective(_Objective):
     def __init__(self, goal: ConceptExpr, sort: Sort) -> None:
         self.goal = desugar(goal)
         self.sort = sort
+        self.concepts = [self.goal]
 
     def status(self, search: _Search) -> Optional[bool]:
         lb, ub = search.concept_bounds(self.goal, self.sort)
@@ -417,15 +433,16 @@ class _KbObjective(_Objective):
     def __init__(self, kb: KnowledgeBase) -> None:
         self.kb = kb
         self.formulas: list[Formula] = []
+        self.concepts = []
         for f in kb.formulas():
-            if isinstance(f, Inclusion):
-                self.formulas.append(
-                    Inclusion(desugar(f.left), desugar(f.right), _stated_sort(f, kb.sig)))
-            elif isinstance(f, Equivalence):
-                self.formulas.append(
-                    Equivalence(desugar(f.left), desugar(f.right), _stated_sort(f, kb.sig)))
-            else:
-                self.formulas.append(f)
+            if isinstance(f, (Inclusion, Equivalence)):
+                f = type(f)(desugar(f.left), desugar(f.right), _stated_sort(f, kb.sig))
+                self.concepts += [f.left, f.right]
+            elif isinstance(f.assertion, ConceptAssertion):
+                a = ConceptAssertion(desugar(f.assertion.concept), f.assertion.individual)
+                f = AssertionFormula(a)
+                self.concepts.append(a.concept)
+            self.formulas.append(f)
 
     def status(self, search: _Search) -> Optional[bool]:
         all_definite = True
@@ -445,14 +462,14 @@ class _KbObjective(_Objective):
         llb, lub = search.concept_bounds(f.left, sort)
         rlb, rub = search.concept_bounds(f.right, sort)
         if isinstance(f, Inclusion):
-            if llb - rub:
+            if llb & ~rub:
                 return False
-            if lub <= rlb:
+            if not lub & ~rlb:
                 return True
             return None
-        if llb - rub or rlb - lub:
+        if llb & ~rub or rlb & ~lub:
             return False
-        if lub <= rlb and rub <= llb:
+        if not (lub & ~rlb or rub & ~llb):
             return True
         return None
 
@@ -462,10 +479,10 @@ class _KbObjective(_Objective):
             if el is None:
                 return None
             sort = search.sig.individuals[a.individual]
-            lb, ub = search.concept_bounds(desugar(a.concept), sort)
-            if el in lb:
+            lb, ub = search.concept_bounds(a.concept, sort)
+            if lb >> el & 1:
                 return True
-            if el not in ub:
+            if not ub >> el & 1:
                 return False
             return None
         assert isinstance(a, RoleAssertion)
@@ -477,7 +494,7 @@ class _KbObjective(_Objective):
         row = search.role_rows[a.role.name][src]
         if row is None:
             return None
-        return tgt in row
+        return bool(row >> tgt & 1)
 
     def holds_exactly(self, i: Interpretation) -> bool:
         return satisfies_kb(i, self.kb)
@@ -507,6 +524,18 @@ def _used_symbols(exprs: list[ConceptExpr], kb: Optional[KnowledgeBase] = None):
     return atoms, roles, inds
 
 
+def _visible_sorts(sig: Signature, used) -> set[Sort]:
+    """The sorts whose domain some used atom, role or individual reaches."""
+    atoms, roles, inds = used
+    sorts = {sig.atom_sort(name) for name in atoms} | {sig.individuals[name] for name in inds}
+    for name in roles:
+        if sig.roles[name] is not RoleKind.OBJ_OBJ:
+            sorts.add(Sort.ATTRIBUTE)
+        if sig.roles[name] is not RoleKind.ATTR_ATTR:
+            sorts.add(Sort.OBJECT)
+    return sorts
+
+
 def find_model(
     goal: Union[ConceptExpr, KnowledgeBase],
     bounds: Bounds,
@@ -518,23 +547,24 @@ def find_model(
     For a concept goal, a model is an interpretation with a non-empty
     extension for it (``sig`` is required).  For a knowledge base, a model
     satisfies every definition, inclusion (universal reading), and assertion.
+    A sort that no symbol of the goal reaches is searched at size 1 only.
     """
     if isinstance(goal, KnowledgeBase):
         sig = goal.sig
         objective: _Objective = _KbObjective(goal)
-        exprs = [desugar(f.left) for f in objective.formulas if not isinstance(f, AssertionFormula)]
-        exprs += [desugar(f.right) for f in objective.formulas if not isinstance(f, AssertionFormula)]
-        exprs += [desugar(a.concept) for a in goal.abox if isinstance(a, ConceptAssertion)]
-        used = _used_symbols(exprs, kb=goal)
+        used = _used_symbols(objective.concepts, kb=goal)
     else:
         if sig is None:
             raise KedlError("a signature is required to search for concept models")
         goal_sort = check_sort(goal, sig, expected=sort)
         objective = _ConceptObjective(goal, goal_sort)
-        used = _used_symbols([desugar(goal)])
+        used = _used_symbols(objective.concepts)
 
-    for d in range(1, bounds.max_delta + 1):
-        for s in range(1, bounds.max_sigma + 1):
+    visible = _visible_sorts(sig, used)
+    deltas = range(1, bounds.max_delta + 1) if Sort.OBJECT in visible else (1,)
+    sigmas = range(1, bounds.max_sigma + 1) if Sort.ATTRIBUTE in visible else (1,)
+    for d in deltas:
+        for s in sigmas:
             found = _search_at(sig, d, s, bounds.mode, objective, used)
             if found is not None:
                 _require(validate_interpretation(found) == [], "search returned an invalid interpretation")

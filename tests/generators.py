@@ -93,3 +93,32 @@ def gen_concept(rng: random.Random, sort: Sort, depth: int) -> ConceptExpr:
     role = rng.choice(_roles_for(sort))
     body = gen_concept(rng, role.target_sort, depth - 1)
     return Exists(role, body) if rng.randrange(2) == 0 else Forall(role, body)
+
+
+def _literal(rng: random.Random, sort: Sort) -> ConceptExpr:
+    atom = Atom(rng.choice(("C1", "C2") if sort is Sort.OBJECT else ("A1", "A2")))
+    return Not(atom) if rng.randrange(2) else atom
+
+
+def gen_kb(rng: random.Random) -> KnowledgeBase:
+    """A random KB over the differential signature plus individuals o1
+    (object) and u1 (attribute): a definition of A2 through inv(r); per
+    sort, a literal below a random depth-2 concept, a literal below a
+    literal and a random depth-1 concept below a literal; a random depth-1 concept asserted of each individual, and an
+    r-assertion between them stated through r or inv(r)."""
+    kb = empty_diff_kb()
+    kb.sig.declare_individual("o1", Sort.OBJECT)
+    kb.sig.declare_individual("u1", Sort.ATTRIBUTE)
+    quantifier = rng.choice((Exists, Forall))
+    kb.define("A2", quantifier(R_INV, rng.choice((Atom("C1"), Not(Atom("C1"))))))
+    for sort in (Sort.OBJECT, Sort.ATTRIBUTE):
+        kb.include(_literal(rng, sort), gen_concept(rng, sort, 2))
+        kb.include(_literal(rng, sort), _literal(rng, sort))
+        kb.include(gen_concept(rng, sort, 1), _literal(rng, sort))
+    kb.assert_concept(gen_concept(rng, Sort.OBJECT, 1), "o1")
+    kb.assert_concept(gen_concept(rng, Sort.ATTRIBUTE, 1), "u1")
+    if rng.randrange(2):
+        kb.assert_role(R, "o1", "u1")
+    else:
+        kb.assert_role(R_INV, "u1", "o1")
+    return kb

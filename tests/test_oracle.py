@@ -14,6 +14,7 @@ from kedl import (
     Exists,
     Forall,
     Inclusion,
+    KnowledgeBase,
     Model,
     NoCountermodelUpToBound,
     NoModelUpToBound,
@@ -32,9 +33,13 @@ from kedl import (
     satisfies_kb,
     validate_interpretation,
 )
-from kedl.semantics import FunctionalityMode
+from kedl import oracle
+from kedl.oracle import _ConceptObjective, _KbObjective, _used_symbols
+from kedl.oracle import _search_at as _unpatched_search_at
+from kedl.semantics import FunctionalityMode, interpretation_to_text
+from kedl.syntax import check_sort, subexprs
 
-from generators import P, diff_signature, gen_nnf
+from generators import P, Q, R, R_INV, diff_signature, gen_kb, gen_nnf
 
 
 def _restricted_nnf(rng, sort, depth):
@@ -253,6 +258,27 @@ class TestFindModel:
         assert satisfies_kb(verdict.interpretation, kb)
 
 
+def _decode(mask):
+    return {k for k in range(mask.bit_length()) if mask >> k & 1}
+
+
+def _set(search, level, choice):
+    if level.kind == "ind":
+        search.inds[level.name] = choice
+    elif level.kind == "atom":
+        search.atom_ext[level.name] = choice
+    else:
+        search.role_rows[level.name][level.row] = choice
+
+
+def _assign(search, levels, rng):
+    for level in levels:
+        _set(search, level, rng.choice(level.choices))
+
+
+MODES = (FunctionalityMode.AT_MOST_ONE, FunctionalityMode.EXACTLY_ONE, FunctionalityMode.FREE)
+
+
 class TestIntervalSoundness:
     def test_partial_bounds_contain_every_completion(self):
         # white-box: on any partial assignment, the interval evaluator's
@@ -268,33 +294,155 @@ class TestIntervalSoundness:
         )
         used = ({"C1", "A1"}, {"p", "q", "r"}, set())
         rng = random.Random(555)
+        inverse_trials = 0
         for trial in range(150):
             sort = Sort.OBJECT if trial % 2 == 0 else Sort.ATTRIBUTE
-            mode = (
-                FunctionalityMode.AT_MOST_ONE,
-                FunctionalityMode.EXACTLY_ONE,
-                FunctionalityMode.FREE,
-            )[trial % 3]
+            mode = MODES[trial % 3]
             expr = desugar(_restricted_nnf(rng, sort, 3))
+            # the attribute-sort vocabulary quantifies over q and inv(r)
+            inverse_trials += any(
+                isinstance(sub, (Exists, Forall)) and sub.role == R_INV for sub in subexprs(expr)
+            )
             search = _Search(sig, 2, 2, mode, *used)
             prefix = rng.randrange(len(search.levels) + 1)
-            for level in search.levels[:prefix]:
-                choice = rng.choice(level.choices)
-                if level.kind == "atom":
-                    search.atom_ext[level.name] = choice
-                else:
-                    search.role_rows[level.name][level.row] = choice
-            lower, upper = search.concept_bounds(expr, sort)
+            _assign(search, search.levels[:prefix], rng)
+            lower, upper = map(_decode, search.concept_bounds(expr, sort))
             for _ in range(8):
-                for level in search.levels[prefix:]:
-                    choice = rng.choice(level.choices)
-                    if level.kind == "atom":
-                        search.atom_ext[level.name] = choice
-                    else:
-                        search.role_rows[level.name][level.row] = choice
+                _assign(search, search.levels[prefix:], rng)
                 i = search.build()
                 exact = extension(expr, i, sort)
                 assert lower <= exact <= upper
+        assert inverse_trials >= 20
+
+    def test_partial_kb_status_agrees_with_every_completion(self):
+        # white-box: a definite status on a partial assignment is the exact
+        # verdict of every completion
+        from kedl.oracle import _Search
+
+        rng = random.Random(556)
+        decided = {True: 0, False: 0}
+        for trial in range(300):
+            kb = gen_kb(rng)
+            objective = _KbObjective(kb)
+            used = _used_symbols(objective.concepts, kb=kb)
+            search = _Search(kb.sig, 2, 2, MODES[trial % 3], *used)
+            # extend the assignment one level at a time, steering away from
+            # dead ends so that satisfiable KBs can get decided True, and
+            # check the first definite status against random completions
+            for depth, level in enumerate(search.levels + [None]):
+                status = objective.status(search)
+                if status is not None:
+                    decided[status] += 1
+                    for _ in range(8):
+                        _assign(search, search.levels[depth:], rng)
+                        assert satisfies_kb(search.build(), kb) == status
+                    break
+                options = list(level.choices)
+                rng.shuffle(options)
+                for choice in options:
+                    _set(search, level, choice)
+                    if objective.status(search) is not False:
+                        break
+        assert decided[True] >= 20 and decided[False] >= 20
+
+
+def _every_size(goal, bounds, sig=None, sort=None):
+    """The model text find_model would return with no domain size skipped,
+    and the number of sizes searched for it."""
+    if isinstance(goal, KnowledgeBase):
+        sig, objective = goal.sig, _KbObjective(goal)
+        used = _used_symbols(objective.concepts, kb=goal)
+    else:
+        objective = _ConceptObjective(goal, check_sort(goal, sig, expected=sort))
+        used = _used_symbols(objective.concepts)
+    searched = 0
+    for d in range(1, bounds.max_delta + 1):
+        for s in range(1, bounds.max_sigma + 1):
+            searched += 1
+            found = _unpatched_search_at(sig, d, s, bounds.mode, objective, used)
+            if found is not None:
+                return interpretation_to_text(found), searched
+    return None, searched
+
+
+def _model_text(verdict):
+    return interpretation_to_text(verdict.interpretation) if isinstance(verdict, Model) else None
+
+
+ALL_SIZES_3_3 = [(d, s) for d in (1, 2, 3) for s in (1, 2, 3)]
+
+
+class TestDomainSizeSkip:
+    @pytest.fixture
+    def visited(self, monkeypatch):
+        sizes = []
+
+        def recording(sig, d, s, *rest):
+            sizes.append((d, s))
+            return _unpatched_search_at(sig, d, s, *rest)
+
+        monkeypatch.setattr(oracle, "_search_at", recording)
+        return sizes
+
+    def check(self, visited, goal, bounds, sig=None, sort=None):
+        """find_model's verdict and model text equal the unskipped search's;
+        returns the sizes it visited."""
+        visited.clear()
+        got = _model_text(find_model(goal, bounds, sig=sig, sort=sort))
+        assert got == _every_size(goal, bounds, sig=sig, sort=sort)[0]
+        return list(visited)
+
+    def test_object_only_goal_visits_object_sizes(self, visited):
+        sig = diff_signature()
+        no_model = And(Exists(P, Atom("C1")), Forall(P, Not(Atom("C1"))))
+        assert self.check(visited, no_model, Bounds(3, 3), sig) == [(1, 1), (2, 1), (3, 1)]
+        two_elements = And(Atom("C1"), Exists(P, Not(Atom("C1"))))
+        assert self.check(visited, two_elements, Bounds(3, 3), sig) == [(1, 1), (2, 1)]
+
+    def test_attribute_only_goal_visits_attribute_sizes(self, visited):
+        sig = diff_signature()
+        no_model = And(Exists(Q, Atom("A1")), Forall(Q, Not(Atom("A1"))))
+        sort = Sort.ATTRIBUTE
+        assert self.check(visited, no_model, Bounds(3, 3), sig, sort) == [(1, 1), (1, 2), (1, 3)]
+
+    def test_cross_role_alone_reaches_both_sorts(self, visited):
+        sig = diff_signature()
+        no_model = And(Exists(R, Top()), Forall(R, Bot()))
+        assert self.check(visited, no_model, Bounds(3, 3), sig) == ALL_SIZES_3_3
+
+    def test_symbol_free_attribute_goals(self, visited):
+        sig = diff_signature()
+        for goal in (Top(), Bot()):
+            assert self.check(visited, goal, Bounds(3, 3), sig, Sort.ATTRIBUTE) == [(1, 1)]
+
+    def test_individual_alone_reaches_its_sort(self, visited):
+        text = "oconcept C; oindividual o1; aindividual u1; C <= bot; C(o1);"
+        assert self.check(visited, parse_kb(text), Bounds(3, 3)) == [(1, 1), (2, 1), (3, 1)]
+        with_u1 = parse_kb(text + " (top)(u1);")
+        assert self.check(visited, with_u1, Bounds(3, 3)) == ALL_SIZES_3_3
+
+    def test_unused_cross_role_under_exactly_one(self, visited):
+        sig = diff_signature()
+        bounds = Bounds(3, 3, FunctionalityMode.EXACTLY_ONE)
+        goal = And(Atom("C1"), Exists(P, Not(Atom("C1"))))
+        assert self.check(visited, goal, bounds, sig) == [(1, 1), (2, 1)]
+        model = find_model(goal, bounds, sig=sig).interpretation
+        assert model.role_ext["r"] == {(0, 0), (1, 0)}
+
+    def test_random_goals_match_the_unskipped_search(self, visited):
+        sig = diff_signature()
+        rng = random.Random(557)
+        skipped = 0
+        for trial in range(150):
+            sort = Sort.OBJECT if trial % 2 == 0 else Sort.ATTRIBUTE
+            goal = gen_nnf(rng, sort, 3)
+            bounds = Bounds(2, 2, MODES[trial % 3])
+            visited.clear()
+            got = _model_text(find_model(goal, bounds, sig=sig, sort=sort))
+            want, searched = _every_size(goal, bounds, sig=sig, sort=sort)
+            assert got == want
+            skipped += len(visited) < searched
+        assert skipped >= 10
 
 
 class TestCheckValidity:
