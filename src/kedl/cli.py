@@ -427,6 +427,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (ParseError, KedlError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_ERROR
+    except RecursionError:
+        # exit 1 is a negative verdict, never a crash
+        print("error: input nested too deeply (Python recursion limit exceeded)", file=sys.stderr)
+        return EXIT_ERROR
 
 
 if __name__ == "__main__":

@@ -199,14 +199,14 @@ def count_models(e: ConceptExpr, sig: Signature, bounds: Bounds) -> int:
 
 
 class _Level:
-    """One decision in the search: a symbol slice and its candidate values."""
+    """One decision in the search: the slot ``store[key]`` (an individual,
+    an atom extension or one role row) and its candidate values."""
 
-    __slots__ = ("kind", "name", "row", "choices")
+    __slots__ = ("store", "key", "choices")
 
-    def __init__(self, kind: str, name: str, row: Optional[int], choices: Sequence[int]) -> None:
-        self.kind = kind  # "ind" | "atom" | "row"
-        self.name = name
-        self.row = row
+    def __init__(self, store: Union[dict, list], key: Union[str, int], choices: Sequence[int]) -> None:
+        self.store = store
+        self.key = key
         self.choices = choices
 
 
@@ -248,7 +248,7 @@ class _Search:
             if name in used_inds:
                 self.inds[name] = None
                 size = d if sig.individuals[name] is Sort.OBJECT else s
-                self.levels.append(_Level("ind", name, None, range(size)))
+                self.levels.append(_Level(self.inds, name, range(size)))
             else:
                 self.inds[name] = 0
 
@@ -271,16 +271,16 @@ class _Search:
                 else:
                     choices = range(1 << n_rows)
                 if name in used_roles:
-                    self.role_rows[name] = [None] * n_rows
+                    rows = self.role_rows[name] = [None] * n_rows
                     for row in range(n_rows):
-                        self.levels.append(_Level("row", name, row, choices))
+                        self.levels.append(_Level(rows, row, choices))
                 else:
                     self.role_rows[name] = [choices[0]] * n_rows
 
     def _add_atom(self, name: str, size: int, used: bool) -> None:
         if used:
             self.atom_ext[name] = None
-            self.levels.append(_Level("atom", name, None, range(1 << size)))
+            self.levels.append(_Level(self.atom_ext, name, range(1 << size)))
         else:
             self.atom_ext[name] = 0
 
@@ -387,12 +387,8 @@ class _Search:
 
     def complete_with_defaults(self, level_idx: int) -> None:
         for level in self.levels[level_idx:]:
-            if level.kind == "ind" and self.inds[level.name] is None:
-                self.inds[level.name] = level.choices[0]
-            elif level.kind == "atom" and self.atom_ext[level.name] is None:
-                self.atom_ext[level.name] = level.choices[0]
-            elif level.kind == "row" and self.role_rows[level.name][level.row] is None:
-                self.role_rows[level.name][level.row] = level.choices[0]
+            if level.store[level.key] is None:
+                level.store[level.key] = level.choices[0]
 
 
 class _Objective:
@@ -436,7 +432,8 @@ class _KbObjective(_Objective):
         self.concepts = []
         for f in kb.formulas():
             if isinstance(f, (Inclusion, Equivalence)):
-                f = type(f)(desugar(f.left), desugar(f.right), _stated_sort(f, kb.sig))
+                sort = combined_sort(f.left, f.right, kb.sig, hint=f.sort)
+                f = type(f)(desugar(f.left), desugar(f.right), sort)
                 self.concepts += [f.left, f.right]
             elif isinstance(f.assertion, ConceptAssertion):
                 a = ConceptAssertion(desugar(f.assertion.concept), f.assertion.individual)
@@ -498,10 +495,6 @@ class _KbObjective(_Objective):
 
     def holds_exactly(self, i: Interpretation) -> bool:
         return satisfies_kb(i, self.kb)
-
-
-def _stated_sort(f, sig: Signature) -> Sort:
-    return combined_sort(f.left, f.right, sig, hint=f.sort)
 
 
 def _used_symbols(exprs: list[ConceptExpr], kb: Optional[KnowledgeBase] = None):
@@ -594,21 +587,11 @@ def _search_at(sig, d, s, mode, objective: _Objective, used) -> Optional[Interpr
             return i if objective.holds_exactly(i) else None
         level = search.levels[level_idx]
         for choice in level.choices:
-            if level.kind == "ind":
-                search.inds[level.name] = choice
-            elif level.kind == "atom":
-                search.atom_ext[level.name] = choice
-            else:
-                search.role_rows[level.name][level.row] = choice
+            level.store[level.key] = choice
             result = dfs(level_idx + 1)
             if result is not None:
                 return result
-        if level.kind == "ind":
-            search.inds[level.name] = None
-        elif level.kind == "atom":
-            search.atom_ext[level.name] = None
-        else:
-            search.role_rows[level.name][level.row] = None
+        level.store[level.key] = None
         return None
 
     return dfs(0)
@@ -626,7 +609,7 @@ def check_validity_bounded(f: Formula, bounds: Bounds, sig: Signature) -> Validi
                 return Countermodel(i)
         return NoCountermodelUpToBound(bounds)
 
-    sort = _stated_sort(f, sig)
+    sort = combined_sort(f.left, f.right, sig, hint=f.sort)
     candidates = [And(f.left, Not(f.right))]
     if isinstance(f, Equivalence):
         candidates.append(And(f.right, Not(f.left)))

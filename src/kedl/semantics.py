@@ -227,7 +227,7 @@ def satisfies_formula(
     if isinstance(f, AssertionFormula):
         return satisfies_assertion(i, f.assertion)
 
-    sort = _formula_sort(f, i.sig)
+    sort = combined_sort(f.left, f.right, i.sig, hint=f.sort)
     dom = i.domain(sort)
     left = extension(f.left, i, sort)
     right = extension(f.right, i, sort)
@@ -240,11 +240,6 @@ def satisfies_formula(
     if isinstance(f, Inclusion):
         return len(dom - (left - right)) > 0
     return len((left & right) | (dom - (left | right))) > 0
-
-
-def _formula_sort(f: Formula, sig: Signature) -> Sort:
-    assert not isinstance(f, AssertionFormula)
-    return combined_sort(f.left, f.right, sig, hint=f.sort)
 
 
 def satisfies_kb(

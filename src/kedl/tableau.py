@@ -306,25 +306,24 @@ class Tableau:
                 g.trace.append(clash)
                 return SatResult(False, clash_trace=g.trace)
 
-            step = self._find_rule(g)
-            if step is None:
+            step = self._fire_rule(g)
+            if step is True:
+                continue
+            if step is False:
                 return SatResult(
                     True, witness=self._extract_witness(g), merged_individuals=g.merges)
 
-            kind = step[0]
-            if kind == "or":
-                _, node, concept = step
-                _, left, right = self.concepts.desc[concept]
-                for tag, branch in (("or-left", left), ("or-right", right)):
-                    gg = g.clone()
-                    gg.trace.append((tag, node.id, self.concepts.key[branch]))
-                    gg.nodes[node.id].label.add(branch)
-                    result = self._expand(gg)
-                    if result.satisfiable:
-                        return result
-                    last = result
-                return last
-            self._apply(g, step)
+            node_id, concept = step
+            _, left, right = self.concepts.desc[concept]
+            for tag, branch in (("or-left", left), ("or-right", right)):
+                gg = g.clone()
+                gg.trace.append((tag, node_id, self.concepts.key[branch]))
+                gg.nodes[node_id].label.add(branch)
+                result = self._expand(gg)
+                if result.satisfiable:
+                    return result
+                last = result
+            return last
 
     def _find_clash(self, g: _Graph) -> Optional[TraceEntry]:
         table = self.concepts
@@ -340,13 +339,18 @@ class Tableau:
                 return ("clash", node.id, f"{name}, not {name}")
         return None
 
-    def _find_rule(self, g: _Graph):
-        # deterministic priority; the or-rule fires only when nothing
-        # deterministic is left, generating rules only after that; no rule
-        # at all is applied to a blocked node (propagation into one from an
-        # unblocked neighbour still happens and may unblock it)
-        desc, unfold = self.concepts.desc, self._unfold
-        by_key = self.concepts.key.__getitem__
+    def _fire_rule(self, g: _Graph) -> bool | tuple[int, int]:
+        """Fire the first applicable rule where it is found and return True;
+        return the ``(node id, concept id)`` of an or-split for ``_expand``
+        to branch on, or False when the graph is complete.
+
+        Deterministic priority: the or-rule fires only when nothing
+        deterministic is left, generating rules only after that; no rule at
+        all is applied to a blocked node (propagation into one from an
+        unblocked neighbour still happens and may unblock it).
+        """
+        desc, key, unfold = self.concepts.desc, self.concepts.key, self._unfold
+        by_key = key.__getitem__
         cache: dict[int, bool] = {}
         active = [n for n in g.ordered_nodes() if not self._is_blocked(g, n, cache)]
         ordered: dict[int, list[int]] = {}
@@ -362,10 +366,14 @@ class Tableau:
             for c in in_order(node):
                 unfolded = unfold.get(c)
                 if unfolded is not None and unfolded not in label:
-                    return ("unfold", node, c, unfolded)
+                    g.trace.append(("unfold", node.id, key[c]))
+                    label.add(unfolded)
+                    return True
                 d = desc[c]
                 if d[0] is And and (d[1] not in label or d[2] not in label):
-                    return ("and", node, c)
+                    g.trace.append(("and", node.id, key[c]))
+                    label.update(d[1:])
+                    return True
         if self.mode is not FunctionalityMode.FREE:
             for node in active:
                 if node.sort is not Sort.OBJECT:
@@ -374,103 +382,69 @@ class Tableau:
                     if self.sig.roles.get(role_name) is RoleKind.CROSS:
                         targets = sorted(g.successors(node.id, role_name))
                         if len(targets) > 1:
-                            return ("merge", node, role_name, targets[0], targets[1])
+                            # keep a root over a generated node, else the older one
+                            a, b = targets[:2]
+                            keep, drop = (b, a) if g.nodes[b].root and not g.nodes[a].root else (a, b)
+                            g.trace.append(("merge", node.id, role_name))
+                            self._merge_nodes(g, keep, drop)
+                            return True
         for node in active:
             for c in in_order(node):
                 d = desc[c]
                 if d[0] is Forall:
                     for m in g.adjacent(node.id, d[1]):
                         if d[2] not in g.nodes[m].label:
-                            return ("forall", node, c, m)
+                            g.trace.append(("forall", node.id, key[c]))
+                            g.nodes[m].label.add(d[2])
+                            return True
         for node in active:
             label = node.label
             for c in in_order(node):
                 d = desc[c]
                 if d[0] is Or and d[1] not in label and d[2] not in label:
-                    return ("or", node, c)
+                    return node.id, c
         for node in active:
             for c in in_order(node):
-                if desc[c][0] is Exists:
-                    step = self._exists_step(g, node, c)
-                    if step is not None:
-                        return step
+                d = desc[c]
+                if d[0] is not Exists:
+                    continue
+                _, role, body = d
+                if role.kind is RoleKind.CROSS and self.mode is not FunctionalityMode.FREE:
+                    # a functional role has at most one successor: reuse it
+                    targets = g.successors(node.id, role.name)
+                    if targets:
+                        m = min(targets)
+                        if body not in g.nodes[m].label:
+                            g.trace.append(("exists-reuse", node.id, key[c]))
+                            g.nodes[m].label.add(body)
+                            return True
+                        continue
+                elif any(body in g.nodes[m].label for m in g.adjacent(node.id, role)):
+                    continue
+                g.trace.append(("exists", node.id, key[c]))
+                self._add_child(g, node, role).label.add(body)
+                return True
         if self.mode is FunctionalityMode.EXACTLY_ONE:
             for node in active:
                 if node.sort is Sort.OBJECT:
                     for role_name in self.sig.cross_roles():
                         if not g.successors(node.id, role_name):
-                            return ("totality", node, role_name)
-        return None
+                            g.trace.append(("totality", node.id, role_name))
+                            self._add_child(g, node, RoleName(role_name, RoleKind.CROSS))
+                            return True
+        return False
 
-    def _exists_step(self, g: _Graph, node: _Node, c: int):
-        _, role, child = self.concepts.desc[c]
-        functional_forward = (
-            role.kind is RoleKind.CROSS and self.mode is not FunctionalityMode.FREE
-        )
-        if functional_forward:
-            targets = sorted(g.successors(node.id, role.name))
-            if targets:
-                if child not in g.nodes[targets[0]].label:
-                    return ("exists-reuse", node, c, targets[0])
-                return None
-            return ("exists", node, c)
-        for m in g.adjacent(node.id, role):
-            if child in g.nodes[m].label:
-                return None
-        return ("exists", node, c)
-
-    def _apply(self, g: _Graph, step) -> None:
-        desc, key = self.concepts.desc, self.concepts.key
-        kind = step[0]
-        if kind == "unfold":
-            _, node, trigger, unfolded = step
-            g.trace.append(("unfold", node.id, key[trigger]))
-            node.label.add(unfolded)
-        elif kind == "and":
-            _, node, c = step
-            g.trace.append(("and", node.id, key[c]))
-            node.label.add(desc[c][1])
-            node.label.add(desc[c][2])
-        elif kind == "merge":
-            _, node, role_name, keep, drop = step
-            keep, drop = self._merge_order(g, keep, drop)
-            g.trace.append(("merge", node.id, role_name))
-            self._merge_nodes(g, keep, drop)
-        elif kind == "forall":
-            _, node, c, m = step
-            g.trace.append(("forall", node.id, key[c]))
-            g.nodes[m].label.add(desc[c][2])
-        elif kind == "exists-reuse":
-            _, node, c, m = step
-            g.trace.append(("exists-reuse", node.id, key[c]))
-            g.nodes[m].label.add(desc[c][2])
-        elif kind == "exists":
-            _, node, c = step
-            g.trace.append(("exists", node.id, key[c]))
-            _, role, body = desc[c]
-            via_inverse = role.kind is RoleKind.CROSS_INVERSE
-            child = g.new_node(role.target_sort, root=False,
-                               parent=(node.id, role.name, via_inverse))
-            self._seed_label(child)
-            child.label.add(body)
-            if via_inverse:
-                g.add_edge(child.id, role.name, node.id)
-            else:
-                g.add_edge(node.id, role.name, child.id)
-        elif kind == "totality":
-            _, node, role_name = step
-            g.trace.append(("totality", node.id, role_name))
-            child = g.new_node(Sort.ATTRIBUTE, root=False, parent=(node.id, role_name, False))
-            self._seed_label(child)
-            g.add_edge(node.id, role_name, child.id)
+    def _add_child(self, g: _Graph, node: _Node, role: RoleName) -> _Node:
+        """A new seeded node joined to ``node`` by ``role``; under an inverse
+        role the edge runs from the child back to ``node``."""
+        via_inverse = role.kind is RoleKind.CROSS_INVERSE
+        child = g.new_node(role.target_sort, root=False, parent=(node.id, role.name, via_inverse))
+        self._seed_label(child)
+        if via_inverse:
+            g.add_edge(child.id, role.name, node.id)
         else:
-            raise KedlError(f"unknown rule: {kind}")
-
-    def _merge_order(self, g: _Graph, a: int, b: int) -> tuple[int, int]:
-        na, nb = g.nodes[a], g.nodes[b]
-        if na.root != nb.root:
-            return (a, b) if na.root else (b, a)
-        return (min(a, b), max(a, b))
+            g.add_edge(node.id, role.name, child.id)
+        return child
 
     def _merge_nodes(self, g: _Graph, keep: int, drop: int) -> None:
         keep_node, drop_node = g.nodes[keep], g.nodes[drop]

@@ -85,6 +85,18 @@ class TestSat:
         )
         assert code == 1
 
+    def test_too_deep_input_is_exit_2(self, gas_kedl):
+        # in a subprocess, so that a traceback would reach stderr
+        concept = "not " * 3000 + "Gas"
+        result = subprocess.run(
+            [sys.executable, "-m", "kedl.cli", "sat", gas_kedl, "-c", concept],
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 2
+        assert result.stderr.startswith("error: ")
+        assert "Traceback" not in result.stderr
+
     def test_model_out(self, capsys, gas_kedl, tmp_path):
         out_path = tmp_path / "model.txt"
         code, _, _ = run(capsys, "sat", gas_kedl, "-c", "Gas", "--model-out", str(out_path))

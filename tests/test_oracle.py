@@ -262,18 +262,9 @@ def _decode(mask):
     return {k for k in range(mask.bit_length()) if mask >> k & 1}
 
 
-def _set(search, level, choice):
-    if level.kind == "ind":
-        search.inds[level.name] = choice
-    elif level.kind == "atom":
-        search.atom_ext[level.name] = choice
-    else:
-        search.role_rows[level.name][level.row] = choice
-
-
-def _assign(search, levels, rng):
+def _assign(levels, rng):
     for level in levels:
-        _set(search, level, rng.choice(level.choices))
+        level.store[level.key] = rng.choice(level.choices)
 
 
 MODES = (FunctionalityMode.AT_MOST_ONE, FunctionalityMode.EXACTLY_ONE, FunctionalityMode.FREE)
@@ -305,10 +296,10 @@ class TestIntervalSoundness:
             )
             search = _Search(sig, 2, 2, mode, *used)
             prefix = rng.randrange(len(search.levels) + 1)
-            _assign(search, search.levels[:prefix], rng)
+            _assign(search.levels[:prefix], rng)
             lower, upper = map(_decode, search.concept_bounds(expr, sort))
             for _ in range(8):
-                _assign(search, search.levels[prefix:], rng)
+                _assign(search.levels[prefix:], rng)
                 i = search.build()
                 exact = extension(expr, i, sort)
                 assert lower <= exact <= upper
@@ -334,13 +325,13 @@ class TestIntervalSoundness:
                 if status is not None:
                     decided[status] += 1
                     for _ in range(8):
-                        _assign(search, search.levels[depth:], rng)
+                        _assign(search.levels[depth:], rng)
                         assert satisfies_kb(search.build(), kb) == status
                     break
                 options = list(level.choices)
                 rng.shuffle(options)
                 for choice in options:
-                    _set(search, level, choice)
+                    level.store[level.key] = choice
                     if objective.status(search) is not False:
                         break
         assert decided[True] >= 20 and decided[False] >= 20

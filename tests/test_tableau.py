@@ -224,6 +224,31 @@ class TestClashTraces:
             "clash\tn1\tCold, not Cold\n"
         )
 
+    # the rule kinds the two refutations above leave out: exists-reuse of a
+    # functional successor, totality, and an exists through an inverse role
+    @pytest.mark.parametrize("text, mode, expected", [
+        ("some r A1 and some r (not A1)", FunctionalityMode.AT_MOST_ONE,
+         "and\tn0\tsome r A1 and some r not A1\n"
+         "exists\tn0\tsome r A1\n"
+         "exists-reuse\tn0\tsome r not A1\n"
+         "clash\tn2\tA1, not A1\n"),
+        ("all r A1 and not (some r A1)", FunctionalityMode.EXACTLY_ONE,
+         "and\tn0\tall r A1 and all r not A1\n"
+         "totality\tn0\tr\n"
+         "forall\tn0\tall r A1\n"
+         "forall\tn0\tall r not A1\n"
+         "clash\tn2\tA1, not A1\n"),
+        ("some inv(r) (all r A1) and not A1", FunctionalityMode.AT_MOST_ONE,
+         "and\tn0\tsome inv(r) all r A1 and not A1\n"
+         "exists\tn0\tsome inv(r) all r A1\n"
+         "forall\tn2\tall r A1\n"
+         "clash\tn0\tA1, not A1\n"),
+    ])
+    def test_cross_role_rule_traces(self, kb, text, mode, expected):
+        result = is_satisfiable(parse_concept(text, kb.sig), kb, mode=mode)
+        assert not result.satisfiable
+        assert trace_to_text(result.clash_trace) == expected
+
     def test_independent_of_hash_seed(self):
         script = (
             "from kedl import is_consistent, is_satisfiable, parse_concept, parse_kb\n"
