@@ -383,7 +383,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("verify", help="run the axiom and property suite")
-    p.add_argument("--only", help="run items whose id starts with this prefix")
+    p.add_argument("--only", help="run the item with this id and the items numbered below it "
+                   "(property1 runs property1.1 and property1.2, not property10.1)")
     p.add_argument("--bounds", help="oracle bounds D,S (default 2,2 or KEDL_BOUNDS)")
     _add_common(p)
     p.set_defaults(func=cmd_verify)

@@ -18,7 +18,9 @@ base role by flipping pairs.
 from __future__ import annotations
 
 import enum
+from collections import Counter
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Iterable, Optional
 
 from .kb import (
@@ -73,6 +75,12 @@ class FormulaReading(enum.Enum):
     LITERAL_EXISTENTIAL = "paper-existential"
 
 
+@lru_cache(maxsize=64)
+def _elements(n: int) -> frozenset[int]:
+    """``frozenset(range(n))``, built once per size rather than per use."""
+    return frozenset(range(n))
+
+
 @dataclass
 class Interpretation:
     sig: Signature
@@ -85,14 +93,14 @@ class Interpretation:
 
     @property
     def delta(self) -> frozenset[int]:
-        return frozenset(range(self.n_delta))
+        return _elements(self.n_delta)
 
     @property
     def sigma(self) -> frozenset[int]:
-        return frozenset(range(self.n_sigma))
+        return _elements(self.n_sigma)
 
     def domain(self, sort: Sort) -> frozenset[int]:
-        return self.delta if sort is Sort.OBJECT else self.sigma
+        return _elements(self.n_delta if sort is Sort.OBJECT else self.n_sigma)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Interpretation):
@@ -136,11 +144,12 @@ def validate_interpretation(i: Interpretation) -> list[str]:
             if a not in src_dom or b not in dst_dom:
                 out.append(f"role {name} pair ({a},{b}) leaves its signature")
         if kind is RoleKind.CROSS and i.mode is not FunctionalityMode.FREE:
+            successors = Counter(a for (a, _) in pairs)
             for x in range(i.n_delta):
-                succ = [u for (a, u) in pairs if a == x]
-                if len(succ) > 1:
-                    out.append(f"cross role {name} has {len(succ)} successors at x{x + 1}")
-                if i.mode is FunctionalityMode.EXACTLY_ONE and len(succ) == 0:
+                n_succ = successors[x]
+                if n_succ > 1:
+                    out.append(f"cross role {name} has {n_succ} successors at x{x + 1}")
+                if i.mode is FunctionalityMode.EXACTLY_ONE and n_succ == 0:
                     out.append(f"cross role {name} has no successor at x{x + 1}")
 
     for ind, sort in sorted(i.sig.individuals.items()):
@@ -174,34 +183,34 @@ def extension(e: ConceptExpr, i: Interpretation, sort: Optional[Sort] = None) ->
 
 
 def _ext(e: ConceptExpr, i: Interpretation, sort: Sort) -> frozenset[int]:
-    dom = i.domain(sort)
-    if isinstance(e, Top):
-        return dom
-    if isinstance(e, Bot):
-        return frozenset()
     if isinstance(e, Atom):
         if e.name not in i.concept_ext:
             raise KedlError(f"no extension stored for atom {e.name}")
         return i.concept_ext[e.name]
-    if isinstance(e, Not):
-        return dom - _ext(e.expr, i, sort)
     if isinstance(e, And):
         return _ext(e.left, i, sort) & _ext(e.right, i, sort)
     if isinstance(e, Or):
         return _ext(e.left, i, sort) | _ext(e.right, i, sort)
-    if isinstance(e, Implies):
-        return (dom - _ext(e.left, i, sort)) | _ext(e.right, i, sort)
-    if isinstance(e, Iff):
-        left = _ext(e.left, i, sort)
-        right = _ext(e.right, i, sort)
-        return (left & right) | ((dom - left) & (dom - right))
     if isinstance(e, (Exists, Forall)):
         pairs = role_pairs(i, e.role)
         child = _ext(e.expr, i, e.role.target_sort)
         src_dom = i.domain(e.role.source_sort)
-        if isinstance(e, Exists):
-            return frozenset(x for x in src_dom if any(b in child for (a, b) in pairs if a == x))
-        return frozenset(x for x in src_dom if all(b in child for (a, b) in pairs if a == x))
+        if isinstance(e, Exists):  # the sources of pairs into child
+            return src_dom & {a for (a, b) in pairs if b in child}
+        return src_dom - {a for (a, b) in pairs if b not in child}  # no pair leaving child
+    if isinstance(e, Top):
+        return i.domain(sort)
+    if isinstance(e, Bot):
+        return frozenset()
+    if isinstance(e, Not):
+        return i.domain(sort) - _ext(e.expr, i, sort)
+    if isinstance(e, Implies):
+        return (i.domain(sort) - _ext(e.left, i, sort)) | _ext(e.right, i, sort)
+    if isinstance(e, Iff):
+        dom = i.domain(sort)
+        left = _ext(e.left, i, sort)
+        right = _ext(e.right, i, sort)
+        return (left & right) | ((dom - left) & (dom - right))
     raise KedlError(f"unknown concept node: {e!r}")
 
 
@@ -223,12 +232,15 @@ def satisfies_formula(
     i: Interpretation,
     f: Formula,
     reading: FormulaReading = FormulaReading.UNIVERSAL,
+    sort: Optional[Sort] = None,
 ) -> bool:
+    """Whether ``i`` satisfies ``f``; ``sort``, the sort of an inclusion's
+    or equivalence's sides, is inferred when not given."""
     if isinstance(f, AssertionFormula):
         return satisfies_assertion(i, f.assertion)
 
-    sort = combined_sort(f.left, f.right, i.sig, hint=f.sort)
-    dom = i.domain(sort)
+    if sort is None:
+        sort = combined_sort(f.left, f.right, i.sig, hint=f.sort)
     left = extension(f.left, i, sort)
     right = extension(f.right, i, sort)
     if reading is FormulaReading.UNIVERSAL:
@@ -237,17 +249,33 @@ def satisfies_formula(
         return left == right
     # literal existential reading: a witness element satisfies the
     # conditional (or, for equivalences, both conditionals)
+    dom = i.domain(sort)
     if isinstance(f, Inclusion):
         return len(dom - (left - right)) > 0
     return len((left & right) | (dom - (left | right))) > 0
+
+
+def sorted_formulas(kb: KnowledgeBase) -> list[tuple[Formula, Optional[Sort]]]:
+    """``kb.formulas()``, each paired with the sort ``satisfies_formula``
+    evaluates it in (None for an assertion)."""
+    return [
+        (f, None if isinstance(f, AssertionFormula) else combined_sort(f.left, f.right, kb.sig, hint=f.sort))
+        for f in kb.formulas()
+    ]
 
 
 def satisfies_kb(
     i: Interpretation,
     kb: KnowledgeBase,
     reading: FormulaReading = FormulaReading.UNIVERSAL,
+    formulas: Optional[list[tuple[Formula, Optional[Sort]]]] = None,
 ) -> bool:
-    return all(satisfies_formula(i, f, reading) for f in kb.formulas())
+    """Whether ``i`` satisfies every formula of ``kb``.  A caller checking
+    many interpretations against one KB passes ``sorted_formulas(kb)`` as
+    ``formulas`` so sorts are inferred once."""
+    if formulas is None:
+        formulas = sorted_formulas(kb)
+    return all(satisfies_formula(i, f, reading, sort) for f, sort in formulas)
 
 
 # --- Text serialization ------------------------------------------------------

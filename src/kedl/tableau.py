@@ -1,11 +1,18 @@
 """Tableau decision procedure: satisfiability, consistency, subsumption,
 instance checking, and classification.
 
-The engine builds a completion graph of sorted nodes.  TBox inclusions are
-internalized per sort (every node of a sort carries ``not L or R`` for each
-inclusion of that sort); acyclic definitions are unfolded lazily.  Labels
-are sets of interned concept ids; wherever the search picks the first of
-several concepts it orders them by printed form, computed once per id, so
+The engine builds a completion graph of sorted nodes.  Acyclic definitions
+are unfolded lazily.  An inclusion ``A <= C`` whose left side is a primitive
+atom (one without a definition) is absorbed into the same lazy unfolding:
+``A`` unfolds to ``C``, or to the conjunction of the right sides of all its
+inclusions, so only nodes that carry ``A`` pay for it.  Every other inclusion
+is internalized per sort (every node of a sort carries ``not L or R``).  That
+includes the inclusions of a defined atom ``A := D``: a node can satisfy
+``D``, and so belong to ``A``, without ``A`` in its label, and an unfolding
+of ``A`` would never reach it.
+
+Labels are sets of interned concept ids; wherever the search picks the first
+of several concepts it orders them by printed form, computed once per id, so
 searches, witnesses and clash traces do not depend on hash seeds.  Cross
 roles are functional: an object node keeps at most one successor per cross
 role (two successors are merged), and under EXACTLY_ONE a successor is
@@ -23,20 +30,22 @@ termination.
 
 Every Satisfiable verdict carries a finite witness interpretation, rebuilt
 from the graph (blocked nodes identified with their blockers) and re-checked
-with the exact evaluator before being returned.
+with the exact evaluator against every KB formula before being returned.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property, reduce
 from typing import Optional
 
-from .kb import ConceptAssertion, KnowledgeBase
+from .kb import ConceptAssertion, Formula, KnowledgeBase
 from .semantics import (
     FunctionalityMode,
     Interpretation,
     extension,
     satisfies_kb,
+    sorted_formulas,
     validate_interpretation,
 )
 from .syntax import (
@@ -207,21 +216,29 @@ class Tableau:
             (left, right, infer_sort(left, self.sig) or infer_sort(right, self.sig))
             for left, right in kb.inclusions
         ]
-        self._unfold: dict[int, int] = {}  # defined literal -> its unfolding
+        # defined literal, or primitive atom with inclusions -> its unfolding
+        self._unfold: dict[int, int] = {}
         self._globals: Optional[dict[Sort, list[int]]] = None
 
     def _intern_kb(self) -> None:
         if self._globals is None:
             intern = self.concepts.intern
-            for name, expr in self.kb.definitions.items():
+            definitions = self.kb.definitions
+            for name, expr in definitions.items():
                 self._unfold[intern(Atom(name))] = intern(to_nnf(expr))
                 self._unfold[intern(Not(Atom(name)))] = intern(negated_nnf(expr))
+            absorbed: dict[str, list[ConceptExpr]] = {}  # primitive atom -> right sides
             constraints: dict[Sort, list[int]] = {Sort.OBJECT: [], Sort.ATTRIBUTE: []}
             for left, right, sort in self._inclusions:
+                if isinstance(left, Atom) and left.name not in definitions:
+                    absorbed.setdefault(left.name, []).append(right)
+                    continue
                 constraint = intern(to_nnf(Or(Not(left), right)))
                 # fully polymorphic inclusion (only top/bot): constrain both domains
                 for each in (Sort.OBJECT, Sort.ATTRIBUTE) if sort is None else (sort,):
                     constraints[each].append(constraint)
+            for name, rights in absorbed.items():
+                self._unfold[intern(Atom(name))] = intern(to_nnf(reduce(And, rights)))
             self._globals = constraints  # set last: a failed run is redone by the next query
 
     # -- graph construction -------------------------------------------------
@@ -293,7 +310,7 @@ class Tableau:
         problems = validate_interpretation(witness)
         if problems:
             raise KedlError(f"internal tableau error: invalid witness: {problems}")
-        if not satisfies_kb(witness, self.kb):
+        if not satisfies_kb(witness, self.kb, formulas=self._formulas):
             raise KedlError("internal tableau error: witness does not satisfy the knowledge base")
         if query is not None and not extension(query[0], witness, query[1]):
             raise KedlError("internal tableau error: witness misses the query concept")
@@ -520,15 +537,10 @@ class Tableau:
             return nid if blocker is None else blocker.id
 
         concept_ext: dict[str, frozenset[int]] = {}
-        primitive = (self.sig.object_atoms | self.sig.attribute_atoms) - set(self.kb.definitions)
-        for name in primitive:
+        for name, sort in self._primitive:
             atom = self.concepts.ids.get((Atom, name))
-            members = {
-                index[n.id]
-                for n in elements
-                if n.sort is self.sig.atom_sort(name) and atom in n.label
-            }
-            concept_ext[name] = frozenset(members)
+            concept_ext[name] = frozenset(
+                index[n.id] for n in elements if n.sort is sort and atom in n.label)
 
         role_ext: dict[str, frozenset[tuple[int, int]]] = {}
         for role_name in self.sig.roles:
@@ -551,11 +563,24 @@ class Tableau:
         )
         # defined atoms denote exactly their definitions; labels only ever
         # carry the unfolded content, so evaluate in dependency order
-        for name in self._definition_order():
+        for name in self._definition_order:
             sort = self.sig.atom_sort(name)
             witness.concept_ext[name] = extension(self.kb.definitions[name], witness, sort)
         return witness
 
+    # per-KB facts of witness extraction and re-check, computed at the first
+    # witness and shared by all later ones
+
+    @cached_property
+    def _primitive(self) -> list[tuple[str, Sort]]:
+        atoms = self.sig.object_atoms | self.sig.attribute_atoms
+        return [(name, self.sig.atom_sort(name)) for name in sorted(atoms - set(self.kb.definitions))]
+
+    @cached_property
+    def _formulas(self) -> list[tuple[Formula, Optional[Sort]]]:
+        return sorted_formulas(self.kb)
+
+    @cached_property
     def _definition_order(self) -> list[str]:
         order: list[str] = []
         seen: set[str] = set()

@@ -20,6 +20,7 @@ from kedl.syntax import (
     RoleName,
     Sort,
     Top,
+    subexprs,
 )
 
 P = RoleName("p", RoleKind.OBJ_OBJ)
@@ -121,4 +122,36 @@ def gen_kb(rng: random.Random) -> KnowledgeBase:
         kb.assert_role(R, "o1", "u1")
     else:
         kb.assert_role(R_INV, "u1", "o1")
+    return kb
+
+
+def gen_atomic_gci_kb(rng: random.Random) -> KnowledgeBase:
+    """A random KB over the differential signature plus individuals o1
+    (object) and u1 (attribute) whose inclusions mostly have an atom on
+    the left: two inclusions of C1 and one of A1 (primitive atoms), a
+    definition of C2 that C2 also has an inclusion of, sometimes an
+    inclusion of A2 and one with a compound left side; each individual
+    asserted to be in C1 or A1 (absorbed atoms) or a random literal, and
+    sometimes an r-assertion between them."""
+    kb = empty_diff_kb()
+    kb.sig.declare_individual("o1", Sort.OBJECT)
+    kb.sig.declare_individual("u1", Sort.ATTRIBUTE)
+    kb.include(Atom("C1"), gen_nnf(rng, Sort.OBJECT, 2))
+    kb.include(Atom("C1"), gen_nnf(rng, Sort.OBJECT, 1))
+    kb.include(Atom("A1"), gen_nnf(rng, Sort.ATTRIBUTE, 1))
+    while True:
+        body = gen_nnf(rng, Sort.OBJECT, 2)
+        if Atom("C2") not in subexprs(body):
+            break
+    kb.define("C2", body)
+    kb.include(Atom("C2"), gen_nnf(rng, Sort.OBJECT, 1))
+    if rng.randrange(2):
+        kb.include(Atom("A2"), gen_nnf(rng, Sort.ATTRIBUTE, 1))
+    if rng.randrange(2):
+        sort = rng.choice((Sort.OBJECT, Sort.ATTRIBUTE))
+        kb.include(And(gen_nnf(rng, sort, 1), gen_nnf(rng, sort, 1)), gen_nnf(rng, sort, 1))
+    for atom, individual, sort in (("C1", "o1", Sort.OBJECT), ("A1", "u1", Sort.ATTRIBUTE)):
+        kb.assert_concept(Atom(atom) if rng.randrange(4) == 0 else _literal(rng, sort), individual)
+    if rng.randrange(2):
+        kb.assert_role(R, "o1", "u1")
     return kb

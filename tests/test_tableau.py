@@ -11,6 +11,7 @@ import kedl
 import pytest
 
 from kedl import (
+    And,
     Atom,
     Bounds,
     Exists,
@@ -18,6 +19,7 @@ from kedl import (
     Model,
     Not,
     Sort,
+    Top,
     classify,
     extension,
     find_model,
@@ -33,7 +35,7 @@ from kedl import (
 from kedl.semantics import FunctionalityMode
 from kedl.tableau import InconsistentKBError, trace_to_text
 
-from generators import P, diff_signature, empty_diff_kb, gen_nnf
+from generators import P, diff_signature, empty_diff_kb, gen_atomic_gci_kb, gen_nnf
 
 
 @pytest.fixture
@@ -183,11 +185,21 @@ class TestConsistency:
 
 # a definition and an inclusion: refuting Gas fires unfold, and, exists,
 # forall and the or-rule (a refutation's trace is its last branch, so its
-# or-steps are all or-right)
+# or-steps are all or-right).  Cold is primitive, so its inclusion is absorbed:
+# Cold unfolds to not Hot where it appears (closing the or-left branch Cold)
+# instead of putting an or-split on every attribute node
 TRACE_TBOX = """
 oconcept Gas; aconcept Hot; aconcept Cold; xrole has-temperature;
 Gas := some has-temperature Hot and all has-temperature (Cold or not Hot);
 Cold <= not Hot;
+"""
+
+# inclusions with a primitive atom on the left only, all absorbed
+TRACE_ABSORBED = """
+aconcept Length; aconcept Short; arole more-than;
+Length <= some more-than Length;
+Length <= all more-than Short;
+Short <= not Length;
 """
 
 # two values of one functional role: refuting the ABox merges them
@@ -207,11 +219,28 @@ class TestClashTraces:
         assert trace_to_text(result.clash_trace) == (
             "unfold\tn0\tGas\n"
             "and\tn0\tsome has-temperature Hot and all has-temperature (Cold or not Hot)\n"
-            "or-right\tn1\tnot Hot\n"
             "exists\tn0\tsome has-temperature Hot\n"
             "forall\tn0\tall has-temperature (Cold or not Hot)\n"
             "or-right\tn2\tnot Hot\n"
             "clash\tn2\tHot, not Hot\n"
+        )
+
+    def test_absorbed_inclusion_trace(self):
+        # Length's two inclusions unfold as one conjunction, in declaration
+        # order, at the root and again at the generated node n2 (n1 is the
+        # seeded object root, whose label stays empty)
+        kb = parse_kb(TRACE_ABSORBED)
+        result = is_satisfiable(parse_concept("Length", kb.sig), kb)
+        assert not result.satisfiable
+        assert trace_to_text(result.clash_trace) == (
+            "unfold\tn0\tLength\n"
+            "and\tn0\tsome more-than Length and all more-than Short\n"
+            "exists\tn0\tsome more-than Length\n"
+            "unfold\tn2\tLength\n"
+            "and\tn2\tsome more-than Length and all more-than Short\n"
+            "forall\tn0\tall more-than Short\n"
+            "unfold\tn2\tShort\n"
+            "clash\tn2\tLength, not Length\n"
         )
 
     def test_abox_refutation_trace(self):
@@ -255,7 +284,9 @@ class TestClashTraces:
             "from kedl.semantics import interpretation_to_text\n"
             "from kedl.tableau import trace_to_text\n"
             "import sys\n"
-            "tbox, abox = sys.argv[1:]\n"
+            "tbox, abox, absorbed = sys.argv[1:]\n"
+            "kb = parse_kb(absorbed)\n"
+            "print(trace_to_text(is_satisfiable(parse_concept('Length', kb.sig), kb).clash_trace))\n"
             "kb = parse_kb(tbox)\n"
             "print(trace_to_text(is_satisfiable(parse_concept('Gas', kb.sig), kb).clash_trace))\n"
             "print(trace_to_text(is_consistent(parse_kb(abox)).clash_trace))\n"
@@ -270,12 +301,49 @@ class TestClashTraces:
         for seed in ("0", "1"):
             env = dict(os.environ, PYTHONHASHSEED=seed,
                        PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-            run = subprocess.run([sys.executable, "-c", script, TRACE_TBOX, TRACE_ABOX],
+            run = subprocess.run([sys.executable, "-c", script, TRACE_TBOX, TRACE_ABOX, TRACE_ABSORBED],
                                  capture_output=True, text=True, env=env, check=True)
             outputs.append(run.stdout)
         assert outputs[0] == outputs[1]
+        assert "unfold\tn2\tShort" in outputs[0]
         assert "merge\tn0\thas-temperature" in outputs[0]
         assert "[('t1', 't2')]" in outputs[0]
+
+
+def _classification(kb, mode):
+    try:
+        result = classify(kb, mode=mode)
+    except InconsistentKBError:
+        return None
+    return result.cells, result.leq
+
+
+class TestAbsorption:
+    def test_absorbing_changes_no_verdict(self):
+        # an inclusion whose left side is a primitive atom A is absorbed into
+        # A's unfolding; "A and top" on the left keeps it internalized in
+        # every node, so the two KBs must get the same verdicts
+        rng = random.Random(515)
+        consistent_runs = 0
+        for trial in range(60):
+            kb = gen_atomic_gci_kb(rng)
+            internalized = KnowledgeBase(
+                sig=kb.sig,
+                definitions=dict(kb.definitions),
+                inclusions=[(And(left, Top()) if isinstance(left, Atom) else left, right)
+                            for left, right in kb.inclusions],
+                abox=list(kb.abox),
+            )
+            queries = [(sort, gen_nnf(rng, sort, 2)) for sort in (Sort.OBJECT, Sort.ATTRIBUTE)]
+            for mode in FunctionalityMode:
+                consistent = is_consistent(kb, mode=mode).satisfiable
+                assert consistent == is_consistent(internalized, mode=mode).satisfiable
+                consistent_runs += consistent
+                assert _classification(kb, mode) == _classification(internalized, mode)
+                for sort, query in queries:
+                    assert (is_satisfiable(query, kb, mode=mode, sort=sort).satisfiable
+                            == is_satisfiable(query, internalized, mode=mode, sort=sort).satisfiable)
+        assert 40 < consistent_runs < 140  # both verdicts occur
 
 
 class TestSubsumption:
@@ -410,3 +478,27 @@ class TestOracleAgreement:
                 oracle_models += 1
                 assert sat.satisfiable
         assert oracle_models > 40
+
+    def test_random_kbs_with_atomic_gcis_in_every_mode(self):
+        # the same one-way check over KBs whose inclusions the tableau mostly
+        # absorbs, with the ABox kept, in all three modes including FREE
+        from kedl.kb import ConceptAssertion
+
+        rng = random.Random(434343)
+        oracle_models = {mode: 0 for mode in FunctionalityMode}
+        for trial in range(150):
+            kb = gen_atomic_gci_kb(rng)
+            sort = rng.choice([Sort.OBJECT, Sort.ATTRIBUTE])
+            query = gen_nnf(rng, sort, 2)
+            mode = list(FunctionalityMode)[trial % 3]
+
+            sat = is_satisfiable(query, kb, mode=mode, sort=sort)
+
+            witness_kb = KnowledgeBase(sig=kb.sig.copy(), definitions=dict(kb.definitions),
+                                       inclusions=list(kb.inclusions), abox=list(kb.abox))
+            witness_kb.sig.declare_individual("w0", sort)
+            witness_kb.abox.append(ConceptAssertion(query, "w0"))
+            if isinstance(find_model(witness_kb, Bounds(2, 2, mode)), Model):
+                oracle_models[mode] += 1
+                assert sat.satisfiable
+        assert min(oracle_models.values()) >= 8  # at-most-one 16, exactly-one 10, free 18

@@ -79,6 +79,12 @@ class TestSuiteRuns:
         assert checks[0].item_id == "axiom16"
         assert checks[0].ok
 
+    def test_only_filter_matches_whole_id_segments(self):
+        # a bare prefix would also select axiom10..axiom19 and property10.x..property12
+        assert {c.item_id for c in verify_suite(only="axiom1", run_oracle=False)} == {"axiom1"}
+        assert {c.item_id for c in verify_suite(only="property1", run_oracle=False)} == {
+            "property1.1", "property1.2"}
+
     def test_verdicts_stable_across_bounds(self):
         # a sample of roleful items at larger bounds: same verdicts
         for item_id in ("axiom6", "axiom12", "axiom16", "property7"):
