@@ -33,22 +33,22 @@ class Sort(enum.Enum):
 
 
 class RoleKind(enum.Enum):
-    OBJ_OBJ = "obj-obj"
-    ATTR_ATTR = "attr-attr"
-    CROSS = "cross"
-    CROSS_INVERSE = "cross-inverse"
+    """A role family, with the sorts of the source and target of its edges."""
+
+    OBJ_OBJ = ("obj-obj", Sort.OBJECT, Sort.OBJECT)
+    ATTR_ATTR = ("attr-attr", Sort.ATTRIBUTE, Sort.ATTRIBUTE)
+    CROSS = ("cross", Sort.OBJECT, Sort.ATTRIBUTE)
+    CROSS_INVERSE = ("cross-inverse", Sort.ATTRIBUTE, Sort.OBJECT)
+
+    def __new__(cls, value: str, source: Sort, target: Sort) -> "RoleKind":
+        kind = object.__new__(cls)
+        kind._value_ = value
+        kind.source = source
+        kind.target = target
+        return kind
 
     def __str__(self) -> str:
         return self.value
-
-
-# (source sort, target sort) of an edge labelled by each role kind
-ROLE_SIGNATURES = {
-    RoleKind.OBJ_OBJ: (Sort.OBJECT, Sort.OBJECT),
-    RoleKind.ATTR_ATTR: (Sort.ATTRIBUTE, Sort.ATTRIBUTE),
-    RoleKind.CROSS: (Sort.OBJECT, Sort.ATTRIBUTE),
-    RoleKind.CROSS_INVERSE: (Sort.ATTRIBUTE, Sort.OBJECT),
-}
 
 
 @dataclass(frozen=True)
@@ -69,11 +69,11 @@ class RoleName:
 
     @property
     def source_sort(self) -> Sort:
-        return ROLE_SIGNATURES[self.kind][0]
+        return self.kind.source
 
     @property
     def target_sort(self) -> Sort:
-        return ROLE_SIGNATURES[self.kind][1]
+        return self.kind.target
 
 
 def invert_role(role: RoleName) -> RoleName:

@@ -11,6 +11,12 @@ includes the inclusions of a defined atom ``A := D``: a node can satisfy
 ``D``, and so belong to ``A``, without ``A`` in its label, and an unfolding
 of ``A`` would never reach it.
 
+The search is one loop over an explicit stack of pending or-branches, depth
+first and left branch first.  A split runs its left branch on a clone of the
+graph and leaves the graph itself on the stack for the right branch, so each
+split makes one clone.  The first open leaf gives a Satisfiable verdict; a
+refutation reports the clash trace of the last closed branch.
+
 Labels are sets of interned concept ids; wherever the search picks the first
 of several concepts it orders them by printed form, computed once per id, so
 searches, witnesses and clash traces do not depend on hash seeds.  Cross
@@ -142,7 +148,7 @@ class _Graph:
         return self.succ[node_id].get(role_name, set())
 
     def predecessors(self, node_id: int, role_name: str) -> list[int]:
-        return [n for n in sorted(self.succ) if node_id in self.succ[n].get(role_name, ())]
+        return [n for n, per in self.succ.items() if node_id in per.get(role_name, ())]
 
     def adjacent(self, node_id: int, role: RoleName) -> list[int]:
         if role.kind is RoleKind.CROSS_INVERSE:
@@ -161,9 +167,6 @@ class _Graph:
             g.nodes[nid] = copy
         g.succ = {nid: {r: set(t) for r, t in targets.items()} for nid, targets in self.succ.items()}
         return g
-
-    def ordered_nodes(self) -> list[_Node]:
-        return [self.nodes[i] for i in sorted(self.nodes)]
 
 
 class _ConceptTable:
@@ -317,35 +320,32 @@ class Tableau:
         return result
 
     def _expand(self, g: _Graph) -> SatResult:
+        todo: list[_Graph] = []  # right branches of the open or-splits, innermost last
         while True:
             clash = self._find_clash(g)
             if clash is not None:
                 g.trace.append(clash)
-                return SatResult(False, clash_trace=g.trace)
-
-            step = self._fire_rule(g)
-            if step is True:
+                if not todo:  # every branch closed: report the last one
+                    return SatResult(False, clash_trace=g.trace)
+                g = todo.pop()
                 continue
+            step = self._fire_rule(g)
             if step is False:
-                return SatResult(
-                    True, witness=self._extract_witness(g), merged_individuals=g.merges)
-
-            node_id, concept = step
-            _, left, right = self.concepts.desc[concept]
-            for tag, branch in (("or-left", left), ("or-right", right)):
-                gg = g.clone()
-                gg.trace.append((tag, node_id, self.concepts.key[branch]))
-                gg.nodes[node_id].label.add(branch)
-                result = self._expand(gg)
-                if result.satisfiable:
-                    return result
-                last = result
-            return last
+                return SatResult(True, witness=self._extract_witness(g), merged_individuals=g.merges)
+            if step is not True:
+                # the left branch runs on a clone, the right one waits on the split graph
+                node_id, concept = step
+                _, left, right = self.concepts.desc[concept]
+                todo.append(g)
+                g = g.clone()
+                for graph, tag, branch in ((g, "or-left", left), (todo[-1], "or-right", right)):
+                    graph.trace.append((tag, node_id, self.concepts.key[branch]))
+                    graph.nodes[node_id].label.add(branch)
 
     def _find_clash(self, g: _Graph) -> Optional[TraceEntry]:
         table = self.concepts
         bot = table.ids.get((Bot,))
-        for node in g.ordered_nodes():
+        for node in g.nodes.values():
             label = node.label
             hits = [c for c in label if c == bot or table.neg.get(c) in label]
             if hits:
@@ -368,8 +368,8 @@ class Tableau:
         """
         desc, key, unfold = self.concepts.desc, self.concepts.key, self._unfold
         by_key = key.__getitem__
-        cache: dict[int, bool] = {}
-        active = [n for n in g.ordered_nodes() if not self._is_blocked(g, n, cache)]
+        blocked = self._blocked(g)
+        active = [n for n in g.nodes.values() if n.id not in blocked]
         ordered: dict[int, list[int]] = {}
 
         def in_order(node: _Node) -> list[int]:
@@ -399,11 +399,8 @@ class Tableau:
                     if self.sig.roles.get(role_name) is RoleKind.CROSS:
                         targets = sorted(g.successors(node.id, role_name))
                         if len(targets) > 1:
-                            # keep a root over a generated node, else the older one
-                            a, b = targets[:2]
-                            keep, drop = (b, a) if g.nodes[b].root and not g.nodes[a].root else (a, b)
                             g.trace.append(("merge", node.id, role_name))
-                            self._merge_nodes(g, keep, drop)
+                            self._merge_nodes(g, *targets[:2])  # keep the older node
                             return True
         for node in active:
             for c in in_order(node):
@@ -508,20 +505,22 @@ class Tableau:
             anc = candidate
         return None
 
-    def _is_blocked(self, g: _Graph, node: _Node, cache: dict[int, bool]) -> bool:
-        if node.id in cache:
-            return cache[node.id]
-        blocked = self._blocker(g, node) is not None
-        if not blocked and node.parent is not None:
-            blocked = self._is_blocked(g, g.nodes[node.parent[0]], cache)
-        cache[node.id] = blocked
+    def _blocked(self, g: _Graph) -> set[int]:
+        """Ids of the nodes blocked directly or below a blocked ancestor, in
+        one pass: parents precede children in id order, as a merge keeps the
+        older node."""
+        blocked: set[int] = set()
+        for node in g.nodes.values():
+            parent = node.parent
+            if (parent is not None and parent[0] in blocked) or self._blocker(g, node) is not None:
+                blocked.add(node.id)
         return blocked
 
     # -- witness extraction ----------------------------------------------------
 
     def _extract_witness(self, g: _Graph) -> Interpretation:
-        cache: dict[int, bool] = {}
-        elements = [n for n in g.ordered_nodes() if not self._is_blocked(g, n, cache)]
+        blocked = self._blocked(g)
+        elements = [n for n in g.nodes.values() if n.id not in blocked]
         index: dict[int, int] = {}
         n_delta = n_sigma = 0
         for node in elements:

@@ -33,9 +33,9 @@ from kedl import (
     validate_interpretation,
 )
 from kedl.semantics import FunctionalityMode
-from kedl.tableau import InconsistentKBError, trace_to_text
+from kedl.tableau import InconsistentKBError, Tableau, trace_to_text
 
-from generators import P, diff_signature, empty_diff_kb, gen_atomic_gci_kb, gen_nnf
+from generators import P, R, diff_signature, empty_diff_kb, gen_atomic_gci_kb, gen_kb, gen_nnf
 
 
 @pytest.fixture
@@ -103,6 +103,53 @@ class TestSatisfiability:
     def test_polymorphic_inclusion_hits_both_sorts(self):
         kb = parse_kb("top <= bot;")
         assert not is_consistent(kb).satisfiable
+
+    def test_long_internalized_chain(self):
+        # "A_i and B_i" is no primitive atom, so every inclusion is
+        # internalized and each of the 31 chain nodes or-splits on all 30 of
+        # them: the search runs about 1,800 or-splits deep, past Python's
+        # default recursion limit of 1,000
+        n = 30
+        text = "".join(f"oconcept A{i}; oconcept B{i};\n" for i in range(n + 1)) + "orole r;\n"
+        text += "".join(f"A{i} and B{i} <= some r (A{i + 1} and B{i + 1});\n" for i in range(n))
+        kb = parse_kb(text)
+        query = parse_concept("A0 and B0", kb.sig)
+        result = Tableau(kb).is_satisfiable(query)
+        assert result.satisfiable
+        assert satisfies_kb(result.witness, kb)
+        assert extension(query, result.witness)
+
+
+class TestNodeOrder:
+    def test_ids_ascend_and_parents_precede_children(self, monkeypatch):
+        # blocking is one pass over the nodes in id order, which needs
+        # g.nodes in ascending id order and every parent older than its
+        # children, also after merges; a second r-value u2 of o1 forces them
+        fire = Tableau._fire_rule
+        steps = merges = 0
+
+        def checked(self, g):
+            nonlocal steps, merges
+            ids = list(g.nodes)
+            assert ids == sorted(ids) and list(g.succ) == ids
+            assert all(n.parent is None or n.parent[0] < n.id for n in g.nodes.values())
+            step = fire(self, g)
+            steps += 1
+            merges += step is True and g.trace[-1][0] == "merge"
+            return step
+
+        monkeypatch.setattr(Tableau, "_fire_rule", checked)
+        rng = random.Random(616)
+        for _ in range(150):
+            kb = gen_kb(rng)
+            kb.sig.declare_individual("u2", Sort.ATTRIBUTE)
+            kb.assert_role(R, "o1", "u2")
+            queries = [(sort, gen_nnf(rng, sort, 2)) for sort in (Sort.OBJECT, Sort.ATTRIBUTE)]
+            for mode in (FunctionalityMode.AT_MOST_ONE, FunctionalityMode.EXACTLY_ONE):
+                is_consistent(kb, mode=mode)
+                for sort, query in queries:
+                    is_satisfiable(query, kb, mode=mode, sort=sort)
+        assert steps > 10000 and merges > 400, (steps, merges)  # 12,507 and 566
 
 
 class TestConsistency:
@@ -451,7 +498,7 @@ class TestOracleAgreement:
         from kedl.syntax import subexprs
 
         rng = random.Random(424242)
-        oracle_models = 0
+        oracle_models = {mode: 0 for mode in FunctionalityMode}
         for trial in range(120):
             sig = diff_signature()
             kb = KnowledgeBase(sig=sig)
@@ -466,18 +513,20 @@ class TestOracleAgreement:
             query = gen_nnf(rng, sort, 2)
             mode = rng.choice([FunctionalityMode.AT_MOST_ONE, FunctionalityMode.EXACTLY_ONE])
 
-            sat = is_satisfiable(query, kb, mode=mode, sort=sort)
-
             witness_kb = KnowledgeBase(sig=sig.copy())
             witness_kb.definitions = dict(kb.definitions)
             witness_kb.inclusions = list(kb.inclusions)
             witness_kb.sig.declare_individual("w0", sort)
             witness_kb.abox = [ConceptAssertion(query, "w0")]
-            verdict = find_model(witness_kb, Bounds(2, 2, mode))
-            if isinstance(verdict, Model):
-                oracle_models += 1
-                assert sat.satisfiable
-        assert oracle_models > 40
+            # the drawn mode, then FREE on the same draw
+            for each in (mode, FunctionalityMode.FREE):
+                sat = is_satisfiable(query, kb, mode=each, sort=sort)
+                if isinstance(find_model(witness_kb, Bounds(2, 2, each)), Model):
+                    oracle_models[each] += 1
+                    assert sat.satisfiable
+        free = oracle_models.pop(FunctionalityMode.FREE)
+        assert sum(oracle_models.values()) > 40
+        assert free > 40  # 96
 
     def test_random_kbs_with_atomic_gcis_in_every_mode(self):
         # the same one-way check over KBs whose inclusions the tableau mostly
