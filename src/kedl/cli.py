@@ -421,7 +421,18 @@ def main(argv: Optional[list[str]] = None) -> int:
     except SystemExit as exit_err:
         return EXIT_ERROR if exit_err.code not in (0, None) else 0
     try:
-        return args.func(args)
+        code = args.func(args)
+        # a reader that went away shows here, not in the flush at exit;
+        # with no standard output at all, sys.stdout is None
+        if sys.stdout is not None:
+            sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # as the Python docs advise: what is left of the output goes to
+        # devnull, so the flush at interpreter exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: standard output was closed before the report was written", file=sys.stderr)
+        return EXIT_ERROR
     except FileNotFoundError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_ERROR

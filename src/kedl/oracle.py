@@ -12,7 +12,13 @@ Two entry points with different jobs:
   atom extensions, then role successor rows) with interval-based pruning:
   a partial assignment is abandoned only when every completion is already
   doomed.  Extensions are int bitmasks during the search (bit k is element
-  k) and become frozensets only in a found model.  A sort that no symbol of
+  k) and become frozensets only in a found model.  The goal is compiled
+  once per domain size into a node table, one node per distinct subterm
+  and sort, each with a closure that recomputes its interval from its
+  slots and children; every level keeps the list of nodes that read its
+  slot, and the one writer of slots re-runs that list, so a search step
+  costs what the changed slot touches, not the whole goal.  The search
+  is a loop over levels, without recursion.  A sort that no symbol of
   the goal reaches is searched at domain size 1 only: with every other
   symbol frozen, its size cannot change the outcome.  This is what makes
   ``NoModelUpToBound`` verdicts at bounds (3,3) affordable.  Every returned
@@ -28,7 +34,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence, Union
+from typing import Callable, Iterator, Optional, Sequence, Union
 
 from .kb import (
     AssertionFormula,
@@ -60,7 +66,6 @@ from .syntax import (
     Not,
     Or,
     RoleKind,
-    RoleName,
     Signature,
     Sort,
     Top,
@@ -210,6 +215,9 @@ class _Level:
         self.choices = choices
 
 
+_NO_LEVELS: frozenset[int] = frozenset()
+
+
 class _Search:
     """Depth-first assignment of interpretation components at fixed sizes.
 
@@ -222,6 +230,19 @@ class _Search:
     outcome at sizes (d, s) depends on a domain only through the goal's
     symbols; :func:`find_model` relies on this to search an unreached
     sort at size 1 only.
+
+    Interval bounds live in a node table.  Each distinct (subterm, sort)
+    asked about is one node, compiled on first use after its children;
+    ``vals[n]`` holds node n's (lower, upper) masks, the elements in the
+    subterm under every completion of the current partial assignment and
+    under at least one.  A node's update closure recomputes its value from
+    its slots and its children's values, with its slots, full mask and
+    target sort bound at compile time.  ``touch[i]`` lists, in node order,
+    the updates of the nodes that read level i's slot directly or through
+    a child; :meth:`assign` is the only writer of slots and re-runs that
+    list, so every value stays what a fresh evaluation would give.  A
+    forward quantifier over the role whose row x is level i, with a child
+    that does not read level i, recomputes only its bit x.
     """
 
     def __init__(
@@ -238,11 +259,14 @@ class _Search:
         self.d = d
         self.s = s
         self.mode = mode
-        self.full = {Sort.OBJECT: (1 << d) - 1, Sort.ATTRIBUTE: (1 << s) - 1}
+        self.full_object, self.full_attribute = (1 << d) - 1, (1 << s) - 1
         self.atom_ext: dict[str, Optional[int]] = {}
         self.role_rows: dict[str, list[Optional[int]]] = {}
         self.inds: dict[str, Optional[int]] = {}
         self.levels: list[_Level] = []
+        # the level deciding each used atom, and each row of each used role
+        self._atom_level: dict[str, int] = {}
+        self._row_levels: dict[str, range] = {}
 
         for name in sorted(sig.individuals):
             if name in used_inds:
@@ -260,11 +284,9 @@ class _Search:
         # row assignment order: attribute roles, then cross, then object
         # roles -- deepest-nested symbols first, so contradictions surface
         # before the outer role rows multiply the search
-        by_kind = {RoleKind.ATTR_ATTR: [], RoleKind.CROSS: [], RoleKind.OBJ_OBJ: []}
-        for name in sorted(sig.roles):
-            by_kind[sig.roles[name]].append(name)
+        roles = sorted(sig.roles)
         for kind in (RoleKind.ATTR_ATTR, RoleKind.CROSS, RoleKind.OBJ_OBJ):
-            for name in by_kind[kind]:
+            for name in (name for name in roles if sig.roles[name] is kind):
                 n_rows = s if kind is RoleKind.ATTR_ATTR else d
                 if kind is RoleKind.CROSS:
                     choices = _cross_rows(s, mode)
@@ -272,62 +294,193 @@ class _Search:
                     choices = range(1 << n_rows)
                 if name in used_roles:
                     rows = self.role_rows[name] = [None] * n_rows
+                    self._row_levels[name] = range(len(self.levels), len(self.levels) + n_rows)
                     for row in range(n_rows):
                         self.levels.append(_Level(rows, row, choices))
                 else:
                     self.role_rows[name] = [choices[0]] * n_rows
 
+        self.nodes: dict[tuple, int] = {}
+        self.vals: list[tuple[int, int]] = []
+        self._reads: list[frozenset[int]] = []  # levels a node reads, directly or below
+        self.touch: list[list[Callable[[], None]]] = [[] for _ in self.levels]
+
     def _add_atom(self, name: str, size: int, used: bool) -> None:
         if used:
             self.atom_ext[name] = None
+            self._atom_level[name] = len(self.levels)
             self.levels.append(_Level(self.atom_ext, name, range(1 << size)))
         else:
             self.atom_ext[name] = 0
+
+    def assign(self, level_idx: int, value: Optional[int]) -> None:
+        """Set a level's slot (``None`` unassigns it) and update the nodes
+        that read it."""
+        level = self.levels[level_idx]
+        level.store[level.key] = value
+        for update in self.touch[level_idx]:
+            update()
 
     # -- interval evaluation ----------------------------------------------
 
     def concept_bounds(self, e: ConceptExpr, sort: Sort) -> tuple[int, int]:
         """(lower, upper) masks: elements in e under every / at least one completion."""
-        if isinstance(e, Atom):
-            ext = self.atom_ext[e.name]
-            if ext is None:
-                return 0, self.full[sort]
-            return ext, ext
-        if isinstance(e, Not):
-            lb, ub = self.concept_bounds(e.expr, sort)
-            full = self.full[sort]
-            return full & ~ub, full & ~lb
-        if isinstance(e, And):
-            l1, u1 = self.concept_bounds(e.left, sort)
-            l2, u2 = self.concept_bounds(e.right, sort)
-            return l1 & l2, u1 & u2
-        if isinstance(e, Or):
-            l1, u1 = self.concept_bounds(e.left, sort)
-            l2, u2 = self.concept_bounds(e.right, sort)
-            return l1 | l2, u1 | u2
-        if isinstance(e, (Exists, Forall)):
-            return self._quantifier_bounds(e, sort)
-        if isinstance(e, Top):
-            return self.full[sort], self.full[sort]
-        if isinstance(e, Bot):
-            return 0, 0
-        raise KedlError(f"arrows must be desugared before the search: {e!r}")
+        return self.vals[self.node(e, sort)]
 
-    def _quantifier_bounds(self, e, sort: Sort) -> tuple[int, int]:
-        role: RoleName = e.role
-        clb, cub = self.concept_bounds(e.expr, role.target_sort)
-        rows = self.role_rows[role.name]
-        existential = isinstance(e, Exists)
-        lower = upper = 0
+    def full(self, sort: Sort) -> int:
+        """The mask of every element of the sort's domain."""
+        return self.full_object if sort is Sort.OBJECT else self.full_attribute
 
-        if role.kind is RoleKind.CROSS_INVERSE:
+    def node(self, e: ConceptExpr, sort: Sort) -> int:
+        """The index of e's node at ``sort``, compiling what is new."""
+        # a key names the children by index, so a lookup hashes no subterm;
+        # atoms and roles have one sort each, so only top and bot name theirs
+        kind = type(e)
+        if kind is Exists or kind is Forall:
+            role = e.role
+            kids: tuple[int, ...] = (self.node(e.expr, role.kind.target),)
+            key: tuple = (kind, role.name, role.kind is RoleKind.CROSS_INVERSE, kids[0])
+        elif kind is Not:
+            kids = (self.node(e.expr, sort),)
+            key = (kind, kids[0])
+        elif kind is And or kind is Or:
+            kids = (self.node(e.left, sort), self.node(e.right, sort))
+            key = (kind, kids[0], kids[1])
+        elif kind is Atom:
+            kids, key = (), (kind, e.name)
+        elif kind is Top or kind is Bot:
+            kids, key = (), (kind, sort)
+        else:
+            raise KedlError(f"arrows must be desugared before the search: {e!r}")
+        n = self.nodes.get(key)
+        if n is None:
+            n = self.nodes[key] = self._compile(e, sort, kids)
+        return n
+
+    def _compile(self, e: ConceptExpr, sort: Sort, kids: tuple[int, ...]) -> int:
+        """Append e's node, whose children are compiled, evaluate it on the
+        current slots and enter it in the touch lists; return its index."""
+        n, vals, kind = len(self.vals), self.vals, type(e)
+        if kind is Top or kind is Bot:
+            vals.append((self.full(sort),) * 2 if kind is Top else (0, 0))
+            self._reads.append(_NO_LEVELS)
+            return n
+        reads = self._reads[kids[0]] if kids else _NO_LEVELS
+        if len(kids) == 2:
+            reads |= self._reads[kids[1]]
+        row_updates: dict[int, Callable[[], None]] = {}
+
+        if kind is Atom:
+            ext, name, full = self.atom_ext, e.name, self.full(sort)
+            if name in self._atom_level:
+                reads = frozenset((self._atom_level[name],))
+
+            def update() -> None:
+                x = ext[name]
+                vals[n] = (0, full) if x is None else (x, x)
+
+        elif kind is Not:
+            (c,) = kids
+            full = self.full(sort)
+
+            def update() -> None:
+                lb, ub = vals[c]
+                vals[n] = full & ~ub, full & ~lb
+
+        elif kind is And:
+            a, b = kids
+
+            def update() -> None:
+                (l1, u1), (l2, u2) = vals[a], vals[b]
+                vals[n] = l1 & l2, u1 & u2
+
+        elif kind is Or:
+            a, b = kids
+
+            def update() -> None:
+                (l1, u1), (l2, u2) = vals[a], vals[b]
+                vals[n] = l1 | l2, u1 | u2
+
+        elif kind is Exists or kind is Forall:
+            (c,) = kids
+            row_levels = self._row_levels.get(e.role.name, ())
+            if e.role.kind is RoleKind.CROSS_INVERSE:
+                update = self._inverse_update(e, n, c)
+            else:
+                update, row_update = self._forward_updates(e, n, c)
+                for x, level in enumerate(row_levels):
+                    if level not in reads:
+                        row_updates[level] = row_update(x)
+            reads = reads.union(row_levels)
+
+        vals.append((0, 0))
+        self._reads.append(reads)
+        update()
+        for level in reads:
+            self.touch[level].append(row_updates.get(level, update))
+        return n
+
+    def _forward_updates(self, e: Union[Exists, Forall], n: int, c: int):
+        """The update of node n, a quantifier over a role read forward with
+        child node c, and a maker of the update of row x alone.  Both apply
+        one rule: bit x of the bounds depends on row x and the child only."""
+        vals, rows = self.vals, self.role_rows[e.role.name]
+        existential = type(e) is Exists
+        full_target = self.full(e.role.kind.target)
+        # an unassigned row ranges over every still-possible choice: under
+        # EXACTLY_ONE a cross row is one successor; otherwise the empty row
+        # is possible, so the existential may fail and the universal hold
+        total = e.role.kind is RoleKind.CROSS and self.mode is FunctionalityMode.EXACTLY_ONE
+        open_needs_all = total or not existential
+        open_needs_some = total or existential
+
+        def row_bits(x: int) -> tuple[int, int]:
+            row = rows[x]
+            clb, cub = vals[c]
+            if row is None:
+                lower = open_needs_all and clb == full_target
+                upper = cub != 0 or not open_needs_some
+            elif existential:
+                lower, upper = row & clb, row & cub
+            else:
+                lower, upper = not row & ~clb, not row & ~cub
+            return (1 << x if lower else 0), (1 << x if upper else 0)
+
+        def update() -> None:
+            lower = upper = 0
+            for x in range(len(rows)):
+                lb, ub = row_bits(x)
+                lower |= lb
+                upper |= ub
+            vals[n] = lower, upper
+
+        def row_update(x: int) -> Callable[[], None]:
+            keep = ~(1 << x)
+
+            def update_row() -> None:
+                lower, upper = vals[n]
+                lb, ub = row_bits(x)
+                vals[n] = lower & keep | lb, upper & keep | ub
+
+            return update_row
+
+        return update, row_update
+
+    def _inverse_update(self, e: Union[Exists, Forall], n: int, c: int) -> Callable[[], None]:
+        """The update of node n, a quantifier over ``inv(r)`` with child node c."""
+        vals, rows, s = self.vals, self.role_rows[e.role.name], self.s
+        existential = type(e) is Exists
+
+        def update() -> None:
             # predecessors of u: the assigned rows that contain u (known),
             # and those plus every unassigned row (possible)
+            clb, cub = vals[c]
             unassigned = 0
             for x, row in enumerate(rows):
                 if row is None:
                     unassigned |= 1 << x
-            for u in range(self.s):
+            lower = upper = 0
+            for u in range(s):
                 known = 0
                 for x, row in enumerate(rows):
                     if row is not None and row >> u & 1:
@@ -343,32 +496,9 @@ class _Search:
                         lower |= 1 << u
                     if not known & ~cub:
                         upper |= 1 << u
-            return lower, upper
+            vals[n] = lower, upper
 
-        # an unassigned row ranges over every still-possible choice: under
-        # EXACTLY_ONE a cross row is one successor; otherwise the empty row
-        # is possible, so the existential may fail and the universal hold
-        total = role.kind is RoleKind.CROSS and self.mode is FunctionalityMode.EXACTLY_ONE
-        open_lower = (total or not existential) and clb == self.full[role.target_sort]
-        open_upper = cub != 0 if total or existential else True
-        for x, row in enumerate(rows):
-            bit = 1 << x
-            if row is None:
-                if open_lower:
-                    lower |= bit
-                if open_upper:
-                    upper |= bit
-            elif existential:
-                if row & clb:
-                    lower |= bit
-                if row & cub:
-                    upper |= bit
-            else:
-                if not row & ~clb:
-                    lower |= bit
-                if not row & ~cub:
-                    upper |= bit
-        return lower, upper
+        return update
 
     # -- assembling interpretations ----------------------------------------
 
@@ -386,9 +516,13 @@ class _Search:
         )
 
     def complete_with_defaults(self, level_idx: int) -> None:
-        for level in self.levels[level_idx:]:
+        for idx in range(level_idx, len(self.levels)):
+            level = self.levels[idx]
             if level.store[level.key] is None:
-                level.store[level.key] = level.choices[0]
+                self.assign(idx, level.choices[0])
+
+
+Status = Callable[[], Optional[bool]]
 
 
 class _Objective:
@@ -399,8 +533,10 @@ class _Objective:
 
     concepts: list[ConceptExpr]
 
-    def status(self, search: _Search) -> Optional[bool]:
-        """True: every completion succeeds; False: none can; None: open."""
+    def compile(self, search: _Search) -> Status:
+        """Enter the concepts in the search's node table and return the
+        status of its current partial assignment: True when every
+        completion succeeds, False when none can, None while open."""
         raise NotImplementedError
 
     def holds_exactly(self, i: Interpretation) -> bool:
@@ -413,13 +549,18 @@ class _ConceptObjective(_Objective):
         self.sort = sort
         self.concepts = [self.goal]
 
-    def status(self, search: _Search) -> Optional[bool]:
-        lb, ub = search.concept_bounds(self.goal, self.sort)
-        if lb:
-            return True
-        if not ub:
-            return False
-        return None
+    def compile(self, search: _Search) -> Status:
+        vals, goal = search.vals, search.node(self.goal, self.sort)
+
+        def status() -> Optional[bool]:
+            lb, ub = vals[goal]
+            if lb:
+                return True
+            if not ub:
+                return False
+            return None
+
+        return status
 
     def holds_exactly(self, i: Interpretation) -> bool:
         return bool(extension(self.goal, i, self.sort))
@@ -441,57 +582,83 @@ class _KbObjective(_Objective):
                 self.concepts.append(a.concept)
             self.formulas.append(f)
 
-    def status(self, search: _Search) -> Optional[bool]:
-        all_definite = True
-        for f in self.formulas:
-            verdict = self._formula_status(search, f)
-            if verdict is False:
-                return False
-            if verdict is None:
-                all_definite = False
-        return True if all_definite else None
+    def compile(self, search: _Search) -> Status:
+        tests = [self._formula_status(search, f) for f in self.formulas]
 
-    def _formula_status(self, search: _Search, f: Formula) -> Optional[bool]:
+        def status() -> Optional[bool]:
+            all_definite = True
+            for test in tests:
+                verdict = test()
+                if verdict is False:
+                    return False
+                if verdict is None:
+                    all_definite = False
+            return True if all_definite else None
+
+        return status
+
+    def _formula_status(self, search: _Search, f: Formula) -> Status:
         if isinstance(f, AssertionFormula):
             return self._assertion_status(search, f.assertion)
-        sort = f.sort
-        assert sort is not None
-        llb, lub = search.concept_bounds(f.left, sort)
-        rlb, rub = search.concept_bounds(f.right, sort)
+        assert f.sort is not None
+        vals = search.vals
+        left, right = search.node(f.left, f.sort), search.node(f.right, f.sort)
         if isinstance(f, Inclusion):
-            if llb & ~rub:
-                return False
-            if not lub & ~rlb:
-                return True
-            return None
-        if llb & ~rub or rlb & ~lub:
-            return False
-        if not (lub & ~rlb or rub & ~llb):
-            return True
-        return None
 
-    def _assertion_status(self, search: _Search, a) -> Optional[bool]:
-        if isinstance(a, ConceptAssertion):
-            el = search.inds[a.individual]
-            if el is None:
+            def status() -> Optional[bool]:
+                (llb, lub), (rlb, rub) = vals[left], vals[right]
+                if llb & ~rub:
+                    return False
+                if not lub & ~rlb:
+                    return True
                 return None
-            sort = search.sig.individuals[a.individual]
-            lb, ub = search.concept_bounds(a.concept, sort)
-            if lb >> el & 1:
-                return True
-            if not ub >> el & 1:
-                return False
-            return None
+
+        else:
+
+            def status() -> Optional[bool]:
+                (llb, lub), (rlb, rub) = vals[left], vals[right]
+                if llb & ~rub or rlb & ~lub:
+                    return False
+                if not (lub & ~rlb or rub & ~llb):
+                    return True
+                return None
+
+        return status
+
+    def _assertion_status(self, search: _Search, a) -> Status:
+        inds = search.inds
+        if isinstance(a, ConceptAssertion):
+            vals, name = search.vals, a.individual
+            concept = search.node(a.concept, search.sig.individuals[name])
+
+            def status() -> Optional[bool]:
+                el = inds[name]
+                if el is None:
+                    return None
+                lb, ub = vals[concept]
+                if lb >> el & 1:
+                    return True
+                if not ub >> el & 1:
+                    return False
+                return None
+
+            return status
         assert isinstance(a, RoleAssertion)
-        src, tgt = search.inds[a.source], search.inds[a.target]
-        if src is None or tgt is None:
-            return None
+        src, tgt = a.source, a.target
         if a.role.kind is RoleKind.CROSS_INVERSE:
             src, tgt = tgt, src
-        row = search.role_rows[a.role.name][src]
-        if row is None:
-            return None
-        return bool(row >> tgt & 1)
+        rows = search.role_rows[a.role.name]
+
+        def status() -> Optional[bool]:
+            x, y = inds[src], inds[tgt]
+            if x is None or y is None:
+                return None
+            row = rows[x]
+            if row is None:
+                return None
+            return bool(row >> y & 1)
+
+        return status
 
     def holds_exactly(self, i: Interpretation) -> bool:
         return satisfies_kb(i, self.kb)
@@ -574,27 +741,31 @@ def _require(cond: bool, message: str) -> None:
 def _search_at(sig, d, s, mode, objective: _Objective, used) -> Optional[Interpretation]:
     used_atoms, used_roles, used_inds = used
     search = _Search(sig, d, s, mode, used_atoms, used_roles, used_inds)
-
-    def dfs(level_idx: int) -> Optional[Interpretation]:
-        status = objective.status(search)
-        if status is False:
-            return None
-        if status is True:
-            search.complete_with_defaults(level_idx)
+    status = objective.compile(search)
+    levels = search.levels
+    tried = [0] * len(levels)  # choices of each assigned level tried so far
+    depth = 0  # levels[:depth] are assigned
+    while True:
+        verdict = status()
+        if verdict is True:
+            search.complete_with_defaults(depth)
             return search.build()
-        if level_idx == len(search.levels):
-            i = search.build()
-            return i if objective.holds_exactly(i) else None
-        level = search.levels[level_idx]
-        for choice in level.choices:
-            level.store[level.key] = choice
-            result = dfs(level_idx + 1)
-            if result is not None:
-                return result
-        level.store[level.key] = None
-        return None
-
-    return dfs(0)
+        if verdict is None and depth < len(levels):
+            tried[depth] = 0
+            depth += 1
+        else:
+            if verdict is None:
+                i = search.build()
+                if objective.holds_exactly(i):
+                    return i
+            # back up to the deepest level with an untried choice
+            while depth and tried[depth - 1] == len(levels[depth - 1].choices):
+                depth -= 1
+                search.assign(depth, None)
+            if depth == 0:
+                return None
+        search.assign(depth - 1, levels[depth - 1].choices[tried[depth - 1]])
+        tried[depth - 1] += 1
 
 
 def check_validity_bounded(f: Formula, bounds: Bounds, sig: Signature) -> ValidityVerdict:

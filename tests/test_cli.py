@@ -1,6 +1,7 @@
 """CLI behavior: exit codes, report formats, model output, env overrides."""
 
 import importlib.resources
+import os
 import subprocess
 import sys
 
@@ -240,6 +241,36 @@ class TestReports:
         _, first, _ = run(capsys, "verify", "--only", "property8", "--format", "records")
         _, second, _ = run(capsys, "verify", "--only", "property8", "--format", "records")
         assert first == second
+
+    def test_closed_stdout_is_exit_2_without_traceback(self):
+        # as in `kedl verify --format records | head -5`, once head has quit:
+        # the read end of the pipe is closed before kedl writes its report
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            result = subprocess.run(
+                [sys.executable, "-m", "kedl.cli", "verify", "--only", "axiom1", "--format", "records"],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                text=True,
+            )
+        finally:
+            os.close(write_end)
+        assert result.returncode == 2
+        assert result.stderr.startswith("error: ")
+        assert "Traceback" not in result.stderr
+
+    def test_no_stdout_keeps_the_verdict(self):
+        # started with standard output closed (`kedl ... >&-`): the report
+        # goes nowhere and the exit code is still the verdict
+        result = subprocess.run(
+            [sys.executable, "-m", "kedl.cli", "oracle", "--count", "-c", "bot", "--bounds", "1,1"],
+            stderr=subprocess.PIPE,
+            text=True,
+            preexec_fn=lambda: os.close(1),
+        )
+        assert result.returncode == 0
+        assert "Traceback" not in result.stderr
 
 
 def test_console_script_entrypoint():

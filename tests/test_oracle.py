@@ -1,6 +1,8 @@
 """Bounded enumeration and the pruned exhaustive model search."""
 
 import random
+import subprocess
+import sys
 from itertools import islice
 
 import pytest
@@ -248,6 +250,23 @@ class TestFindModel:
         i = verdict.interpretation
         assert extension(kb.definitions["Gas"], i, Sort.OBJECT)
 
+    def test_flat_kb_with_many_atoms(self, tmp_path):
+        # one search level per atom: more levels than Python's recursion
+        # limit allows frames, through the API and the CLI
+        n = 1100
+        text = "".join(f"oconcept A{i};\n" for i in range(n))
+        text += "".join(f"A{i} <= A{i + 1};\n" for i in range(n - 1))
+        assert isinstance(find_model(parse_kb(text), Bounds(1, 1)), Model)
+        path = tmp_path / "flat.kedl"
+        path.write_text(text, encoding="utf-8")
+        result = subprocess.run(
+            [sys.executable, "-m", "kedl.cli", "oracle", "--find-model", str(path), "--bounds", "1,1"],
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 0, result.stderr
+        assert "verdict: model-found" in result.stdout
+
     def test_corpus_kb_with_abox_at_1_5(self):
         import importlib.resources
 
@@ -262,9 +281,9 @@ def _decode(mask):
     return {k for k in range(mask.bit_length()) if mask >> k & 1}
 
 
-def _assign(levels, rng):
-    for level in levels:
-        level.store[level.key] = rng.choice(level.choices)
+def _assign(search, levels, rng):
+    for idx in levels:
+        search.assign(idx, rng.choice(search.levels[idx].choices))
 
 
 MODES = (FunctionalityMode.AT_MOST_ONE, FunctionalityMode.EXACTLY_ONE, FunctionalityMode.FREE)
@@ -295,11 +314,12 @@ class TestIntervalSoundness:
                 isinstance(sub, (Exists, Forall)) and sub.role == R_INV for sub in subexprs(expr)
             )
             search = _Search(sig, 2, 2, mode, *used)
-            prefix = rng.randrange(len(search.levels) + 1)
-            _assign(search.levels[:prefix], rng)
+            n_levels = len(search.levels)
+            prefix = rng.randrange(n_levels + 1)
+            _assign(search, range(prefix), rng)
             lower, upper = map(_decode, search.concept_bounds(expr, sort))
             for _ in range(8):
-                _assign(search.levels[prefix:], rng)
+                _assign(search, range(prefix, n_levels), rng)
                 i = search.build()
                 exact = extension(expr, i, sort)
                 assert lower <= exact <= upper
@@ -317,24 +337,68 @@ class TestIntervalSoundness:
             objective = _KbObjective(kb)
             used = _used_symbols(objective.concepts, kb=kb)
             search = _Search(kb.sig, 2, 2, MODES[trial % 3], *used)
+            status = objective.compile(search)
             # extend the assignment one level at a time, steering away from
             # dead ends so that satisfiable KBs can get decided True, and
             # check the first definite status against random completions
             for depth, level in enumerate(search.levels + [None]):
-                status = objective.status(search)
-                if status is not None:
-                    decided[status] += 1
+                verdict = status()
+                if verdict is not None:
+                    decided[verdict] += 1
                     for _ in range(8):
-                        _assign(search.levels[depth:], rng)
-                        assert satisfies_kb(search.build(), kb) == status
+                        _assign(search, range(depth, len(search.levels)), rng)
+                        assert satisfies_kb(search.build(), kb) == verdict
                     break
                 options = list(level.choices)
                 rng.shuffle(options)
                 for choice in options:
-                    level.store[level.key] = choice
-                    if objective.status(search) is not False:
+                    search.assign(depth, choice)
+                    if status() is not False:
                         break
         assert decided[True] >= 20 and decided[False] >= 20
+
+
+class TestIncrementalValues:
+    def test_values_match_a_fresh_evaluation(self):
+        # white-box: after every assign or unassign, in any order, each node
+        # value kept up to date through the touch lists equals the value a
+        # search built on the same slots computes from scratch
+        from kedl.oracle import _Search
+
+        sig = diff_signature()
+        rng = random.Random(558)
+        inverse_trials = 0
+        for trial in range(90):
+            mode = MODES[trial % 3]
+            if trial % 2:
+                # gen_kb defines A2 through inv(r)
+                kb = gen_kb(rng)
+                goal_sig, objective = kb.sig, _KbObjective(kb)
+                used = _used_symbols(objective.concepts, kb=kb)
+            else:
+                sort = Sort.OBJECT if trial % 4 == 0 else Sort.ATTRIBUTE
+                goal_sig, objective = sig, _ConceptObjective(gen_nnf(rng, sort, 3), sort)
+                used = _used_symbols(objective.concepts)
+            inverse_trials += any(
+                isinstance(sub, (Exists, Forall)) and sub.role == R_INV
+                for concept in objective.concepts
+                for sub in subexprs(concept)
+            )
+            d, s = rng.choice([(2, 2), (3, 2), (2, 3)])
+            search = _Search(goal_sig, d, s, mode, *used)
+            objective.compile(search)
+            if not search.levels:
+                continue
+            for _ in range(40):
+                idx = rng.randrange(len(search.levels))
+                search.assign(idx, rng.choice([None, *search.levels[idx].choices]))
+                fresh = _Search(goal_sig, d, s, mode, *used)
+                for j, level in enumerate(search.levels):
+                    fresh.assign(j, level.store[level.key])
+                objective.compile(fresh)
+                assert fresh.nodes == search.nodes
+                assert fresh.vals == search.vals
+        assert inverse_trials >= 50
 
 
 def _every_size(goal, bounds, sig=None, sort=None):
