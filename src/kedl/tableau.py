@@ -37,6 +37,16 @@ termination.
 Every Satisfiable verdict carries a finite witness interpretation, rebuilt
 from the graph (blocked nodes identified with their blockers) and re-checked
 with the exact evaluator against every KB formula before being returned.
+
+``classify`` still asks ``subsumes`` once per ordered pair of atoms, but its
+``Tableau`` keeps a pool of the certified models it has seen: first the
+consistency witness, then the witness of every query the tableau found
+satisfiable.  Each is a finite model of the KB in the Tableau's mode, so an
+element of ``sub and not sup`` in any of them, found by the exact evaluator,
+refutes the subsumption without a tableau run.  The pool is scanned newest
+model first, and a tableau runs only when no model refutes the pair.  A
+``Tableau`` held by a caller keeps no pool: its queries do the same work
+every time.
 """
 
 from __future__ import annotations
@@ -222,6 +232,8 @@ class Tableau:
         # defined literal, or primitive atom with inclusions -> its unfolding
         self._unfold: dict[int, int] = {}
         self._globals: Optional[dict[Sort, list[int]]] = None
+        # certified models that refute subsumptions; set only by classify
+        self._models: Optional[list[Interpretation]] = None
 
     def _intern_kb(self) -> None:
         if self._globals is None:
@@ -291,7 +303,16 @@ class Tableau:
     def subsumes(self, sub: ConceptExpr, sup: ConceptExpr) -> bool:
         left = check_sort(sub, self.sig)
         check_sort(sup, self.sig, expected=left)
-        return not self.is_satisfiable(And(sub, Not(sup)), sort=left).satisfiable
+        query = And(sub, Not(sup))
+        models = self._models
+        # newest first: classify asks about one sub at a time, and the
+        # newest models are the counter-models of that sub's earlier pairs
+        if models is not None and any(extension(query, model, left) for model in reversed(models)):
+            return False
+        result = self.is_satisfiable(query, sort=left)
+        if models is not None and result.satisfiable:
+            models.append(result.witness)
+        return not result.satisfiable
 
     def instance_of(self, individual: str, expr: ConceptExpr) -> bool:
         if individual not in self.sig.individuals:
@@ -644,8 +665,12 @@ class Classification:
     cells: dict[Sort, list[list[str]]]
     leq: dict[Sort, set[tuple[str, str]]]
 
+    @cached_property
+    def _rep(self) -> dict[Sort, dict[str, str]]:
+        return {sort: {m: cell[0] for cell in cells for m in cell} for sort, cells in self.cells.items()}
+
     def below(self, sort: Sort, sub: str, sup: str) -> bool:
-        rep = {m: cell[0] for cell in self.cells[sort] for m in cell}
+        rep = self._rep[sort]
         return (rep[sub], rep[sup]) in self.leq[sort]
 
 
@@ -654,6 +679,7 @@ def classify(kb: KnowledgeBase, mode: FunctionalityMode = FunctionalityMode.AT_M
     consistent = tab.is_consistent()
     if not consistent.satisfiable:
         raise InconsistentKBError("knowledge base is inconsistent; no subsumption order exists")
+    tab._models = [consistent.witness]
 
     cells: dict[Sort, list[list[str]]] = {}
     leq: dict[Sort, set[tuple[str, str]]] = {}

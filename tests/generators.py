@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from functools import reduce
 
 from kedl import KnowledgeBase, Signature
 from kedl.syntax import (
@@ -154,4 +155,53 @@ def gen_atomic_gci_kb(rng: random.Random) -> KnowledgeBase:
         kb.assert_concept(Atom(atom) if rng.randrange(4) == 0 else _literal(rng, sort), individual)
     if rng.randrange(2):
         kb.assert_role(R, "o1", "u1")
+    return kb
+
+
+def gen_hierarchy_kb(rng: random.Random) -> KnowledgeBase:
+    """A km-style KB with a real subsumption hierarchy.  Attribute states
+    S1..S5 carry one cross role has-si each; S5 is defined as the union of
+    two other states and one state is included in another (sometimes both
+    ways, an equivalent pair).  Objects O1..O5 are defined by their
+    attributes, ``some has-si S`` with S usually the state Si itself, and
+    sometimes nested: ``Ok := Oj and some has-si S``, so attribute sets
+    contain each other; a few add an ``all has-si S``, which ``some has-si S``
+    implies only where cross roles are functional.  O6 restates the attributes of an
+    earlier object flat (an equivalent pair) and O7 is an earlier object
+    with ``all has-si bot`` on one of its roles (unsatisfiable)."""
+    states = [f"S{i}" for i in range(1, 6)]
+    has = {s: RoleName(f"has-{s.lower()}", RoleKind.CROSS) for s in states}
+    sig = Signature()
+    for s in states:
+        sig.declare_atom(s, Sort.ATTRIBUTE)
+        sig.declare_role(has[s].name, RoleKind.CROSS)
+    objects = [f"O{i}" for i in range(1, 8)]
+    for o in objects:
+        sig.declare_atom(o, Sort.OBJECT)
+    kb = KnowledgeBase(sig=sig)
+    a, b, c, d = rng.sample(states[:4], 4)
+    kb.define("S5", Or(Atom(a), Atom(b)))
+    kb.include(Atom(c), Atom(d))
+    if rng.randrange(2):
+        kb.include(Atom(d), Atom(c))
+
+    def part(state: str) -> ConceptExpr:
+        filler = state if rng.randrange(4) else rng.choice(states)
+        return (Forall if rng.randrange(3) == 0 else Exists)(has[state], Atom(filler))
+
+    parts: dict[str, list[ConceptExpr]] = {}  # object -> its conjuncts, nesting expanded
+    for k, name in enumerate(objects[:5]):
+        if k and rng.randrange(2):
+            base = rng.choice(objects[:k])
+            extra = part(rng.choice(states))
+            parts[name] = parts[base] + [extra]
+            kb.define(name, And(Atom(base), extra))
+        else:
+            parts[name] = [Exists(has[s], Atom(s)) for s in rng.sample(states, rng.randrange(1, 4))]
+            kb.define(name, reduce(And, parts[name]))
+    twin = rng.choice(objects[:5])
+    kb.define("O6", reduce(And, rng.sample(parts[twin], len(parts[twin]))))
+    base = rng.choice(objects[:5])
+    role = rng.choice([p.role for p in parts[base] if isinstance(p, Exists)])
+    kb.define("O7", And(Atom(base), Forall(role, Bot())))
     return kb

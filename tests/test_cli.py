@@ -2,6 +2,7 @@
 
 import importlib.resources
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -13,6 +14,33 @@ from kedl import interpretation_from_text, parse_kb
 
 def data_text(name: str) -> str:
     return importlib.resources.files("kedl.data").joinpath(name).read_text(encoding="utf-8")
+
+
+HIERARCHY = pathlib.Path(__file__).parent / "data" / "hierarchy.kedl"
+
+# the same in every functionality mode
+HIERARCHY_RECORDS = """\
+kedl-report/1
+command=classify
+verdict=classified
+payload:
+object cells:
+  Gas-hazard = Hazard
+  Monitored-site
+  Sealed-hazard
+  Site
+  Gas-hazard < Monitored-site
+  Monitored-site < Site
+  Sealed-hazard < Gas-hazard
+attribute cells:
+  Flash-point = Ignition-point
+  Gas-concentration
+  Location
+  Methane-level
+  Temperature
+  Flash-point < Temperature
+  Methane-level < Gas-concentration
+"""
 
 
 @pytest.fixture
@@ -138,6 +166,13 @@ class TestSubsumesInstanceClassify:
         # the four object concepts are pairwise incomparable
         assert "Gas-explosion < Tunnel" not in out
         assert "Tunnel < Gas-explosion" not in out
+
+    @pytest.mark.parametrize("mode", ["at-most-one", "exactly-one", "free"])
+    def test_classify_hierarchy(self, capsys, mode):
+        # nested definitions, two equivalent pairs and an unsatisfiable atom
+        code, out, _ = run(capsys, "classify", str(HIERARCHY), "--mode", mode, "--format", "records")
+        assert code == 0
+        assert out == HIERARCHY_RECORDS
 
     def test_classify_inconsistent(self, capsys, tmp_path):
         path = tmp_path / "bad.kedl"

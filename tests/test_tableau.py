@@ -35,7 +35,16 @@ from kedl import (
 from kedl.semantics import FunctionalityMode
 from kedl.tableau import InconsistentKBError, Tableau, trace_to_text
 
-from generators import P, R, diff_signature, empty_diff_kb, gen_atomic_gci_kb, gen_kb, gen_nnf
+from generators import (
+    P,
+    R,
+    diff_signature,
+    empty_diff_kb,
+    gen_atomic_gci_kb,
+    gen_hierarchy_kb,
+    gen_kb,
+    gen_nnf,
+)
 
 
 @pytest.fixture
@@ -464,6 +473,75 @@ class TestClassify:
         kb = parse_kb("oconcept C; oindividual c1; C <= bot; C(c1);")
         with pytest.raises(InconsistentKBError):
             classify(kb)
+
+
+def _below_pairs(result) -> set[tuple[str, str]]:
+    pairs = set()
+    for sort, cells in result.cells.items():
+        members = [m for cell in cells for m in cell]
+        pairs |= {(a, b) for a in members for b in members if result.below(sort, a, b)}
+    return pairs
+
+
+class TestPooledClassification:
+    """``classify`` refutes most pairs on a pool of certified witnesses
+    instead of running the tableau; it must still agree with one fresh
+    ``Tableau(kb, mode).subsumes`` per ordered pair."""
+
+    @pytest.mark.parametrize("mode", list(FunctionalityMode), ids=str)
+    def test_agrees_with_pairwise_subsumption(self, mode):
+        kbs = [gen(random.Random(seed)) for seed in range(16) for gen in (gen_kb, gen_atomic_gci_kb)]
+        kbs += [gen_hierarchy_kb(random.Random(seed)) for seed in range(12)]
+        found = 0
+        for kb in kbs:
+            if not Tableau(kb, mode).is_consistent():
+                with pytest.raises(InconsistentKBError):
+                    classify(kb, mode)
+                continue
+            expected = {
+                (a, b)
+                for atoms in (sorted(kb.sig.object_atoms), sorted(kb.sig.attribute_atoms))
+                for a in atoms
+                for b in atoms
+                if a == b or Tableau(kb, mode).subsumes(Atom(a), Atom(b))
+            }
+            assert _below_pairs(classify(kb, mode)) == expected
+            found += sum(a != b for a, b in expected)
+        # every hierarchy KB alone has at least 11 (its unsatisfiable atom
+        # below six others, an equivalent pair, three attribute edges)
+        assert found >= 11 * 12
+
+    @pytest.mark.parametrize("mode", [FunctionalityMode.AT_MOST_ONE, FunctionalityMode.EXACTLY_ONE], ids=str)
+    def test_gas_still_asks_every_pair(self, monkeypatch, mode):
+        import importlib.resources
+
+        from kedl.km import parse_km, render_kedl
+
+        text = importlib.resources.files("kedl.data").joinpath("gas.km").read_text(encoding="utf-8")
+        kb = parse_kb(render_kedl(parse_km(text)))
+        calls = {"subsumes": 0, "is_consistent": 0, "_expand": 0}
+        for name in calls:
+            original = getattr(Tableau, name)
+
+            def counted(self, *args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(self, *args)
+
+            monkeypatch.setattr(Tableau, name, counted)
+        classify(kb, mode)
+        atoms = len(kb.sig.object_atoms) + len(kb.sig.attribute_atoms)
+        assert (calls["subsumes"], calls["is_consistent"]) == (4 * 3 + 16 * 15, 1)
+        assert calls["_expand"] <= 1 + atoms  # the pool refutes almost every pair
+
+    def test_caller_held_tableau_keeps_no_verdicts(self, monkeypatch):
+        kb = parse_kb("oconcept C; oconcept D; orole r; C <= some r D;")
+        tab = Tableau(kb)
+        runs = []
+        original = Tableau._expand
+        monkeypatch.setattr(Tableau, "_expand", lambda self, g: runs.append(1) or original(self, g))
+        for _ in range(2):
+            assert not tab.subsumes(Atom("C"), Atom("D"))
+        assert len(runs) == 2
 
 
 class TestOracleAgreement:
