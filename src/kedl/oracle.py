@@ -20,11 +20,16 @@ Two entry points with different jobs:
   costs what the changed slot touches, not the whole goal.  The search
   is a loop over levels, without recursion.  A sort that no symbol of
   the goal reaches is searched at domain size 1 only: with every other
-  symbol frozen, its size cannot change the outcome.  This is what makes
-  ``NoModelUpToBound`` verdicts at bounds (3,3) affordable.  Every returned
-  model is re-checked with the exact evaluator before being emitted, so
-  pruning bugs cannot fabricate a Model verdict; the pruning itself is
-  property-tested against the plain enumeration.
+  symbol frozen, its size cannot change the outcome.  Domain elements that
+  no assigned slot tells apart are interchangeable, so each level tries
+  only the least choice of every orbit under their permutations
+  (least-number symmetry breaking); the verdict and the returned model
+  are the ones the unpruned search gives.  This is what makes
+  ``NoModelUpToBound`` verdicts at bounds (3,3) cheap and (4,4)
+  affordable.  Every returned model is re-checked with the exact
+  evaluator before being emitted, so pruning bugs cannot fabricate a
+  Model verdict; the pruning itself is property-tested against the plain
+  enumeration.
 
 Verdicts are always bound-qualified: the search never claims unsatisfiability
 beyond the domain sizes it actually visited.
@@ -32,6 +37,7 @@ beyond the domain sizes it actually visited.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Sequence, Union
@@ -123,13 +129,13 @@ def _subsets(n: int) -> list[frozenset[int]]:
     return [_members(m) for m in range(1 << n)]
 
 
-def _cross_rows(s: int, mode: FunctionalityMode) -> list[int]:
+def _cross_rows(s: int, mode: FunctionalityMode) -> Sequence[int]:
     """Successor-set choices (as masks) for one object element under a cross role."""
     if mode is FunctionalityMode.EXACTLY_ONE:
-        return [1 << u for u in range(s)]
+        return tuple([1 << u for u in range(s)])
     if mode is FunctionalityMode.AT_MOST_ONE:
-        return [0] + [1 << u for u in range(s)]
-    return list(range(1 << s))
+        return tuple([0] + [1 << u for u in range(s)])
+    return range(1 << s)
 
 
 def enumerate_interpretations(sig: Signature, bounds: Bounds) -> Iterator[Interpretation]:
@@ -203,16 +209,77 @@ def count_models(e: ConceptExpr, sig: Signature, bounds: Bounds) -> int:
 # --- Pruned exhaustive search -------------------------------------------------
 
 
+_Cells = tuple[tuple[int, ...], tuple[int, ...]]  # object cells, attribute cells
+
+
+def _side(sort: Sort) -> int:
+    """The index of the sort's cells in a :data:`_Cells` pair."""
+    return 0 if sort is Sort.OBJECT else 1
+
+
 class _Level:
     """One decision in the search: the slot ``store[key]`` (an individual,
-    an atom extension or one role row) and its candidate values."""
+    an atom extension or one role row) and its candidate values, in
+    ascending order.  A value names elements of the sort with index
+    ``side``: an individual's value (``element``) is one element, any
+    other value a mask of them.  A row level's ``source`` is the (side,
+    element) whose row it is."""
 
-    __slots__ = ("store", "key", "choices")
+    __slots__ = ("store", "key", "choices", "side", "element", "source")
 
-    def __init__(self, store: Union[dict, list], key: Union[str, int], choices: Sequence[int]) -> None:
+    def __init__(
+        self,
+        store: Union[dict, list],
+        key: Union[str, int],
+        choices: Sequence[int],
+        sort: Sort,
+        element: bool = False,
+        source: Optional[tuple[Sort, int]] = None,
+    ) -> None:
         self.store = store
         self.key = key
         self.choices = choices
+        self.side = _side(sort)
+        self.element = element
+        self.source = None if source is None else (_side(source[0]), source[1])
+
+
+def _split(cells: _Cells, side: int, mask: int) -> _Cells:
+    """Split every cell of one side into its part inside the mask and its
+    part outside; the cells of a side are kept in ascending order."""
+    parts = tuple(sorted(p for cell in cells[side] for p in (cell & mask, cell & ~mask) if p))
+    return (parts, cells[1]) if side == 0 else (cells[0], parts)
+
+
+@functools.lru_cache(maxsize=512)
+def _orbit_choices(
+    choices: Sequence[int], side: int, element: bool, source: Optional[tuple[int, int]], cells: _Cells
+) -> tuple[tuple[int, _Cells], ...]:
+    """The least member of each orbit of a level's choices under the
+    permutations that map every cell onto itself and fix a row's source,
+    in ascending order, each with the cells after it is assigned.
+
+    The orbit of a mask is set by how many elements of each cell it holds,
+    and its least member holds the lowest ones: trading a member for a
+    lower non-member of the same cell lowers the mask.  The orbit of an
+    element is its cell.  The cache is shared by all searches, which
+    mostly enter a level with the same few cells; its bound keeps it
+    under a megabyte."""
+    if source is not None:
+        source_side, x = source
+        cells = _split(cells, source_side, 1 << x)
+    kept = []
+    for value in choices:
+        mask = 1 << value if element else value
+        if all(_holds_lowest(mask, cell) for cell in cells[side]):
+            kept.append((value, _split(cells, side, mask)))
+    return tuple(kept)
+
+
+def _holds_lowest(mask: int, cell: int) -> bool:
+    """Whether the mask holds, of the cell's elements, only its lowest ones."""
+    rest = cell & ~mask
+    return not rest or mask & cell < rest & -rest
 
 
 _NO_LEVELS: frozenset[int] = frozenset()
@@ -243,6 +310,35 @@ class _Search:
     list, so every value stays what a fresh evaluation would give.  A
     forward quantifier over the role whose row x is level i, with a child
     that does not read level i, recomputes only its bit x.
+
+    Symmetry breaking.  Along the search path, each sort's domain is split
+    into cells of elements that no assigned slot tells apart: one cell per
+    sort at the start; an individual takes the lowest element of a cell,
+    which becomes a singleton; an atom takes a mask that holds the lowest
+    elements of each cell, and each cell splits into its part inside and
+    its part outside the mask; a row first makes its source element a
+    singleton, then takes and splits by its mask like an atom.  Every
+    permutation that maps each cell onto itself fixes the assigned slots,
+    and the value a level keeps is the numerically least of its orbit
+    under them (:func:`_orbit_choices`).  This rests on two facts:
+
+    * the goal and KB objectives are invariant under any permutation of
+      each sort's domain applied to the whole interpretation, individuals
+      included; individuals are assigned first, so the permutations used
+      later fix their elements;
+    * frozen symbols (unused atoms, roles and individuals, and the
+      constant successor 0 under EXACTLY_ONE) are never read by the
+      objective, so a permuted model stays a model with them unchanged.
+
+    The unpruned search tries choices in ascending order and stops at the
+    first node whose status is True or whose full assignment holds
+    exactly.  If a cell-keeping permutation lowered that path's value at
+    some level, it would map the model there to one in an earlier subtree
+    with the same prefix, which the unpruned search would have reached
+    first, as statuses are sound.  So that path keeps the least value of
+    its orbit at every level, the pruned search walks it too, and it
+    returns the same model; where the unpruned search finds none, the
+    pruned one, trying a subset, finds none either.
     """
 
     def __init__(
@@ -271,15 +367,16 @@ class _Search:
         for name in sorted(sig.individuals):
             if name in used_inds:
                 self.inds[name] = None
-                size = d if sig.individuals[name] is Sort.OBJECT else s
-                self.levels.append(_Level(self.inds, name, range(size)))
+                sort = sig.individuals[name]
+                size = d if sort is Sort.OBJECT else s
+                self.levels.append(_Level(self.inds, name, range(size), sort, element=True))
             else:
                 self.inds[name] = 0
 
         for name in sorted(sig.object_atoms):
-            self._add_atom(name, d, name in used_atoms)
+            self._add_atom(name, Sort.OBJECT, d, name in used_atoms)
         for name in sorted(sig.attribute_atoms):
-            self._add_atom(name, s, name in used_atoms)
+            self._add_atom(name, Sort.ATTRIBUTE, s, name in used_atoms)
 
         # row assignment order: attribute roles, then cross, then object
         # roles -- deepest-nested symbols first, so contradictions surface
@@ -296,7 +393,7 @@ class _Search:
                     rows = self.role_rows[name] = [None] * n_rows
                     self._row_levels[name] = range(len(self.levels), len(self.levels) + n_rows)
                     for row in range(n_rows):
-                        self.levels.append(_Level(rows, row, choices))
+                        self.levels.append(_Level(rows, row, choices, kind.target, source=(kind.source, row)))
                 else:
                     self.role_rows[name] = [choices[0]] * n_rows
 
@@ -305,11 +402,11 @@ class _Search:
         self._reads: list[frozenset[int]] = []  # levels a node reads, directly or below
         self.touch: list[list[Callable[[], None]]] = [[] for _ in self.levels]
 
-    def _add_atom(self, name: str, size: int, used: bool) -> None:
+    def _add_atom(self, name: str, sort: Sort, size: int, used: bool) -> None:
         if used:
             self.atom_ext[name] = None
             self._atom_level[name] = len(self.levels)
-            self.levels.append(_Level(self.atom_ext, name, range(1 << size)))
+            self.levels.append(_Level(self.atom_ext, name, range(1 << size), sort))
         else:
             self.atom_ext[name] = 0
 
@@ -743,7 +840,9 @@ def _search_at(sig, d, s, mode, objective: _Objective, used) -> Optional[Interpr
     search = _Search(sig, d, s, mode, used_atoms, used_roles, used_inds)
     status = objective.compile(search)
     levels = search.levels
-    tried = [0] * len(levels)  # choices of each assigned level tried so far
+    options: list[tuple[tuple[int, _Cells], ...]] = [()] * len(levels)  # kept choices per level
+    tried = [0] * len(levels)  # options of each assigned level tried so far
+    cells: _Cells = ((search.full_object,), (search.full_attribute,))  # after levels[:depth]
     depth = 0  # levels[:depth] are assigned
     while True:
         verdict = status()
@@ -751,6 +850,8 @@ def _search_at(sig, d, s, mode, objective: _Objective, used) -> Optional[Interpr
             search.complete_with_defaults(depth)
             return search.build()
         if verdict is None and depth < len(levels):
+            level = levels[depth]
+            options[depth] = _orbit_choices(level.choices, level.side, level.element, level.source, cells)
             tried[depth] = 0
             depth += 1
         else:
@@ -759,12 +860,13 @@ def _search_at(sig, d, s, mode, objective: _Objective, used) -> Optional[Interpr
                 if objective.holds_exactly(i):
                     return i
             # back up to the deepest level with an untried choice
-            while depth and tried[depth - 1] == len(levels[depth - 1].choices):
+            while depth and tried[depth - 1] == len(options[depth - 1]):
                 depth -= 1
                 search.assign(depth, None)
             if depth == 0:
                 return None
-        search.assign(depth - 1, levels[depth - 1].choices[tried[depth - 1]])
+        value, cells = options[depth - 1][tried[depth - 1]]
+        search.assign(depth - 1, value)
         tried[depth - 1] += 1
 
 

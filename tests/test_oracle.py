@@ -1,9 +1,10 @@
 """Bounded enumeration and the pruned exhaustive model search."""
 
+import hashlib
 import random
 import subprocess
 import sys
-from itertools import islice
+from itertools import islice, permutations
 
 import pytest
 
@@ -36,12 +37,12 @@ from kedl import (
     validate_interpretation,
 )
 from kedl import oracle
-from kedl.oracle import _ConceptObjective, _KbObjective, _used_symbols
+from kedl.oracle import _ConceptObjective, _KbObjective, _Level, _orbit_choices, _used_symbols
 from kedl.oracle import _search_at as _unpatched_search_at
 from kedl.semantics import FunctionalityMode, interpretation_to_text
 from kedl.syntax import check_sort, subexprs
 
-from generators import P, Q, R, R_INV, diff_signature, gen_kb, gen_nnf
+from generators import P, Q, R, R_INV, diff_signature, gen_atomic_gci_kb, gen_kb, gen_nnf
 
 
 def _restricted_nnf(rng, sort, depth):
@@ -64,6 +65,9 @@ def _restricted_nnf(rng, sort, depth):
         return x
 
     return rename(e)
+
+
+MODES = (FunctionalityMode.AT_MOST_ONE, FunctionalityMode.EXACTLY_ONE, FunctionalityMode.FREE)
 
 
 def small_sig(*, obj_atoms=(), attr_atoms=(), roles=()):
@@ -220,6 +224,22 @@ class TestFindModel:
             )
             assert isinstance(fast, Model) == slow
 
+    @pytest.mark.parametrize("mode", MODES, ids=str)
+    def test_kb_goals_agree_with_plain_enumeration(self, mode):
+        # individuals and role assertions through r and inv(r) pin elements,
+        # so the search's symmetry breaking meets fixed points; three object
+        # elements, or three attribute elements, leave a free one
+        rng = random.Random(81)
+        found = {True: 0, False: 0}
+        for trial in range(40):
+            kb = _small_kb(rng)
+            bounds = Bounds(3, 1, mode) if trial % 2 else Bounds(1, 3, mode)
+            fast = isinstance(find_model(kb, bounds), Model)
+            slow = any(satisfies_kb(i, kb) for i in enumerate_interpretations(kb.sig, bounds))
+            assert fast == slow
+            found[slow] += 1
+        assert found[True] >= 8 and found[False] >= 8
+
     def test_kb_goal(self):
         kb = parse_kb(
             """
@@ -277,6 +297,37 @@ class TestFindModel:
         assert satisfies_kb(verdict.interpretation, kb)
 
 
+def _small_kb(rng):
+    """A random KB over one atom per sort, the cross role r, object
+    individuals o1 and o2 and attribute individual u1: one inclusion per
+    sort, a concept asserted of each individual, r(o1, u1) and sometimes
+    inv(r)(u1, o2)."""
+    sig = small_sig(obj_atoms=("C",), attr_atoms=("A",), roles=(("r", RoleKind.CROSS),))
+    for name, sort in (("o1", Sort.OBJECT), ("o2", Sort.OBJECT), ("u1", Sort.ATTRIBUTE)):
+        sig.declare_individual(name, sort)
+    r, r_inv = sig.role("r"), sig.role("r", inverted=True)
+
+    def concept(sort, depth):
+        kind = rng.randrange(6) if depth else 0
+        if kind < 2:
+            atom = Atom("C" if sort is Sort.OBJECT else "A")
+            return rng.choice((atom, Not(atom), Top(), Bot()) if kind else (atom, Not(atom)))
+        if kind < 4:
+            return (And, Or)[kind - 2](concept(sort, depth - 1), concept(sort, depth - 1))
+        role = r if sort is Sort.OBJECT else r_inv
+        return (Exists, Forall)[kind - 4](role, concept(role.kind.target, depth - 1))
+
+    kb = KnowledgeBase(sig=sig)
+    for sort in (Sort.OBJECT, Sort.ATTRIBUTE):
+        kb.include(concept(sort, 1), concept(sort, 2))
+    for name in ("o1", "o2", "u1"):
+        kb.assert_concept(concept(sig.individuals[name], 2), name)
+    kb.assert_role(r, "o1", "u1")
+    if rng.randrange(2):
+        kb.assert_role(r_inv, "u1", "o2")
+    return kb
+
+
 def _decode(mask):
     return {k for k in range(mask.bit_length()) if mask >> k & 1}
 
@@ -284,9 +335,6 @@ def _decode(mask):
 def _assign(search, levels, rng):
     for idx in levels:
         search.assign(idx, rng.choice(search.levels[idx].choices))
-
-
-MODES = (FunctionalityMode.AT_MOST_ONE, FunctionalityMode.EXACTLY_ONE, FunctionalityMode.FREE)
 
 
 class TestIntervalSoundness:
@@ -399,6 +447,119 @@ class TestIncrementalValues:
                 assert fresh.nodes == search.nodes
                 assert fresh.vals == search.vals
         assert inverse_trials >= 50
+
+
+def _set_partitions(elements):
+    """Every partition of the list into cells, each cell a mask."""
+    if not elements:
+        yield []
+        return
+    first, rest = elements[0], elements[1:]
+    for cells in _set_partitions(rest):
+        yield [1 << first, *cells]
+        for k in range(len(cells)):
+            yield [*cells[:k], cells[k] | 1 << first, *cells[k + 1:]]
+
+
+def _kept(level, cells):
+    return _orbit_choices(level.choices, level.side, level.element, level.source, cells)
+
+
+def _permuted(mask, perm):
+    return sum(1 << perm[k] for k in range(len(perm)) if mask >> k & 1)
+
+
+class TestOrbitChoices:
+    """White-box: a level keeps the least member of each orbit of its
+    choices under the permutations that keep every cell, and nothing else."""
+
+    def check(self, level, cells, n):
+        side = level.side
+        own = cells[side]
+        # a row's source element, when it is of the same sort as the values
+        fixed = level.source[1] if level.source and level.source[0] == side else None
+        group = [
+            perm for perm in permutations(range(n))
+            if all(_permuted(cell, perm) == cell for cell in own) and (fixed is None or perm[fixed] == fixed)
+        ]
+
+        def image(value, perm):
+            return perm[value] if level.element else _permuted(value, perm)
+
+        want = sorted({min(image(v, perm) for perm in group) for v in level.choices})
+        kept = _kept(level, cells)
+        assert [value for value, _ in kept] == want
+        for value, after in kept:
+            mask = 1 << value if level.element else value
+            # cells after: same cell before, same side of the mask, and the
+            # fixed source alone
+            split = {}
+            for e in range(n):
+                cell = next(c for c in own if c >> e & 1)
+                split.setdefault((cell, mask >> e & 1, e if e == fixed else None), []).append(e)
+            assert set(after[side]) == {sum(1 << e for e in part) for part in split.values()}
+            if level.source is None or level.source[0] == side:
+                assert after[1 - side] == cells[1 - side]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_individuals_atoms_and_object_rows(self, n):
+        for partition in _set_partitions(list(range(n))):
+            cells = (tuple(sorted(partition)), (1,))
+            self.check(_Level({}, "a", range(n), Sort.OBJECT, element=True), cells, n)
+            self.check(_Level({}, "A", range(1 << n), Sort.OBJECT), cells, n)
+            for x in range(n):
+                self.check(_Level([], x, range(1 << n), Sort.OBJECT, source=(Sort.OBJECT, x)), cells, n)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("mode", MODES, ids=str)
+    def test_cross_rows(self, n, mode):
+        for partition in _set_partitions(list(range(n))):
+            cells = ((0b11,), tuple(sorted(partition)))
+            level = _Level([], 1, oracle._cross_rows(n, mode), Sort.ATTRIBUTE, source=(Sort.OBJECT, 1))
+            self.check(level, cells, n)
+            # the source becomes a singleton of its own sort
+            assert all(after[0] == (0b01, 0b10) for _, after in _kept(level, cells))
+
+
+def _pinned_corpus():
+    """Seeded concepts (with inv(r)) and KBs with individuals, role
+    assertions and inv(r), each with its signature and sort.  Each concept
+    asks for two or three role successors of random atom types, and most
+    KBs for two of different types, so models have more than one element
+    and elements that the atoms tell apart."""
+    rng = random.Random(4711)
+    sig = diff_signature()
+    for trial in range(40):
+        sort = Sort.OBJECT if trial % 2 == 0 else Sort.ATTRIBUTE
+        role, atoms = (P, ("C1", "C2")) if sort is Sort.OBJECT else (Q, ("A1", "A2"))
+        goal = gen_nnf(rng, sort, 3)
+        for _ in range(rng.choice((2, 3))):
+            kind = And(*(Atom(a) if rng.randrange(2) else Not(Atom(a)) for a in atoms))
+            goal = And(goal, Exists(role, kind))
+        yield goal, sig, sort
+    for trial in range(40):
+        kb = gen_kb(rng) if trial % 2 else gen_atomic_gci_kb(rng)
+        kb.assert_concept(And(Exists(P, Atom("C1")), Exists(P, Not(Atom("C1")))), "o1")
+        yield kb, None, None
+    for _ in range(20):
+        yield _small_kb(rng), None, None
+
+
+# sha256 of the verdicts and models below, computed with the search that
+# tried every choice, before symmetry breaking pruned it
+PINNED_MODELS = "1bffc1311d0a108cbf909176a99d4d6f962f517862c2429c50504600a8aef242"
+
+
+def test_models_are_pinned():
+    digest = hashlib.sha256()
+    for goal, sig, sort in _pinned_corpus():
+        for d, s in ((2, 2), (3, 2)):
+            for mode in MODES:
+                verdict = find_model(goal, Bounds(d, s, mode), sig=sig, sort=sort)
+                digest.update(type(verdict).__name__.encode())
+                if isinstance(verdict, Model):
+                    digest.update(interpretation_to_text(verdict.interpretation).encode())
+    assert digest.hexdigest() == PINNED_MODELS
 
 
 def _every_size(goal, bounds, sig=None, sort=None):
