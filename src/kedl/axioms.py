@@ -17,7 +17,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .kb import Equivalence, Formula, Inclusion, KnowledgeBase
+from .kb import Equivalence, Formula, Inclusion, KnowledgeBase, refutation_goals
 from .oracle import Bounds, NoCountermodelUpToBound, check_validity_bounded
 from .semantics import FunctionalityMode
 from .syntax import (
@@ -223,13 +223,6 @@ class SuiteCheck:
         return self.tableau_ok and self.oracle_ok
 
 
-def _refutation_goals(f: Formula) -> list[ConceptExpr]:
-    goals = [And(f.left, Not(f.right))]
-    if isinstance(f, Equivalence):
-        goals.append(And(f.right, Not(f.left)))
-    return goals
-
-
 def verify_suite(
     bounds: Bounds = Bounds(2, 2),
     only: Optional[str] = None,
@@ -251,7 +244,7 @@ def verify_suite(
             formula = item.build(sort)
             tableau_ok = all(
                 not tableau.is_satisfiable(goal, sort=sort).satisfiable
-                for goal in _refutation_goals(formula)
+                for goal in refutation_goals(formula)
             )
             if run_oracle:
                 verdict = check_validity_bounded(formula, bounds, sig)

@@ -23,6 +23,7 @@ from .oracle import (
     Bounds,
     Countermodel,
     Model,
+    SatVerdict,
     check_validity_bounded,
     count_models,
     enumerate_interpretations,
@@ -32,6 +33,7 @@ from .parser import ParseError, parse_concept, parse_concept_with_inference, par
 from .semantics import (
     FormulaReading,
     FunctionalityMode,
+    Interpretation,
     interpretation_to_text,
     satisfies_formula,
 )
@@ -235,6 +237,34 @@ def cmd_verify(args) -> int:
     return EXIT_OK if passed == len(checks) else EXIT_NEGATIVE
 
 
+def _report_model(args, report: _Report, verdict: SatVerdict) -> int:
+    """Emit a find-model verdict, with a found model as the payload."""
+    if isinstance(verdict, Model):
+        report.add("verdict", "model-found")
+        report.payload = interpretation_to_text(verdict.interpretation)
+        _write_model(args, report.payload)
+        report.emit(args.format)
+        return EXIT_OK
+    report.add("verdict", "no-model-up-to-bound")
+    report.emit(args.format)
+    return EXIT_NEGATIVE
+
+
+def _report_countermodel(args, report: _Report, countermodel: Optional[Interpretation], *fields) -> int:
+    """Emit a validity verdict and then ``fields`` (key, value pairs),
+    with a found countermodel as the payload."""
+    if countermodel is None:
+        report.add("verdict", "no-countermodel-up-to-bound")
+    else:
+        report.add("verdict", "countermodel-found")
+        report.payload = interpretation_to_text(countermodel)
+        _write_model(args, report.payload)
+    for key, value in fields:
+        report.add(key, value)
+    report.emit(args.format)
+    return EXIT_OK if countermodel is None else EXIT_NEGATIVE
+
+
 def cmd_oracle(args) -> int:
     report = _Report("oracle")
     mode = _mode(args.mode)
@@ -245,18 +275,9 @@ def cmd_oracle(args) -> int:
     if args.concept is None:
         if not args.find_model or args.kbfile is None:
             raise KedlError("-c CONCEPT is required (or --find-model with a KB file)")
-        kb = _load_kb(args.kbfile)
-        verdict = find_model(kb, bounds)
+        verdict = find_model(_load_kb(args.kbfile), bounds)
         report.add("kb", args.kbfile)
-        if isinstance(verdict, Model):
-            report.add("verdict", "model-found")
-            report.payload = interpretation_to_text(verdict.interpretation)
-            _write_model(args, report.payload)
-            report.emit(args.format)
-            return EXIT_OK
-        report.add("verdict", "no-model-up-to-bound")
-        report.emit(args.format)
-        return EXIT_NEGATIVE
+        return _report_model(args, report, verdict)
 
     kb, expr = _concept_context(args)
 
@@ -270,15 +291,7 @@ def cmd_oracle(args) -> int:
     if args.find_model:
         verdict = find_model(expr, bounds, sig=kb.sig)
         report.add("concept", args.concept)
-        if isinstance(verdict, Model):
-            report.add("verdict", "model-found")
-            report.payload = interpretation_to_text(verdict.interpretation)
-            _write_model(args, report.payload)
-            report.emit(args.format)
-            return EXIT_OK
-        report.add("verdict", "no-model-up-to-bound")
-        report.emit(args.format)
-        return EXIT_NEGATIVE
+        return _report_model(args, report, verdict)
 
     # validity: a top-level arrow is read as a statement; anything else is
     # checked as "denotes the whole domain"
@@ -289,34 +302,16 @@ def cmd_oracle(args) -> int:
     else:
         formula = Inclusion(Top(), expr, check_sort(expr, kb.sig))
     report.add("formula", args.concept)
-    reading = (
-        FormulaReading.LITERAL_EXISTENTIAL
-        if args.reading == "paper-existential"
-        else FormulaReading.UNIVERSAL
-    )
-    if reading is FormulaReading.UNIVERSAL:
+    if args.reading != "paper-existential":
         verdict = check_validity_bounded(formula, bounds, kb.sig)
-        if isinstance(verdict, Countermodel):
-            report.add("verdict", "countermodel-found")
-            report.payload = interpretation_to_text(verdict.interpretation)
-            _write_model(args, report.payload)
-            report.emit(args.format)
-            return EXIT_NEGATIVE
-        report.add("verdict", "no-countermodel-up-to-bound")
-        report.emit(args.format)
-        return EXIT_OK
-    for i in enumerate_interpretations(kb.sig, bounds):
-        if not satisfies_formula(i, formula, reading):
-            report.add("verdict", "countermodel-found")
-            report.add("reading", "paper-existential")
-            report.payload = interpretation_to_text(i)
-            _write_model(args, report.payload)
-            report.emit(args.format)
-            return EXIT_NEGATIVE
-    report.add("verdict", "no-countermodel-up-to-bound")
-    report.add("reading", "paper-existential")
-    report.emit(args.format)
-    return EXIT_OK
+        countermodel = verdict.interpretation if isinstance(verdict, Countermodel) else None
+        return _report_countermodel(args, report, countermodel)
+    reading = FormulaReading.LITERAL_EXISTENTIAL
+    countermodel = next(
+        (i for i in enumerate_interpretations(kb.sig, bounds) if not satisfies_formula(i, formula, reading)),
+        None,
+    )
+    return _report_countermodel(args, report, countermodel, ("reading", "paper-existential"))
 
 
 def cmd_km_translate(args) -> int:

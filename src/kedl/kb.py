@@ -16,9 +16,11 @@ from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from .syntax import (
+    And,
     Atom,
     ConceptExpr,
     KedlError,
+    Not,
     RoleName,
     Signature,
     Sort,
@@ -108,6 +110,16 @@ def combined_sort(
     check_sort(left, sig, expected=sort)
     check_sort(right, sig, expected=sort)
     return sort
+
+
+def refutation_goals(f: Union[Inclusion, Equivalence]) -> list[ConceptExpr]:
+    """The concepts that have an instance exactly where the formula fails
+    (universal reading): ``L and not R``, and for an equivalence also
+    ``R and not L``."""
+    goals: list[ConceptExpr] = [And(f.left, Not(f.right))]
+    if isinstance(f, Equivalence):
+        goals.append(And(f.right, Not(f.left)))
+    return goals
 
 
 class KnowledgeBaseError(KedlError):

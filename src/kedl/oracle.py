@@ -17,10 +17,16 @@ Two entry points with different jobs:
   and sort, each with a closure that recomputes its interval from its
   slots and children; every level keeps the list of nodes that read its
   slot, and the one writer of slots re-runs that list, so a search step
-  costs what the changed slot touches, not the whole goal.  The search
-  is a loop over levels, without recursion.  A sort that no symbol of
-  the goal reaches is searched at domain size 1 only: with every other
-  symbol frozen, its size cannot change the outcome.  Domain elements that
+  costs what the changed slot touches, not the whole goal.  A knowledge
+  base is a list of inclusions over that table: a definition gives two,
+  an assertion ``C(a)`` reads as ``{a} <= C`` over a leaf that holds the
+  individual's element, and ``r(a, b)`` as ``{a} <= some r {b}``; one
+  interval test decides every one.  Once every slot is assigned, each
+  node's lower and upper bounds agree, so the status of a full
+  assignment is definite.  The search is a loop over levels, without
+  recursion.  A sort that no symbol of the goal reaches is searched at
+  domain size 1 only: with every other symbol frozen, its size cannot
+  change the outcome.  Domain elements that
   no assigned slot tells apart are interchangeable, so each level tries
   only the least choice of every orbit under their permutations
   (least-number symmetry breaking); the verdict and the returned model
@@ -47,10 +53,9 @@ from .kb import (
     ConceptAssertion,
     Equivalence,
     Formula,
-    Inclusion,
     KnowledgeBase,
-    RoleAssertion,
     combined_sort,
+    refutation_goals,
 )
 from .semantics import (
     FormulaReading,
@@ -285,6 +290,14 @@ def _holds_lowest(mask: int, cell: int) -> bool:
 _NO_LEVELS: frozenset[int] = frozenset()
 
 
+@dataclass(frozen=True)
+class _Individual(ConceptExpr):
+    """The singleton ``{name}`` of an individual: the left side of an
+    assertion read as an inclusion.  Only the search evaluates it."""
+
+    name: str
+
+
 class _Search:
     """Depth-first assignment of interpretation components at fixed sizes.
 
@@ -331,8 +344,7 @@ class _Search:
       objective, so a permuted model stays a model with them unchanged.
 
     The unpruned search tries choices in ascending order and stops at the
-    first node whose status is True or whose full assignment holds
-    exactly.  If a cell-keeping permutation lowered that path's value at
+    first node whose status is True.  If a cell-keeping permutation lowered that path's value at
     some level, it would map the model there to one in an earlier subtree
     with the same prefix, which the unpruned search would have reached
     first, as statuses are sound.  So that path keeps the least value of
@@ -360,13 +372,16 @@ class _Search:
         self.role_rows: dict[str, list[Optional[int]]] = {}
         self.inds: dict[str, Optional[int]] = {}
         self.levels: list[_Level] = []
-        # the level deciding each used atom, and each row of each used role
+        # the level deciding each used individual and atom, and each row of
+        # each used role
+        self._ind_level: dict[str, int] = {}
         self._atom_level: dict[str, int] = {}
         self._row_levels: dict[str, range] = {}
 
         for name in sorted(sig.individuals):
             if name in used_inds:
                 self.inds[name] = None
+                self._ind_level[name] = len(self.levels)
                 sort = sig.individuals[name]
                 size = d if sort is Sort.OBJECT else s
                 self.levels.append(_Level(self.inds, name, range(size), sort, element=True))
@@ -420,10 +435,6 @@ class _Search:
 
     # -- interval evaluation ----------------------------------------------
 
-    def concept_bounds(self, e: ConceptExpr, sort: Sort) -> tuple[int, int]:
-        """(lower, upper) masks: elements in e under every / at least one completion."""
-        return self.vals[self.node(e, sort)]
-
     def full(self, sort: Sort) -> int:
         """The mask of every element of the sort's domain."""
         return self.full_object if sort is Sort.OBJECT else self.full_attribute
@@ -431,7 +442,8 @@ class _Search:
     def node(self, e: ConceptExpr, sort: Sort) -> int:
         """The index of e's node at ``sort``, compiling what is new."""
         # a key names the children by index, so a lookup hashes no subterm;
-        # atoms and roles have one sort each, so only top and bot name theirs
+        # atoms, individuals and roles have one sort each, so only top and
+        # bot name theirs
         kind = type(e)
         if kind is Exists or kind is Forall:
             role = e.role
@@ -443,7 +455,7 @@ class _Search:
         elif kind is And or kind is Or:
             kids = (self.node(e.left, sort), self.node(e.right, sort))
             key = (kind, kids[0], kids[1])
-        elif kind is Atom:
+        elif kind is Atom or kind is _Individual:
             kids, key = (), (kind, e.name)
         elif kind is Top or kind is Bot:
             kids, key = (), (kind, sort)
@@ -475,6 +487,14 @@ class _Search:
             def update() -> None:
                 x = ext[name]
                 vals[n] = (0, full) if x is None else (x, x)
+
+        elif kind is _Individual:
+            inds, name, full = self.inds, e.name, self.full(sort)
+            reads = frozenset((self._ind_level[name],))
+
+            def update() -> None:
+                x = inds[name]
+                vals[n] = (0, full) if x is None else (1 << x, 1 << x)
 
         elif kind is Not:
             (c,) = kids
@@ -633,7 +653,8 @@ class _Objective:
     def compile(self, search: _Search) -> Status:
         """Enter the concepts in the search's node table and return the
         status of its current partial assignment: True when every
-        completion succeeds, False when none can, None while open."""
+        completion succeeds, False when none can, None while open, which
+        it never is once every level is assigned."""
         raise NotImplementedError
 
     def holds_exactly(self, i: Interpretation) -> bool:
@@ -664,96 +685,47 @@ class _ConceptObjective(_Objective):
 
 
 class _KbObjective(_Objective):
+    """Every formula of the KB as inclusions ``(L, R, sort)``: an
+    equivalence as two, ``C(a)`` as ``{a} <= C`` and ``r(a, b)`` as
+    ``{a} <= some r {b}``, where ``{a}`` is an :class:`_Individual` leaf
+    (``r`` may be ``inv(r)``).  The status reads each pair's intervals:
+    a pair is False when some element certainly in L is certainly not in
+    R, open when some element possibly in L is possibly not in R, and
+    holds otherwise.  With every level assigned, lower and upper bounds
+    are equal, so no pair is open."""
+
     def __init__(self, kb: KnowledgeBase) -> None:
         self.kb = kb
-        self.formulas: list[Formula] = []
-        self.concepts = []
+        self.inclusions: list[tuple[ConceptExpr, ConceptExpr, Sort]] = []
         for f in kb.formulas():
-            if isinstance(f, (Inclusion, Equivalence)):
+            if isinstance(f, AssertionFormula):
+                a = f.assertion
+                if isinstance(a, ConceptAssertion):
+                    singleton, concept = _Individual(a.individual), desugar(a.concept)
+                else:
+                    singleton, concept = _Individual(a.source), Exists(a.role, _Individual(a.target))
+                self.inclusions.append((singleton, concept, kb.sig.individuals[singleton.name]))
+            else:
                 sort = combined_sort(f.left, f.right, kb.sig, hint=f.sort)
-                f = type(f)(desugar(f.left), desugar(f.right), sort)
-                self.concepts += [f.left, f.right]
-            elif isinstance(f.assertion, ConceptAssertion):
-                a = ConceptAssertion(desugar(f.assertion.concept), f.assertion.individual)
-                f = AssertionFormula(a)
-                self.concepts.append(a.concept)
-            self.formulas.append(f)
+                left, right = desugar(f.left), desugar(f.right)
+                self.inclusions.append((left, right, sort))
+                if isinstance(f, Equivalence):
+                    self.inclusions.append((right, left, sort))
+        self.concepts = [e for left, right, _ in self.inclusions for e in (left, right)]
 
     def compile(self, search: _Search) -> Status:
-        tests = [self._formula_status(search, f) for f in self.formulas]
+        vals = search.vals
+        pairs = [(search.node(left, sort), search.node(right, sort)) for left, right, sort in self.inclusions]
 
         def status() -> Optional[bool]:
-            all_definite = True
-            for test in tests:
-                verdict = test()
-                if verdict is False:
-                    return False
-                if verdict is None:
-                    all_definite = False
-            return True if all_definite else None
-
-        return status
-
-    def _formula_status(self, search: _Search, f: Formula) -> Status:
-        if isinstance(f, AssertionFormula):
-            return self._assertion_status(search, f.assertion)
-        assert f.sort is not None
-        vals = search.vals
-        left, right = search.node(f.left, f.sort), search.node(f.right, f.sort)
-        if isinstance(f, Inclusion):
-
-            def status() -> Optional[bool]:
+            holds = True
+            for left, right in pairs:
                 (llb, lub), (rlb, rub) = vals[left], vals[right]
                 if llb & ~rub:
                     return False
-                if not lub & ~rlb:
-                    return True
-                return None
-
-        else:
-
-            def status() -> Optional[bool]:
-                (llb, lub), (rlb, rub) = vals[left], vals[right]
-                if llb & ~rub or rlb & ~lub:
-                    return False
-                if not (lub & ~rlb or rub & ~llb):
-                    return True
-                return None
-
-        return status
-
-    def _assertion_status(self, search: _Search, a) -> Status:
-        inds = search.inds
-        if isinstance(a, ConceptAssertion):
-            vals, name = search.vals, a.individual
-            concept = search.node(a.concept, search.sig.individuals[name])
-
-            def status() -> Optional[bool]:
-                el = inds[name]
-                if el is None:
-                    return None
-                lb, ub = vals[concept]
-                if lb >> el & 1:
-                    return True
-                if not ub >> el & 1:
-                    return False
-                return None
-
-            return status
-        assert isinstance(a, RoleAssertion)
-        src, tgt = a.source, a.target
-        if a.role.kind is RoleKind.CROSS_INVERSE:
-            src, tgt = tgt, src
-        rows = search.role_rows[a.role.name]
-
-        def status() -> Optional[bool]:
-            x, y = inds[src], inds[tgt]
-            if x is None or y is None:
-                return None
-            row = rows[x]
-            if row is None:
-                return None
-            return bool(row >> y & 1)
+                if lub & ~rlb:
+                    holds = None
+            return holds
 
         return status
 
@@ -761,7 +733,7 @@ class _KbObjective(_Objective):
         return satisfies_kb(i, self.kb)
 
 
-def _used_symbols(exprs: list[ConceptExpr], kb: Optional[KnowledgeBase] = None):
+def _used_symbols(exprs: list[ConceptExpr]):
     atoms: set[str] = set()
     roles: set[str] = set()
     inds: set[str] = set()
@@ -771,13 +743,8 @@ def _used_symbols(exprs: list[ConceptExpr], kb: Optional[KnowledgeBase] = None):
                 atoms.add(sub.name)
             elif isinstance(sub, (Exists, Forall)):
                 roles.add(sub.role.name)
-    if kb is not None:
-        for a in kb.abox:
-            if isinstance(a, ConceptAssertion):
-                inds.add(a.individual)
-            else:
-                roles.add(a.role.name)
-                inds.update((a.source, a.target))
+            elif isinstance(sub, _Individual):
+                inds.add(sub.name)
     return atoms, roles, inds
 
 
@@ -809,13 +776,12 @@ def find_model(
     if isinstance(goal, KnowledgeBase):
         sig = goal.sig
         objective: _Objective = _KbObjective(goal)
-        used = _used_symbols(objective.concepts, kb=goal)
     else:
         if sig is None:
             raise KedlError("a signature is required to search for concept models")
         goal_sort = check_sort(goal, sig, expected=sort)
         objective = _ConceptObjective(goal, goal_sort)
-        used = _used_symbols(objective.concepts)
+    used = _used_symbols(objective.concepts)
 
     visible = _visible_sorts(sig, used)
     deltas = range(1, bounds.max_delta + 1) if Sort.OBJECT in visible else (1,)
@@ -849,16 +815,12 @@ def _search_at(sig, d, s, mode, objective: _Objective, used) -> Optional[Interpr
         if verdict is True:
             search.complete_with_defaults(depth)
             return search.build()
-        if verdict is None and depth < len(levels):
+        if verdict is None:
             level = levels[depth]
             options[depth] = _orbit_choices(level.choices, level.side, level.element, level.source, cells)
             tried[depth] = 0
             depth += 1
         else:
-            if verdict is None:
-                i = search.build()
-                if objective.holds_exactly(i):
-                    return i
             # back up to the deepest level with an untried choice
             while depth and tried[depth - 1] == len(options[depth - 1]):
                 depth -= 1
@@ -883,10 +845,7 @@ def check_validity_bounded(f: Formula, bounds: Bounds, sig: Signature) -> Validi
         return NoCountermodelUpToBound(bounds)
 
     sort = combined_sort(f.left, f.right, sig, hint=f.sort)
-    candidates = [And(f.left, Not(f.right))]
-    if isinstance(f, Equivalence):
-        candidates.append(And(f.right, Not(f.left)))
-    for concept in candidates:
+    for concept in refutation_goals(f):
         verdict = find_model(concept, bounds, sig=sig, sort=sort)
         if isinstance(verdict, Model):
             i = verdict.interpretation

@@ -17,6 +17,7 @@ def data_text(name: str) -> str:
 
 
 HIERARCHY = pathlib.Path(__file__).parent / "data" / "hierarchy.kedl"
+ABOX = pathlib.Path(__file__).parent / "data" / "abox.kedl"
 
 # the same in every functionality mode
 HIERARCHY_RECORDS = """\
@@ -41,6 +42,118 @@ attribute cells:
   Flash-point < Temperature
   Methane-level < Gas-concentration
 """
+
+
+UNSAT_KB = "oconcept C; oindividual c1; C <= bot; C(c1);"
+
+# the records output of every branch of `kedl oracle`; ABOX and UNSAT
+# name KB files, and {kb} stands for the file's path in the output
+ORACLE_RECORDS = {
+    "kb-model": (["--find-model", "ABOX", "--bounds", "2,2"], 0, """\
+kedl-report/1
+command=oracle
+bounds=2,2
+mode=at-most-one
+kb={kb}
+verdict=model-found
+payload:
+delta: x1 x2;
+sigma: u1;
+Monitored-tunnel = {x2};
+Sensor = {x1};
+Tunnel = {x2};
+Methane-level = {u1};
+Reading = {u1};
+has-methane-level = {(x1,u1)};
+has-sensor = {(x2,x1)};
+ind level1 = u1;
+ind sensor1 = x1;
+ind tunnel1 = x2;
+"""),
+    "kb-none": (["--find-model", "UNSAT", "--bounds", "2,2"], 1, """\
+kedl-report/1
+command=oracle
+bounds=2,2
+mode=at-most-one
+kb={kb}
+verdict=no-model-up-to-bound
+"""),
+    "concept-model": (["--find-model", "-c", "some has-r A and C", "--bounds", "2,2"], 0, """\
+kedl-report/1
+command=oracle
+bounds=2,2
+mode=at-most-one
+concept=some has-r A and C
+verdict=model-found
+payload:
+delta: x1;
+sigma: u1;
+C = {x1};
+A = {u1};
+has-r = {(x1,u1)};
+"""),
+    "concept-none": (["--find-model", "-c", "C and not C", "--bounds", "2,2"], 1, """\
+kedl-report/1
+command=oracle
+bounds=2,2
+mode=at-most-one
+concept=C and not C
+verdict=no-model-up-to-bound
+"""),
+    "universal-countermodel": (["--validity", "-c", "C => D", "--bounds", "2,2"], 1, """\
+kedl-report/1
+command=oracle
+bounds=2,2
+mode=at-most-one
+formula=C => D
+verdict=countermodel-found
+payload:
+delta: x1;
+sigma: u1;
+C = {x1};
+D = {};
+"""),
+    "universal-none": (["--validity", "-c", "C => C", "--bounds", "2,2"], 0, """\
+kedl-report/1
+command=oracle
+bounds=2,2
+mode=at-most-one
+formula=C => C
+verdict=no-countermodel-up-to-bound
+"""),
+    "existential-countermodel": (
+        ["--validity", "-c", "C", "--bounds", "1,1", "--reading", "paper-existential"], 1, """\
+kedl-report/1
+command=oracle
+bounds=1,1
+mode=at-most-one
+formula=C
+verdict=countermodel-found
+reading=paper-existential
+payload:
+delta: x1;
+sigma: u1;
+C = {};
+"""),
+    "existential-none": (
+        ["--validity", "-c", "C => C", "--bounds", "2,2", "--reading", "paper-existential"], 0, """\
+kedl-report/1
+command=oracle
+bounds=2,2
+mode=at-most-one
+formula=C => C
+verdict=no-countermodel-up-to-bound
+reading=paper-existential
+"""),
+    "count": (["--count", "-c", "some has-r A", "--bounds", "1,1"], 0, """\
+kedl-report/1
+command=oracle
+bounds=1,1
+mode=at-most-one
+concept=some has-r A
+models=1
+"""),
+}
 
 
 @pytest.fixture
@@ -242,6 +355,17 @@ class TestOracle:
         assert code == 1
         code, _, _ = run(capsys, *argv, "--mode", "free")
         assert code == 0
+
+    @pytest.mark.parametrize("case", ORACLE_RECORDS)
+    def test_records_of_every_branch(self, capsys, tmp_path, case):
+        args, want_code, want = ORACLE_RECORDS[case]
+        unsat = tmp_path / "unsat.kedl"
+        unsat.write_text(UNSAT_KB, encoding="utf-8")
+        paths = {"ABOX": str(ABOX), "UNSAT": str(unsat)}
+        code, out, _ = run(capsys, "oracle", *(paths.get(a, a) for a in args), "--format", "records")
+        for path in paths.values():
+            out = out.replace(path, "{kb}")
+        assert (code, out) == (want_code, want)
 
 
 class TestKmTranslate:

@@ -341,7 +341,8 @@ class TestIntervalSoundness:
     def test_partial_bounds_contain_every_completion(self):
         # white-box: on any partial assignment, the interval evaluator's
         # lower set is inside, and its upper set outside, the exact
-        # extension of every completion
+        # extension of every completion; on a full assignment every node
+        # is exact and the status definite
         from kedl.oracle import _Search
         from kedl.syntax import desugar
 
@@ -362,28 +363,34 @@ class TestIntervalSoundness:
                 isinstance(sub, (Exists, Forall)) and sub.role == R_INV for sub in subexprs(expr)
             )
             search = _Search(sig, 2, 2, mode, *used)
+            status = _ConceptObjective(expr, sort).compile(search)
             n_levels = len(search.levels)
             prefix = rng.randrange(n_levels + 1)
             _assign(search, range(prefix), rng)
-            lower, upper = map(_decode, search.concept_bounds(expr, sort))
+            lower, upper = map(_decode, search.vals[search.node(expr, sort)])
             for _ in range(8):
                 _assign(search, range(prefix, n_levels), rng)
                 i = search.build()
                 exact = extension(expr, i, sort)
                 assert lower <= exact <= upper
+                assert all(lb == ub for lb, ub in search.vals)
+                assert status() is bool(exact)
         assert inverse_trials >= 20
 
     def test_partial_kb_status_agrees_with_every_completion(self):
         # white-box: a definite status on a partial assignment is the exact
-        # verdict of every completion
+        # verdict of every completion, and with every level assigned the
+        # status is definite and every node exact; the last 100 KBs have
+        # two object individuals and inv(r) assertions
         from kedl.oracle import _Search
 
         rng = random.Random(556)
-        decided = {True: 0, False: 0}
-        for trial in range(300):
-            kb = gen_kb(rng)
+        decided = {(small, verdict): 0 for small in (False, True) for verdict in (False, True)}
+        for trial in range(400):
+            small = trial >= 300
+            kb = _small_kb(rng) if small else gen_kb(rng)
             objective = _KbObjective(kb)
-            used = _used_symbols(objective.concepts, kb=kb)
+            used = _used_symbols(objective.concepts)
             search = _Search(kb.sig, 2, 2, MODES[trial % 3], *used)
             status = objective.compile(search)
             # extend the assignment one level at a time, steering away from
@@ -392,18 +399,22 @@ class TestIntervalSoundness:
             for depth, level in enumerate(search.levels + [None]):
                 verdict = status()
                 if verdict is not None:
-                    decided[verdict] += 1
+                    decided[small, verdict] += 1
                     for _ in range(8):
                         _assign(search, range(depth, len(search.levels)), rng)
                         assert satisfies_kb(search.build(), kb) == verdict
+                        assert all(lb == ub for lb, ub in search.vals)
+                        assert status() is verdict
                     break
+                assert level is not None, "open status with every level assigned"
                 options = list(level.choices)
                 rng.shuffle(options)
                 for choice in options:
                     search.assign(depth, choice)
                     if status() is not False:
                         break
-        assert decided[True] >= 20 and decided[False] >= 20
+        assert decided[False, True] >= 20 and decided[False, False] >= 20
+        assert decided[True, True] >= 10 and decided[True, False] >= 10
 
 
 class TestIncrementalValues:
@@ -422,11 +433,10 @@ class TestIncrementalValues:
                 # gen_kb defines A2 through inv(r)
                 kb = gen_kb(rng)
                 goal_sig, objective = kb.sig, _KbObjective(kb)
-                used = _used_symbols(objective.concepts, kb=kb)
             else:
                 sort = Sort.OBJECT if trial % 4 == 0 else Sort.ATTRIBUTE
                 goal_sig, objective = sig, _ConceptObjective(gen_nnf(rng, sort, 3), sort)
-                used = _used_symbols(objective.concepts)
+            used = _used_symbols(objective.concepts)
             inverse_trials += any(
                 isinstance(sub, (Exists, Forall)) and sub.role == R_INV
                 for concept in objective.concepts
@@ -567,10 +577,9 @@ def _every_size(goal, bounds, sig=None, sort=None):
     and the number of sizes searched for it."""
     if isinstance(goal, KnowledgeBase):
         sig, objective = goal.sig, _KbObjective(goal)
-        used = _used_symbols(objective.concepts, kb=goal)
     else:
         objective = _ConceptObjective(goal, check_sort(goal, sig, expected=sort))
-        used = _used_symbols(objective.concepts)
+    used = _used_symbols(objective.concepts)
     searched = 0
     for d in range(1, bounds.max_delta + 1):
         for s in range(1, bounds.max_sigma + 1):
