@@ -36,6 +36,7 @@ from .semantics import (
     Interpretation,
     interpretation_to_text,
     satisfies_formula,
+    satisfies_kb,
 )
 from .syntax import Iff, Implies, KedlError, Sort, Top, check_sort
 from .tableau import InconsistentKBError, SatResult, Tableau, classify, trace_to_text
@@ -282,14 +283,14 @@ def cmd_oracle(args) -> int:
     kb, expr = _concept_context(args)
 
     if args.count:
-        n = count_models(expr, kb.sig, bounds)
+        n = count_models(expr, kb.sig, bounds, kb=kb)
         report.add("concept", args.concept)
         report.add("models", n)
         report.emit(args.format)
         return EXIT_OK
 
     if args.find_model:
-        verdict = find_model(expr, bounds, sig=kb.sig)
+        verdict = find_model(expr, bounds, kb=kb)
         report.add("concept", args.concept)
         return _report_model(args, report, verdict)
 
@@ -303,12 +304,13 @@ def cmd_oracle(args) -> int:
         formula = Inclusion(Top(), expr, check_sort(expr, kb.sig))
     report.add("formula", args.concept)
     if args.reading != "paper-existential":
-        verdict = check_validity_bounded(formula, bounds, kb.sig)
+        verdict = check_validity_bounded(formula, bounds, kb=kb)
         countermodel = verdict.interpretation if isinstance(verdict, Countermodel) else None
         return _report_countermodel(args, report, countermodel)
     reading = FormulaReading.LITERAL_EXISTENTIAL
     countermodel = next(
-        (i for i in enumerate_interpretations(kb.sig, bounds) if not satisfies_formula(i, formula, reading)),
+        (i for i in enumerate_interpretations(kb.sig, bounds)
+         if not satisfies_formula(i, formula, reading) and satisfies_kb(i, kb)),
         None,
     )
     return _report_countermodel(args, report, countermodel, ("reading", "paper-existential"))

@@ -1,41 +1,34 @@
 """Bounded model finding by exhaustive search over finite interpretations.
 
-Two entry points with different jobs:
+Every question is one: is there, within the bounds, a model of a
+knowledge base in which a goal concept is non-empty?  A KB alone asks it
+of the goal ``top``, which every model meets; a concept alone asks it of
+the empty KB over its signature.
 
 * :func:`enumerate_interpretations` -- the plain product enumeration of every
   interpretation up to the bounds, in a fixed deterministic order.  No
-  deduplication, no cleverness; small enough to audit by eye.  Used for model
-  counting and extension-equality sweeps at tiny bounds.
+  deduplication, no cleverness; small enough to audit by eye.  Used,
+  filtered by ``satisfies_kb``, for model counting and the existential
+  reading, and for extension-equality sweeps at tiny bounds.
 
 * :func:`find_model` -- exhaustive search over the same space, organized as a
-  depth-first assignment of one symbol slice at a time (individuals, then
-  atom extensions, then role successor rows) with interval-based pruning:
-  a partial assignment is abandoned only when every completion is already
-  doomed.  Extensions are int bitmasks during the search (bit k is element
-  k) and become frozensets only in a found model.  The goal is compiled
-  once per domain size into a node table, one node per distinct subterm
-  and sort, each with a closure that recomputes its interval from its
-  slots and children; every level keeps the list of nodes that read its
-  slot, and the one writer of slots re-runs that list, so a search step
-  costs what the changed slot touches, not the whole goal.  A knowledge
-  base is a list of inclusions over that table: a definition gives two,
-  an assertion ``C(a)`` reads as ``{a} <= C`` over a leaf that holds the
-  individual's element, and ``r(a, b)`` as ``{a} <= some r {b}``; one
-  interval test decides every one.  Once every slot is assigned, each
-  node's lower and upper bounds agree, so the status of a full
-  assignment is definite.  The search is a loop over levels, without
-  recursion.  A sort that no symbol of the goal reaches is searched at
-  domain size 1 only: with every other symbol frozen, its size cannot
-  change the outcome.  Domain elements that
-  no assigned slot tells apart are interchangeable, so each level tries
-  only the least choice of every orbit under their permutations
-  (least-number symmetry breaking); the verdict and the returned model
-  are the ones the unpruned search gives.  This is what makes
-  ``NoModelUpToBound`` verdicts at bounds (3,3) cheap and (4,4)
-  affordable.  Every returned model is re-checked with the exact
-  evaluator before being emitted, so pruning bugs cannot fabricate a
-  Model verdict; the pruning itself is property-tested against the plain
-  enumeration.
+  depth-first loop that assigns one symbol slice per level (individuals,
+  then atom extensions, then role successor rows) with interval-based
+  pruning: a partial assignment is abandoned only when every completion is
+  already doomed.  Extensions are int bitmasks during the search (bit k is
+  element k) and become frozensets only in a found model.  The goal and
+  the KB are compiled once per domain size into a node table, one node
+  per distinct subterm and sort, which an assign updates only where the
+  changed slot is read (:class:`_Search`).  Every KB formula is one or
+  two inclusions over that table, an assertion ``C(a)`` as ``{a} <= C``,
+  so one interval test decides them all.  A sort that no symbol of the
+  goal or the KB reaches is searched at domain size 1 only, and each
+  level tries only the least choice of every orbit of the permutations of
+  interchangeable elements (least-number symmetry breaking); the verdict
+  and the returned model are the ones the unpruned search gives.  Every
+  returned model is re-checked with the exact evaluator before being
+  emitted, so pruning bugs cannot fabricate a Model verdict; the pruning
+  itself is property-tested against the plain enumeration.
 
 Verdicts are always bound-qualified: the search never claims unsatisfiability
 beyond the domain sizes it actually visited.
@@ -58,7 +51,6 @@ from .kb import (
     refutation_goals,
 )
 from .semantics import (
-    FormulaReading,
     FunctionalityMode,
     Interpretation,
     extension,
@@ -166,49 +158,50 @@ def _enumerate_at(sig: Signature, d: int, s: int, mode: FunctionalityMode) -> It
     axes.extend([_subsets(s)] * len(attr_atoms))
     for name in roles:
         kind = sig.roles[name]
-        if kind is RoleKind.OBJ_OBJ:
-            pairs = [(a, b) for a in range(d) for b in range(d)]
-            axes.append([frozenset(pairs[k] for k in range(len(pairs)) if m >> k & 1)
-                         for m in range(1 << len(pairs))])
-        elif kind is RoleKind.ATTR_ATTR:
-            pairs = [(a, b) for a in range(s) for b in range(s)]
-            axes.append([frozenset(pairs[k] for k in range(len(pairs)) if m >> k & 1)
-                         for m in range(1 << len(pairs))])
-        else:  # cross: one successor-set choice per object element
+        if kind is RoleKind.CROSS:  # one successor-set choice per object element
             per_row = [_members(m) for m in _cross_rows(s, mode)]
             axes.append([
                 frozenset((x, u) for x, row in enumerate(combo) for u in row)
                 for combo in itertools.product(per_row, repeat=d)
             ])
+        else:
+            size = d if kind is RoleKind.OBJ_OBJ else s
+            pairs = [(a, b) for a in range(size) for b in range(size)]
+            axes.append([frozenset(pairs[k] for k in range(len(pairs)) if m >> k & 1)
+                         for m in range(1 << len(pairs))])
     for name in inds:
         axes.append(list(range(d if sig.individuals[name] is Sort.OBJECT else s)))
 
+    atoms = obj_atoms + attr_atoms
+    first_ind = len(atoms) + len(roles)
     for combo in itertools.product(*axes):
-        pos = 0
-        concept_ext: dict[str, frozenset[int]] = {}
-        for name in obj_atoms + attr_atoms:
-            concept_ext[name] = combo[pos]
-            pos += 1
-        role_ext: dict[str, frozenset[tuple[int, int]]] = {}
-        for name in roles:
-            role_ext[name] = combo[pos]
-            pos += 1
-        ind_map: dict[str, int] = {}
-        for name in inds:
-            ind_map[name] = combo[pos]
-            pos += 1
         yield Interpretation(
             sig=sig, n_delta=d, n_sigma=s,
-            concept_ext=concept_ext, role_ext=role_ext, ind_map=ind_map, mode=mode,
+            concept_ext=dict(zip(atoms, combo)), role_ext=dict(zip(roles, combo[len(atoms):])),
+            ind_map=dict(zip(inds, combo[first_ind:])), mode=mode,
         )
 
 
-def count_models(e: ConceptExpr, sig: Signature, bounds: Bounds) -> int:
-    """Number of enumerated interpretations with a non-empty extension for e."""
-    sort = check_sort(e, sig)
+def count_models(
+    e: ConceptExpr, sig: Optional[Signature], bounds: Bounds, kb: Optional[KnowledgeBase] = None
+) -> int:
+    """Number of enumerated interpretations that satisfy ``kb`` and give e
+    a non-empty extension.  With no ``kb``, every interpretation over
+    ``sig`` counts; with one, its signature is used and ``sig`` ignored."""
+    kb = _kb_over(sig, kb)
+    sort = check_sort(e, kb.sig)
     return sum(
-        1 for i in enumerate_interpretations(sig, bounds) if extension(e, i, sort)
+        1 for i in enumerate_interpretations(kb.sig, bounds) if extension(e, i, sort) and satisfies_kb(i, kb)
     )
+
+
+def _kb_over(sig: Optional[Signature], kb: Optional[KnowledgeBase]) -> KnowledgeBase:
+    """The KB a search answers to: ``kb``, or else the empty KB over ``sig``."""
+    if kb is not None:
+        return kb
+    if sig is None:
+        raise KedlError("a signature or a knowledge base is required")
+    return KnowledgeBase(sig=sig)
 
 
 # --- Pruned exhaustive search -------------------------------------------------
@@ -304,12 +297,12 @@ class _Search:
     Extensions are int bitmasks, bit k standing for element k of the sort's
     domain: an atom's extension is one mask, a role's extension one mask of
     successors per source element (a row), and ``None`` marks a component
-    not yet assigned.  Symbols not mentioned by the goal are frozen to
-    canonical values up front (empty extensions; for cross roles under
-    EXACTLY_ONE, the constant successor 0) and never enumerated, so the
-    outcome at sizes (d, s) depends on a domain only through the goal's
-    symbols; :func:`find_model` relies on this to search an unreached
-    sort at size 1 only.
+    not yet assigned.  Symbols that neither the goal nor the KB mentions
+    are frozen to canonical values up front (empty extensions; for cross
+    roles under EXACTLY_ONE, the constant successor 0) and never
+    enumerated, so the outcome at sizes (d, s) depends on a domain only
+    through the symbols they mention; :func:`find_model` relies on this
+    to search an unreached sort at size 1 only.
 
     Interval bounds live in a node table.  Each distinct (subterm, sort)
     asked about is one node, compiled on first use after its children;
@@ -335,8 +328,8 @@ class _Search:
     and the value a level keeps is the numerically least of its orbit
     under them (:func:`_orbit_choices`).  This rests on two facts:
 
-    * the goal and KB objectives are invariant under any permutation of
-      each sort's domain applied to the whole interpretation, individuals
+    * the objective is invariant under any permutation of each sort's
+      domain applied to the whole interpretation, individuals
       included; individuals are assigned first, so the permutations used
       later fix their elements;
     * frozen symbols (unused atoms, roles and individuals, and the
@@ -643,59 +636,18 @@ Status = Callable[[], Optional[bool]]
 
 
 class _Objective:
-    """What the search is after, with three-way partial verdicts.
+    """A model of ``kb`` in which ``goal``, at ``sort``, is non-empty.
 
-    ``concepts`` lists the desugared concepts that the status reads.
-    """
+    Each KB formula becomes inclusions ``(L, R, sort)``: two for an
+    equivalence, ``{a} <= C`` for ``C(a)`` and ``{a} <= some r {b}`` for
+    ``r(a, b)``, where ``{a}`` is an :class:`_Individual` leaf (``r`` may
+    be ``inv(r)``).  ``concepts`` lists the desugared concepts the status
+    reads, the goal first."""
 
-    concepts: list[ConceptExpr]
-
-    def compile(self, search: _Search) -> Status:
-        """Enter the concepts in the search's node table and return the
-        status of its current partial assignment: True when every
-        completion succeeds, False when none can, None while open, which
-        it never is once every level is assigned."""
-        raise NotImplementedError
-
-    def holds_exactly(self, i: Interpretation) -> bool:
-        raise NotImplementedError
-
-
-class _ConceptObjective(_Objective):
-    def __init__(self, goal: ConceptExpr, sort: Sort) -> None:
+    def __init__(self, kb: KnowledgeBase, goal: ConceptExpr = Top(), sort: Sort = Sort.OBJECT) -> None:
+        self.kb = kb
         self.goal = desugar(goal)
         self.sort = sort
-        self.concepts = [self.goal]
-
-    def compile(self, search: _Search) -> Status:
-        vals, goal = search.vals, search.node(self.goal, self.sort)
-
-        def status() -> Optional[bool]:
-            lb, ub = vals[goal]
-            if lb:
-                return True
-            if not ub:
-                return False
-            return None
-
-        return status
-
-    def holds_exactly(self, i: Interpretation) -> bool:
-        return bool(extension(self.goal, i, self.sort))
-
-
-class _KbObjective(_Objective):
-    """Every formula of the KB as inclusions ``(L, R, sort)``: an
-    equivalence as two, ``C(a)`` as ``{a} <= C`` and ``r(a, b)`` as
-    ``{a} <= some r {b}``, where ``{a}`` is an :class:`_Individual` leaf
-    (``r`` may be ``inv(r)``).  The status reads each pair's intervals:
-    a pair is False when some element certainly in L is certainly not in
-    R, open when some element possibly in L is possibly not in R, and
-    holds otherwise.  With every level assigned, lower and upper bounds
-    are equal, so no pair is open."""
-
-    def __init__(self, kb: KnowledgeBase) -> None:
-        self.kb = kb
         self.inclusions: list[tuple[ConceptExpr, ConceptExpr, Sort]] = []
         for f in kb.formulas():
             if isinstance(f, AssertionFormula):
@@ -706,19 +658,31 @@ class _KbObjective(_Objective):
                     singleton, concept = _Individual(a.source), Exists(a.role, _Individual(a.target))
                 self.inclusions.append((singleton, concept, kb.sig.individuals[singleton.name]))
             else:
-                sort = combined_sort(f.left, f.right, kb.sig, hint=f.sort)
+                f_sort = combined_sort(f.left, f.right, kb.sig, hint=f.sort)
                 left, right = desugar(f.left), desugar(f.right)
-                self.inclusions.append((left, right, sort))
+                self.inclusions.append((left, right, f_sort))
                 if isinstance(f, Equivalence):
-                    self.inclusions.append((right, left, sort))
-        self.concepts = [e for left, right, _ in self.inclusions for e in (left, right)]
+                    self.inclusions.append((right, left, f_sort))
+        self.concepts = [self.goal] + [e for left, right, _ in self.inclusions for e in (left, right)]
 
     def compile(self, search: _Search) -> Status:
-        vals = search.vals
+        """Enter the concepts in the search's node table and return the
+        status of its current partial assignment: True when every
+        completion is a model, False when none can be, None while open,
+        which it never is once every level is assigned.
+
+        The goal fails when its upper mask is empty and is met when its
+        lower mask is not.  A pair fails when some element certainly in L
+        is certainly not in R, is open when some element possibly in L is
+        possibly not in R, and holds otherwise."""
+        vals, goal = search.vals, search.node(self.goal, self.sort)
         pairs = [(search.node(left, sort), search.node(right, sort)) for left, right, sort in self.inclusions]
 
         def status() -> Optional[bool]:
-            holds = True
+            lb, ub = vals[goal]
+            if not ub:
+                return False
+            holds = True if lb else None
             for left, right in pairs:
                 (llb, lub), (rlb, rub) = vals[left], vals[right]
                 if llb & ~rub:
@@ -730,7 +694,7 @@ class _KbObjective(_Objective):
         return status
 
     def holds_exactly(self, i: Interpretation) -> bool:
-        return satisfies_kb(i, self.kb)
+        return bool(extension(self.goal, i, self.sort)) and satisfies_kb(i, self.kb)
 
 
 def _used_symbols(exprs: list[ConceptExpr]):
@@ -765,30 +729,31 @@ def find_model(
     bounds: Bounds,
     sig: Optional[Signature] = None,
     sort: Optional[Sort] = None,
+    kb: Optional[KnowledgeBase] = None,
 ) -> SatVerdict:
-    """Search for an interpretation within the bounds.
+    """Search for a model of ``kb`` in which the concept ``goal`` is
+    non-empty, within the bounds.
 
-    For a concept goal, a model is an interpretation with a non-empty
-    extension for it (``sig`` is required).  For a knowledge base, a model
-    satisfies every definition, inclusion (universal reading), and assertion.
-    A sort that no symbol of the goal reaches is searched at size 1 only.
+    A model satisfies every definition, inclusion (universal reading) and
+    assertion of ``kb``.  With no ``kb`` the KB is the empty one over
+    ``sig``, so a model is any interpretation with a non-empty extension
+    for the goal; with one, its signature is used and ``sig`` ignored.  A
+    knowledge base passed as ``goal`` is ``kb`` with the goal ``top``.
+    A sort that no symbol of the goal or the KB reaches is searched at
+    size 1 only.
     """
     if isinstance(goal, KnowledgeBase):
-        sig = goal.sig
-        objective: _Objective = _KbObjective(goal)
-    else:
-        if sig is None:
-            raise KedlError("a signature is required to search for concept models")
-        goal_sort = check_sort(goal, sig, expected=sort)
-        objective = _ConceptObjective(goal, goal_sort)
+        goal, kb = Top(), goal
+    kb = _kb_over(sig, kb)
+    objective = _Objective(kb, goal, check_sort(goal, kb.sig, expected=sort))
     used = _used_symbols(objective.concepts)
 
-    visible = _visible_sorts(sig, used)
+    visible = _visible_sorts(kb.sig, used)
     deltas = range(1, bounds.max_delta + 1) if Sort.OBJECT in visible else (1,)
     sigmas = range(1, bounds.max_sigma + 1) if Sort.ATTRIBUTE in visible else (1,)
     for d in deltas:
         for s in sigmas:
-            found = _search_at(sig, d, s, bounds.mode, objective, used)
+            found = _search_at(kb.sig, d, s, bounds.mode, objective, used)
             if found is not None:
                 _require(validate_interpretation(found) == [], "search returned an invalid interpretation")
                 _require(objective.holds_exactly(found), "search returned a non-model")
@@ -832,26 +797,28 @@ def _search_at(sig, d, s, mode, objective: _Objective, used) -> Optional[Interpr
         tried[depth - 1] += 1
 
 
-def check_validity_bounded(f: Formula, bounds: Bounds, sig: Signature) -> ValidityVerdict:
-    """Look for an interpretation where the formula fails (universal reading).
+def check_validity_bounded(
+    f: Formula, bounds: Bounds, sig: Optional[Signature] = None, kb: Optional[KnowledgeBase] = None
+) -> ValidityVerdict:
+    """Look for a model of ``kb`` where the formula fails (universal
+    reading); with no ``kb`` any interpretation over ``sig`` will do, and
+    with one its signature is used.
 
     Dual to :func:`find_model`: an inclusion has a countermodel exactly when
-    ``left and not right`` has a model at the same bounds.
+    ``left and not right`` has a model of the KB at the same bounds.
     """
+    kb = _kb_over(sig, kb)
     if isinstance(f, AssertionFormula):
-        for i in enumerate_interpretations(sig, bounds):
-            if not satisfies_formula(i, f, FormulaReading.UNIVERSAL):
+        for i in enumerate_interpretations(kb.sig, bounds):
+            if not satisfies_formula(i, f) and satisfies_kb(i, kb):
                 return Countermodel(i)
         return NoCountermodelUpToBound(bounds)
 
-    sort = combined_sort(f.left, f.right, sig, hint=f.sort)
+    sort = combined_sort(f.left, f.right, kb.sig, hint=f.sort)
     for concept in refutation_goals(f):
-        verdict = find_model(concept, bounds, sig=sig, sort=sort)
+        verdict = find_model(concept, bounds, sort=sort, kb=kb)
         if isinstance(verdict, Model):
             i = verdict.interpretation
-            _require(
-                not satisfies_formula(i, f, FormulaReading.UNIVERSAL),
-                "countermodel satisfies the formula",
-            )
+            _require(not satisfies_formula(i, f), "countermodel satisfies the formula")
             return Countermodel(i)
     return NoCountermodelUpToBound(bounds)

@@ -91,14 +91,6 @@ class Interpretation:
     ind_map: dict[str, int] = field(default_factory=dict)
     mode: FunctionalityMode = FunctionalityMode.AT_MOST_ONE
 
-    @property
-    def delta(self) -> frozenset[int]:
-        return _elements(self.n_delta)
-
-    @property
-    def sigma(self) -> frozenset[int]:
-        return _elements(self.n_sigma)
-
     def domain(self, sort: Sort) -> frozenset[int]:
         return _elements(self.n_delta if sort is Sort.OBJECT else self.n_sigma)
 
@@ -267,15 +259,14 @@ def sorted_formulas(kb: KnowledgeBase) -> list[tuple[Formula, Optional[Sort]]]:
 def satisfies_kb(
     i: Interpretation,
     kb: KnowledgeBase,
-    reading: FormulaReading = FormulaReading.UNIVERSAL,
     formulas: Optional[list[tuple[Formula, Optional[Sort]]]] = None,
 ) -> bool:
-    """Whether ``i`` satisfies every formula of ``kb``.  A caller checking
-    many interpretations against one KB passes ``sorted_formulas(kb)`` as
-    ``formulas`` so sorts are inferred once."""
+    """Whether ``i`` satisfies every formula of ``kb`` (universal reading).
+    A caller checking many interpretations against one KB passes
+    ``sorted_formulas(kb)`` as ``formulas`` so sorts are inferred once."""
     if formulas is None:
         formulas = sorted_formulas(kb)
-    return all(satisfies_formula(i, f, reading, sort) for f, sort in formulas)
+    return all(satisfies_formula(i, f, sort=sort) for f, sort in formulas)
 
 
 # --- Text serialization ------------------------------------------------------

@@ -45,9 +45,10 @@ attribute cells:
 
 
 UNSAT_KB = "oconcept C; oindividual c1; C <= bot; C(c1);"
+EMPTY_C_KB = "oconcept C; oconcept D; C <= bot;"
 
-# the records output of every branch of `kedl oracle`; ABOX and UNSAT
-# name KB files, and {kb} stands for the file's path in the output
+# the records output of every branch of `kedl oracle`; ABOX, UNSAT and
+# EMPTY_C name KB files, and {kb} stands for the file's path in the output
 ORACLE_RECORDS = {
     "kb-model": (["--find-model", "ABOX", "--bounds", "2,2"], 0, """\
 kedl-report/1
@@ -152,6 +153,41 @@ bounds=1,1
 mode=at-most-one
 concept=some has-r A
 models=1
+"""),
+    # with a KB file, -c is read relative to its axioms
+    "kb-concept-none": (["--find-model", "-c", "C", "EMPTY_C", "--bounds", "2,2"], 1, """\
+kedl-report/1
+command=oracle
+bounds=2,2
+mode=at-most-one
+concept=C
+verdict=no-model-up-to-bound
+"""),
+    "kb-universal-none": (["--validity", "-c", "C => bot", "EMPTY_C", "--bounds", "2,2"], 0, """\
+kedl-report/1
+command=oracle
+bounds=2,2
+mode=at-most-one
+formula=C => bot
+verdict=no-countermodel-up-to-bound
+"""),
+    "kb-existential-none": (
+        ["--validity", "-c", "C => bot", "EMPTY_C", "--bounds", "2,2", "--reading", "paper-existential"], 0, """\
+kedl-report/1
+command=oracle
+bounds=2,2
+mode=at-most-one
+formula=C => bot
+verdict=no-countermodel-up-to-bound
+reading=paper-existential
+"""),
+    "kb-count": (["--count", "-c", "C", "EMPTY_C", "--bounds", "1,1"], 0, """\
+kedl-report/1
+command=oracle
+bounds=1,1
+mode=at-most-one
+concept=C
+models=0
 """),
 }
 
@@ -359,9 +395,11 @@ class TestOracle:
     @pytest.mark.parametrize("case", ORACLE_RECORDS)
     def test_records_of_every_branch(self, capsys, tmp_path, case):
         args, want_code, want = ORACLE_RECORDS[case]
-        unsat = tmp_path / "unsat.kedl"
-        unsat.write_text(UNSAT_KB, encoding="utf-8")
-        paths = {"ABOX": str(ABOX), "UNSAT": str(unsat)}
+        paths = {"ABOX": str(ABOX)}
+        for key, text in (("UNSAT", UNSAT_KB), ("EMPTY_C", EMPTY_C_KB)):
+            path = tmp_path / f"{key.lower()}.kedl"
+            path.write_text(text, encoding="utf-8")
+            paths[key] = str(path)
         code, out, _ = run(capsys, "oracle", *(paths.get(a, a) for a in args), "--format", "records")
         for path in paths.values():
             out = out.replace(path, "{kb}")

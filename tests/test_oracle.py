@@ -37,7 +37,7 @@ from kedl import (
     validate_interpretation,
 )
 from kedl import oracle
-from kedl.oracle import _ConceptObjective, _KbObjective, _Level, _orbit_choices, _used_symbols
+from kedl.oracle import _Level, _Objective, _orbit_choices, _used_symbols
 from kedl.oracle import _search_at as _unpatched_search_at
 from kedl.semantics import FunctionalityMode, interpretation_to_text
 from kedl.syntax import check_sort, subexprs
@@ -363,7 +363,7 @@ class TestIntervalSoundness:
                 isinstance(sub, (Exists, Forall)) and sub.role == R_INV for sub in subexprs(expr)
             )
             search = _Search(sig, 2, 2, mode, *used)
-            status = _ConceptObjective(expr, sort).compile(search)
+            status = _Objective(KnowledgeBase(sig=sig), expr, sort).compile(search)
             n_levels = len(search.levels)
             prefix = rng.randrange(n_levels + 1)
             _assign(search, range(prefix), rng)
@@ -389,7 +389,7 @@ class TestIntervalSoundness:
         for trial in range(400):
             small = trial >= 300
             kb = _small_kb(rng) if small else gen_kb(rng)
-            objective = _KbObjective(kb)
+            objective = _Objective(kb)
             used = _used_symbols(objective.concepts)
             search = _Search(kb.sig, 2, 2, MODES[trial % 3], *used)
             status = objective.compile(search)
@@ -432,10 +432,10 @@ class TestIncrementalValues:
             if trial % 2:
                 # gen_kb defines A2 through inv(r)
                 kb = gen_kb(rng)
-                goal_sig, objective = kb.sig, _KbObjective(kb)
+                goal_sig, objective = kb.sig, _Objective(kb)
             else:
                 sort = Sort.OBJECT if trial % 4 == 0 else Sort.ATTRIBUTE
-                goal_sig, objective = sig, _ConceptObjective(gen_nnf(rng, sort, 3), sort)
+                goal_sig, objective = sig, _Objective(KnowledgeBase(sig=sig), gen_nnf(rng, sort, 3), sort)
             used = _used_symbols(objective.concepts)
             inverse_trials += any(
                 isinstance(sub, (Exists, Forall)) and sub.role == R_INV
@@ -576,9 +576,9 @@ def _every_size(goal, bounds, sig=None, sort=None):
     """The model text find_model would return with no domain size skipped,
     and the number of sizes searched for it."""
     if isinstance(goal, KnowledgeBase):
-        sig, objective = goal.sig, _KbObjective(goal)
+        sig, objective = goal.sig, _Objective(goal)
     else:
-        objective = _ConceptObjective(goal, check_sort(goal, sig, expected=sort))
+        objective = _Objective(KnowledgeBase(sig=sig), goal, check_sort(goal, sig, expected=sort))
     used = _used_symbols(objective.concepts)
     searched = 0
     for d in range(1, bounds.max_delta + 1):

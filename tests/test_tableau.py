@@ -568,11 +568,48 @@ class TestOracleAgreement:
                 loose = is_satisfiable(e, kb, mode=FunctionalityMode.AT_MOST_ONE, sort=sort)
                 assert loose.satisfiable
 
+    @pytest.mark.parametrize("mode", list(FunctionalityMode), ids=str)
+    def test_no_model_verdicts_on_random_kbs_have_no_bounded_model(self, mode):
+        # every verdict that says no model exists -- an unsatisfiable query,
+        # a subsumption or an instance that holds -- is audited by the
+        # oracle on the same KB at (2,2); and find_model of a query w.r.t.
+        # a KB agrees with a model search of the KB plus a fresh individual
+        # asserted into the query
+        rng = random.Random(8)
+        bounds = Bounds(2, 2, mode)
+        audited = {"unsatisfiable": 0, "subsumes": 0, "instance_of": 0, "sat_found": 0}
+        for trial in range(120):
+            kb = gen_kb(rng) if trial % 2 else gen_atomic_gci_kb(rng)
+            tab = Tableau(kb, mode)
+            sort = Sort.OBJECT if trial % 4 < 2 else Sort.ATTRIBUTE
+            query = gen_nnf(rng, sort, 2)
+            found = isinstance(find_model(query, bounds, sort=sort, kb=kb), Model)
+            assert found == isinstance(find_model(_with_witness(kb, query, sort), bounds), Model)
+            if tab.is_satisfiable(query, sort=sort).satisfiable:
+                audited["sat_found"] += found
+            else:
+                assert not found
+                audited["unsatisfiable"] += 1
+            for _ in range(3):
+                sort = rng.choice([Sort.OBJECT, Sort.ATTRIBUTE])
+                atom = Atom(rng.choice(("C1", "C2") if sort is Sort.OBJECT else ("A1", "A2")))
+                sub, sup = And(atom, gen_nnf(rng, sort, 1)), gen_nnf(rng, sort, 1)
+                if tab.subsumes(sub, sup):
+                    assert not isinstance(find_model(And(sub, Not(sup)), bounds, sort=sort, kb=kb), Model)
+                    audited["subsumes"] += 1
+            for individual, sort in (("o1", Sort.OBJECT), ("u1", Sort.ATTRIBUTE)):
+                concept = gen_nnf(rng, sort, 1)
+                if tab.instance_of(individual, concept):
+                    refuting = _with_witness(kb, Not(concept), sort, individual)
+                    assert not isinstance(find_model(refuting, bounds), Model)
+                    audited["instance_of"] += 1
+        assert audited["unsatisfiable"] >= 60 and audited["sat_found"] >= 20
+        assert audited["subsumes"] >= 200 and audited["instance_of"] >= 150
+
     def test_random_kbs_with_gcis_and_definitions(self):
         # satisfiability w.r.t. a KB: whenever the oracle finds a bounded
-        # model of the KB plus a fresh witness individual, the tableau must
+        # model of the KB in which the query is non-empty, the tableau must
         # say satisfiable too
-        from kedl.kb import ConceptAssertion
         from kedl.syntax import subexprs
 
         rng = random.Random(424242)
@@ -590,16 +627,10 @@ class TestOracleAgreement:
             sort = rng.choice([Sort.OBJECT, Sort.ATTRIBUTE])
             query = gen_nnf(rng, sort, 2)
             mode = rng.choice([FunctionalityMode.AT_MOST_ONE, FunctionalityMode.EXACTLY_ONE])
-
-            witness_kb = KnowledgeBase(sig=sig.copy())
-            witness_kb.definitions = dict(kb.definitions)
-            witness_kb.inclusions = list(kb.inclusions)
-            witness_kb.sig.declare_individual("w0", sort)
-            witness_kb.abox = [ConceptAssertion(query, "w0")]
             # the drawn mode, then FREE on the same draw
             for each in (mode, FunctionalityMode.FREE):
                 sat = is_satisfiable(query, kb, mode=each, sort=sort)
-                if isinstance(find_model(witness_kb, Bounds(2, 2, each)), Model):
+                if isinstance(find_model(query, Bounds(2, 2, each), sort=sort, kb=kb), Model):
                     oracle_models[each] += 1
                     assert sat.satisfiable
         free = oracle_models.pop(FunctionalityMode.FREE)
@@ -609,8 +640,6 @@ class TestOracleAgreement:
     def test_random_kbs_with_atomic_gcis_in_every_mode(self):
         # the same one-way check over KBs whose inclusions the tableau mostly
         # absorbs, with the ABox kept, in all three modes including FREE
-        from kedl.kb import ConceptAssertion
-
         rng = random.Random(434343)
         oracle_models = {mode: 0 for mode in FunctionalityMode}
         for trial in range(150):
@@ -620,12 +649,20 @@ class TestOracleAgreement:
             mode = list(FunctionalityMode)[trial % 3]
 
             sat = is_satisfiable(query, kb, mode=mode, sort=sort)
-
-            witness_kb = KnowledgeBase(sig=kb.sig.copy(), definitions=dict(kb.definitions),
-                                       inclusions=list(kb.inclusions), abox=list(kb.abox))
-            witness_kb.sig.declare_individual("w0", sort)
-            witness_kb.abox.append(ConceptAssertion(query, "w0"))
-            if isinstance(find_model(witness_kb, Bounds(2, 2, mode)), Model):
+            if isinstance(find_model(query, Bounds(2, 2, mode), sort=sort, kb=kb), Model):
                 oracle_models[mode] += 1
                 assert sat.satisfiable
         assert min(oracle_models.values()) >= 8  # at-most-one 16, exactly-one 10, free 18
+
+
+def _with_witness(kb, concept, sort, individual="w0"):
+    """A copy of the KB that asserts the concept of the individual, which
+    is declared fresh, at the concept's sort, unless the KB has it."""
+    from kedl.kb import ConceptAssertion
+
+    out = KnowledgeBase(sig=kb.sig.copy(), definitions=dict(kb.definitions),
+                        inclusions=list(kb.inclusions), abox=list(kb.abox))
+    if individual not in out.sig.individuals:
+        out.sig.declare_individual(individual, sort)
+    out.abox.append(ConceptAssertion(concept, individual))
+    return out
