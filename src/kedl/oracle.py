@@ -15,8 +15,9 @@ the empty KB over its signature.
   depth-first loop that assigns one symbol slice per level (individuals,
   then atom extensions, then role successor rows) with interval-based
   pruning: a partial assignment is abandoned only when every completion is
-  already doomed.  Extensions are int bitmasks during the search (bit k is
-  element k) and become frozensets only in a found model.  The goal and
+  already doomed.  Extensions are the interpretation's own int bitmasks
+  (bit k is element k) and successor rows, so a found model is the
+  search's slots as they stand.  The goal and
   the KB are compiled once per domain size into a node table, one node
   per distinct subterm and sort, which an assign updates only where the
   changed slot is read (:class:`_Search`).  Every KB formula is one or
@@ -116,16 +117,6 @@ SatVerdict = Union[Model, NoModelUpToBound]
 ValidityVerdict = Union[Countermodel, NoCountermodelUpToBound]
 
 
-def _members(mask: int) -> frozenset[int]:
-    """The elements whose bits are set in ``mask`` (bit k is element k)."""
-    return frozenset(k for k in range(mask.bit_length()) if mask >> k & 1)
-
-
-def _subsets(n: int) -> list[frozenset[int]]:
-    """All subsets of range(n) in ascending bitmask order (empty set first)."""
-    return [_members(m) for m in range(1 << n)]
-
-
 def _cross_rows(s: int, mode: FunctionalityMode) -> Sequence[int]:
     """Successor-set choices (as masks) for one object element under a cross role."""
     if mode is FunctionalityMode.EXACTLY_ONE:
@@ -153,22 +144,17 @@ def _enumerate_at(sig: Signature, d: int, s: int, mode: FunctionalityMode) -> It
     roles = sorted(sig.roles)
     inds = sorted(sig.individuals)
 
-    axes: list[list] = []
-    axes.extend([_subsets(d)] * len(obj_atoms))
-    axes.extend([_subsets(s)] * len(attr_atoms))
+    axes: list[Sequence] = []
+    axes.extend([range(1 << d)] * len(obj_atoms))
+    axes.extend([range(1 << s)] * len(attr_atoms))
     for name in roles:
         kind = sig.roles[name]
         if kind is RoleKind.CROSS:  # one successor-set choice per object element
-            per_row = [_members(m) for m in _cross_rows(s, mode)]
-            axes.append([
-                frozenset((x, u) for x, row in enumerate(combo) for u in row)
-                for combo in itertools.product(per_row, repeat=d)
-            ])
-        else:
+            axes.append(list(itertools.product(_cross_rows(s, mode), repeat=d)))
+        else:  # bit a*size + b of m is the pair (a, b), so row a is a slice of m
             size = d if kind is RoleKind.OBJ_OBJ else s
-            pairs = [(a, b) for a in range(size) for b in range(size)]
-            axes.append([frozenset(pairs[k] for k in range(len(pairs)) if m >> k & 1)
-                         for m in range(1 << len(pairs))])
+            full = (1 << size) - 1
+            axes.append([tuple(m >> a * size & full for a in range(size)) for m in range(1 << size * size)])
     for name in inds:
         axes.append(list(range(d if sig.individuals[name] is Sort.OBJECT else s)))
 
@@ -613,16 +599,11 @@ class _Search:
     # -- assembling interpretations ----------------------------------------
 
     def build(self) -> Interpretation:
-        concept_ext = {n: _members(x or 0) for n, x in self.atom_ext.items()}
-        role_ext = {}
-        for name, rows in self.role_rows.items():
-            role_ext[name] = frozenset(
-                (x, y) for x, row in enumerate(rows) if row is not None for y in _members(row)
-            )
-        ind_map = {n: (v if v is not None else 0) for n, v in self.inds.items()}
+        """The interpretation of the slots, which are all assigned."""
         return Interpretation(
-            sig=self.sig, n_delta=self.d, n_sigma=self.s,
-            concept_ext=concept_ext, role_ext=role_ext, ind_map=ind_map, mode=self.mode,
+            sig=self.sig, n_delta=self.d, n_sigma=self.s, concept_ext=dict(self.atom_ext),
+            role_ext={name: tuple(rows) for name, rows in self.role_rows.items()},
+            ind_map=dict(self.inds), mode=self.mode,
         )
 
     def complete_with_defaults(self, level_idx: int) -> None:

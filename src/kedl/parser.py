@@ -275,12 +275,18 @@ def parse_concept(text: str, sig: Signature) -> ConceptExpr:
 # --- Signature inference for bare concepts -----------------------------------
 
 
+class _Overruled(Exception):
+    """A use with an object operand needs a cross role to be an object role."""
+
+
 def parse_concept_with_inference(text: str) -> tuple[ConceptExpr, Signature]:
     """Parse a concept with no declarations, inferring a signature.
 
     Best-effort defaults: a quantified role whose kind is not forced by its
     operand becomes a cross role, and atoms whose sort is never forced are
-    object atoms.  Use an explicit signature when that is not what you mean.
+    object atoms.  A use with an object operand overrules a role's cross
+    kind, and inference starts again with it an object role.  Use an
+    explicit signature when that is not what you mean.
     """
     s = _Stream(tokenize(text))
     proto = _parse_concept(s, sig=None)
@@ -288,8 +294,7 @@ def parse_concept_with_inference(text: str) -> tuple[ConceptExpr, Signature]:
     if extra is not None:
         raise ParseError(f"trailing input: {extra.text!r}", extra.line, extra.col)
 
-    atoms: dict[str, Optional[Sort]] = {}
-    kinds: dict[str, RoleKind] = {}
+    overruled: set[str] = set()  # roles an earlier pass found must be object roles
 
     def assign(e: ConceptExpr, sort: Sort) -> None:
         if isinstance(e, Atom):
@@ -332,19 +337,28 @@ def parse_concept_with_inference(text: str) -> tuple[ConceptExpr, Signature]:
                 return Sort.ATTRIBUTE
             if name in kinds:
                 kind = kinds[name]
-            elif child is Sort.OBJECT:
+            elif child is Sort.OBJECT or name in overruled:
                 kind = RoleKind.OBJ_OBJ
             else:
                 kind = RoleKind.CROSS  # attribute or undecided operand
             kinds[name] = kind
             want = RoleName(name, kind).target_sort
             if child is not None and child is not want:
+                if kind is RoleKind.CROSS and name not in overruled:
+                    raise _Overruled(name)
                 raise SortError(f"role {name} used with two kinds")
             assign(e.expr, want)
             return RoleName(name, kind).source_sort
         raise KedlError(f"unknown concept node: {e!r}")
 
-    walk(proto)
+    while True:  # one pass per overruled role; assign and walk read this pass's dicts
+        atoms: dict[str, Optional[Sort]] = {}
+        kinds: dict[str, RoleKind] = {}
+        try:
+            walk(proto)
+            break
+        except _Overruled as err:
+            overruled.add(err.args[0])
 
     sig = Signature()
     for name, kind in kinds.items():

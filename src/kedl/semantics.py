@@ -6,21 +6,23 @@ every declared individual.  Elements are dense indices: the object domain is
 ``range(n_delta)`` and the attribute domain ``range(n_sigma)``; the text
 serialization names them ``x1..xn`` and ``u1..un``.
 
+A set of elements is an int bitmask, bit k standing for element k: an
+atom's extension is one mask, a role's extension one mask of successors per
+element of its source domain (a row), and a concept evaluates to a mask.
+
 Cross roles are functional: under AT_MOST_ONE every object element has at
 most one successor per cross role, under EXACTLY_ONE exactly one.  FREE
 drops the constraint entirely (an escape hatch for the bounded model search,
 so the effect of functionality itself can be measured).
 
-Inverse cross-role extensions are never stored; they are computed from the
-base role by flipping pairs.
+Inverse cross-role extensions are never stored; they are read from the
+base role's rows.
 """
 
 from __future__ import annotations
 
 import enum
-from collections import Counter
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Iterable, Optional
 
 from .kb import (
@@ -46,7 +48,6 @@ from .syntax import (
     Not,
     Or,
     RoleKind,
-    RoleName,
     Signature,
     Sort,
     Top,
@@ -75,36 +76,23 @@ class FormulaReading(enum.Enum):
     LITERAL_EXISTENTIAL = "paper-existential"
 
 
-@lru_cache(maxsize=64)
-def _elements(n: int) -> frozenset[int]:
-    """``frozenset(range(n))``, built once per size rather than per use."""
-    return frozenset(range(n))
-
-
 @dataclass
 class Interpretation:
-    sig: Signature
+    sig: Signature = field(compare=False)
     n_delta: int
     n_sigma: int
-    concept_ext: dict[str, frozenset[int]] = field(default_factory=dict)
-    role_ext: dict[str, frozenset[tuple[int, int]]] = field(default_factory=dict)
+    concept_ext: dict[str, int] = field(default_factory=dict)
+    role_ext: dict[str, tuple[int, ...]] = field(default_factory=dict)  # row x: successors of x
     ind_map: dict[str, int] = field(default_factory=dict)
     mode: FunctionalityMode = FunctionalityMode.AT_MOST_ONE
 
-    def domain(self, sort: Sort) -> frozenset[int]:
-        return _elements(self.n_delta if sort is Sort.OBJECT else self.n_sigma)
+    def size(self, sort: Sort) -> int:
+        """The number of elements of the sort's domain."""
+        return self.n_delta if sort is Sort.OBJECT else self.n_sigma
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Interpretation):
-            return NotImplemented
-        return (
-            self.n_delta == other.n_delta
-            and self.n_sigma == other.n_sigma
-            and self.concept_ext == other.concept_ext
-            and self.role_ext == other.role_ext
-            and self.ind_map == other.ind_map
-            and self.mode == other.mode
-        )
+    def domain(self, sort: Sort) -> int:
+        """The mask of every element of the sort's domain."""
+        return (1 << self.size(sort)) - 1
 
 
 def validate_interpretation(i: Interpretation) -> list[str]:
@@ -120,25 +108,28 @@ def validate_interpretation(i: Interpretation) -> list[str]:
         if ext is None:
             out.append(f"missing extension for atom {name}")
             continue
-        dom = i.domain(i.sig.atom_sort(name))
-        if not ext <= dom:
-            out.append(f"extension of {name} leaves its domain: {sorted(ext - dom)}")
+        outside = ext & ~i.domain(i.sig.atom_sort(name))
+        if outside:
+            out.append(f"extension of {name} leaves its domain: {_bits(outside)}")
 
     for name in sorted(i.sig.roles):
         kind = i.sig.roles[name]
-        pairs = i.role_ext.get(name)
-        if pairs is None:
+        rows = i.role_ext.get(name)
+        if rows is None:
             out.append(f"missing extension for role {name}")
             continue
-        src_dom = i.domain(RoleName(name, kind).source_sort)
-        dst_dom = i.domain(RoleName(name, kind).target_sort)
-        for a, b in sorted(pairs):
-            if a not in src_dom or b not in dst_dom:
-                out.append(f"role {name} pair ({a},{b}) leaves its signature")
+        n_src = i.size(kind.source)
+        for a in range(len(rows), n_src):
+            out.append(f"role {name} has no row for {_el(kind.source, a)}")
+        for a in range(n_src, len(rows)):
+            out.append(f"role {name} has a row for {_el(kind.source, a)} outside its domain")
+        dst_dom = i.domain(kind.target)
+        for a, row in enumerate(rows):
+            for b in _bits(row & ~dst_dom):
+                out.append(f"role {name} pair ({_el(kind.source, a)},{_el(kind.target, b)}) leaves its signature")
         if kind is RoleKind.CROSS and i.mode is not FunctionalityMode.FREE:
-            successors = Counter(a for (a, _) in pairs)
-            for x in range(i.n_delta):
-                n_succ = successors[x]
+            for x, row in enumerate(rows[:n_src]):
+                n_succ = row.bit_count()
                 if n_succ > 1:
                     out.append(f"cross role {name} has {n_succ} successors at x{x + 1}")
                 if i.mode is FunctionalityMode.EXACTLY_ONE and n_succ == 0:
@@ -147,23 +138,24 @@ def validate_interpretation(i: Interpretation) -> list[str]:
     for ind, sort in sorted(i.sig.individuals.items()):
         if ind not in i.ind_map:
             out.append(f"unmapped individual {ind}")
-        elif i.ind_map[ind] not in i.domain(sort):
+        elif not 0 <= i.ind_map[ind] < i.size(sort):
             out.append(f"individual {ind} mapped outside its domain")
     return out
 
 
-def role_pairs(i: Interpretation, role: RoleName) -> frozenset[tuple[int, int]]:
-    """Extension of a role reference; inverses are derived, never stored."""
-    if role.name not in i.role_ext:
-        raise KedlError(f"no extension stored for role {role.name}")
-    pairs = i.role_ext[role.name]
-    if role.kind is RoleKind.CROSS_INVERSE:
-        return frozenset((u, x) for (x, u) in pairs)
-    return pairs
+def _bits(mask: int) -> list[int]:
+    """The elements whose bits are set in ``mask``, ascending."""
+    return [k for k in range(mask.bit_length()) if mask >> k & 1]
 
 
-def extension(e: ConceptExpr, i: Interpretation, sort: Optional[Sort] = None) -> frozenset[int]:
-    """The element set denoted by ``e`` in ``i``.
+def _rows(i: Interpretation, name: str) -> tuple[int, ...]:
+    if name not in i.role_ext:
+        raise KedlError(f"no extension stored for role {name}")
+    return i.role_ext[name]
+
+
+def extension(e: ConceptExpr, i: Interpretation, sort: Optional[Sort] = None) -> int:
+    """The mask of the elements denoted by ``e`` in ``i``.
 
     ``sort`` resolves polymorphic expressions (bare ``top``/``bot``); by
     default it is inferred, defaulting to object sort.  Arrows are evaluated
@@ -174,7 +166,7 @@ def extension(e: ConceptExpr, i: Interpretation, sort: Optional[Sort] = None) ->
     return _ext(e, i, sort)
 
 
-def _ext(e: ConceptExpr, i: Interpretation, sort: Sort) -> frozenset[int]:
+def _ext(e: ConceptExpr, i: Interpretation, sort: Sort) -> int:
     if isinstance(e, Atom):
         if e.name not in i.concept_ext:
             raise KedlError(f"no extension stored for atom {e.name}")
@@ -184,25 +176,31 @@ def _ext(e: ConceptExpr, i: Interpretation, sort: Sort) -> frozenset[int]:
     if isinstance(e, Or):
         return _ext(e.left, i, sort) | _ext(e.right, i, sort)
     if isinstance(e, (Exists, Forall)):
-        pairs = role_pairs(i, e.role)
-        child = _ext(e.expr, i, e.role.target_sort)
-        src_dom = i.domain(e.role.source_sort)
-        if isinstance(e, Exists):  # the sources of pairs into child
-            return src_dom & {a for (a, b) in pairs if b in child}
-        return src_dom - {a for (a, b) in pairs if b not in child}  # no pair leaving child
+        role, some = e.role, isinstance(e, Exists)
+        inverse, rows = role.kind is RoleKind.CROSS_INVERSE, _rows(i, role.name)
+        child = _ext(e.expr, i, role.target_sort)
+        # the sources with a successor in child (some) or outside it (not
+        # in all); for inv(r), those are the successors of the r-sources
+        # in or outside child
+        marked = 0
+        for x, row in enumerate(rows):
+            if inverse:
+                if (child >> x & 1) == some:
+                    marked |= row
+            elif row & (child if some else ~child):
+                marked |= 1 << x
+        src_dom = i.domain(role.source_sort)
+        return src_dom & marked if some else src_dom & ~marked
     if isinstance(e, Top):
         return i.domain(sort)
     if isinstance(e, Bot):
-        return frozenset()
+        return 0
     if isinstance(e, Not):
-        return i.domain(sort) - _ext(e.expr, i, sort)
+        return i.domain(sort) & ~_ext(e.expr, i, sort)
     if isinstance(e, Implies):
-        return (i.domain(sort) - _ext(e.left, i, sort)) | _ext(e.right, i, sort)
+        return i.domain(sort) & ~_ext(e.left, i, sort) | _ext(e.right, i, sort)
     if isinstance(e, Iff):
-        dom = i.domain(sort)
-        left = _ext(e.left, i, sort)
-        right = _ext(e.right, i, sort)
-        return (left & right) | ((dom - left) & (dom - right))
+        return i.domain(sort) & ~(_ext(e.left, i, sort) ^ _ext(e.right, i, sort))
     raise KedlError(f"unknown concept node: {e!r}")
 
 
@@ -211,12 +209,16 @@ def satisfies_assertion(i: Interpretation, a: Assertion) -> bool:
         if a.individual not in i.ind_map:
             raise KedlError(f"unmapped individual: {a.individual}")
         sort = i.sig.individuals.get(a.individual)
-        return i.ind_map[a.individual] in extension(a.concept, i, sort)
+        return bool(extension(a.concept, i, sort) >> i.ind_map[a.individual] & 1)
     if isinstance(a, RoleAssertion):
         for ind in (a.source, a.target):
             if ind not in i.ind_map:
                 raise KedlError(f"unmapped individual: {ind}")
-        return (i.ind_map[a.source], i.ind_map[a.target]) in role_pairs(i, a.role)
+        src, dst = i.ind_map[a.source], i.ind_map[a.target]
+        if a.role.kind is RoleKind.CROSS_INVERSE:
+            src, dst = dst, src
+        rows = _rows(i, a.role.name)
+        return src < len(rows) and bool(rows[src] >> dst & 1)
     raise KedlError(f"unknown assertion: {a!r}")
 
 
@@ -237,14 +239,14 @@ def satisfies_formula(
     right = extension(f.right, i, sort)
     if reading is FormulaReading.UNIVERSAL:
         if isinstance(f, Inclusion):
-            return left <= right
+            return not left & ~right
         return left == right
     # literal existential reading: a witness element satisfies the
     # conditional (or, for equivalences, both conditionals)
     dom = i.domain(sort)
     if isinstance(f, Inclusion):
-        return len(dom - (left - right)) > 0
-    return len((left & right) | (dom - (left | right))) > 0
+        return bool(dom & ~(left & ~right))
+    return bool(dom & ~(left ^ right))
 
 
 def sorted_formulas(kb: KnowledgeBase) -> list[tuple[Formula, Optional[Sort]]]:
@@ -292,13 +294,13 @@ def interpretation_to_text(i: Interpretation) -> str:
     ]
     for name in sorted(i.sig.object_atoms) + sorted(i.sig.attribute_atoms):
         sort = i.sig.atom_sort(name)
-        members = ", ".join(_el(sort, k) for k in sorted(i.concept_ext.get(name, frozenset())))
+        members = ", ".join(_el(sort, k) for k in _bits(i.concept_ext.get(name, 0)))
         lines.append(f"{name} = {{{members}}};")
     for name in sorted(i.sig.roles):
         kind = i.sig.roles[name]
-        src, dst = RoleName(name, kind).source_sort, RoleName(name, kind).target_sort
         pairs = ", ".join(
-            f"({_el(src, a)},{_el(dst, b)})" for a, b in sorted(i.role_ext.get(name, frozenset()))
+            f"({_el(kind.source, a)},{_el(kind.target, b)})"
+            for a, row in enumerate(i.role_ext.get(name, ())) for b in _bits(row)
         )
         lines.append(f"{name} = {{{pairs}}};")
     for ind in sorted(i.sig.individuals):
@@ -311,14 +313,18 @@ class ModelFormatError(KedlError):
     pass
 
 
-def _parse_el(token: str, expect: Optional[Sort] = None) -> tuple[Sort, int]:
+def _parse_el(token: str, expect: Sort, i: Interpretation) -> int:
+    """The index of a named element of sort ``expect`` in ``i``'s domains."""
     token = token.strip()
     if not token or token[0] not in "xu" or not token[1:].isdigit():
         raise ModelFormatError(f"bad element name: {token!r}")
     sort = Sort.OBJECT if token[0] == "x" else Sort.ATTRIBUTE
-    if expect is not None and sort is not expect:
+    if sort is not expect:
         raise ModelFormatError(f"element {token} has the wrong sort")
-    return sort, int(token[1:]) - 1
+    k = int(token[1:]) - 1
+    if not 0 <= k < i.size(sort):
+        raise ModelFormatError(f"element {token} is outside the declared {sort} domain")
+    return k
 
 
 def interpretation_from_text(
@@ -326,11 +332,9 @@ def interpretation_from_text(
     sig: Signature,
     mode: FunctionalityMode = FunctionalityMode.AT_MOST_ONE,
 ) -> Interpretation:
-    n_delta = n_sigma = 0
-    concept_ext: dict[str, frozenset[int]] = {}
-    role_ext: dict[str, frozenset[tuple[int, int]]] = {}
-    ind_map: dict[str, int] = {}
-
+    """Read the text format; the domain lines come first, as written, and
+    every element must lie in its declared domain."""
+    i = Interpretation(sig=sig, n_delta=0, n_sigma=0, mode=mode)
     for raw in text.splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -339,17 +343,15 @@ def interpretation_from_text(
             raise ModelFormatError(f"missing ';' in line: {raw!r}")
         line = line[:-1].strip()
         if line.startswith("delta:"):
-            names = line[len("delta:"):].split()
-            n_delta = len(names)
+            i.n_delta = len(line[len("delta:"):].split())
         elif line.startswith("sigma:"):
-            names = line[len("sigma:"):].split()
-            n_sigma = len(names)
+            i.n_sigma = len(line[len("sigma:"):].split())
         elif line.startswith("ind "):
             lhs, _, rhs = line[4:].partition("=")
             name = lhs.strip()
             if name not in sig.individuals:
                 raise ModelFormatError(f"undeclared individual: {name}")
-            ind_map[name] = _parse_el(rhs, sig.individuals[name])[1]
+            i.ind_map[name] = _parse_el(rhs, sig.individuals[name], i)
         else:
             lhs, _, rhs = line.partition("=")
             name = lhs.strip()
@@ -359,33 +361,24 @@ def interpretation_from_text(
             body = rhs[1:-1].strip()
             if sig.has_atom(name):
                 sort = sig.atom_sort(name)
-                members = frozenset(
-                    _parse_el(tok, sort)[1] for tok in body.split(",") if tok.strip()
-                )
-                concept_ext[name] = members
+                mask = 0
+                for tok in body.split(","):
+                    if tok.strip():
+                        mask |= 1 << _parse_el(tok, sort, i)
+                i.concept_ext[name] = mask
             elif name in sig.roles:
-                role = RoleName(name, sig.roles[name])
-                pairs = set()
-                for chunk in _split_pairs(body):
-                    a, b = chunk
-                    pairs.add((_parse_el(a, role.source_sort)[1], _parse_el(b, role.target_sort)[1]))
-                role_ext[name] = frozenset(pairs)
+                kind = sig.roles[name]
+                rows = [0] * i.size(kind.source)
+                for a, b in _split_pairs(body):
+                    rows[_parse_el(a, kind.source, i)] |= 1 << _parse_el(b, kind.target, i)
+                i.role_ext[name] = tuple(rows)
             else:
                 raise ModelFormatError(f"undeclared name in model: {name}")
 
-    i = Interpretation(
-        sig=sig,
-        n_delta=n_delta,
-        n_sigma=n_sigma,
-        concept_ext=concept_ext,
-        role_ext=role_ext,
-        ind_map=ind_map,
-        mode=mode,
-    )
     for name in sig.object_atoms | sig.attribute_atoms:
-        i.concept_ext.setdefault(name, frozenset())
-    for name in sig.roles:
-        i.role_ext.setdefault(name, frozenset())
+        i.concept_ext.setdefault(name, 0)
+    for name, kind in sig.roles.items():
+        i.role_ext.setdefault(name, (0,) * i.size(kind.source))
     return i
 
 

@@ -556,19 +556,19 @@ class Tableau:
             blocker = self._blocker(g, g.nodes[nid])
             return nid if blocker is None else blocker.id
 
-        concept_ext: dict[str, frozenset[int]] = {}
+        concept_ext: dict[str, int] = {}
         for name, sort in self._primitive:
             atom = self.concepts.ids.get((Atom, name))
-            concept_ext[name] = frozenset(
-                index[n.id] for n in elements if n.sort is sort and atom in n.label)
+            concept_ext[name] = sum(1 << index[n.id] for n in elements if n.sort is sort and atom in n.label)
 
-        role_ext: dict[str, frozenset[tuple[int, int]]] = {}
-        for role_name in self.sig.roles:
-            pairs = set()
+        role_ext: dict[str, tuple[int, ...]] = {}
+        for role_name, kind in self.sig.roles.items():
+            rows = [0] * (n_delta if kind.source is Sort.OBJECT else n_sigma)
             for node in elements:
-                for target in g.successors(node.id, role_name):
-                    pairs.add((index[node.id], index[resolve(target)]))
-            role_ext[role_name] = frozenset(pairs)
+                if node.sort is kind.source:
+                    for target in g.successors(node.id, role_name):
+                        rows[index[node.id]] |= 1 << index[resolve(target)]
+            role_ext[role_name] = tuple(rows)
 
         ind_map = {name: index[nid] for name, nid in g.ind_node.items()}
 

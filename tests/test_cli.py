@@ -256,6 +256,19 @@ class TestSat:
         code, out, _ = run(capsys, "sat", "-c", "some has-r A")
         assert code == 0
 
+    def test_inference_overrules_a_defaulted_cross_role(self, capsys):
+        # the inner "some p C" alone would make p a cross role; the outer
+        # use, with an object operand, makes it an object role
+        code, out, err = run(capsys, "sat", "-c", "some p some p C", "--format", "records")
+        assert (code, err) == (0, "")
+        assert "verdict=satisfiable" in out
+        assert "p = {(x1,x2), (x2,x3)};" in out
+
+    def test_inference_keeps_a_real_kind_clash(self, capsys):
+        code, _, err = run(capsys, "sat", "-c", "some inv(p) C and some p some p C")
+        assert code == 2
+        assert "role p used with two kinds" in err
+
     def test_inline_signature(self, capsys):
         code, out, _ = run(
             capsys, "sat", "-c", "some p C and all p (not C)",

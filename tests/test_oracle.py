@@ -39,6 +39,7 @@ from kedl import (
 from kedl import oracle
 from kedl.oracle import _Level, _Objective, _orbit_choices, _used_symbols
 from kedl.oracle import _search_at as _unpatched_search_at
+from kedl.parser import parse_signature
 from kedl.semantics import FunctionalityMode, interpretation_to_text
 from kedl.syntax import check_sort, subexprs
 
@@ -81,24 +82,42 @@ def small_sig(*, obj_atoms=(), attr_atoms=(), roles=()):
     return sig
 
 
+ENUMERATION_SIG = "oconcept C; aconcept A; orole p; arole q; xrole r;"
+_INDIVIDUALS = " oindividual a; aindividual b;"
+_AT_MOST_ONE, _EXACTLY_ONE, _FREE = MODES
+
+# sha256 over interpretation_to_text of every enumerated interpretation, in
+# order: any change to the order or to one interpretation shows here
+ENUMERATION_DIGESTS = [
+    (Bounds(2, 2, _AT_MOST_ONE), "", "b74d8c9e81de4f2574c92a5e7e12f85d68e385da8ad43852ae982fca4ca25a26"),
+    (Bounds(2, 2, _EXACTLY_ONE), "", "a07a2f464a0af37e943fe79afb71f26158f985789948c784b88c75c6c546d3a8"),
+    (Bounds(2, 1, _AT_MOST_ONE), _INDIVIDUALS, "1051220267fddeb8fd7f94bb82d2975d47abb3ca7f34132284262f5b80df68e4"),
+    (Bounds(1, 2, _AT_MOST_ONE), _INDIVIDUALS, "add349ce175ded283f059782c94a30abf5c0a3b793bf29ae71f0066588896c84"),
+    (Bounds(2, 1, _EXACTLY_ONE), _INDIVIDUALS, "66a25c4721bcf735c9d63b27506a99d2e446e6f2ea9ba7265e772df3e3b4159c"),
+    (Bounds(1, 2, _EXACTLY_ONE), _INDIVIDUALS, "b7f2826d5ee92e49fda21ed7523842cb76c81b87279d6840307b5c427931f144"),
+    (Bounds(2, 1, _FREE), _INDIVIDUALS, "1051220267fddeb8fd7f94bb82d2975d47abb3ca7f34132284262f5b80df68e4"),
+    (Bounds(1, 2, _FREE), _INDIVIDUALS, "39ca97d4551567ef7376cbcac80fb683fd2a5a4898ecd5ef7ef06900c99844cd"),
+]
+
+
 class TestEnumeration:
     def test_single_object_atom_at_1_1(self):
         sig = small_sig(obj_atoms=("C",))
         interps = list(enumerate_interpretations(sig, Bounds(1, 1)))
         assert len(interps) == 2
-        assert {i.concept_ext["C"] for i in interps} == {frozenset(), frozenset({0})}
+        assert {i.concept_ext["C"] for i in interps} == {0, 0b1}
 
     def test_cross_role_choices_at_most_one(self):
         sig = small_sig(roles=(("r", RoleKind.CROSS),))
         interps = list(enumerate_interpretations(sig, Bounds(1, 1)))
-        assert [i.role_ext["r"] for i in interps] == [frozenset(), frozenset({(0, 0)})]
+        assert [i.role_ext["r"] for i in interps] == [(0,), (0b1,)]
 
     def test_cross_role_choices_exactly_one(self):
         sig = small_sig(roles=(("r", RoleKind.CROSS),))
         interps = list(
             enumerate_interpretations(sig, Bounds(1, 1, FunctionalityMode.EXACTLY_ONE))
         )
-        assert [i.role_ext["r"] for i in interps] == [frozenset({(0, 0)})]
+        assert [i.role_ext["r"] for i in interps] == [(0b1,)]
 
     @pytest.mark.parametrize("d,s", [(1, 1), (2, 1), (1, 2), (2, 2)])
     def test_count_formula_per_domain_sizes(self, d, s):
@@ -127,13 +146,23 @@ class TestEnumeration:
         second = [interpretation_key(i) for i in enumerate_interpretations(sig, Bounds(2, 2))]
         assert first == second
 
+    @pytest.mark.parametrize("bounds,individuals,digest", ENUMERATION_DIGESTS)
+    def test_order_is_pinned(self, bounds, individuals, digest):
+        # the first countermodel of the paper-existential reading is the
+        # first interpretation in this order that fails the formula
+        sig = parse_signature(ENUMERATION_SIG + individuals)
+        h = hashlib.sha256()
+        for i in enumerate_interpretations(sig, bounds):
+            h.update(interpretation_to_text(i).encode())
+        assert h.hexdigest() == digest
+
 
 def interpretation_key(i):
     return (
         i.n_delta,
         i.n_sigma,
-        tuple(sorted((k, tuple(sorted(v))) for k, v in i.concept_ext.items())),
-        tuple(sorted((k, tuple(sorted(v))) for k, v in i.role_ext.items())),
+        tuple(sorted(i.concept_ext.items())),
+        tuple(sorted(i.role_ext.items())),
     )
 
 
@@ -328,10 +357,6 @@ def _small_kb(rng):
     return kb
 
 
-def _decode(mask):
-    return {k for k in range(mask.bit_length()) if mask >> k & 1}
-
-
 def _assign(search, levels, rng):
     for idx in levels:
         search.assign(idx, rng.choice(search.levels[idx].choices))
@@ -367,12 +392,12 @@ class TestIntervalSoundness:
             n_levels = len(search.levels)
             prefix = rng.randrange(n_levels + 1)
             _assign(search, range(prefix), rng)
-            lower, upper = map(_decode, search.vals[search.node(expr, sort)])
+            lower, upper = search.vals[search.node(expr, sort)]
             for _ in range(8):
                 _assign(search, range(prefix, n_levels), rng)
                 i = search.build()
                 exact = extension(expr, i, sort)
-                assert lower <= exact <= upper
+                assert lower & ~exact == 0 and exact & ~upper == 0
                 assert all(lb == ub for lb, ub in search.vals)
                 assert status() is bool(exact)
         assert inverse_trials >= 20
@@ -652,7 +677,7 @@ class TestDomainSizeSkip:
         goal = And(Atom("C1"), Exists(P, Not(Atom("C1"))))
         assert self.check(visited, goal, bounds, sig) == [(1, 1), (2, 1)]
         model = find_model(goal, bounds, sig=sig).interpretation
-        assert model.role_ext["r"] == {(0, 0), (1, 0)}
+        assert model.role_ext["r"] == (0b1, 0b1)  # x1 -> u1, x2 -> u1
 
     def test_random_goals_match_the_unskipped_search(self, visited):
         sig = diff_signature()
@@ -691,7 +716,7 @@ class TestCheckValidity:
         i = verdict.interpretation
         succ_in = extension(Exists(P, Atom("C1")), i)
         succ_all = extension(Forall(P, Atom("C1")), i)
-        assert succ_in - succ_all
+        assert succ_in & ~succ_all
 
     def test_duality_with_find_model(self):
         sig = diff_signature()

@@ -3,6 +3,8 @@
 import random
 from itertools import islice
 
+import pytest
+
 from kedl import (
     Atom,
     Equivalence,
@@ -25,7 +27,7 @@ from kedl import (
 )
 from kedl.kb import ConceptAssertion, RoleAssertion
 from kedl.oracle import Bounds, enumerate_interpretations
-from kedl.semantics import FormulaReading, FunctionalityMode, role_pairs
+from kedl.semantics import FormulaReading, FunctionalityMode, ModelFormatError
 from kedl.syntax import And, desugar, to_nnf
 
 from generators import P, Q, R, R_INV, diff_signature, gen_concept, gen_nnf
@@ -43,8 +45,8 @@ def hand_model() -> Interpretation:
         sig=sig,
         n_delta=1,
         n_sigma=2,
-        concept_ext={"Tunnel": frozenset({0}), "Length": frozenset({1})},
-        role_ext={"has-length": frozenset({(0, 1)})},
+        concept_ext={"Tunnel": 0b1, "Length": 0b10},
+        role_ext={"has-length": (0b10,)},  # x1 -> u2
         ind_map={"tunnel1": 0, "len1": 1},
     )
 
@@ -55,15 +57,15 @@ class TestValidation:
 
     def test_functionality_breach_detected(self):
         i = hand_model()
-        i.role_ext["has-length"] = frozenset({(0, 0), (0, 1)})
+        i.role_ext["has-length"] = (0b11,)
         problems = validate_interpretation(i)
         assert any("has-length" in p and "x1" in p for p in problems)
 
     def test_empty_object_domain_detected(self):
         i = hand_model()
         i.n_delta = 0
-        i.concept_ext["Tunnel"] = frozenset()
-        i.role_ext["has-length"] = frozenset()
+        i.concept_ext["Tunnel"] = 0
+        i.role_ext["has-length"] = ()
         i.ind_map["tunnel1"] = 0
         assert any("non-empty" in p for p in validate_interpretation(i))
 
@@ -71,37 +73,63 @@ class TestValidation:
         i = hand_model()
         i.mode = FunctionalityMode.EXACTLY_ONE
         assert validate_interpretation(i) == []
-        i.role_ext["has-length"] = frozenset()
+        i.role_ext["has-length"] = (0,)
         assert any("no successor" in p for p in validate_interpretation(i))
 
     def test_free_mode_drops_functionality(self):
         i = hand_model()
         i.mode = FunctionalityMode.FREE
-        i.role_ext["has-length"] = frozenset({(0, 0), (0, 1)})
+        i.role_ext["has-length"] = (0b11,)
         assert validate_interpretation(i) == []
+
+    def test_one_row_per_source_element(self):
+        i = hand_model()
+        i.role_ext["has-length"] = (0b10, 0b01)
+        assert validate_interpretation(i) == ["role has-length has a row for x2 outside its domain"]
+        i.role_ext["has-length"] = ()
+        assert validate_interpretation(i) == ["role has-length has no row for x1"]
+
+    def test_row_bit_past_the_target_domain(self):
+        i = hand_model()
+        i.role_ext["has-length"] = (0b100,)
+        assert validate_interpretation(i) == ["role has-length pair (x1,u3) leaves its signature"]
+
+    def test_two_successors_on_a_later_cross_row(self):
+        i = hand_model()
+        i.n_delta = 2
+        i.role_ext["has-length"] = (0b10, 0b11)
+        assert validate_interpretation(i) == ["cross role has-length has 2 successors at x2"]
+
+    def test_exactly_one_needs_a_successor_on_every_row(self):
+        i = hand_model()
+        i.n_delta = 2
+        i.mode = FunctionalityMode.EXACTLY_ONE
+        i.role_ext["has-length"] = (0b10, 0)
+        assert validate_interpretation(i) == ["cross role has-length has no successor at x2"]
 
 
 class TestExtension:
     def test_top_is_the_domain(self):
         i = hand_model()
-        assert extension(Top(), i, Sort.OBJECT) == frozenset({0})
-        assert extension(Top(), i, Sort.ATTRIBUTE) == frozenset({0, 1})
+        assert extension(Top(), i, Sort.OBJECT) == 0b1
+        assert extension(Top(), i, Sort.ATTRIBUTE) == 0b11
 
     def test_contradiction_is_empty(self):
         i = hand_model()
         expr = And(Atom("Tunnel"), Not(Atom("Tunnel")))
-        assert extension(expr, i) == frozenset()
+        assert extension(expr, i) == 0
 
     def test_cross_existential(self):
         i = hand_model()
         role = i.sig.role("has-length")
-        assert extension(Exists(role, Atom("Length")), i) == frozenset({0})
+        assert extension(Exists(role, Atom("Length")), i) == 0b1
 
     def test_inverse_extension_is_derived(self):
         i = hand_model()
         inv = i.sig.role("has-length", inverted=True)
-        assert role_pairs(i, inv) == frozenset({(1, 0)})
-        assert extension(Exists(inv, Atom("Tunnel")), i) == frozenset({1})
+        # u2 is x1's successor; u1 is no element's
+        assert extension(Exists(inv, Atom("Tunnel")), i) == 0b10
+        assert extension(Forall(inv, Not(Atom("Tunnel"))), i) == 0b01
 
     def test_extension_stays_in_domain(self):
         sig = diff_signature()
@@ -112,7 +140,7 @@ class TestExtension:
             sort = rng.choice([Sort.OBJECT, Sort.ATTRIBUTE])
             e = gen_concept(rng, sort, 3)
             for i in interps:
-                assert extension(e, i, sort) <= i.domain(sort)
+                assert extension(e, i, sort) & ~i.domain(sort) == 0
 
     def test_forall_exists_duality(self):
         # all R.C == domain minus some R.(not C), for every role family
@@ -125,7 +153,7 @@ class TestExtension:
                 body = gen_nnf(rng, role.target_sort, 1)
                 dom = i.domain(role.source_sort)
                 lhs = extension(Forall(role, body), i, role.source_sort)
-                rhs = dom - extension(Exists(role, Not(body)), i, role.source_sort)
+                rhs = dom & ~extension(Exists(role, Not(body)), i, role.source_sort)
                 assert lhs == rhs
 
     def test_exists_is_monotone(self):
@@ -137,9 +165,9 @@ class TestExtension:
             a = gen_nnf(rng, role.target_sort, 1)
             b = gen_nnf(rng, role.target_sort, 1)
             for i in interps:
-                assert extension(Exists(role, a), i, role.source_sort) <= extension(
+                assert extension(Exists(role, a), i, role.source_sort) & ~extension(
                     Exists(role, Or(a, b)), i, role.source_sort
-                )
+                ) == 0
 
 
 class TestAssertions:
@@ -155,7 +183,7 @@ class TestAssertions:
 
     def test_role_assertion_false_when_pair_missing(self):
         i = hand_model()
-        i.role_ext["has-length"] = frozenset()
+        i.role_ext["has-length"] = (0,)
         role = i.sig.role("has-length")
         assert not satisfies_assertion(i, RoleAssertion(role, "tunnel1", "len1"))
 
@@ -172,7 +200,7 @@ class TestFormulaReadings:
         sig = diff_signature()
         f = Inclusion(Atom("C1"), Atom("C2"))
         for i in enumerate_interpretations(sig, Bounds(2, 1)):
-            outside = i.domain(Sort.OBJECT) - i.concept_ext["C1"]
+            outside = i.domain(Sort.OBJECT) & ~i.concept_ext["C1"]
             if outside:
                 assert satisfies_formula(i, f, FormulaReading.LITERAL_EXISTENTIAL)
 
@@ -188,7 +216,7 @@ class TestFormulaReadings:
         sig.declare_atom("D", Sort.OBJECT)
         i = Interpretation(
             sig=sig, n_delta=2, n_sigma=1,
-            concept_ext={"C": frozenset({0}), "D": frozenset()},
+            concept_ext={"C": 0b1, "D": 0},
             role_ext={}, ind_map={},
         )
         f = Inclusion(Atom("C"), Atom("D"))
@@ -230,3 +258,17 @@ class TestSerialization:
         sample = list(islice(enumerate_interpretations(sig, Bounds(2, 2)), 0, 16000, 401))
         for i in sample:
             assert interpretation_from_text(interpretation_to_text(i), sig) == i
+
+    @pytest.mark.parametrize("old,new,element", [
+        ("Tunnel = {x1}", "Tunnel = {x3}", "x3"),
+        ("Length = {u2}", "Length = {u2, u3}", "u3"),
+        ("(x1,u2)", "(x5,u1)", "x5"),
+        ("(x1,u2)", "(x1,u9)", "u9"),
+        ("ind tunnel1 = x1", "ind tunnel1 = x0", "x0"),
+    ])
+    def test_elements_outside_the_declared_domains_are_rejected(self, old, new, element):
+        i = hand_model()
+        text = interpretation_to_text(i)
+        assert old in text
+        with pytest.raises(ModelFormatError, match=f"element {element} is outside"):
+            interpretation_from_text(text.replace(old, new), i.sig)
