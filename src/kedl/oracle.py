@@ -25,11 +25,15 @@ the empty KB over its signature.
   so one interval test decides them all.  A sort that no symbol of the
   goal or the KB reaches is searched at domain size 1 only, and each
   level tries only the least choice of every orbit of the permutations of
-  interchangeable elements (least-number symmetry breaking); the verdict
-  and the returned model are the ones the unpruned search gives.  Every
-  returned model is re-checked with the exact evaluator before being
-  emitted, so pruning bugs cannot fabricate a Model verdict; the pruning
-  itself is property-tested against the plain enumeration.
+  interchangeable elements (least-number symmetry breaking).  Once every
+  individual and atom is assigned, before the first row, a one-row
+  lookahead drops each goal element that no choice of one of its rows
+  keeps in the goal, and the subtree is cut when none is left (forward
+  checking, as in SEM).  The verdict and the returned model are the ones
+  the unpruned search gives.  Every returned model is re-checked with the
+  exact evaluator before being emitted, so pruning bugs cannot fabricate
+  a Model verdict; the pruning itself is property-tested against the
+  plain enumeration.
 
 Verdicts are always bound-qualified: the search never claims unsatisfiability
 beyond the domain sizes it actually visited.
@@ -330,6 +334,16 @@ class _Search:
     its orbit at every level, the pruned search walks it too, and it
     returns the same model; where the unpruned search finds none, the
     pruned one, trying a subset, finds none either.
+
+    Row lookahead.  At the first row level, where every individual and
+    atom is assigned, :func:`_search_at` asks :func:`_dead_goal_elements`
+    which goal elements no completion keeps: those for which some row the
+    goal reads drops them under each of its choices.  They stay dead in
+    the whole subtree, whose completions are completions of that node, and
+    a node whose goal upper mask holds only dead elements is a dead end,
+    as if its status were False.  By interval soundness such a subtree
+    holds no model, so the cut leaves the order of the other nodes, the
+    first model found and the argument above unchanged.
     """
 
     def __init__(
@@ -747,21 +761,56 @@ def _require(cond: bool, message: str) -> None:
         raise KedlError(f"internal oracle error: {message}")
 
 
+def _dead_goal_elements(search: _Search, goal: int, sort: Sort) -> int:
+    """The elements that no completion of the current partial assignment
+    puts in the goal node at ``sort``, found by one-row lookahead.
+
+    Element x is dead when, for some unassigned row of x that the goal
+    reads, every choice of that row, assigned alone, drops x from the
+    goal's upper mask.  Every completion gives the row one of those
+    choices, so by interval soundness x is in the goal in none of them.
+    The rows are unassigned again on return."""
+    vals, levels, dead = search.vals, search.levels, 0
+    side = _side(sort)
+    for idx in sorted(search._reads[goal]):
+        level = levels[idx]
+        if level.source is None or level.source[0] != side or level.store[level.key] is not None:
+            continue
+        bit = 1 << level.source[1]
+        if not vals[goal][1] & bit & ~dead:
+            continue
+        for value in level.choices:
+            search.assign(idx, value)
+            if vals[goal][1] & bit:
+                break
+        else:
+            dead |= bit
+        search.assign(idx, None)
+    return dead
+
+
 def _search_at(sig, d, s, mode, objective: _Objective, used) -> Optional[Interpretation]:
     used_atoms, used_roles, used_inds = used
     search = _Search(sig, d, s, mode, used_atoms, used_roles, used_inds)
     status = objective.compile(search)
-    levels = search.levels
+    goal = search.node(objective.goal, objective.sort)
+    levels, vals = search.levels, search.vals
     options: list[tuple[tuple[int, _Cells], ...]] = [()] * len(levels)  # kept choices per level
     tried = [0] * len(levels)  # options of each assigned level tried so far
     cells: _Cells = ((search.full_object,), (search.full_attribute,))  # after levels[:depth]
+    # every individual and atom is assigned from the first row level on;
+    # the goal elements found dead there stay dead in its whole subtree
+    first_row = next((idx for idx, level in enumerate(levels) if level.source is not None), len(levels))
+    dead = 0
     depth = 0  # levels[:depth] are assigned
     while True:
         verdict = status()
         if verdict is True:
             search.complete_with_defaults(depth)
             return search.build()
-        if verdict is None:
+        if verdict is None and depth == first_row:
+            dead = 0 if vals[goal][0] else _dead_goal_elements(search, goal, objective.sort)
+        if verdict is None and (depth < first_row or vals[goal][1] & ~dead):
             level = levels[depth]
             options[depth] = _orbit_choices(level.choices, level.side, level.element, level.source, cells)
             tried[depth] = 0

@@ -32,12 +32,13 @@ from kedl import (
     enumerate_interpretations,
     extension,
     find_model,
+    parse_concept,
     parse_kb,
     satisfies_kb,
     validate_interpretation,
 )
 from kedl import oracle
-from kedl.oracle import _Level, _Objective, _orbit_choices, _used_symbols
+from kedl.oracle import _Level, _Objective, _dead_goal_elements, _orbit_choices, _used_symbols
 from kedl.oracle import _search_at as _unpatched_search_at
 from kedl.parser import parse_signature
 from kedl.semantics import FunctionalityMode, interpretation_to_text
@@ -254,6 +255,32 @@ class TestFindModel:
             assert isinstance(fast, Model) == slow
 
     @pytest.mark.parametrize("mode", MODES, ids=str)
+    def test_goal_refuted_row_by_row(self, mode, monkeypatch):
+        # every element of the goal needs a p-successor and is allowed
+        # none, so it leaves the goal once its own p row is assigned; the
+        # row lookahead sees this before any row is assigned, where the
+        # search would otherwise walk the product of the atom, r and p rows
+        # (about 3M assigns and 10-11 s at (3,3) in FREE)
+        sig = diff_signature()
+        goal = parse_concept(
+            "all p bot and (bot or top) and all r (not A2 or A1) and some p (C1 and C2)"
+            " and some p (C1 and not C2) and some p (not C1 and C2)",
+            sig,
+        )
+        assigns = 0
+        real_assign = oracle._Search.assign
+
+        def counted_assign(search, idx, value):
+            nonlocal assigns
+            assigns += 1
+            real_assign(search, idx, value)
+
+        monkeypatch.setattr(oracle._Search, "assign", counted_assign)
+        bounds = Bounds(3, 3, mode)
+        assert find_model(goal, bounds, sig=sig) == NoModelUpToBound(bounds)
+        assert assigns < 5000
+
+    @pytest.mark.parametrize("mode", MODES, ids=str)
     def test_kb_goals_agree_with_plain_enumeration(self, mode):
         # individuals and role assertions through r and inv(r) pin elements,
         # so the search's symmetry breaking meets fixed points; three object
@@ -401,6 +428,54 @@ class TestIntervalSoundness:
                 assert all(lb == ub for lb, ub in search.vals)
                 assert status() is bool(exact)
         assert inverse_trials >= 20
+
+    def test_lookahead_dead_elements_are_in_no_completion(self):
+        # white-box: with every individual and atom assigned and a prefix
+        # of the rows, no element that the one-row lookahead finds dead is
+        # in the exact extension of the goal in any completion, and its
+        # trial assigns leave every node value as it was; a goal is a
+        # literal-depth concept and two or three quantifiers over one role
+        # whose rows start in the goal's sort, with fillers that may
+        # quantify over inv(r) or nest further
+        from kedl.oracle import _Search
+        from kedl.syntax import desugar
+
+        sig = diff_signature()
+        rng = random.Random(557)
+        killed = inverse_killed = 0
+        for trial in range(400):
+            sort = Sort.OBJECT if trial % 3 else Sort.ATTRIBUTE
+            role = rng.choice((P, R) if sort is Sort.OBJECT else (Q,))
+            expr = gen_nnf(rng, sort, 1)
+            for _ in range(rng.randrange(2, 4)):
+                filler = gen_nnf(rng, role.target_sort, rng.randrange(1, 3))
+                expr = And(expr, rng.choice((Exists, Forall))(role, filler))
+            expr = desugar(expr)
+            objective = _Objective(KnowledgeBase(sig=sig), expr, sort)
+            d, s = rng.choice([(2, 2), (3, 2), (2, 3)])
+            search = _Search(sig, d, s, MODES[trial % 3], *_used_symbols(objective.concepts))
+            objective.compile(search)
+            goal = search.node(expr, sort)
+            rows = [idx for idx, level in enumerate(search.levels) if level.source is not None]
+            depth = rows[0] + rng.randrange(len(rows) // 2 + 1)
+            for _ in range(10):  # look for a prefix that leaves the goal open
+                _assign(search, range(depth), rng)
+                lower, upper = search.vals[goal]
+                if upper and not lower:
+                    break
+            before = list(search.vals)
+            dead = _dead_goal_elements(search, goal, sort)
+            assert search.vals == before
+            if not dead:
+                continue
+            killed += 1
+            inverse_killed += any(
+                isinstance(sub, (Exists, Forall)) and sub.role == R_INV for sub in subexprs(expr)
+            )
+            for _ in range(16):
+                _assign(search, range(depth, len(search.levels)), rng)
+                assert extension(expr, search.build(), sort) & dead == 0
+        assert killed >= 60 and inverse_killed >= 15
 
     def test_partial_kb_status_agrees_with_every_completion(self):
         # white-box: a definite status on a partial assignment is the exact
