@@ -23,7 +23,10 @@ the empty KB over its signature.
   changed slot is read (:class:`_Search`).  Every KB formula is one or
   two inclusions over that table, an assertion ``C(a)`` as ``{a} <= C``,
   so one interval test decides them all.  A sort that no symbol of the
-  goal or the KB reaches is searched at domain size 1 only, and each
+  goal or the KB reaches is searched at domain size 1 only.  A model
+  survives adding a copy of an element, of either sort unless ``inv(r)``
+  is read on a functional cross role, so the smallest and the largest
+  sizes are searched first, and a no-model verdict needs no other.  Each
   level tries only the least choice of every orbit of the permutations of
   interchangeable elements (least-number symmetry breaking).  Once every
   individual and atom is assigned, before the first row, a one-row
@@ -36,7 +39,7 @@ the empty KB over its signature.
   plain enumeration.
 
 Verdicts are always bound-qualified: the search never claims unsatisfiability
-beyond the domain sizes it actually visited.
+beyond the domain sizes of its bounds.
 """
 
 from __future__ import annotations
@@ -292,7 +295,8 @@ class _Search:
     roles under EXACTLY_ONE, the constant successor 0) and never
     enumerated, so the outcome at sizes (d, s) depends on a domain only
     through the symbols they mention; :func:`find_model` relies on this
-    to search an unreached sort at size 1 only.
+    to search an unreached sort at size 1 only, and on an element's copy
+    keeping the frozen values to skip sizes below the largest.
 
     Interval bounds live in a node table.  Each distinct (subterm, sort)
     asked about is one node, compiled on first use after its children;
@@ -719,6 +723,15 @@ def _visible_sorts(sig: Signature, used) -> set[Sort]:
     return sorts
 
 
+def _reads_inverse(exprs: list[ConceptExpr]) -> bool:
+    """Whether some concept reads a cross role backwards, through ``inv(r)``."""
+    return any(
+        isinstance(sub, (Exists, Forall)) and sub.role.kind is RoleKind.CROSS_INVERSE
+        for e in exprs
+        for sub in subexprs(e)
+    )
+
+
 def find_model(
     goal: Union[ConceptExpr, KnowledgeBase],
     bounds: Bounds,
@@ -734,8 +747,42 @@ def find_model(
     ``sig``, so a model is any interpretation with a non-empty extension
     for the goal; with one, its signature is used and ``sig`` ignored.  A
     knowledge base passed as ``goal`` is ``kb`` with the goal ``top``.
-    A sort that no symbol of the goal or the KB reaches is searched at
-    size 1 only.
+
+    The model returned is the first one with the domain sizes (d, s)
+    ascending, object-major.  A sort that no symbol of the goal or the KB
+    reaches is searched at size 1 only.  With D and S the largest sizes,
+    each size is searched at most once, in this order: (1, 1); then the
+    top sizes, (D, S) alone, or (D, s) for every s ascending when the
+    objective reads ``inv(r)`` and cross roles are functional (every mode
+    but FREE).  When none of these has a model, no size has, and the
+    verdict is given.  Otherwise the ascending walk runs, reusing the
+    sizes already searched, and returns its first model.
+
+    Why that is exact: a model at (d, s) gives one at (d + 1, s), and one
+    at (d, s + 1) unless ``inv(r)`` is read on a functional cross role, by
+    adding a copy of one element (ALC models are closed under it, being
+    closed under bisimulation).  So if (D, s) has no model, no (d, s)
+    has; and if the attribute sort is monotone and (D, S) has none, no
+    size has.
+
+    * Object copy.  Add x' with x's atoms and x's rows.  By induction on
+      the concept, the old elements keep every extension and x' gets x's
+      values: the only role read backwards is ``inv(r)``, and at an
+      attribute element x and x' are interchangeable predecessors.
+      Individual leaves ``{a}`` occur only as ``{a} <= C``, or as
+      ``some r {b}`` read at a's element, whose row is unchanged; so the
+      goal and every inclusion keep their truth.  Copied rows keep
+      functionality and totality, and frozen symbols (empty extensions,
+      the constant successor 0) stay frozen, so the search at the larger
+      size has the copy among its candidates.
+    * Attribute copy.  Add u' with u's atoms and q-row.  No row points
+      to u', and q is read forward only, so as above the copy is exact
+      when no ``inv(r)`` is read.  In FREE, also add x -> u' for each
+      r-predecessor x of u, for each cross role r the objective reads:
+      u' gets u's predecessors, and x keeps its values as u' has u's, so
+      the copy is exact with ``inv(r)`` as well.  Under AT_MOST_ONE and
+      EXACTLY_ONE it fails: ``A <= some inv(r) top; top <= A`` has a
+      model at (1, 1) and none at (1, 2).
     """
     if isinstance(goal, KnowledgeBase):
         goal, kb = Top(), goal
@@ -746,9 +793,20 @@ def find_model(
     visible = _visible_sorts(kb.sig, used)
     deltas = range(1, bounds.max_delta + 1) if Sort.OBJECT in visible else (1,)
     sigmas = range(1, bounds.max_sigma + 1) if Sort.ATTRIBUTE in visible else (1,)
+    searched: dict[tuple[int, int], Optional[Interpretation]] = {}
+
+    def search(d: int, s: int) -> Optional[Interpretation]:
+        if (d, s) not in searched:
+            searched[d, s] = _search_at(kb.sig, d, s, bounds.mode, objective, used)
+        return searched[d, s]
+
+    functional = bounds.mode is not FunctionalityMode.FREE
+    tops = sigmas if functional and _reads_inverse(objective.concepts) else sigmas[-1:]
+    if search(1, 1) is None and all(search(deltas[-1], s) is None for s in tops):
+        return NoModelUpToBound(bounds)
     for d in deltas:
         for s in sigmas:
-            found = _search_at(kb.sig, d, s, bounds.mode, objective, used)
+            found = search(d, s)
             if found is not None:
                 _require(validate_interpretation(found) == [], "search returned an invalid interpretation")
                 _require(objective.holds_exactly(found), "search returned a non-model")

@@ -38,6 +38,7 @@ from kedl import (
     validate_interpretation,
 )
 from kedl import oracle
+from kedl.axioms import all_items, suite_signature
 from kedl.oracle import _Level, _Objective, _dead_goal_elements, _orbit_choices, _used_symbols
 from kedl.oracle import _search_at as _unpatched_search_at
 from kedl.parser import parse_signature
@@ -672,19 +673,24 @@ def test_models_are_pinned():
     assert digest.hexdigest() == PINNED_MODELS
 
 
-def _every_size(goal, bounds, sig=None, sort=None):
+def _objective(goal, sig=None, sort=None, kb=None):
+    """The objective and used symbols find_model builds for these arguments."""
+    if isinstance(goal, KnowledgeBase):
+        goal, kb = Top(), goal
+    kb = kb if kb is not None else KnowledgeBase(sig=sig)
+    objective = _Objective(kb, goal, check_sort(goal, kb.sig, expected=sort))
+    return objective, _used_symbols(objective.concepts)
+
+
+def _every_size(goal, bounds, sig=None, sort=None, kb=None):
     """The model text find_model would return with no domain size skipped,
     and the number of sizes searched for it."""
-    if isinstance(goal, KnowledgeBase):
-        sig, objective = goal.sig, _Objective(goal)
-    else:
-        objective = _Objective(KnowledgeBase(sig=sig), goal, check_sort(goal, sig, expected=sort))
-    used = _used_symbols(objective.concepts)
+    objective, used = _objective(goal, sig, sort, kb)
     searched = 0
     for d in range(1, bounds.max_delta + 1):
         for s in range(1, bounds.max_sigma + 1):
             searched += 1
-            found = _unpatched_search_at(sig, d, s, bounds.mode, objective, used)
+            found = _unpatched_search_at(objective.kb.sig, d, s, bounds.mode, objective, used)
             if found is not None:
                 return interpretation_to_text(found), searched
     return None, searched
@@ -709,31 +715,31 @@ class TestDomainSizeSkip:
         monkeypatch.setattr(oracle, "_search_at", recording)
         return sizes
 
-    def check(self, visited, goal, bounds, sig=None, sort=None):
+    def check(self, visited, goal, bounds, sig=None, sort=None, kb=None):
         """find_model's verdict and model text equal the unskipped search's;
         returns the sizes it visited."""
         visited.clear()
-        got = _model_text(find_model(goal, bounds, sig=sig, sort=sort))
-        assert got == _every_size(goal, bounds, sig=sig, sort=sort)[0]
+        got = _model_text(find_model(goal, bounds, sig=sig, sort=sort, kb=kb))
+        assert got == _every_size(goal, bounds, sig=sig, sort=sort, kb=kb)[0]
         return list(visited)
 
     def test_object_only_goal_visits_object_sizes(self, visited):
         sig = diff_signature()
         no_model = And(Exists(P, Atom("C1")), Forall(P, Not(Atom("C1"))))
-        assert self.check(visited, no_model, Bounds(3, 3), sig) == [(1, 1), (2, 1), (3, 1)]
+        assert self.check(visited, no_model, Bounds(3, 3), sig) == [(1, 1), (3, 1)]
         two_elements = And(Atom("C1"), Exists(P, Not(Atom("C1"))))
-        assert self.check(visited, two_elements, Bounds(3, 3), sig) == [(1, 1), (2, 1)]
+        assert self.check(visited, two_elements, Bounds(3, 3), sig) == [(1, 1), (3, 1), (2, 1)]
 
     def test_attribute_only_goal_visits_attribute_sizes(self, visited):
         sig = diff_signature()
         no_model = And(Exists(Q, Atom("A1")), Forall(Q, Not(Atom("A1"))))
         sort = Sort.ATTRIBUTE
-        assert self.check(visited, no_model, Bounds(3, 3), sig, sort) == [(1, 1), (1, 2), (1, 3)]
+        assert self.check(visited, no_model, Bounds(3, 3), sig, sort) == [(1, 1), (1, 3)]
 
     def test_cross_role_alone_reaches_both_sorts(self, visited):
         sig = diff_signature()
         no_model = And(Exists(R, Top()), Forall(R, Bot()))
-        assert self.check(visited, no_model, Bounds(3, 3), sig) == ALL_SIZES_3_3
+        assert self.check(visited, no_model, Bounds(3, 3), sig) == [(1, 1), (3, 3)]
 
     def test_symbol_free_attribute_goals(self, visited):
         sig = diff_signature()
@@ -742,32 +748,146 @@ class TestDomainSizeSkip:
 
     def test_individual_alone_reaches_its_sort(self, visited):
         text = "oconcept C; oindividual o1; aindividual u1; C <= bot; C(o1);"
-        assert self.check(visited, parse_kb(text), Bounds(3, 3)) == [(1, 1), (2, 1), (3, 1)]
+        assert self.check(visited, parse_kb(text), Bounds(3, 3)) == [(1, 1), (3, 1)]
         with_u1 = parse_kb(text + " (top)(u1);")
-        assert self.check(visited, with_u1, Bounds(3, 3)) == ALL_SIZES_3_3
+        assert self.check(visited, with_u1, Bounds(3, 3)) == [(1, 1), (3, 3)]
 
     def test_unused_cross_role_under_exactly_one(self, visited):
         sig = diff_signature()
         bounds = Bounds(3, 3, FunctionalityMode.EXACTLY_ONE)
         goal = And(Atom("C1"), Exists(P, Not(Atom("C1"))))
-        assert self.check(visited, goal, bounds, sig) == [(1, 1), (2, 1)]
+        assert self.check(visited, goal, bounds, sig) == [(1, 1), (3, 1), (2, 1)]
         model = find_model(goal, bounds, sig=sig).interpretation
         assert model.role_ext["r"] == (0b1, 0b1)  # x1 -> u1, x2 -> u1
 
     def test_random_goals_match_the_unskipped_search(self, visited):
         sig = diff_signature()
         rng = random.Random(557)
-        skipped = 0
+        cases = []
         for trial in range(150):
             sort = Sort.OBJECT if trial % 2 == 0 else Sort.ATTRIBUTE
-            goal = gen_nnf(rng, sort, 3)
-            bounds = Bounds(2, 2, MODES[trial % 3])
+            cases.append((gen_nnf(rng, sort, 3), sort, None))
+        for trial in range(60):  # queries w.r.t. KBs with individuals and inv(r)
+            kb = gen_kb(rng) if trial % 2 else gen_atomic_gci_kb(rng)
+            sort = Sort.OBJECT if trial % 4 < 2 else Sort.ATTRIBUTE
+            cases.append((gen_nnf(rng, sort, 2), sort, kb))
+        cases += [(goal, sort, None) for goal, _, sort, _ in _successor_goals(rng, 30)]
+        skipped = walked = 0
+        for trial, (goal, sort, kb) in enumerate(cases):
+            bounds = Bounds(3, 3, MODES[trial % 3])
             visited.clear()
-            got = _model_text(find_model(goal, bounds, sig=sig, sort=sort))
-            want, searched = _every_size(goal, bounds, sig=sig, sort=sort)
+            got = _model_text(find_model(goal, bounds, sig=sig, sort=sort, kb=kb))
+            want, searched = _every_size(goal, bounds, sig=sig, sort=sort, kb=kb)
             assert got == want
             skipped += len(visited) < searched
+            walked += got is not None and len(visited) > 2  # a model below a top size
         assert skipped >= 10
+        assert walked >= 10
+
+
+def _sizes_with_a_model(objective, used, mode):
+    return {
+        (d, s)
+        for d, s in ALL_SIZES_3_3
+        if _unpatched_search_at(objective.kb.sig, d, s, mode, objective, used) is not None
+    }
+
+
+def _successor_goals(rng, count):
+    """Concepts that ask for two or three successors of random atom types,
+    so that their smallest models have more than one element; attribute
+    goals ask through q and inv(r)."""
+    sig = diff_signature()
+    for trial in range(count):
+        sort = Sort.OBJECT if trial % 2 == 0 else Sort.ATTRIBUTE
+        roles, atoms = ((P, R), ("C1", "C2")) if sort is Sort.OBJECT else ((Q, R_INV), ("A1", "A2"))
+        goal = gen_nnf(rng, sort, 2)
+        for _ in range(rng.choice((2, 3))):
+            role = rng.choice(roles)
+            target = ("C1", "C2") if role is R_INV else ("A1", "A2") if role is R else atoms
+            goal = And(goal, Exists(role, And(*(Atom(a) if rng.randrange(2) else Not(Atom(a)) for a in target))))
+        yield goal, sig, sort, None
+
+
+# every attribute needs an r-predecessor, and a functional r gives one
+# object at most one successor: a model at (1, 1) and none at (1, 2)
+INVERSE_KB = "oconcept C; aconcept A; xrole r; A <= some inv(r) top; top <= A;"
+
+
+class TestElementCopy:
+    """A model survives adding a copy of an object element, and of an
+    attribute element unless inv(r) is read on a functional cross role,
+    which is what lets find_model decide a no-model goal from the first
+    and the top domain sizes alone."""
+
+    def test_attribute_copy_fails_under_a_functional_inverse(self):
+        kb = parse_kb(INVERSE_KB)
+        objective, used = _objective(kb)
+        # an attribute with one r-predecessor in C and one outside
+        two_predecessors = And(Exists(R_INV, Atom("C")), Exists(R_INV, Not(Atom("C"))))
+        query, query_used = _objective(two_predecessors, sort=Sort.ATTRIBUTE, kb=kb)
+        for mode in MODES:
+            at = {s: _unpatched_search_at(kb.sig, 1, s, mode, objective, used) for s in (1, 2)}
+            assert at[1] is not None
+            assert (at[2] is not None) == (mode is _FREE)
+            assert _model_text(find_model(kb, Bounds(1, 2, mode))) == interpretation_to_text(at[1])
+
+            # the query's smallest model is at (2, 1), and outside FREE the
+            # largest size (2, 2) has none: searching it alone would miss it
+            assert _sizes_with_a_model(query, query_used, mode) & {(1, 1), (1, 2), (2, 1), (2, 2)} == (
+                {(2, 1), (2, 2)} if mode is _FREE else {(2, 1)}
+            )
+            verdict = find_model(two_predecessors, Bounds(2, 2, mode), sort=Sort.ATTRIBUTE, kb=kb)
+            want, _ = _every_size(two_predecessors, Bounds(2, 2, mode), sort=Sort.ATTRIBUTE, kb=kb)
+            assert _model_text(verdict) == want
+            assert (verdict.interpretation.n_delta, verdict.interpretation.n_sigma) == (2, 1)
+
+    def test_model_existence_is_upward_closed(self):
+        """On random goals, KBs and queries, in every mode, a model at
+        (d, s) means one at (d + 1, s), and one at (d, s + 1) unless inv(r)
+        is read outside FREE."""
+        rng = random.Random(2026)
+        cases = list(_successor_goals(rng, 120))
+        for trial in range(40):
+            kb = gen_kb(rng) if trial % 2 else gen_atomic_gci_kb(rng)
+            sort = Sort.OBJECT if trial % 4 < 2 else Sort.ATTRIBUTE
+            cases += [(kb, None, None, None), (gen_nnf(rng, sort, 2), None, sort, kb)]
+        grows_in_d = grows_in_s = shrinks_in_s = 0
+        for goal, sig, sort, kb in cases:
+            objective, used = _objective(goal, sig, sort, kb)
+            attributes_monotone = not oracle._reads_inverse(objective.concepts)
+            for mode in MODES:
+                found = _sizes_with_a_model(objective, used, mode)
+                for d, s in found:
+                    assert d == 3 or (d + 1, s) in found
+                    if attributes_monotone or mode is _FREE:
+                        assert s == 3 or (d, s + 1) in found
+                grows_in_d += any(d > 1 and (d - 1, s) not in found for d, s in found)
+                grows_in_s += any(s > 1 and (d, s - 1) not in found for d, s in found)
+                shrinks_in_s += any(s < 3 and (d, s + 1) not in found for d, s in found)
+        assert grows_in_d >= 30 and grows_in_s >= 30
+        assert shrinks_in_s >= 1  # the exception, drawn at random
+
+    def test_suite_searches_are_pinned(self, monkeypatch):
+        """Every check of the suite at (3,3) is a no-model verdict, which
+        needs searches at the first and the top sizes only.  Searching
+        every size took 374 searches per mode."""
+        built = []
+
+        class Counted(oracle._Search):
+            def __init__(self, *args):
+                built.append(args[1:3])
+                super().__init__(*args)
+
+        monkeypatch.setattr(oracle, "_Search", Counted)
+        sig = suite_signature()
+        for mode, searches in zip(MODES, (230, 230, 220)):
+            built.clear()
+            for item in all_items():
+                for sort in item.sorts:
+                    verdict = check_validity_bounded(item.build(sort), Bounds(3, 3, mode), sig)
+                    assert isinstance(verdict, NoCountermodelUpToBound)
+            assert len(built) == searches
 
 
 class TestCheckValidity:
