@@ -17,6 +17,16 @@ graph and leaves the graph itself on the stack for the right branch, so each
 split makes one clone.  The first open leaf gives a Satisfiable verdict; a
 refutation reports the clash trace of the last closed branch.
 
+Each graph carries an agenda of rule candidates (Horrocks & Patel-Schneider,
+"Optimizing description logic subsumption", J. Logic Comput. 1999): one heap
+per rule class, in priority order unfold/and, merge, forall, or, exists,
+totality, keyed by node id and then by printed concept or role name.  A label
+or edge addition pushes the candidates it makes, a step fires the smallest
+applicable candidate of the first class that has one, and the clash check
+reads only the nodes whose labels grew.  Node ids ascend in ``g.nodes`` order
+(a merge keeps the older node), so this is the rule a scan of the nodes in
+order would find first.
+
 Labels are sets of interned concept ids; wherever the search picks the first
 of several concepts it orders them by printed form, computed once per id, so
 searches, witnesses and clash traces do not depend on hash seeds.  Cross
@@ -32,7 +42,8 @@ rewrites edges.  Blocking applies only to nodes created by forward edges;
 witnesses created by inverse existentials already own their single cross
 edge and never extend the tree through it, so leaving them unblocked keeps
 the loop-back model construction functionality-safe without threatening
-termination.
+termination.  A candidate is tested for blocking when it comes up, by
+walking its node's ancestors; one on a blocked node waits for a later step.
 
 Every Satisfiable verdict carries a finite witness interpretation, rebuilt
 from the graph (blocked nodes identified with their blockers) and re-checked
@@ -53,7 +64,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
-from typing import Optional
+from heapq import heappop, heappush
+from typing import Iterable, Optional
 
 from .kb import ConceptAssertion, Formula, KnowledgeBase
 from .semantics import (
@@ -131,6 +143,12 @@ class _Node:
         self.depth = depth
 
 
+# the agenda's rule classes, in priority order: a class fires only when
+# every class before it has nothing applicable
+UNFOLD_AND, MERGE, FORALL, OR, EXISTS, TOTALITY = range(6)
+_RULE_CLASS = {And: UNFOLD_AND, Forall: FORALL, Or: OR, Exists: EXISTS}
+
+
 class _Graph:
     def __init__(self) -> None:
         self.nodes: dict[int, _Node] = {}
@@ -139,6 +157,11 @@ class _Graph:
         self.trace: list[TraceEntry] = []
         self.merges: list[tuple[str, str]] = []
         self.next_id = 0
+        # one heap of candidate rules per rule class: (node id, printed
+        # concept, concept id) for concept rules, (node id, role name) for
+        # merge and (node id,) for totality
+        self.agenda: list[list[tuple]] = []  # filled by Tableau._rebuild_agenda
+        self.touched: set[int] = set()  # nodes whose label grew since the last clash check
 
     def new_node(self, sort: Sort, root: bool,
                  parent: Optional[tuple[int, str, bool]] = None) -> _Node:
@@ -176,6 +199,8 @@ class _Graph:
             copy.label = set(node.label)
             g.nodes[nid] = copy
         g.succ = {nid: {r: set(t) for r, t in targets.items()} for nid, targets in self.succ.items()}
+        g.agenda = [list(heap) for heap in self.agenda]
+        g.touched = set(self.touched)
         return g
 
 
@@ -222,6 +247,7 @@ class Tableau:
         self.kb = kb
         self.sig = kb.sig
         self.mode = mode
+        self._totality = mode is FunctionalityMode.EXACTLY_ONE  # every object has every cross role
         self.concepts = _ConceptTable()
         # sorts are inferred here, so a badly sorted KB fails at construction;
         # NNF and interning wait for the first query (_intern_kb)
@@ -341,6 +367,7 @@ class Tableau:
         return result
 
     def _expand(self, g: _Graph) -> SatResult:
+        self._rebuild_agenda(g)
         todo: list[_Graph] = []  # right branches of the open or-splits, innermost last
         while True:
             clash = self._find_clash(g)
@@ -361,124 +388,192 @@ class Tableau:
                 g = g.clone()
                 for graph, tag, branch in ((g, "or-left", left), (todo[-1], "or-right", right)):
                     graph.trace.append((tag, node_id, self.concepts.key[branch]))
-                    graph.nodes[node_id].label.add(branch)
+                    self._add(graph, node_id, (branch,))
 
     def _find_clash(self, g: _Graph) -> Optional[TraceEntry]:
+        """The clash of the first node, in id order, whose label grew since
+        the last call: every other node was clash-free then and is unchanged."""
         table = self.concepts
         bot = table.ids.get((Bot,))
-        for node in g.nodes.values():
-            label = node.label
+        touched, g.touched = g.touched, set()
+        for node_id in sorted(touched):
+            label = g.nodes[node_id].label
             hits = [c for c in label if c == bot or table.neg.get(c) in label]
             if hits:
                 c = min(hits, key=table.key.__getitem__)  # the first in printed order
                 if c == bot:
-                    return ("clash", node.id, "bot")
+                    return ("clash", node_id, "bot")
                 name = table.desc[c][1]
-                return ("clash", node.id, f"{name}, not {name}")
+                return ("clash", node_id, f"{name}, not {name}")
         return None
 
+    # -- the agenda -------------------------------------------------------------
+
     def _fire_rule(self, g: _Graph) -> bool | tuple[int, int]:
-        """Fire the first applicable rule where it is found and return True;
+        """Fire the first applicable rule of the agenda and return True;
         return the ``(node id, concept id)`` of an or-split for ``_expand``
         to branch on, or False when the graph is complete.
 
-        Deterministic priority: the or-rule fires only when nothing
-        deterministic is left, generating rules only after that; no rule at
-        all is applied to a blocked node (propagation into one from an
-        unblocked neighbour still happens and may unblock it).
+        The rule fired is the one with the smallest ``(node id, printed
+        concept or role name)`` in the first rule class that has an
+        applicable candidate on an unblocked node: the or-rule fires only
+        when nothing deterministic is left, generating rules only after that.
+        A candidate found inapplicable is dropped, as it cannot become
+        applicable again (labels only grow; ``_add_edge`` pushes anew the
+        forall candidates a new edge can wake, and a merge rebuilds the
+        agenda).  A candidate on a blocked node is set aside for this step
+        only: blocking is decided per candidate, and propagation into a
+        blocked node from an unblocked neighbour may unblock it.
         """
-        desc, key, unfold = self.concepts.desc, self.concepts.key, self._unfold
-        by_key = key.__getitem__
-        blocked = self._blocked(g)
-        active = [n for n in g.nodes.values() if n.id not in blocked]
-        ordered: dict[int, list[int]] = {}
+        aside: list[tuple[list[tuple], tuple]] = []
+        try:
+            for heap, check in zip(g.agenda, self._checks):
+                while heap:
+                    entry = heap[0]
+                    step = check(g, entry)
+                    if step is None:
+                        heappop(heap)
+                    elif self._is_blocked(g, g.nodes[entry[0]]):
+                        aside.append((heap, heappop(heap)))
+                    elif step[0] == "or":
+                        return entry[0], entry[2]  # the entry is dropped once a branch is added
+                    else:
+                        self._apply(g, entry[0], *step)
+                        return True
+            return False
+        finally:
+            for heap, entry in aside:
+                heappush(heap, entry)
 
-        def in_order(node: _Node) -> list[int]:
-            labels = ordered.get(node.id)
-            if labels is None:
-                labels = ordered[node.id] = sorted(node.label, key=by_key)
-            return labels
+    def _apply(self, g: _Graph, node_id: int, rule: str, what: str,
+               target: int | RoleName | list[int], concepts: tuple[int, ...]) -> None:
+        """Fire a step found by a check: add ``concepts`` to the node
+        ``target``, or to a new child joined by the role ``target``, or
+        merge the two nodes of ``target``."""
+        g.trace.append((rule, node_id, what))
+        if rule == "merge":
+            self._merge_nodes(g, *target)
+            self._rebuild_agenda(g)
+            return
+        if isinstance(target, RoleName):
+            target = self._add_child(g, g.nodes[node_id], target).id
+        self._add(g, target, concepts)
 
-        for node in active:
-            label = node.label
-            for c in in_order(node):
-                unfolded = unfold.get(c)
-                if unfolded is not None and unfolded not in label:
-                    g.trace.append(("unfold", node.id, key[c]))
-                    label.add(unfolded)
-                    return True
+    @cached_property
+    def _checks(self) -> list:
+        """One check per rule class: None when the candidate is
+        inapplicable, else ``(rule, what, target, concepts)`` for ``_apply``."""
+        desc, unfold, mode = self.concepts.desc, self._unfold, self.mode
+        cross_roles = self._cross_roles
+        free = mode is FunctionalityMode.FREE
+
+        def unfold_and(g: _Graph, entry: tuple) -> Optional[tuple]:
+            node_id, what, c = entry
+            label = g.nodes[node_id].label
+            unfolded = unfold.get(c)
+            if unfolded is not None:
+                return None if unfolded in label else ("unfold", what, node_id, (unfolded,))
+            _, left, right = desc[c]
+            return None if left in label and right in label else ("and", what, node_id, (left, right))
+
+        def merge(g: _Graph, entry: tuple) -> Optional[tuple]:
+            node_id, role_name = entry
+            targets = g.successors(node_id, role_name)
+            if len(targets) < 2:
+                return None
+            return ("merge", role_name, sorted(targets)[:2], ())  # keep the older node
+
+        def forall(g: _Graph, entry: tuple) -> Optional[tuple]:
+            node_id, what, c = entry
+            _, role, body = desc[c]
+            for m in g.adjacent(node_id, role):
+                if body not in g.nodes[m].label:
+                    return ("forall", what, m, (body,))
+            return None
+
+        def or_split(g: _Graph, entry: tuple) -> Optional[tuple]:
+            label = g.nodes[entry[0]].label
+            _, left, right = desc[entry[2]]
+            return None if left in label or right in label else ("or",)
+
+        def exists(g: _Graph, entry: tuple) -> Optional[tuple]:
+            node_id, what, c = entry
+            _, role, body = desc[c]
+            if role.kind is RoleKind.CROSS and not free:
+                # a functional role has at most one successor: reuse it
+                targets = g.successors(node_id, role.name)
+                if targets:
+                    m = min(targets)
+                    return None if body in g.nodes[m].label else ("exists-reuse", what, m, (body,))
+            elif any(body in g.nodes[m].label for m in g.adjacent(node_id, role)):
+                return None
+            return ("exists", what, role, (body,))
+
+        def totality(g: _Graph, entry: tuple) -> Optional[tuple]:
+            for role_name in cross_roles:
+                if not g.successors(entry[0], role_name):
+                    return ("totality", role_name, RoleName(role_name, RoleKind.CROSS), ())
+            return None
+
+        return [unfold_and, merge, forall, or_split, exists, totality]
+
+    def _push(self, g: _Graph, node_id: int, concepts: Iterable[int]) -> None:
+        """Push the candidates of concepts in a node's label."""
+        agenda, unfold, desc, key = g.agenda, self._unfold, self.concepts.desc, self.concepts.key
+        for c in concepts:
+            rule = UNFOLD_AND if c in unfold else _RULE_CLASS.get(desc[c][0])
+            if rule is not None:
+                heappush(agenda[rule], (node_id, key[c], c))
+
+    def _add(self, g: _Graph, node_id: int, concepts: Iterable[int]) -> None:
+        """Add concepts to a label, with the candidates they make."""
+        label = g.nodes[node_id].label
+        new = [c for c in concepts if c not in label]
+        label.update(new)
+        self._push(g, node_id, new)
+        g.touched.add(node_id)
+
+    def _add_edge(self, g: _Graph, src: int, role_name: str, dst: int) -> None:
+        """Add an edge, with the candidates it makes: the forall concepts
+        that now see one more neighbour.  It makes no merge candidate: the
+        edges added during expansion join a new child, and the exists and
+        totality rules give a functional role a child only where it has no
+        successor, so second successors come only from the ABox and from
+        merges, whose agenda is rebuilt."""
+        g.add_edge(src, role_name, dst)
+        desc, key = self.concepts.desc, self.concepts.key
+        for node_id, inverse in ((src, False), (dst, True)):
+            for c in g.nodes[node_id].label:
                 d = desc[c]
-                if d[0] is And and (d[1] not in label or d[2] not in label):
-                    g.trace.append(("and", node.id, key[c]))
-                    label.update(d[1:])
-                    return True
-        if self.mode is not FunctionalityMode.FREE:
-            for node in active:
-                if node.sort is not Sort.OBJECT:
-                    continue
-                for role_name in sorted(g.succ[node.id]):
-                    if self.sig.roles.get(role_name) is RoleKind.CROSS:
-                        targets = sorted(g.successors(node.id, role_name))
-                        if len(targets) > 1:
-                            g.trace.append(("merge", node.id, role_name))
-                            self._merge_nodes(g, *targets[:2])  # keep the older node
-                            return True
-        for node in active:
-            for c in in_order(node):
-                d = desc[c]
-                if d[0] is Forall:
-                    for m in g.adjacent(node.id, d[1]):
-                        if d[2] not in g.nodes[m].label:
-                            g.trace.append(("forall", node.id, key[c]))
-                            g.nodes[m].label.add(d[2])
-                            return True
-        for node in active:
-            label = node.label
-            for c in in_order(node):
-                d = desc[c]
-                if d[0] is Or and d[1] not in label and d[2] not in label:
-                    return node.id, c
-        for node in active:
-            for c in in_order(node):
-                d = desc[c]
-                if d[0] is not Exists:
-                    continue
-                _, role, body = d
-                if role.kind is RoleKind.CROSS and self.mode is not FunctionalityMode.FREE:
-                    # a functional role has at most one successor: reuse it
-                    targets = g.successors(node.id, role.name)
-                    if targets:
-                        m = min(targets)
-                        if body not in g.nodes[m].label:
-                            g.trace.append(("exists-reuse", node.id, key[c]))
-                            g.nodes[m].label.add(body)
-                            return True
-                        continue
-                elif any(body in g.nodes[m].label for m in g.adjacent(node.id, role)):
-                    continue
-                g.trace.append(("exists", node.id, key[c]))
-                self._add_child(g, node, role).label.add(body)
-                return True
-        if self.mode is FunctionalityMode.EXACTLY_ONE:
-            for node in active:
-                if node.sort is Sort.OBJECT:
-                    for role_name in self.sig.cross_roles():
-                        if not g.successors(node.id, role_name):
-                            g.trace.append(("totality", node.id, role_name))
-                            self._add_child(g, node, RoleName(role_name, RoleKind.CROSS))
-                            return True
-        return False
+                if d[0] is Forall and d[1].name == role_name and (d[1].kind is RoleKind.CROSS_INVERSE) is inverse:
+                    heappush(g.agenda[FORALL], (node_id, key[c], c))
+
+    def _rebuild_agenda(self, g: _Graph) -> None:
+        """Every candidate of the graph, and every node to be clash-checked:
+        for a fresh graph and after a merge, which rewrites edges."""
+        g.agenda = [[] for _ in range(TOTALITY + 1)]
+        free = self.mode is FunctionalityMode.FREE
+        for node in g.nodes.values():
+            self._push(g, node.id, node.label)
+            for role_name, targets in g.succ[node.id].items():
+                if len(targets) > 1 and not free and self.sig.roles.get(role_name) is RoleKind.CROSS:
+                    heappush(g.agenda[MERGE], (node.id, role_name))
+            if self._totality and node.sort is Sort.OBJECT:
+                heappush(g.agenda[TOTALITY], (node.id,))
+        g.touched = set(g.nodes)
 
     def _add_child(self, g: _Graph, node: _Node, role: RoleName) -> _Node:
         """A new seeded node joined to ``node`` by ``role``; under an inverse
         role the edge runs from the child back to ``node``."""
         via_inverse = role.kind is RoleKind.CROSS_INVERSE
         child = g.new_node(role.target_sort, root=False, parent=(node.id, role.name, via_inverse))
-        self._seed_label(child)
+        self._add(g, child.id, self._globals[child.sort])
+        if self._totality and child.sort is Sort.OBJECT:
+            heappush(g.agenda[TOTALITY], (child.id,))
         if via_inverse:
-            g.add_edge(child.id, role.name, node.id)
+            self._add_edge(g, child.id, role.name, node.id)
         else:
-            g.add_edge(node.id, role.name, child.id)
+            self._add_edge(g, node.id, role.name, child.id)
         return child
 
     def _merge_nodes(self, g: _Graph, keep: int, drop: int) -> None:
@@ -525,6 +620,27 @@ class Tableau:
                 return anc
             anc = candidate
         return None
+
+    def _is_blocked(self, g: _Graph, node: _Node) -> bool:
+        """Whether ``node`` is in ``_blocked(g)``, that is, whether it or an
+        ancestor has a ``_blocker``: one walk down the path from the root,
+        keying each forward-created node by its edge, sort, label and
+        parent's label; a node has a blocker iff an ancestor has its key."""
+        path = []
+        while node.parent is not None:
+            path.append(node)
+            node = g.nodes[node.parent[0]]
+        seen = set()
+        above = frozenset(node.label)
+        for node in reversed(path):
+            label = frozenset(node.label)
+            if not node.parent[2]:
+                key = (node.parent[1], node.sort, label, above)
+                if key in seen:
+                    return True
+                seen.add(key)
+            above = label
+        return False
 
     def _blocked(self, g: _Graph) -> set[int]:
         """Ids of the nodes blocked directly or below a blocked ancestor, in
@@ -587,6 +703,10 @@ class Tableau:
             sort = self.sig.atom_sort(name)
             witness.concept_ext[name] = extension(self.kb.definitions[name], witness, sort)
         return witness
+
+    @cached_property
+    def _cross_roles(self) -> list[str]:
+        return self.sig.cross_roles()
 
     # per-KB facts of witness extraction and re-check, computed at the first
     # witness and shared by all later ones

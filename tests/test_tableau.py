@@ -1,6 +1,7 @@
 """Tableau procedure: satisfiability, consistency, subsumption, instance
 checking, classification, and agreement with the bounded oracle."""
 
+import hashlib
 import os
 import pathlib
 import random
@@ -32,7 +33,7 @@ from kedl import (
     subsumes,
     validate_interpretation,
 )
-from kedl.semantics import FunctionalityMode
+from kedl.semantics import FunctionalityMode, interpretation_to_text
 from kedl.tableau import InconsistentKBError, Tableau, trace_to_text
 
 from generators import (
@@ -131,9 +132,11 @@ class TestSatisfiability:
 
 class TestNodeOrder:
     def test_ids_ascend_and_parents_precede_children(self, monkeypatch):
-        # blocking is one pass over the nodes in id order, which needs
-        # g.nodes in ascending id order and every parent older than its
-        # children, also after merges; a second r-value u2 of o1 forces them
+        # the agenda orders candidates by node id, and witness extraction
+        # marks blocked nodes in one pass in id order: both need g.nodes in
+        # ascending id order and every parent older than its children, also
+        # after merges, which a second r-value u2 of o1 forces; the step and
+        # merge counts pin the length of the rule sequence
         fire = Tableau._fire_rule
         steps = merges = 0
 
@@ -158,7 +161,31 @@ class TestNodeOrder:
                 is_consistent(kb, mode=mode)
                 for sort, query in queries:
                     is_satisfiable(query, kb, mode=mode, sort=sort)
-        assert steps > 10000 and merges > 400, (steps, merges)  # 12,507 and 566
+        assert (steps, merges) == (12507, 566)
+
+    def test_candidate_blocking_matches_the_one_pass(self, monkeypatch):
+        # the agenda tests a candidate's node and its ancestors for a
+        # blocker, witness extraction marks every blocked node in one pass:
+        # both must agree on every node at every step; C1 <= some p C1 makes
+        # p-chains that only blocking stops
+        fire = Tableau._fire_rule
+        blocked_seen = 0
+
+        def checked(self, g):
+            nonlocal blocked_seen
+            blocked = self._blocked(g)
+            assert all(self._is_blocked(g, n) == (n.id in blocked) for n in g.nodes.values())
+            blocked_seen += len(blocked)
+            return fire(self, g)
+
+        monkeypatch.setattr(Tableau, "_fire_rule", checked)
+        rng = random.Random(717)
+        for k in range(100):
+            kb = (gen_kb if k % 2 else gen_atomic_gci_kb)(rng)
+            kb.include(Atom("C1"), Exists(P, Atom("C1")))
+            for mode in FunctionalityMode:
+                Tableau(kb, mode).is_satisfiable(And(Atom("C1"), gen_nnf(rng, Sort.OBJECT, 2)))
+        assert blocked_seen > 500, blocked_seen  # 867
 
 
 class TestConsistency:
@@ -364,6 +391,50 @@ class TestClashTraces:
         assert "unfold\tn2\tShort" in outputs[0]
         assert "merge\tn0\thas-temperature" in outputs[0]
         assert "[('t1', 't2')]" in outputs[0]
+
+
+PINNED_TABLEAU = "1253133f2fb5eaa39e0cd281f0dc48aba01e46b9b9d970b7856125de0e50a798"
+
+
+def test_output_is_pinned():
+    # verdicts, clash traces, merges and witnesses of a seeded corpus in
+    # every mode: the order in which rules fire decides all four
+    import importlib.resources
+
+    data = pathlib.Path(__file__).parent / "data"
+    gas = importlib.resources.files("kedl.data").joinpath("gas.kedl").read_text()
+    files = [parse_kb(text) for text in (gas, (data / "hierarchy.kedl").read_text(), (data / "abox.kedl").read_text())]
+    rng = random.Random(1515)
+    kbs = [(gen_kb if k % 2 else gen_atomic_gci_kb)(rng) for k in range(100)]
+    for kb in kbs[::3]:  # a second r-value of o1 makes merges
+        kb.sig.declare_individual("u2", Sort.ATTRIBUTE)
+        kb.assert_role(R, "o1", "u2")
+    # blocking cuts C1's p-chain at its fourth node; in exactly-one the
+    # totality rule then gives the root an r-value, through which the root
+    # gets all p C2 and its p-successor C2: that unblocks the fourth node,
+    # whose exists rule must fire after all
+    loop = parse_kb("oconcept C1; oconcept C2; orole p; xrole r; C1 <= some p C1;")
+    unblocking = parse_concept("C1 and all r all inv(r) all p C2", loop.sig)
+    digest = hashlib.sha256()
+
+    def record(result):
+        digest.update(f"{result.satisfiable} {result.merged_individuals}\n".encode())
+        text = interpretation_to_text(result.witness) if result else trace_to_text(result.clash_trace)
+        digest.update(text.encode())
+
+    for mode in FunctionalityMode:
+        for kb in kbs:
+            tab = Tableau(kb, mode)
+            record(tab.is_consistent())
+            for sort in (Sort.OBJECT, Sort.ATTRIBUTE):
+                record(tab.is_satisfiable(gen_nnf(rng, sort, 3), sort=sort))
+            for individual, sort in (("o1", Sort.OBJECT), ("u1", Sort.ATTRIBUTE)):
+                digest.update(str(tab.instance_of(individual, gen_nnf(rng, sort, 2))).encode())
+        record(Tableau(loop, mode).is_satisfiable(unblocking))
+        for kb in files:
+            cells = _classification(kb, mode)
+            digest.update(repr(cells and (cells[0], {s: sorted(pairs) for s, pairs in cells[1].items()})).encode())
+    assert digest.hexdigest() == PINNED_TABLEAU
 
 
 def _classification(kb, mode):
