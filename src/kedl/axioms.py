@@ -227,7 +227,6 @@ def verify_suite(
     bounds: Bounds = Bounds(2, 2),
     only: Optional[str] = None,
     mode: FunctionalityMode = FunctionalityMode.AT_MOST_ONE,
-    run_oracle: bool = True,
 ) -> list[SuiteCheck]:
     """Run the whole catalog, or only the item whose id is ``only`` and the
     items numbered below it: ``property1`` selects ``property1.1`` and
@@ -246,11 +245,8 @@ def verify_suite(
                 not tableau.is_satisfiable(goal, sort=sort).satisfiable
                 for goal in refutation_goals(formula)
             )
-            if run_oracle:
-                verdict = check_validity_bounded(formula, bounds, sig)
-                oracle_ok = isinstance(verdict, NoCountermodelUpToBound)
-            else:
-                oracle_ok = True
+            verdict = check_validity_bounded(formula, bounds, sig)
+            oracle_ok = isinstance(verdict, NoCountermodelUpToBound)
             results.append(
                 SuiteCheck(
                     item_id=item.item_id,

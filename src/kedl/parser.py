@@ -173,8 +173,8 @@ class _Stream:
 
 # --- Concept parsing ---------------------------------------------------------
 #
-# When no signature is available (role_kinds is not None), role references
-# are parsed provisionally as cross roles and fixed up by inference later.
+# When no signature is available (sig is None), role references are parsed
+# provisionally as cross roles and fixed up by inference later.
 
 
 def _parse_roleref(s: _Stream, sig: Optional[Signature]) -> tuple[RoleName, Token]:
@@ -274,19 +274,25 @@ def parse_concept(text: str, sig: Signature) -> ConceptExpr:
 
 # --- Signature inference for bare concepts -----------------------------------
 
-
-class _Overruled(Exception):
-    """A use with an object operand needs a cross role to be an object role."""
+_ROLE_KIND = {(k.source, k.target): k for k in (RoleKind.OBJ_OBJ, RoleKind.ATTR_ATTR, RoleKind.CROSS)}
 
 
 def parse_concept_with_inference(text: str) -> tuple[ConceptExpr, Signature]:
     """Parse a concept with no declarations, inferring a signature.
 
-    Best-effort defaults: a quantified role whose kind is not forced by its
-    operand becomes a cross role, and atoms whose sort is never forced are
-    object atoms.  A use with an object operand overrules a role's cross
-    kind, and inference starts again with it an object role.  Use an
-    explicit signature when that is not what you mean.
+    Kinds are inferred by unifying sort variables: one per atom name, a
+    source and a target per role name, a fresh one per ``top``/``bot``.
+    ``not`` keeps its operand's sort; ``and``/``or``/``=>``/``<=>`` unify
+    their operands; ``some``/``all p C`` unifies ``C`` with p's target and
+    has p's source sort; ``inv(p)`` makes p a cross role (object source,
+    attribute target), unifies ``C`` with p's source and has p's target
+    sort.  No role kind has an attribute source and an object target, so an
+    attribute source forces an attribute target and an object target an
+    object source.  This fails only when no choice of role kinds and atom
+    sorts sort-checks the concept.  Free sorts then default: a role's target
+    that is no role's source is attribute, every other is object.  So
+    undetermined roles become cross roles and atoms nothing forces become
+    object atoms; use an explicit signature when that is not what you mean.
     """
     s = _Stream(tokenize(text))
     proto = _parse_concept(s, sig=None)
@@ -294,103 +300,84 @@ def parse_concept_with_inference(text: str) -> tuple[ConceptExpr, Signature]:
     if extra is not None:
         raise ParseError(f"trailing input: {extra.text!r}", extra.line, extra.col)
 
-    overruled: set[str] = set()  # roles an earlier pass found must be object roles
+    # union-find over sort variables; variables 0 and 1 are the object and
+    # the attribute sort, and the two are never in one class
+    parent = [0, 1]
+    atoms: dict[str, int] = {}
+    roles: dict[str, tuple[int, int]] = {}  # name -> (source, target)
 
-    def assign(e: ConceptExpr, sort: Sort) -> None:
-        if isinstance(e, Atom):
-            if atoms.get(e.name) is None:
-                atoms[e.name] = sort
-        elif isinstance(e, Not):
-            assign(e.expr, sort)
-        elif isinstance(e, (And, Or, Implies, Iff)):
-            assign(e.left, sort)
-            assign(e.right, sort)
-        # quantified subtrees already carry a concrete sort
+    def fresh() -> int:
+        parent.append(len(parent))
+        return len(parent) - 1
 
-    def walk(e: ConceptExpr) -> Optional[Sort]:
+    def find(v: int) -> int:
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    def unify(a: int, b: int) -> Optional[int]:
+        """Join the classes of a and b; their root, or None if that would
+        join the two sorts."""
+        a, b = find(a), find(b)
+        if {a, b} == {find(0), find(1)}:
+            return None
+        parent[b] = a
+        return a
+
+    def walk(e: ConceptExpr) -> int:
         if isinstance(e, Atom):
-            atoms.setdefault(e.name, None)
+            if e.name not in atoms:
+                atoms[e.name] = fresh()
             return atoms[e.name]
         if isinstance(e, (Top, Bot)):
-            return None
+            return fresh()
         if isinstance(e, Not):
             return walk(e.expr)
         if isinstance(e, (And, Or, Implies, Iff)):
-            ls = walk(e.left)
-            rs = walk(e.right)
-            if ls is not None and rs is not None and ls is not rs:
+            root = unify(walk(e.left), walk(e.right))
+            if root is None:
                 raise SortError(f"mixed-sort operands in {e}")
-            known = ls if ls is not None else rs
-            if known is not None:
-                assign(e.left, known)
-                assign(e.right, known)
-            return known
+            return root
         if isinstance(e, (Exists, Forall)):
             child = walk(e.expr)
             name = e.role.name
+            if name not in roles:
+                roles[name] = (fresh(), fresh())
+            source, target = roles[name]
             if e.role.kind is RoleKind.CROSS_INVERSE:
-                if kinds.setdefault(name, RoleKind.CROSS) is not RoleKind.CROSS:
+                if unify(source, 0) is None or unify(target, 1) is None:
                     raise SortError(f"role {name} used with two kinds")
-                if child is Sort.ATTRIBUTE:
+                if unify(child, source) is None:
                     raise SortError(f"inv({name}) needs an object-sort operand")
-                assign(e.expr, Sort.OBJECT)
-                return Sort.ATTRIBUTE
-            if name in kinds:
-                kind = kinds[name]
-            elif child is Sort.OBJECT or name in overruled:
-                kind = RoleKind.OBJ_OBJ
-            else:
-                kind = RoleKind.CROSS  # attribute or undecided operand
-            kinds[name] = kind
-            want = RoleName(name, kind).target_sort
-            if child is not None and child is not want:
-                if kind is RoleKind.CROSS and name not in overruled:
-                    raise _Overruled(name)
+                return target
+            if unify(child, target) is None:
                 raise SortError(f"role {name} used with two kinds")
-            assign(e.expr, want)
-            return RoleName(name, kind).source_sort
+            return source
         raise KedlError(f"unknown concept node: {e!r}")
 
-    while True:  # one pass per overruled role; assign and walk read this pass's dicts
-        atoms: dict[str, Optional[Sort]] = {}
-        kinds: dict[str, RoleKind] = {}
-        try:
-            walk(proto)
-            break
-        except _Overruled as err:
-            overruled.add(err.args[0])
+    walk(proto)
+    changed = True
+    while changed:  # a role with an attribute source or an object target has one sort
+        changed = False
+        for name, (source, target) in roles.items():
+            if find(source) != find(target) and (find(source) == find(1) or find(target) == find(0)):
+                if unify(source, target) is None:
+                    raise SortError(f"role {name} used with two kinds")
+                changed = True
+
+    sources = {find(source) for source, _ in roles.values()}
+    attribute = ({find(target) for _, target in roles.values()} - sources) | {find(1)}
+
+    def sort_of(v: int) -> Sort:
+        return Sort.ATTRIBUTE if find(v) in attribute else Sort.OBJECT
 
     sig = Signature()
-    for name, kind in kinds.items():
-        sig.declare_role(name, kind)
-    for name, sort in atoms.items():
-        sig.declare_atom(name, sort if sort is not None else Sort.OBJECT)
-
-    def rebuild(e: ConceptExpr) -> ConceptExpr:
-        if isinstance(e, Not):
-            return Not(rebuild(e.expr))
-        if isinstance(e, And):
-            return And(rebuild(e.left), rebuild(e.right))
-        if isinstance(e, Or):
-            return Or(rebuild(e.left), rebuild(e.right))
-        if isinstance(e, Implies):
-            return Implies(rebuild(e.left), rebuild(e.right))
-        if isinstance(e, Iff):
-            return Iff(rebuild(e.left), rebuild(e.right))
-        if isinstance(e, Exists):
-            return Exists(_resolved(e.role), rebuild(e.expr))
-        if isinstance(e, Forall):
-            return Forall(_resolved(e.role), rebuild(e.expr))
-        return e
-
-    def _resolved(role: RoleName) -> RoleName:
-        if role.kind is RoleKind.CROSS_INVERSE:
-            return role
-        return RoleName(role.name, kinds[role.name])
-
-    expr = rebuild(proto)
-    check_sort(expr, sig)
-    return expr, sig
+    for name, (source, target) in roles.items():
+        sig.declare_role(name, _ROLE_KIND[sort_of(source), sort_of(target)])
+    for name, v in atoms.items():
+        sig.declare_atom(name, sort_of(v))
+    return parse_concept(text, sig), sig
 
 
 # --- Knowledge-base parsing ---------------------------------------------------

@@ -433,7 +433,7 @@ class Tableau:
                     step = check(g, entry)
                     if step is None:
                         heappop(heap)
-                    elif self._is_blocked(g, g.nodes[entry[0]]):
+                    elif self._blocker(g, g.nodes[entry[0]]) is not None:
                         aside.append((heap, heappop(heap)))
                     elif step[0] == "or":
                         return entry[0], entry[2]  # the entry is dropped once a branch is added
@@ -602,62 +602,33 @@ class Tableau:
     # -- blocking -------------------------------------------------------------
 
     def _blocker(self, g: _Graph, node: _Node) -> Optional[_Node]:
-        """The ancestor that directly blocks ``node``, or None."""
-        if node.root or node.parent is None or node.parent[2]:
-            return None  # roots and inverse-created witnesses are never blocked
-        parent = g.nodes[node.parent[0]]
-        tag = node.parent[1:]
-        anc = parent
-        while anc.parent is not None:
-            candidate = g.nodes[anc.parent[0]]
-            if (
-                not anc.root
-                and anc.parent[1:] == tag
-                and anc.sort is node.sort
-                and anc.label == node.label
-                and candidate.label == parent.label
-            ):
-                return anc
-            anc = candidate
-        return None
-
-    def _is_blocked(self, g: _Graph, node: _Node) -> bool:
-        """Whether ``node`` is in ``_blocked(g)``, that is, whether it or an
-        ancestor has a ``_blocker``: one walk down the path from the root,
-        keying each forward-created node by its edge, sort, label and
-        parent's label; a node has a blocker iff an ancestor has its key."""
+        """The ancestor that blocks ``node`` or an ancestor of it, or None:
+        one walk down the path from the root, keying each forward-created
+        node by its edge, sort, label and parent's label; the first node
+        whose key an ancestor holds is blocked by that ancestor, and so is
+        every node below it.  Roots and inverse-created witnesses are never
+        blocked themselves."""
         path = []
         while node.parent is not None:
             path.append(node)
             node = g.nodes[node.parent[0]]
-        seen = set()
+        seen: dict[tuple, _Node] = {}
         above = frozenset(node.label)
         for node in reversed(path):
             label = frozenset(node.label)
             if not node.parent[2]:
                 key = (node.parent[1], node.sort, label, above)
                 if key in seen:
-                    return True
-                seen.add(key)
+                    return seen[key]
+                seen[key] = node
             above = label
-        return False
-
-    def _blocked(self, g: _Graph) -> set[int]:
-        """Ids of the nodes blocked directly or below a blocked ancestor, in
-        one pass: parents precede children in id order, as a merge keeps the
-        older node."""
-        blocked: set[int] = set()
-        for node in g.nodes.values():
-            parent = node.parent
-            if (parent is not None and parent[0] in blocked) or self._blocker(g, node) is not None:
-                blocked.add(node.id)
-        return blocked
+        return None
 
     # -- witness extraction ----------------------------------------------------
 
     def _extract_witness(self, g: _Graph) -> Interpretation:
-        blocked = self._blocked(g)
-        elements = [n for n in g.nodes.values() if n.id not in blocked]
+        blockers = {node.id: self._blocker(g, node) for node in g.nodes.values()}
+        elements = [n for n in g.nodes.values() if blockers[n.id] is None]
         index: dict[int, int] = {}
         n_delta = n_sigma = 0
         for node in elements:
@@ -669,7 +640,7 @@ class Tableau:
                 n_sigma += 1
 
         def resolve(nid: int) -> int:
-            blocker = self._blocker(g, g.nodes[nid])
+            blocker = blockers[nid]
             return nid if blocker is None else blocker.id
 
         concept_ext: dict[str, int] = {}

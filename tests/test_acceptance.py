@@ -52,7 +52,7 @@ def test_criterion_1_axiom_suite():
     """All 21 axioms: negation of each arrow form unsatisfiable by tableau;
     sort-ambiguous schemas (1-3, 18-21) in both sorts.  Budget: 5 s."""
     start = time.perf_counter()
-    checks = verify_suite(run_oracle=False)
+    checks = verify_suite()
     axioms = [c for c in checks if c.item_id.startswith("axiom")]
     elapsed = time.perf_counter() - start
 

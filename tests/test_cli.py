@@ -269,6 +269,14 @@ class TestSat:
         assert code == 2
         assert "role p used with two kinds" in err
 
+    def test_inference_unifies_an_atom_with_an_object_operand(self, capsys):
+        # C is both p's filler and an operand of p's source sort, so p is
+        # no cross role, the kind a lone use of p would default to
+        for concept in ("some p C and (C and some p E)", "(some p C) and C and all p (some p top)"):
+            code, out, err = run(capsys, "sat", "-c", concept)
+            assert (code, err) == (0, "")
+            assert "verdict: satisfiable" in out
+
     def test_inline_signature(self, capsys):
         code, out, _ = run(
             capsys, "sat", "-c", "some p C and all p (not C)",

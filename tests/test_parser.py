@@ -1,5 +1,9 @@
 """Surface grammar: concepts, knowledge-base files, and inference mode."""
 
+import itertools
+import random
+import re
+
 import pytest
 
 from kedl import (
@@ -11,6 +15,7 @@ from kedl import (
     Or,
     RoleKind,
     Signature,
+    Sort,
     SortError,
     Top,
     parse_concept,
@@ -98,6 +103,59 @@ class TestInferenceMode:
         _, sig = parse_concept_with_inference("some inv(r) C")
         assert sig.roles["r"] is RoleKind.CROSS
         assert sig.object_atoms == {"C"}
+
+
+def bare_concept(rng, depth):
+    """A random concept over atoms C, D, E and roles p, q, r."""
+    if depth == 0 or rng.random() < 0.3:
+        return rng.choice(["C", "D", "E", "top"])
+    k = rng.random()
+    if k < 0.15:
+        return f"not {bare_concept(rng, depth - 1)}"
+    if k < 0.55:
+        op = rng.choice(["and", "or", "=>"])
+        return f"({bare_concept(rng, depth - 1)} {op} {bare_concept(rng, depth - 1)})"
+    role = rng.choice("pqr")
+    if rng.random() < 0.2:
+        role = f"inv({role})"
+    return f"{rng.choice(['some', 'all'])} {role} {bare_concept(rng, depth - 1)}"
+
+
+def sorts_somehow(text):
+    """Whether some declaration of the concept's roles and atoms sort-checks it."""
+    roles = sorted(set(re.findall(r"\b[pqr]\b", text)))
+    atoms = sorted(set(re.findall(r"\b[CDE]\b", text)))
+    kinds = (RoleKind.OBJ_OBJ, RoleKind.ATTR_ATTR, RoleKind.CROSS)
+    for role_kinds in itertools.product(kinds, repeat=len(roles)):
+        for atom_sorts in itertools.product(Sort, repeat=len(atoms)):
+            sig = Signature()
+            for name, kind in zip(roles, role_kinds):
+                sig.declare_role(name, kind)
+            for name, sort in zip(atoms, atom_sorts):
+                sig.declare_atom(name, sort)
+            try:
+                parse_concept(text, sig)
+                return True
+            except SortError:
+                pass
+    return False
+
+
+def test_inference_fails_only_when_no_signature_sorts_the_concept():
+    # brute force over every choice of role kinds and atom sorts
+    rng = random.Random(1606)
+    accepted = rejected = 0
+    for _ in range(300):
+        text = bare_concept(rng, 4)
+        try:
+            _, sig = parse_concept_with_inference(text)
+        except SortError:
+            assert not sorts_somehow(text), text
+            rejected += 1
+        else:
+            parse_concept(text, sig)
+            accepted += 1
+    assert accepted > 200 and rejected > 10, (accepted, rejected)  # 278, 22
 
 
 def check_roundtrip(expr, sig):

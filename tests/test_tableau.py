@@ -164,17 +164,52 @@ class TestNodeOrder:
         assert (steps, merges) == (12507, 566)
 
     def test_candidate_blocking_matches_the_one_pass(self, monkeypatch):
-        # the agenda tests a candidate's node and its ancestors for a
-        # blocker, witness extraction marks every blocked node in one pass:
-        # both must agree on every node at every step; C1 <= some p C1 makes
+        # Tableau._blocker walks down from the root once; the reference
+        # below walks up from each node to find its direct blocker and
+        # marks the nodes below a blocked one in a pass in id order.  Both
+        # must agree on every node at every step, and on the blocker of
+        # every directly blocked node whose parent is unblocked, the one
+        # witness extraction maps the node to; C1 <= some p C1 makes
         # p-chains that only blocking stops
+        def direct_blocker(g, node):
+            if node.root or node.parent is None or node.parent[2]:
+                return None
+            parent = g.nodes[node.parent[0]]
+            tag = node.parent[1:]
+            anc = parent
+            while anc.parent is not None:
+                candidate = g.nodes[anc.parent[0]]
+                if (
+                    not anc.root
+                    and anc.parent[1:] == tag
+                    and anc.sort is node.sort
+                    and anc.label == node.label
+                    and candidate.label == parent.label
+                ):
+                    return anc
+                anc = candidate
+            return None
+
+        def blocked_nodes(g):
+            blocked = set()
+            for node in g.nodes.values():
+                parent = node.parent
+                if (parent is not None and parent[0] in blocked) or direct_blocker(g, node) is not None:
+                    blocked.add(node.id)
+            return blocked
+
         fire = Tableau._fire_rule
-        blocked_seen = 0
+        blocked_seen = direct_seen = 0
 
         def checked(self, g):
-            nonlocal blocked_seen
-            blocked = self._blocked(g)
-            assert all(self._is_blocked(g, n) == (n.id in blocked) for n in g.nodes.values())
+            nonlocal blocked_seen, direct_seen
+            blocked = blocked_nodes(g)
+            for n in g.nodes.values():
+                blocker = self._blocker(g, n)
+                assert (blocker is not None) == (n.id in blocked)
+                if n.id in blocked and n.parent[0] not in blocked:
+                    assert blocker is direct_blocker(g, n)
+                    direct_seen += 1
             blocked_seen += len(blocked)
             return fire(self, g)
 
@@ -186,6 +221,7 @@ class TestNodeOrder:
             for mode in FunctionalityMode:
                 Tableau(kb, mode).is_satisfiable(And(Atom("C1"), gen_nnf(rng, Sort.OBJECT, 2)))
         assert blocked_seen > 500, blocked_seen  # 867
+        assert direct_seen > 500, direct_seen  # 865
 
 
 class TestConsistency:

@@ -81,8 +81,8 @@ class TestSuiteRuns:
 
     def test_only_filter_matches_whole_id_segments(self):
         # a bare prefix would also select axiom10..axiom19 and property10.x..property12
-        assert {c.item_id for c in verify_suite(only="axiom1", run_oracle=False)} == {"axiom1"}
-        assert {c.item_id for c in verify_suite(only="property1", run_oracle=False)} == {
+        assert {c.item_id for c in verify_suite(only="axiom1")} == {"axiom1"}
+        assert {c.item_id for c in verify_suite(only="property1")} == {
             "property1.1", "property1.2"}
 
     def test_verdicts_stable_across_bounds(self):
