@@ -139,7 +139,11 @@ class KnowledgeBase:
         sort = self.sig.atom_sort(name)
         check_sort(expr, self.sig, expected=sort)
         self.definitions[name] = expr
-        self._check_acyclic()
+        try:
+            self._check_acyclic(name)
+        except KnowledgeBaseError:
+            del self.definitions[name]
+            raise
 
     def include(self, left: ConceptExpr, right: ConceptExpr) -> None:
         combined_sort(left, right, self.sig)
@@ -164,21 +168,28 @@ class KnowledgeBase:
                 )
         self.abox.append(RoleAssertion(role, source, target))
 
-    def _check_acyclic(self) -> None:
-        """Definitions must not refer back to the atom being defined."""
-
-        def referenced(name: str, seen: set[str]) -> None:
-            if name in seen:
-                raise KnowledgeBaseError(f"cyclic definition through {name}")
-            expr = self.definitions.get(name)
-            if expr is None:
-                return
-            for sub in subexprs(expr):
-                if isinstance(sub, Atom):
-                    referenced(sub.name, seen | {name})
-
-        for name in self.definitions:
-            referenced(name, set())
+    def _check_acyclic(self, name: str) -> None:
+        """The definition of ``name`` must not refer back to ``name``.  The
+        definitions before it are acyclic, so a new cycle passes through it:
+        one depth-first walk from it finds one, visiting each definition at
+        most once."""
+        path: set[str] = set()  # the atoms on the walk's current path
+        done: set[str] = set()  # the atoms whose definitions reach no cycle
+        stack = [(name, False)]
+        while stack:
+            atom, leaving = stack.pop()
+            if leaving:
+                path.discard(atom)
+                done.add(atom)
+                continue
+            if atom in path:
+                raise KnowledgeBaseError(f"cyclic definition through {atom}")
+            expr = self.definitions.get(atom)
+            if atom in done or expr is None:
+                continue
+            path.add(atom)
+            stack.append((atom, True))
+            stack.extend((sub.name, False) for sub in subexprs(expr) if isinstance(sub, Atom))
 
     def formulas(self) -> list[Formula]:
         """Statement view: definitions as equivalences, then inclusions,

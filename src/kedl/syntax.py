@@ -452,6 +452,18 @@ def _prec(e: ConceptExpr) -> int:
 
 
 def concept_to_str(e: ConceptExpr) -> str:
+    if isinstance(e, (Not, Exists, Forall)):
+        return node_to_str(e, (concept_to_str(e.expr),))
+    if isinstance(e, (And, Or, Implies, Iff)):
+        return node_to_str(e, (concept_to_str(e.left), concept_to_str(e.right)))
+    return node_to_str(e, ())
+
+
+def node_to_str(e: ConceptExpr, operands: tuple[str, ...]) -> str:
+    """The printed form of ``e`` from the printed forms of its operands
+    (``e.expr``, or ``e.left`` and ``e.right``), so a caller that keeps the
+    forms of sub-concepts prints each new concept in time linear in its
+    own text."""
     if isinstance(e, Top):
         return "top"
     if isinstance(e, Bot):
@@ -459,26 +471,25 @@ def concept_to_str(e: ConceptExpr) -> str:
     if isinstance(e, Atom):
         return e.name
     if isinstance(e, Not):
-        return f"not {_wrap(e.expr, _PREC_UNARY)}"
+        return f"not {_wrap(e.expr, operands[0], _PREC_UNARY)}"
     if isinstance(e, And):
         # left-associative: right child at same precedence needs parens
-        return f"{_wrap(e.left, _PREC_AND)} and {_wrap(e.right, _PREC_AND + 1)}"
+        return f"{_wrap(e.left, operands[0], _PREC_AND)} and {_wrap(e.right, operands[1], _PREC_AND + 1)}"
     if isinstance(e, Or):
-        return f"{_wrap(e.left, _PREC_OR)} or {_wrap(e.right, _PREC_OR + 1)}"
+        return f"{_wrap(e.left, operands[0], _PREC_OR)} or {_wrap(e.right, operands[1], _PREC_OR + 1)}"
     if isinstance(e, Exists):
-        return f"some {e.role} {_wrap(e.expr, _PREC_UNARY)}"
+        return f"some {e.role} {_wrap(e.expr, operands[0], _PREC_UNARY)}"
     if isinstance(e, Forall):
-        return f"all {e.role} {_wrap(e.expr, _PREC_UNARY)}"
+        return f"all {e.role} {_wrap(e.expr, operands[0], _PREC_UNARY)}"
     if isinstance(e, Implies):
         # right-associative
-        return f"{_wrap(e.left, _PREC_ARROW + 1)} => {_wrap(e.right, _PREC_ARROW)}"
+        return f"{_wrap(e.left, operands[0], _PREC_ARROW + 1)} => {_wrap(e.right, operands[1], _PREC_ARROW)}"
     if isinstance(e, Iff):
-        return f"{_wrap(e.left, _PREC_ARROW + 1)} <=> {_wrap(e.right, _PREC_ARROW)}"
+        return f"{_wrap(e.left, operands[0], _PREC_ARROW + 1)} <=> {_wrap(e.right, operands[1], _PREC_ARROW)}"
     raise KedlError(f"unknown concept node: {e!r}")
 
 
-def _wrap(e: ConceptExpr, min_prec: int) -> str:
-    text = concept_to_str(e)
+def _wrap(e: ConceptExpr, text: str, min_prec: int) -> str:
     if _prec(e) < min_prec:
         return f"({text})"
     return text

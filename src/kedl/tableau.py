@@ -28,11 +28,11 @@ reads only the nodes whose labels grew.  Node ids ascend in ``g.nodes`` order
 order would find first.
 
 Labels are sets of interned concept ids; wherever the search picks the first
-of several concepts it orders them by printed form, computed once per id, so
-searches, witnesses and clash traces do not depend on hash seeds.  Cross
-roles are functional: an object node keeps at most one successor per cross
-role (two successors are merged), and under EXACTLY_ONE a successor is
-materialized for every declared cross role.
+of several concepts it orders them by printed form, computed once per id
+from its operands' printed forms, so searches, witnesses and clash traces
+do not depend on hash seeds.  Cross roles are functional: an object node
+keeps at most one successor per cross role (two successors are merged), and
+under EXACTLY_ONE a successor is materialized for every declared cross role.
 
 Termination uses pairwise (double) blocking: a generated node is blocked by
 an ancestor when both nodes and both their parents carry identical labels
@@ -50,14 +50,19 @@ from the graph (blocked nodes identified with their blockers) and re-checked
 with the exact evaluator against every KB formula before being returned.
 
 ``classify`` still asks ``subsumes`` once per ordered pair of atoms, but its
-``Tableau`` keeps a pool of the certified models it has seen: first the
-consistency witness, then the witness of every query the tableau found
-satisfiable.  Each is a finite model of the KB in the Tableau's mode, so an
-element of ``sub and not sup`` in any of them, found by the exact evaluator,
-refutes the subsumption without a tableau run.  The pool is scanned newest
-model first, and a tableau runs only when no model refutes the pair.  A
-``Tableau`` held by a caller keeps no pool: its queries do the same work
-every time.
+``Tableau`` keeps a pool of certified models, each a finite model of the KB
+in the Tableau's mode: first the consistency witness, then every witness a
+pooled query finds.  The pool holds one int per atom, a bitset over the
+elements of the atom's sort in all pooled models, each model's elements
+placed after those of the models before it (the known non-subsumers of
+Glimm, Horrocks, Motik, Shearer & Stoilos, J. Web Semantics 2012), so
+``bits[A] & ~bits[B]`` refutes ``A <= B`` without a tableau run.  An atom
+that no pooled model populates is first tested alone: that run is cheaper
+than ``A and not B``, whose ``not B`` may split, an unsatisfiable ``A`` is
+below every atom with no further run, and a satisfiable one brings a
+witness into the pool.  A tableau runs ``A and not B`` only for a pair the
+pool leaves open.  A ``Tableau`` held by a caller keeps no pool: its
+queries do the same work every time.
 """
 
 from __future__ import annotations
@@ -88,12 +93,14 @@ from .syntax import (
     Or,
     RoleKind,
     RoleName,
+    Signature,
     Sort,
     Top,
     check_sort,
-    concept_to_str,
+    concept_to_str,  # not called here; perfbench/spans.py wraps kedl.tableau.concept_to_str
     infer_sort,
     negated_nnf,
+    node_to_str,
     subexprs,
     to_nnf,
 )
@@ -219,14 +226,19 @@ class _ConceptTable:
 
     def intern(self, c: ConceptExpr) -> int:
         if isinstance(c, Atom):
+            operands: tuple[int, ...] = ()
             desc: tuple = (Atom, c.name)
         elif isinstance(c, Not) and isinstance(c.expr, Atom):
-            desc = (Not, self.intern(c.expr))
+            operands = (self.intern(c.expr),)
+            desc = (Not, *operands)
         elif isinstance(c, (And, Or)):
-            desc = (type(c), self.intern(c.left), self.intern(c.right))
+            operands = (self.intern(c.left), self.intern(c.right))
+            desc = (type(c), *operands)
         elif isinstance(c, (Exists, Forall)):
-            desc = (type(c), c.role, self.intern(c.expr))
+            operands = (self.intern(c.expr),)
+            desc = (type(c), c.role, *operands)
         elif isinstance(c, (Top, Bot)):
+            operands = ()
             desc = (type(c),)
         else:
             raise KedlError(f"internal tableau error: not in negation normal form: {c!r}")
@@ -234,7 +246,8 @@ class _ConceptTable:
         if cid is None:
             cid = self.ids[desc] = len(self.desc)
             self.desc.append(desc)
-            self.key.append(concept_to_str(c))
+            # from the operands' keys, not by printing the whole subtree again
+            self.key.append(node_to_str(c, tuple(self.key[i] for i in operands)))
             if desc[0] is Not:
                 self.neg[desc[1]] = cid
         return cid
@@ -259,7 +272,7 @@ class Tableau:
         self._unfold: dict[int, int] = {}
         self._globals: Optional[dict[Sort, list[int]]] = None
         # certified models that refute subsumptions; set only by classify
-        self._models: Optional[list[Interpretation]] = None
+        self._pool: Optional[_Pool] = None
 
     def _intern_kb(self) -> None:
         if self._globals is None:
@@ -329,15 +342,22 @@ class Tableau:
     def subsumes(self, sub: ConceptExpr, sup: ConceptExpr) -> bool:
         left = check_sort(sub, self.sig)
         check_sort(sup, self.sig, expected=left)
-        query = And(sub, Not(sup))
-        models = self._models
-        # newest first: classify asks about one sub at a time, and the
-        # newest models are the counter-models of that sub's earlier pairs
-        if models is not None and any(extension(query, model, left) for model in reversed(models)):
-            return False
-        result = self.is_satisfiable(query, sort=left)
-        if models is not None and result.satisfiable:
-            models.append(result.witness)
+        pool = self._pool if isinstance(sub, Atom) and isinstance(sup, Atom) else None
+        if pool is not None:
+            if sub.name in pool.unsatisfiable:
+                return True
+            if not pool.bits[sub.name]:
+                # no pooled model populates sub: test it alone first
+                found = self.is_satisfiable(sub, sort=left)
+                if not found.satisfiable:
+                    pool.unsatisfiable.add(sub.name)
+                    return True
+                pool.add(found.witness)
+            if pool.bits[sub.name] & ~pool.bits[sup.name]:
+                return False
+        result = self.is_satisfiable(And(sub, Not(sup)), sort=left)
+        if pool is not None and result.satisfiable:
+            pool.add(result.witness)
         return not result.satisfiable
 
     def instance_of(self, individual: str, expr: ConceptExpr) -> bool:
@@ -710,6 +730,28 @@ class Tableau:
         return order
 
 
+class _Pool:
+    """The certified models of one classification, as one bitset per atom:
+    each added model shifts its extension of the atom past the elements of
+    the atom's sort that earlier models brought, so ``bits[A] & ~bits[B]``
+    is non-zero exactly when some pooled model has an element of ``A`` that
+    is not in ``B``.  ``unsatisfiable`` holds the atoms no model can
+    populate."""
+
+    def __init__(self, sig: Signature) -> None:
+        self.atoms = [(name, sig.atom_sort(name)) for name in sorted(sig.object_atoms | sig.attribute_atoms)]
+        self.bits = {name: 0 for name, _ in self.atoms}
+        self.size = {Sort.OBJECT: 0, Sort.ATTRIBUTE: 0}
+        self.unsatisfiable: set[str] = set()
+
+    def add(self, model: Interpretation) -> None:
+        bits, size, ext = self.bits, self.size, model.concept_ext
+        for name, sort in self.atoms:
+            bits[name] |= ext[name] << size[sort]
+        size[Sort.OBJECT] += model.n_delta
+        size[Sort.ATTRIBUTE] += model.n_sigma
+
+
 # -- module-level operations ---------------------------------------------------
 
 
@@ -770,7 +812,8 @@ def classify(kb: KnowledgeBase, mode: FunctionalityMode = FunctionalityMode.AT_M
     consistent = tab.is_consistent()
     if not consistent.satisfiable:
         raise InconsistentKBError("knowledge base is inconsistent; no subsumption order exists")
-    tab._models = [consistent.witness]
+    tab._pool = _Pool(kb.sig)
+    tab._pool.add(consistent.witness)
 
     cells: dict[Sort, list[list[str]]] = {}
     leq: dict[Sort, set[tuple[str, str]]] = {}

@@ -205,3 +205,28 @@ def gen_hierarchy_kb(rng: random.Random) -> KnowledgeBase:
     role = rng.choice([p.role for p in parts[base] if isinstance(p, Exists)])
     kb.define("O7", And(Atom(base), Forall(role, Bot())))
     return kb
+
+
+def gen_km_text(rng: random.Random, n: int) -> str:
+    """A km record file of n objects over n attribute states and n/4
+    relations, each mapping one state to another.  About a third of the
+    objects extend an earlier object's states by one or two more, so they
+    fall below it, and about one in six restates an earlier object's states
+    (an equivalent pair); the rest pick one to four states at random."""
+    states = [f"S{i}" for i in range(1, n + 1)]
+    picked: list[list[str]] = []
+    for k in range(n):
+        roll = rng.randrange(6) if k else 5
+        if roll == 0:
+            picked.append(list(rng.choice(picked)))
+        elif roll < 3:
+            base = rng.choice(picked)
+            picked.append(base + rng.sample([s for s in states if s not in base], rng.randrange(1, 3)))
+        else:
+            picked.append(rng.sample(states, rng.randrange(1, 5)))
+    lines = [f"attribute {s} {{ measurability: 0; function: none; }}" for s in states]
+    lines += [f"object O{k + 1} {{ attributes: {', '.join(rng.sample(p, len(p)))}; }}" for k, p in enumerate(picked)]
+    for j in range(n // 4):
+        src, dst = rng.sample(states, 2)
+        lines.append(f"relation rel{j + 1} {{ mapping: logical; inputs: {src}; outputs: {dst}; function: f{j + 1}; }}")
+    return "\n".join(lines) + "\n"

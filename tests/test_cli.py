@@ -16,33 +16,11 @@ def data_text(name: str) -> str:
     return importlib.resources.files("kedl.data").joinpath(name).read_text(encoding="utf-8")
 
 
-HIERARCHY = pathlib.Path(__file__).parent / "data" / "hierarchy.kedl"
-ABOX = pathlib.Path(__file__).parent / "data" / "abox.kedl"
-
-# the same in every functionality mode
-HIERARCHY_RECORDS = """\
-kedl-report/1
-command=classify
-verdict=classified
-payload:
-object cells:
-  Gas-hazard = Hazard
-  Monitored-site
-  Sealed-hazard
-  Site
-  Gas-hazard < Monitored-site
-  Monitored-site < Site
-  Sealed-hazard < Gas-hazard
-attribute cells:
-  Flash-point = Ignition-point
-  Gas-concentration
-  Location
-  Methane-level
-  Temperature
-  Flash-point < Temperature
-  Methane-level < Gas-concentration
-"""
-
+# test KBs, and the byte-exact `classify --format records` output of gas
+# and of hierarchy.kedl in each mode (classify-<kb>-<mode>.records)
+DATA = pathlib.Path(__file__).parent / "data"
+HIERARCHY = DATA / "hierarchy.kedl"
+ABOX = DATA / "abox.kedl"
 
 UNSAT_KB = "oconcept C; oindividual c1; C <= bot; C(c1);"
 EMPTY_C_KB = "oconcept C; oconcept D; C <= bot;"
@@ -342,7 +320,13 @@ class TestSubsumesInstanceClassify:
         # nested definitions, two equivalent pairs and an unsatisfiable atom
         code, out, _ = run(capsys, "classify", str(HIERARCHY), "--mode", mode, "--format", "records")
         assert code == 0
-        assert out == HIERARCHY_RECORDS
+        assert out == (DATA / f"classify-hierarchy-{mode}.records").read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize("mode", ["at-most-one", "exactly-one", "free"])
+    def test_classify_corpus_records(self, capsys, gas_kedl, mode):
+        code, out, _ = run(capsys, "classify", gas_kedl, "--mode", mode, "--format", "records")
+        assert code == 0
+        assert out == (DATA / f"classify-gas-{mode}.records").read_text(encoding="utf-8")
 
     def test_classify_inconsistent(self, capsys, tmp_path):
         path = tmp_path / "bad.kedl"

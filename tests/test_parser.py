@@ -22,7 +22,8 @@ from kedl import (
     parse_concept_with_inference,
     parse_kb,
 )
-from kedl.kb import ConceptAssertion, RoleAssertion
+from kedl import kb as kb_module
+from kedl.kb import ConceptAssertion, KnowledgeBase, KnowledgeBaseError, RoleAssertion
 from kedl.parser import ParseError, parse_signature
 from kedl.syntax import RoleName
 
@@ -217,6 +218,37 @@ class TestKbGrammar:
     def test_cyclic_definition_rejected(self):
         with pytest.raises(ParseError):
             parse_kb("oconcept C; oconcept D; C := not D; D := not C;")
+
+    def test_rejected_definition_is_rolled_back(self):
+        kb = parse_kb("oconcept B; oconcept C; B := C;")
+        with pytest.raises(KnowledgeBaseError, match="cyclic definition through C"):
+            kb.define("C", Atom("B"))
+        assert kb.definitions == {"B": Atom("C")}
+        kb.define("C", Not(Top()))  # C is still free to define
+
+    def test_acyclicity_check_visits_each_definition_once(self, monkeypatch):
+        # a ladder A_i := A_{i+1} and B_{i+1}, B_i := the same, defined from
+        # the bottom rung up: the definitions under a rung share every path
+        # below it, 2^i of them, so the check must remember finished atoms
+        rungs = 200
+        kb = KnowledgeBase()
+        for i in range(rungs + 1):
+            kb.sig.declare_atom(f"A{i}", Sort.OBJECT)
+            kb.sig.declare_atom(f"B{i}", Sort.OBJECT)
+        visits = []
+        subexprs = kb_module.subexprs
+
+        def visit(expr):  # the check walks each definition it visits once
+            visits.append(expr)
+            assert len(visits) <= len(kb.definitions), "a definition was visited twice"
+            return subexprs(expr)
+
+        monkeypatch.setattr(kb_module, "subexprs", visit)
+        for i in reversed(range(rungs)):
+            for name in (f"A{i}", f"B{i}"):
+                visits.clear()
+                kb.define(name, And(Atom(f"A{i + 1}"), Atom(f"B{i + 1}")))
+                assert len(visits) == 1 + 2 * (rungs - 1 - i)  # the new one and all below it
 
     def test_assertion_sort_mismatch(self):
         with pytest.raises(SortError) as err:

@@ -33,7 +33,9 @@ from kedl import (
     subsumes,
     validate_interpretation,
 )
+from kedl.km import ObjectKnowledgeElement, parse_km, translate_to_kb
 from kedl.semantics import FunctionalityMode, interpretation_to_text
+from kedl.syntax import Forall, Or, concept_to_str
 from kedl.tableau import InconsistentKBError, Tableau, trace_to_text
 
 from generators import (
@@ -44,6 +46,7 @@ from generators import (
     gen_atomic_gci_kb,
     gen_hierarchy_kb,
     gen_kb,
+    gen_km_text,
     gen_nnf,
 )
 
@@ -649,6 +652,85 @@ class TestPooledClassification:
         for _ in range(2):
             assert not tab.subsumes(Atom("C"), Atom("D"))
         assert len(runs) == 2
+
+
+class TestClassificationWork:
+    """The tableau runs (``_expand`` calls) of ``classify``: one for
+    consistency, one satisfiability test per atom that no pooled model
+    populates yet, and one per pair that the pool leaves open."""
+
+    @staticmethod
+    def _classify(monkeypatch, kb, mode):
+        """The classification and its queries to ``is_satisfiable``, and
+        the number of tableau runs it took."""
+        queries, runs = [], []
+        expand, satisfiable = Tableau._expand, Tableau.is_satisfiable
+        monkeypatch.setattr(Tableau, "_expand", lambda self, g: runs.append(1) or expand(self, g))
+        monkeypatch.setattr(Tableau, "is_satisfiable",
+                            lambda self, expr, sort=None: queries.append(expr) or satisfiable(self, expr, sort))
+        return classify(kb, mode), queries, len(runs)
+
+    @pytest.mark.parametrize("mode", list(FunctionalityMode), ids=str)
+    def test_unsatisfiable_atom_costs_one_run(self, monkeypatch, mode):
+        kb = parse_kb((pathlib.Path(__file__).parent / "data" / "hierarchy.kedl").read_text())
+        _, queries, runs = self._classify(monkeypatch, kb, mode)
+        sealed = Atom("Sealed-hazard")
+        assert [q for q in queries if sealed in (q, getattr(q, "left", None))] == [sealed]
+        assert runs == 19  # in every mode
+
+    @pytest.mark.parametrize("mode", list(FunctionalityMode), ids=str)
+    def test_km_ontology_runs(self, monkeypatch, mode):
+        elements = parse_km(gen_km_text(random.Random(17), 60))
+        kb = translate_to_kb(elements)
+        result, _, runs = self._classify(monkeypatch, kb, mode)
+        # the structural order: an object is below another when it has all
+        # the other's attribute states; attribute states are incomparable
+        attrs = {e.name: set(e.attributes) for e in elements if isinstance(e, ObjectKnowledgeElement)}
+        expected = {(a, a) for a in kb.sig.attribute_atoms}
+        expected |= {(a, b) for a in attrs for b in attrs if attrs[b] <= attrs[a]}
+        assert _below_pairs(result) == expected
+        atoms = len(kb.sig.object_atoms) + len(kb.sig.attribute_atoms)
+        assert runs <= 1 + atoms + (len(expected) - atoms)
+        assert runs == 193  # in every mode
+
+
+def _concept_of(table, cid: int):
+    """The NNF concept that a ``_ConceptTable`` id interns."""
+    kind, *rest = table.desc[cid]
+    if kind is Atom:
+        return Atom(rest[0])
+    if kind is Not:
+        return Not(_concept_of(table, rest[0]))
+    if kind in (And, Or):
+        return kind(_concept_of(table, rest[0]), _concept_of(table, rest[1]))
+    if kind in (Exists, Forall):
+        return kind(rest[0], _concept_of(table, rest[1]))
+    return kind()
+
+
+def test_concept_keys_are_printed_forms():
+    # a key is built from its operands' keys; it must be the printed form,
+    # which orders every choice the tableau makes and appears in traces
+    import importlib.resources
+
+    data = pathlib.Path(__file__).parent / "data"
+    texts = [importlib.resources.files("kedl.data").joinpath("gas.kedl").read_text(),
+             (data / "hierarchy.kedl").read_text(), (data / "abox.kedl").read_text()]
+    tableaux = [Tableau(parse_kb(text)) for text in texts]
+    for tab in tableaux:
+        tab.is_consistent()  # interns the definitions, inclusions and assertions
+    random_concepts = Tableau(empty_diff_kb())
+    rng = random.Random(1717)
+    for _ in range(200):
+        for sort in (Sort.OBJECT, Sort.ATTRIBUTE):
+            random_concepts.concepts.intern(gen_nnf(rng, sort, 4))
+    tableaux.append(random_concepts)
+    for tab in tableaux:
+        table = tab.concepts
+        assert len(table.key) == len(table.desc)
+        for cid in range(len(table.desc)):
+            assert table.key[cid] == concept_to_str(_concept_of(table, cid))
+    assert len(random_concepts.concepts.desc) > 1000
 
 
 class TestOracleAgreement:
