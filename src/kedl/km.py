@@ -279,11 +279,7 @@ def _ordered(elements: list[KnowledgeElement]):
     attrs = [e for e in elements if isinstance(e, AttributeKnowledgeElement)]
     objects = [e for e in elements if isinstance(e, ObjectKnowledgeElement)]
     relations = [e for e in elements if isinstance(e, RelationalKnowledgeElement)]
-    attached: list[str] = []
-    for obj in objects:
-        for a in obj.attributes:
-            if a not in attached:
-                attached.append(a)
+    attached = list(dict.fromkeys(a for obj in objects for a in obj.attributes))  # first appearance order
     return attrs, objects, relations, attached
 
 

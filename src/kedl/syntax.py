@@ -280,19 +280,13 @@ class SortError(KedlError):
         return self.message
 
 
-def infer_sort(expr: ConceptExpr, sig: Signature) -> Optional[Sort]:
-    """Like :func:`check_sort`, but returns None for fully polymorphic
-    expressions (only top/bot inside) instead of defaulting."""
-    return _infer_sort(expr, sig)
-
-
 def check_sort(expr: ConceptExpr, sig: Signature, expected: Optional[Sort] = None) -> Sort:
     """Return the unique sort of ``expr`` or raise :class:`SortError`.
 
     ``top``/``bot`` are sort-polymorphic; an expression whose sort is not
     fixed by any atom or role takes ``expected`` (object sort by default).
     """
-    inferred = _infer_sort(expr, sig)
+    inferred = infer_sort(expr, sig)
     if inferred is None:
         inferred = expected if expected is not None else Sort.OBJECT
     if expected is not None and inferred is not expected:
@@ -304,17 +298,18 @@ def check_sort(expr: ConceptExpr, sig: Signature, expected: Optional[Sort] = Non
     return inferred
 
 
-def _infer_sort(expr: ConceptExpr, sig: Signature) -> Optional[Sort]:
-    """Bottom-up sort inference; None means polymorphic (only top/bot inside)."""
+def infer_sort(expr: ConceptExpr, sig: Signature) -> Optional[Sort]:
+    """Bottom-up sort inference, like :func:`check_sort`, but None for a
+    fully polymorphic expression (only top/bot inside) instead of a default."""
     if isinstance(expr, (Top, Bot)):
         return None
     if isinstance(expr, Atom):
         return sig.atom_sort(expr.name)
     if isinstance(expr, Not):
-        return _infer_sort(expr.expr, sig)
+        return infer_sort(expr.expr, sig)
     if isinstance(expr, (And, Or, Implies, Iff)):
-        ls = _infer_sort(expr.left, sig)
-        rs = _infer_sort(expr.right, sig)
+        ls = infer_sort(expr.left, sig)
+        rs = infer_sort(expr.right, sig)
         if ls is not None and rs is not None and ls is not rs:
             raise SortError(
                 f"mixed-sort operands: {expr.left} is {ls}-sort but {expr.right} is {rs}-sort",
@@ -334,7 +329,7 @@ def _infer_sort(expr: ConceptExpr, sig: Signature) -> Optional[Sort]:
                 expected=declared,
                 found=role.kind,
             )
-        child = _infer_sort(expr.expr, sig)
+        child = infer_sort(expr.expr, sig)
         want = role.target_sort
         if child is not None and child is not want:
             raise SortError(

@@ -20,12 +20,14 @@ refutation reports the clash trace of the last closed branch.
 Each graph carries an agenda of rule candidates (Horrocks & Patel-Schneider,
 "Optimizing description logic subsumption", J. Logic Comput. 1999): one heap
 per rule class, in priority order unfold/and, merge, forall, or, exists,
-totality, keyed by node id and then by printed concept or role name.  A label
-or edge addition pushes the candidates it makes, a step fires the smallest
-applicable candidate of the first class that has one, and the clash check
-reads only the nodes whose labels grew.  Node ids ascend in ``g.nodes`` order
-(a merge keeps the older node), so this is the rule a scan of the nodes in
-order would find first.
+totality, keyed by node id and then by printed concept or role name.  Three
+methods make every change to a graph, and each pushes the candidates its
+change makes: ``_new_node`` (a node and its sort's global constraints),
+``_add`` (a label grows) and ``_add_edge`` (an edge, also one a merge moves).
+A step fires the smallest applicable candidate of the first class that has
+one, and the clash check reads only the nodes whose labels grew.  Node ids
+ascend in ``g.nodes`` order (a merge keeps the older node), so this is the
+rule a scan of the nodes in order would find first.
 
 Labels are sets of interned concept ids; wherever the search picks the first
 of several concepts it orders them by printed form, computed once per id
@@ -69,6 +71,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
+from graphlib import TopologicalSorter
 from heapq import heappop, heappush
 from typing import Iterable, Optional
 
@@ -167,22 +170,29 @@ class _Graph:
         # one heap of candidate rules per rule class: (node id, printed
         # concept, concept id) for concept rules, (node id, role name) for
         # merge and (node id,) for totality
-        self.agenda: list[list[tuple]] = []  # filled by Tableau._rebuild_agenda
+        self.agenda: list[list[tuple]] = [[] for _ in range(TOTALITY + 1)]
         self.touched: set[int] = set()  # nodes whose label grew since the last clash check
 
-    def new_node(self, sort: Sort, root: bool,
-                 parent: Optional[tuple[int, str, bool]] = None) -> _Node:
+    def new_node(self, sort: Sort, parent: Optional[tuple[int, str, bool]]) -> _Node:
         depth = 0 if parent is None else self.nodes[parent[0]].depth + 1
         if depth > MAX_TREE_DEPTH or len(self.nodes) >= MAX_NODES:
             raise TableauLimitError("completion graph exceeded its expansion budget")
-        node = _Node(self.next_id, sort, root, parent, depth)
+        node = _Node(self.next_id, sort, parent is None, parent, depth)
         self.next_id += 1
         self.nodes[node.id] = node
         self.succ[node.id] = {}
         return node
 
-    def add_edge(self, src: int, role_name: str, dst: int) -> None:
-        self.succ[src].setdefault(role_name, set()).add(dst)
+    def pop_node(self, node_id: int) -> list[tuple[int, str, int]]:
+        """Delete a node and return its edges."""
+        del self.nodes[node_id]
+        edges = [(node_id, r, t) for r, targets in self.succ.pop(node_id).items() for t in targets]
+        for src, per in self.succ.items():
+            for r, targets in per.items():
+                if node_id in targets:
+                    targets.discard(node_id)
+                    edges.append((src, r, node_id))
+        return edges
 
     def successors(self, node_id: int, role_name: str) -> set[int]:
         return self.succ[node_id].get(role_name, set())
@@ -261,6 +271,7 @@ class Tableau:
         self.sig = kb.sig
         self.mode = mode
         self._totality = mode is FunctionalityMode.EXACTLY_ONE  # every object has every cross role
+        self._merging = mode is not FunctionalityMode.FREE  # cross roles are functional
         self.concepts = _ConceptTable()
         # sorts are inferred here, so a badly sorted KB fails at construction;
         # NNF and interning wait for the first query (_intern_kb)
@@ -301,31 +312,23 @@ class Tableau:
         self._intern_kb()
         g = _Graph()
         for name in sorted(self.sig.individuals):
-            node = g.new_node(self.sig.individuals[name], root=True)
-            g.ind_node[name] = node.id
-            self._seed_label(node)
+            g.ind_node[name] = self._new_node(g, self.sig.individuals[name]).id
         for a in self.kb.abox:
             if isinstance(a, ConceptAssertion):
-                g.nodes[g.ind_node[a.individual]].label.add(self.concepts.intern(to_nnf(a.concept)))
+                self._add(g, g.ind_node[a.individual], (self.concepts.intern(to_nnf(a.concept)),))
             else:
                 src, dst, role = a.source, a.target, a.role
                 if role.kind is RoleKind.CROSS_INVERSE:
                     src, dst = dst, src
-                g.add_edge(g.ind_node[src], role.name, g.ind_node[dst])
+                self._add_edge(g, g.ind_node[src], role.name, g.ind_node[dst])
         for sort, concept in extra:
-            node = g.new_node(sort, root=True)
-            self._seed_label(node)
-            node.label.add(concept)
+            self._add(g, self._new_node(g, sort).id, (concept,))
         # both domains are non-empty in every model; seed missing sorts so
         # their global constraints are exercised
         for sort in (Sort.OBJECT, Sort.ATTRIBUTE):
             if not any(n.sort is sort for n in g.nodes.values()):
-                node = g.new_node(sort, root=True)
-                self._seed_label(node)
+                self._new_node(g, sort)
         return g
-
-    def _seed_label(self, node: _Node) -> None:
-        node.label.update(self._globals[node.sort])
 
     # -- public queries -------------------------------------------------------
 
@@ -366,7 +369,7 @@ class Tableau:
         sort = self.sig.individuals[individual]
         check_sort(expr, self.sig, expected=sort)
         g = self._init_graph(extra=[])
-        g.nodes[g.ind_node[individual]].label.add(self.concepts.intern(negated_nnf(expr)))
+        self._add(g, g.ind_node[individual], (self.concepts.intern(negated_nnf(expr)),))
         return not self._run(g, query=None).satisfiable
 
     # -- expansion loop -------------------------------------------------------
@@ -387,7 +390,6 @@ class Tableau:
         return result
 
     def _expand(self, g: _Graph) -> SatResult:
-        self._rebuild_agenda(g)
         todo: list[_Graph] = []  # right branches of the open or-splits, innermost last
         while True:
             clash = self._find_clash(g)
@@ -440,17 +442,19 @@ class Tableau:
         when nothing deterministic is left, generating rules only after that.
         A candidate found inapplicable is dropped, as it cannot become
         applicable again (labels only grow; ``_add_edge`` pushes anew the
-        forall candidates a new edge can wake, and a merge rebuilds the
-        agenda).  A candidate on a blocked node is set aside for this step
-        only: blocking is decided per candidate, and propagation into a
-        blocked node from an unblocked neighbour may unblock it.
+        forall and merge candidates a new edge can wake, and a merge moves
+        the dropped node's label and edges through ``_add`` and
+        ``_add_edge``).  A candidate whose node a merge deleted is
+        inapplicable.  A candidate on a blocked node is set aside for this
+        step only: blocking is decided per candidate, and propagation into
+        a blocked node from an unblocked neighbour may unblock it.
         """
         aside: list[tuple[list[tuple], tuple]] = []
         try:
             for heap, check in zip(g.agenda, self._checks):
                 while heap:
                     entry = heap[0]
-                    step = check(g, entry)
+                    step = check(g, entry) if entry[0] in g.nodes else None
                     if step is None:
                         heappop(heap)
                     elif self._blocker(g, g.nodes[entry[0]]) is not None:
@@ -473,7 +477,6 @@ class Tableau:
         g.trace.append((rule, node_id, what))
         if rule == "merge":
             self._merge_nodes(g, *target)
-            self._rebuild_agenda(g)
             return
         if isinstance(target, RoleName):
             target = self._add_child(g, g.nodes[node_id], target).id
@@ -483,9 +486,8 @@ class Tableau:
     def _checks(self) -> list:
         """One check per rule class: None when the candidate is
         inapplicable, else ``(rule, what, target, concepts)`` for ``_apply``."""
-        desc, unfold, mode = self.concepts.desc, self._unfold, self.mode
-        cross_roles = self._cross_roles
-        free = mode is FunctionalityMode.FREE
+        desc, unfold = self.concepts.desc, self._unfold
+        cross_roles, merging = self._cross_roles, self._merging
 
         def unfold_and(g: _Graph, entry: tuple) -> Optional[tuple]:
             node_id, what, c = entry
@@ -519,7 +521,7 @@ class Tableau:
         def exists(g: _Graph, entry: tuple) -> Optional[tuple]:
             node_id, what, c = entry
             _, role, body = desc[c]
-            if role.kind is RoleKind.CROSS and not free:
+            if role.kind is RoleKind.CROSS and merging:
                 # a functional role has at most one successor: reuse it
                 targets = g.successors(node_id, role.name)
                 if targets:
@@ -537,30 +539,26 @@ class Tableau:
 
         return [unfold_and, merge, forall, or_split, exists, totality]
 
-    def _push(self, g: _Graph, node_id: int, concepts: Iterable[int]) -> None:
-        """Push the candidates of concepts in a node's label."""
-        agenda, unfold, desc, key = g.agenda, self._unfold, self.concepts.desc, self.concepts.key
-        for c in concepts:
-            rule = UNFOLD_AND if c in unfold else _RULE_CLASS.get(desc[c][0])
-            if rule is not None:
-                heappush(agenda[rule], (node_id, key[c], c))
-
     def _add(self, g: _Graph, node_id: int, concepts: Iterable[int]) -> None:
         """Add concepts to a label, with the candidates they make."""
         label = g.nodes[node_id].label
-        new = [c for c in concepts if c not in label]
-        label.update(new)
-        self._push(g, node_id, new)
+        agenda, unfold, desc, key = g.agenda, self._unfold, self.concepts.desc, self.concepts.key
+        for c in concepts:
+            if c not in label:
+                label.add(c)
+                rule = UNFOLD_AND if c in unfold else _RULE_CLASS.get(desc[c][0])
+                if rule is not None:
+                    heappush(agenda[rule], (node_id, key[c], c))
         g.touched.add(node_id)
 
     def _add_edge(self, g: _Graph, src: int, role_name: str, dst: int) -> None:
         """Add an edge, with the candidates it makes: the forall concepts
-        that now see one more neighbour.  It makes no merge candidate: the
-        edges added during expansion join a new child, and the exists and
-        totality rules give a functional role a child only where it has no
-        successor, so second successors come only from the ABox and from
-        merges, whose agenda is rebuilt."""
-        g.add_edge(src, role_name, dst)
+        that now see one more neighbour, and outside FREE a merge when a
+        cross role gets a second successor."""
+        targets = g.succ[src].setdefault(role_name, set())
+        targets.add(dst)
+        if len(targets) == 2 and self._merging and self.sig.roles.get(role_name) is RoleKind.CROSS:
+            heappush(g.agenda[MERGE], (src, role_name))
         desc, key = self.concepts.desc, self.concepts.key
         for node_id, inverse in ((src, False), (dst, True)):
             for c in g.nodes[node_id].label:
@@ -568,28 +566,20 @@ class Tableau:
                 if d[0] is Forall and d[1].name == role_name and (d[1].kind is RoleKind.CROSS_INVERSE) is inverse:
                     heappush(g.agenda[FORALL], (node_id, key[c], c))
 
-    def _rebuild_agenda(self, g: _Graph) -> None:
-        """Every candidate of the graph, and every node to be clash-checked:
-        for a fresh graph and after a merge, which rewrites edges."""
-        g.agenda = [[] for _ in range(TOTALITY + 1)]
-        free = self.mode is FunctionalityMode.FREE
-        for node in g.nodes.values():
-            self._push(g, node.id, node.label)
-            for role_name, targets in g.succ[node.id].items():
-                if len(targets) > 1 and not free and self.sig.roles.get(role_name) is RoleKind.CROSS:
-                    heappush(g.agenda[MERGE], (node.id, role_name))
-            if self._totality and node.sort is Sort.OBJECT:
-                heappush(g.agenda[TOTALITY], (node.id,))
-        g.touched = set(g.nodes)
+    def _new_node(self, g: _Graph, sort: Sort, parent: Optional[tuple[int, str, bool]] = None) -> _Node:
+        """A new node seeded with its sort's global constraints, with the
+        candidates they make and, under EXACTLY_ONE, a totality candidate."""
+        node = g.new_node(sort, parent)
+        self._add(g, node.id, self._globals[sort])
+        if self._totality and sort is Sort.OBJECT:
+            heappush(g.agenda[TOTALITY], (node.id,))
+        return node
 
     def _add_child(self, g: _Graph, node: _Node, role: RoleName) -> _Node:
         """A new seeded node joined to ``node`` by ``role``; under an inverse
         role the edge runs from the child back to ``node``."""
         via_inverse = role.kind is RoleKind.CROSS_INVERSE
-        child = g.new_node(role.target_sort, root=False, parent=(node.id, role.name, via_inverse))
-        self._add(g, child.id, self._globals[child.sort])
-        if self._totality and child.sort is Sort.OBJECT:
-            heappush(g.agenda[TOTALITY], (child.id,))
+        child = self._new_node(g, role.target_sort, parent=(node.id, role.name, via_inverse))
         if via_inverse:
             self._add_edge(g, child.id, role.name, node.id)
         else:
@@ -597,27 +587,25 @@ class Tableau:
         return child
 
     def _merge_nodes(self, g: _Graph, keep: int, drop: int) -> None:
+        """Merge ``drop`` into ``keep``: its label and edges move through
+        ``_add`` and ``_add_edge``, which push the candidates they make; the
+        candidates left on ``drop`` are found inapplicable when they come up."""
         keep_node, drop_node = g.nodes[keep], g.nodes[drop]
         if keep_node.root and drop_node.root:
             kept_names = sorted(n for n, i in g.ind_node.items() if i == keep)
             dropped_names = sorted(n for n, i in g.ind_node.items() if i == drop)
             if kept_names and dropped_names:
                 g.merges.append((kept_names[0], dropped_names[0]))
-        keep_node.label.update(drop_node.label)
-        for role_name, targets in g.succ[drop].items():
-            g.succ[keep].setdefault(role_name, set()).update(targets)
-        del g.succ[drop]
-        for targets in (t for per in g.succ.values() for t in per.values()):
-            if drop in targets:
-                targets.discard(drop)
-                targets.add(keep)
+        self._add(g, keep, drop_node.label)
+        for src, role_name, dst in g.pop_node(drop):
+            self._add_edge(g, keep if src == drop else src, role_name, keep if dst == drop else dst)
+        g.touched.discard(drop)
         for name, nid in list(g.ind_node.items()):
             if nid == drop:
                 g.ind_node[name] = keep
         for other in g.nodes.values():
             if other.parent is not None and other.parent[0] == drop:
                 other.parent = (keep, other.parent[1], other.parent[2])
-        del g.nodes[drop]
 
     # -- blocking -------------------------------------------------------------
 
@@ -713,21 +701,11 @@ class Tableau:
 
     @cached_property
     def _definition_order(self) -> list[str]:
-        order: list[str] = []
-        seen: set[str] = set()
-
-        def visit(name: str) -> None:
-            if name in seen or name not in self.kb.definitions:
-                return
-            seen.add(name)
-            for sub in subexprs(self.kb.definitions[name]):
-                if isinstance(sub, Atom):
-                    visit(sub.name)
-            order.append(name)
-
-        for name in sorted(self.kb.definitions):
-            visit(name)
-        return order
+        definitions = self.kb.definitions
+        graph = {name: {sub.name for sub in subexprs(definitions[name])
+                        if isinstance(sub, Atom) and sub.name in definitions}
+                 for name in sorted(definitions)}
+        return list(TopologicalSorter(graph).static_order())
 
 
 class _Pool:

@@ -17,10 +17,13 @@ def data_text(name: str) -> str:
 
 
 # test KBs, and the byte-exact `classify --format records` output of gas
-# and of hierarchy.kedl in each mode (classify-<kb>-<mode>.records)
+# and of hierarchy.kedl in each mode (classify-<kb>-<mode>.records), and the
+# `check --format records` output of merge.kedl (check-merge-<mode>.records,
+# with {kb} for the file's path)
 DATA = pathlib.Path(__file__).parent / "data"
 HIERARCHY = DATA / "hierarchy.kedl"
 ABOX = DATA / "abox.kedl"
+MERGE = DATA / "merge.kedl"
 
 UNSAT_KB = "oconcept C; oindividual c1; C <= bot; C(c1);"
 EMPTY_C_KB = "oconcept C; oconcept D; C <= bot;"
@@ -214,6 +217,25 @@ class TestCheck:
         path.write_text("oconcept ;;;")
         code, _, err = run(capsys, "check", str(path))
         assert code == 2
+
+    @pytest.mark.parametrize("mode", ["at-most-one", "exactly-one", "free"])
+    def test_merge_records(self, capsys, mode):
+        # one object with two values of a cross role, and a second object
+        # that shares one of them: two merges outside free mode
+        code, out, _ = run(capsys, "check", str(MERGE), "--mode", mode, "--format", "records")
+        assert code == 0
+        want = (DATA / f"check-merge-{mode}.records").read_text(encoding="utf-8")
+        assert out == want.replace("{kb}", str(MERGE))
+
+    def test_long_definition_chain(self, capsys, tmp_path):
+        # the witness evaluates definitions in dependency order, 1,500 deep
+        n = 1500
+        path = tmp_path / "chain.kedl"
+        path.write_text("oconcept C;\n" + "".join(f"oconcept A{i};\n" for i in range(n + 1))
+                        + "".join(f"A{i} := A{i + 1} and C;\n" for i in range(n)))
+        code, out, _ = run(capsys, "check", str(path))
+        assert code == 0
+        assert "verdict: consistent" in out
 
 
 class TestSat:

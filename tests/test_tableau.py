@@ -40,10 +40,12 @@ from kedl.tableau import InconsistentKBError, Tableau, trace_to_text
 
 from generators import (
     P,
+    Q,
     R,
     diff_signature,
     empty_diff_kb,
     gen_atomic_gci_kb,
+    gen_concept,
     gen_hierarchy_kb,
     gen_kb,
     gen_km_text,
@@ -166,6 +168,65 @@ class TestNodeOrder:
                     is_satisfiable(query, kb, mode=mode, sort=sort)
         assert (steps, merges) == (12507, 566)
 
+    def test_agenda_holds_every_applicable_candidate(self, monkeypatch):
+        # the agenda is filled only by the pushes where a graph changes;
+        # the reference below lists every candidate of a graph from scratch,
+        # in a pass over all its nodes, and before every step each one that
+        # its rule class's check finds applicable must wait in the agenda.
+        # The corpus is the one above in every mode; in half of it the
+        # merged u2 carries concepts that u1 lacks, which the merge pushes
+        # anew for u1
+        from kedl.syntax import RoleKind
+        from kedl.tableau import MERGE, TOTALITY, UNFOLD_AND, _RULE_CLASS
+
+        def every_candidate(tab, g):
+            agenda = [[] for _ in range(TOTALITY + 1)]
+            desc, key = tab.concepts.desc, tab.concepts.key
+            for node in g.nodes.values():
+                for c in node.label:
+                    rule = UNFOLD_AND if c in tab._unfold else _RULE_CLASS.get(desc[c][0])
+                    if rule is not None:
+                        agenda[rule].append((node.id, key[c], c))
+                for role_name, targets in g.succ[node.id].items():
+                    if (len(targets) > 1 and tab.mode is not FunctionalityMode.FREE
+                            and tab.sig.roles.get(role_name) is RoleKind.CROSS):
+                        agenda[MERGE].append((node.id, role_name))
+                if tab.mode is FunctionalityMode.EXACTLY_ONE and node.sort is Sort.OBJECT:
+                    agenda[TOTALITY].append((node.id,))
+            return agenda
+
+        fire = Tableau._fire_rule
+        applicable = merges = 0
+
+        def checked(self, g):
+            nonlocal applicable, merges
+            for rule, (candidates, check) in enumerate(zip(every_candidate(self, g), self._checks)):
+                live = set(g.agenda[rule])
+                for entry in candidates:
+                    if check(g, entry) is not None:
+                        assert entry in live, (rule, entry)
+                        applicable += 1
+            step = fire(self, g)
+            merges += step is True and g.trace[-1][0] == "merge"
+            return step
+
+        monkeypatch.setattr(Tableau, "_fire_rule", checked)
+        rng = random.Random(616)
+        for k in range(150):
+            kb = gen_kb(rng)
+            kb.sig.declare_individual("u2", Sort.ATTRIBUTE)
+            kb.assert_role(R, "o1", "u2")
+            if k % 2:
+                kb.assert_concept(gen_concept(rng, Sort.ATTRIBUTE, 1), "u2")
+                kb.assert_role(Q, "u2", "u1")
+            queries = [(sort, gen_nnf(rng, sort, 2)) for sort in (Sort.OBJECT, Sort.ATTRIBUTE)]
+            for mode in FunctionalityMode:
+                is_consistent(kb, mode=mode)
+                for sort, query in queries:
+                    is_satisfiable(query, kb, mode=mode, sort=sort)
+        assert merges > 400, merges  # 488
+        assert applicable > 100000, applicable  # 180,114
+
     def test_candidate_blocking_matches_the_one_pass(self, monkeypatch):
         # Tableau._blocker walks down from the root once; the reference
         # below walks up from each node to find its direct blocker and
@@ -237,6 +298,17 @@ class TestConsistency:
             Gas(gas1);
             """
         )
+        result = is_consistent(kb)
+        assert result.satisfiable
+        assert satisfies_kb(result.witness, kb)
+
+    def test_long_definition_chain(self):
+        # A_i := A_{i+1} and C, 1,500 links: the witness evaluates the
+        # definitions in dependency order, deeper than Python's default
+        # recursion limit of 1,000
+        n = 1500
+        text = "oconcept C;\n" + "".join(f"oconcept A{i};\n" for i in range(n + 1))
+        kb = parse_kb(text + "".join(f"A{i} := A{i + 1} and C;\n" for i in range(n)))
         result = is_consistent(kb)
         assert result.satisfiable
         assert satisfies_kb(result.witness, kb)
