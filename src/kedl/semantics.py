@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 from .kb import (
     Assertion,
@@ -103,15 +103,18 @@ def validate_interpretation(i: Interpretation) -> list[str]:
     if i.n_sigma < 1:
         out.append("attribute domain must be non-empty")
 
+    delta, sigma = i.domain(Sort.OBJECT), i.domain(Sort.ATTRIBUTE)
     for name in sorted(i.sig.object_atoms | i.sig.attribute_atoms):
         ext = i.concept_ext.get(name)
         if ext is None:
             out.append(f"missing extension for atom {name}")
             continue
-        outside = ext & ~i.domain(i.sig.atom_sort(name))
+        outside = ext & ~(delta if name in i.sig.object_atoms else sigma)
         if outside:
             out.append(f"extension of {name} leaves its domain: {_bits(outside)}")
 
+    functional = i.mode is not FunctionalityMode.FREE
+    total = i.mode is FunctionalityMode.EXACTLY_ONE
     for name in sorted(i.sig.roles):
         kind = i.sig.roles[name]
         rows = i.role_ext.get(name)
@@ -123,16 +126,18 @@ def validate_interpretation(i: Interpretation) -> list[str]:
             out.append(f"role {name} has no row for {_el(kind.source, a)}")
         for a in range(n_src, len(rows)):
             out.append(f"role {name} has a row for {_el(kind.source, a)} outside its domain")
-        dst_dom = i.domain(kind.target)
+        outside_dst = ~(delta if kind.target is Sort.OBJECT else sigma)
         for a, row in enumerate(rows):
-            for b in _bits(row & ~dst_dom):
-                out.append(f"role {name} pair ({_el(kind.source, a)},{_el(kind.target, b)}) leaves its signature")
-        if kind is RoleKind.CROSS and i.mode is not FunctionalityMode.FREE:
+            if row & outside_dst:
+                for b in _bits(row & outside_dst):
+                    out.append(f"role {name} pair ({_el(kind.source, a)},{_el(kind.target, b)}) leaves its signature")
+        if kind is RoleKind.CROSS and functional:
+            # only a row with two or more bits, or under EXACTLY_ONE an
+            # empty one, can fail
             for x, row in enumerate(rows[:n_src]):
-                n_succ = row.bit_count()
-                if n_succ > 1:
-                    out.append(f"cross role {name} has {n_succ} successors at x{x + 1}")
-                if i.mode is FunctionalityMode.EXACTLY_ONE and n_succ == 0:
+                if row & (row - 1):
+                    out.append(f"cross role {name} has {row.bit_count()} successors at x{x + 1}")
+                elif total and not row:
                     out.append(f"cross role {name} has no successor at x{x + 1}")
 
     for ind, sort in sorted(i.sig.individuals.items()):
@@ -167,41 +172,53 @@ def extension(e: ConceptExpr, i: Interpretation, sort: Optional[Sort] = None) ->
 
 
 def _ext(e: ConceptExpr, i: Interpretation, sort: Sort) -> int:
-    if isinstance(e, Atom):
-        if e.name not in i.concept_ext:
-            raise KedlError(f"no extension stored for atom {e.name}")
-        return i.concept_ext[e.name]
-    if isinstance(e, And):
-        return _ext(e.left, i, sort) & _ext(e.right, i, sort)
-    if isinstance(e, Or):
-        return _ext(e.left, i, sort) | _ext(e.right, i, sort)
-    if isinstance(e, (Exists, Forall)):
-        role, some = e.role, isinstance(e, Exists)
-        inverse, rows = role.kind is RoleKind.CROSS_INVERSE, _rows(i, role.name)
-        child = _ext(e.expr, i, role.target_sort)
-        # the sources with a successor in child (some) or outside it (not
-        # in all); for inv(r), those are the successors of the r-sources
-        # in or outside child
-        marked = 0
+    rule = _EXT.get(type(e))
+    if rule is None:
+        raise KedlError(f"unknown concept node: {e!r}")
+    return rule(e, i, sort)
+
+
+def _ext_atom(e: Atom, i: Interpretation, sort: Sort) -> int:
+    ext = i.concept_ext.get(e.name)
+    if ext is None:
+        raise KedlError(f"no extension stored for atom {e.name}")
+    return ext
+
+
+def _ext_quantifier(e: Exists | Forall, i: Interpretation, sort: Sort) -> int:
+    role, some = e.role, type(e) is Exists
+    kind, rows = role.kind, _rows(i, role.name)
+    child = _ext(e.expr, i, kind.target)
+    # the sources with a successor in child (some) or outside it (not
+    # in all); for inv(r), those are the successors of the r-sources
+    # in or outside child
+    marked = 0
+    if kind is RoleKind.CROSS_INVERSE:
         for x, row in enumerate(rows):
-            if inverse:
-                if (child >> x & 1) == some:
-                    marked |= row
-            elif row & (child if some else ~child):
+            if (child >> x & 1) == some:
+                marked |= row
+    else:
+        wanted = child if some else ~child
+        for x, row in enumerate(rows):
+            if row & wanted:
                 marked |= 1 << x
-        src_dom = i.domain(role.source_sort)
-        return src_dom & marked if some else src_dom & ~marked
-    if isinstance(e, Top):
-        return i.domain(sort)
-    if isinstance(e, Bot):
-        return 0
-    if isinstance(e, Not):
-        return i.domain(sort) & ~_ext(e.expr, i, sort)
-    if isinstance(e, Implies):
-        return i.domain(sort) & ~_ext(e.left, i, sort) | _ext(e.right, i, sort)
-    if isinstance(e, Iff):
-        return i.domain(sort) & ~(_ext(e.left, i, sort) ^ _ext(e.right, i, sort))
-    raise KedlError(f"unknown concept node: {e!r}")
+    src_dom = i.domain(kind.source)
+    return src_dom & marked if some else src_dom & ~marked
+
+
+# _ext's rule for each concept node class, looked up by exact type
+_EXT: dict[type, Callable[..., int]] = {
+    Atom: _ext_atom,
+    And: lambda e, i, sort: _ext(e.left, i, sort) & _ext(e.right, i, sort),
+    Or: lambda e, i, sort: _ext(e.left, i, sort) | _ext(e.right, i, sort),
+    Exists: _ext_quantifier,
+    Forall: _ext_quantifier,
+    Top: lambda e, i, sort: i.domain(sort),
+    Bot: lambda e, i, sort: 0,
+    Not: lambda e, i, sort: i.domain(sort) & ~_ext(e.expr, i, sort),
+    Implies: lambda e, i, sort: i.domain(sort) & ~_ext(e.left, i, sort) | _ext(e.right, i, sort),
+    Iff: lambda e, i, sort: i.domain(sort) & ~(_ext(e.left, i, sort) ^ _ext(e.right, i, sort)),
+}
 
 
 def satisfies_assertion(i: Interpretation, a: Assertion) -> bool:

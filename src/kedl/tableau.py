@@ -25,9 +25,12 @@ methods make every change to a graph, and each pushes the candidates its
 change makes: ``_new_node`` (a node and its sort's global constraints),
 ``_add`` (a label grows) and ``_add_edge`` (an edge, also one a merge moves).
 A step fires the smallest applicable candidate of the first class that has
-one, and the clash check reads only the nodes whose labels grew.  Node ids
-ascend in ``g.nodes`` order (a merge keeps the older node), so this is the
-rule a scan of the nodes in order would find first.
+one.  Under EXACTLY_ONE a new object node gets one totality candidate per
+cross role, so a totality check tests one successor set.  ``_add`` marks a
+node for the clash check only when it adds ``bot`` or the complement of a
+concept the label holds, and the check reads only the marked nodes.  Node
+ids ascend in ``g.nodes`` order (a merge keeps the older node), so this is
+the rule a scan of the nodes in order would find first.
 
 Labels are sets of interned concept ids; wherever the search picks the first
 of several concepts it orders them by printed form, computed once per id
@@ -48,8 +51,13 @@ termination.  A candidate is tested for blocking when it comes up, by
 walking its node's ancestors; one on a blocked node waits for a later step.
 
 Every Satisfiable verdict carries a finite witness interpretation, rebuilt
-from the graph (blocked nodes identified with their blockers) and re-checked
-with the exact evaluator against every KB formula before being returned.
+from the graph (blocked nodes identified with their blockers) in one pass
+over each element's label and edges.  Each defined atom is set to the exact
+extension of its definition, in a dependency order that is checked once per
+``Tableau``, so every definition holds in the witness by construction.  The
+witness is then validated and re-checked with the exact evaluator against
+every inclusion and assertion of the KB, and the query, before being
+returned.
 
 ``classify`` still asks ``subsumes`` once per ordered pair of atoms, but its
 ``Tableau`` keeps a pool of certified models, each a finite model of the KB
@@ -75,7 +83,7 @@ from graphlib import TopologicalSorter
 from heapq import heappop, heappush
 from typing import Iterable, Optional
 
-from .kb import ConceptAssertion, Formula, KnowledgeBase
+from .kb import ConceptAssertion, Equivalence, Formula, KnowledgeBase
 from .semantics import (
     FunctionalityMode,
     Interpretation,
@@ -169,9 +177,10 @@ class _Graph:
         self.next_id = 0
         # one heap of candidate rules per rule class: (node id, printed
         # concept, concept id) for concept rules, (node id, role name) for
-        # merge and (node id,) for totality
+        # merge and totality
         self.agenda: list[list[tuple]] = [[] for _ in range(TOTALITY + 1)]
-        self.touched: set[int] = set()  # nodes whose label grew since the last clash check
+        # nodes that got bot or a complementary pair since the last clash check
+        self.touched: set[int] = set()
 
     def new_node(self, sort: Sort, parent: Optional[tuple[int, str, bool]]) -> _Node:
         depth = 0 if parent is None else self.nodes[parent[0]].depth + 1
@@ -226,13 +235,15 @@ class _ConceptTable:
     ``(Atom, name)``, ``(Not, atom id)``, ``(And | Or, left id, right id)``,
     ``(Exists | Forall, role, child id)``, ``(Top,)`` or ``(Bot,)``;
     ``key[i]`` is its printed form, the order of every choice the tableau
-    makes, and ``neg`` maps an atom's id to the id of its negation."""
+    makes, ``neg`` maps an atom's id to the id of its negation and
+    ``atom`` an atom's id to its name."""
 
     def __init__(self) -> None:
         self.ids: dict[tuple, int] = {}
         self.desc: list[tuple] = []
         self.key: list[str] = []
         self.neg: dict[int, int] = {}
+        self.atom: dict[int, str] = {}
 
     def intern(self, c: ConceptExpr) -> int:
         if isinstance(c, Atom):
@@ -260,6 +271,8 @@ class _ConceptTable:
             self.key.append(node_to_str(c, tuple(self.key[i] for i in operands)))
             if desc[0] is Not:
                 self.neg[desc[1]] = cid
+            elif desc[0] is Atom:
+                self.atom[cid] = desc[1]
         return cid
 
 
@@ -343,9 +356,13 @@ class Tableau:
         return self._run(g, query=None)
 
     def subsumes(self, sub: ConceptExpr, sup: ConceptExpr) -> bool:
-        left = check_sort(sub, self.sig)
-        check_sort(sup, self.sig, expected=left)
-        pool = self._pool if isinstance(sub, Atom) and isinstance(sup, Atom) else None
+        atoms = isinstance(sub, Atom) and isinstance(sup, Atom)
+        left = self.sig.atom_sort(sub.name) if atoms else None
+        if left is None or self.sig.atom_sort(sup.name) is not left:
+            # the full check, which also words the SortError of a mismatch
+            left = check_sort(sub, self.sig)
+            check_sort(sup, self.sig, expected=left)
+        pool = self._pool if atoms else None
         if pool is not None:
             if sub.name in pool.unsatisfiable:
                 return True
@@ -383,6 +400,7 @@ class Tableau:
         problems = validate_interpretation(witness)
         if problems:
             raise KedlError(f"internal tableau error: invalid witness: {problems}")
+        # the definitions hold by construction (_extract_witness, _definitions)
         if not satisfies_kb(witness, self.kb, formulas=self._formulas):
             raise KedlError("internal tableau error: witness does not satisfy the knowledge base")
         if query is not None and not extension(query[0], witness, query[1]):
@@ -413,21 +431,22 @@ class Tableau:
                     self._add(graph, node_id, (branch,))
 
     def _find_clash(self, g: _Graph) -> Optional[TraceEntry]:
-        """The clash of the first node, in id order, whose label grew since
-        the last call: every other node was clash-free then and is unchanged."""
+        """The clash of the first node, in id order, that ``_add`` marked
+        since the last call: a label that gets no ``bot`` and no complement
+        of a concept it holds stays clash-free."""
+        if not g.touched:
+            return None
         table = self.concepts
         bot = table.ids.get((Bot,))
-        touched, g.touched = g.touched, set()
-        for node_id in sorted(touched):
-            label = g.nodes[node_id].label
-            hits = [c for c in label if c == bot or table.neg.get(c) in label]
-            if hits:
-                c = min(hits, key=table.key.__getitem__)  # the first in printed order
-                if c == bot:
-                    return ("clash", node_id, "bot")
-                name = table.desc[c][1]
-                return ("clash", node_id, f"{name}, not {name}")
-        return None
+        node_id = min(g.touched)
+        g.touched = set()
+        label = g.nodes[node_id].label
+        c = min((c for c in label if c == bot or table.neg.get(c) in label),
+                key=table.key.__getitem__)  # the first in printed order
+        if c == bot:
+            return ("clash", node_id, "bot")
+        name = table.desc[c][1]
+        return ("clash", node_id, f"{name}, not {name}")
 
     # -- the agenda -------------------------------------------------------------
 
@@ -486,8 +505,7 @@ class Tableau:
     def _checks(self) -> list:
         """One check per rule class: None when the candidate is
         inapplicable, else ``(rule, what, target, concepts)`` for ``_apply``."""
-        desc, unfold = self.concepts.desc, self._unfold
-        cross_roles, merging = self._cross_roles, self._merging
+        desc, unfold, merging = self.concepts.desc, self._unfold, self._merging
 
         def unfold_and(g: _Graph, entry: tuple) -> Optional[tuple]:
             node_id, what, c = entry
@@ -532,24 +550,29 @@ class Tableau:
             return ("exists", what, role, (body,))
 
         def totality(g: _Graph, entry: tuple) -> Optional[tuple]:
-            for role_name in cross_roles:
-                if not g.successors(entry[0], role_name):
-                    return ("totality", role_name, RoleName(role_name, RoleKind.CROSS), ())
-            return None
+            node_id, role_name = entry
+            if g.successors(node_id, role_name):
+                return None
+            return ("totality", role_name, RoleName(role_name, RoleKind.CROSS), ())
 
         return [unfold_and, merge, forall, or_split, exists, totality]
 
     def _add(self, g: _Graph, node_id: int, concepts: Iterable[int]) -> None:
-        """Add concepts to a label, with the candidates they make."""
+        """Add concepts to a label, with the candidates they make, and mark
+        the node for ``_find_clash`` when one is ``bot`` or the complement
+        of a concept the label holds."""
         label = g.nodes[node_id].label
-        agenda, unfold, desc, key = g.agenda, self._unfold, self.concepts.desc, self.concepts.key
+        agenda, unfold, table = g.agenda, self._unfold, self.concepts
+        desc, key, neg = table.desc, table.key, table.neg
         for c in concepts:
             if c not in label:
                 label.add(c)
-                rule = UNFOLD_AND if c in unfold else _RULE_CLASS.get(desc[c][0])
+                d = desc[c]
+                rule = UNFOLD_AND if c in unfold else _RULE_CLASS.get(d[0])
                 if rule is not None:
                     heappush(agenda[rule], (node_id, key[c], c))
-        g.touched.add(node_id)
+                if d[0] is Bot or (d[0] is Not and d[1] in label) or neg.get(c) in label:
+                    g.touched.add(node_id)
 
     def _add_edge(self, g: _Graph, src: int, role_name: str, dst: int) -> None:
         """Add an edge, with the candidates it makes: the forall concepts
@@ -568,11 +591,13 @@ class Tableau:
 
     def _new_node(self, g: _Graph, sort: Sort, parent: Optional[tuple[int, str, bool]] = None) -> _Node:
         """A new node seeded with its sort's global constraints, with the
-        candidates they make and, under EXACTLY_ONE, a totality candidate."""
+        candidates they make and, under EXACTLY_ONE, a totality candidate
+        per cross role."""
         node = g.new_node(sort, parent)
         self._add(g, node.id, self._globals[sort])
         if self._totality and sort is Sort.OBJECT:
-            heappush(g.agenda[TOTALITY], (node.id,))
+            for role_name in self._cross_roles:
+                heappush(g.agenda[TOTALITY], (node.id, role_name))
         return node
 
     def _add_child(self, g: _Graph, node: _Node, role: RoleName) -> _Node:
@@ -637,7 +662,7 @@ class Tableau:
     def _extract_witness(self, g: _Graph) -> Interpretation:
         blockers = {node.id: self._blocker(g, node) for node in g.nodes.values()}
         elements = [n for n in g.nodes.values() if blockers[n.id] is None]
-        index: dict[int, int] = {}
+        index: dict[int, int] = {}  # node id -> element; a blocked node is its blocker's
         n_delta = n_sigma = 0
         for node in elements:
             if node.sort is Sort.OBJECT:
@@ -646,24 +671,26 @@ class Tableau:
             else:
                 index[node.id] = n_sigma
                 n_sigma += 1
+        for nid, blocker in blockers.items():
+            if blocker is not None:
+                index[nid] = index[blocker.id]
 
-        def resolve(nid: int) -> int:
-            blocker = blockers[nid]
-            return nid if blocker is None else blocker.id
-
-        concept_ext: dict[str, int] = {}
-        for name, sort in self._primitive:
-            atom = self.concepts.ids.get((Atom, name))
-            concept_ext[name] = sum(1 << index[n.id] for n in elements if n.sort is sort and atom in n.label)
-
-        role_ext: dict[str, tuple[int, ...]] = {}
-        for role_name, kind in self.sig.roles.items():
-            rows = [0] * (n_delta if kind.source is Sort.OBJECT else n_sigma)
-            for node in elements:
-                if node.sort is kind.source:
-                    for target in g.successors(node.id, role_name):
-                        rows[index[node.id]] |= 1 << index[resolve(target)]
-            role_ext[role_name] = tuple(rows)
+        # one pass over each element's label and edges
+        concept_ext = dict.fromkeys(self._primitive, 0)
+        rows = {role_name: [0] * (n_delta if kind.source is Sort.OBJECT else n_sigma)
+                for role_name, kind in self.sig.roles.items()}
+        atom = self.concepts.atom
+        for node in elements:
+            x = index[node.id]
+            for c in node.label:
+                name = atom.get(c)
+                if name in concept_ext:  # a primitive atom
+                    concept_ext[name] |= 1 << x
+            for role_name, targets in g.succ[node.id].items():
+                row = rows[role_name]
+                for target in targets:
+                    row[x] |= 1 << index[target]
+        role_ext = {role_name: tuple(row) for role_name, row in rows.items()}
 
         ind_map = {name: index[nid] for name, nid in g.ind_node.items()}
 
@@ -678,9 +705,8 @@ class Tableau:
         )
         # defined atoms denote exactly their definitions; labels only ever
         # carry the unfolded content, so evaluate in dependency order
-        for name in self._definition_order:
-            sort = self.sig.atom_sort(name)
-            witness.concept_ext[name] = extension(self.kb.definitions[name], witness, sort)
+        for name, definition, sort in self._definitions:
+            concept_ext[name] = extension(definition, witness, sort)
         return witness
 
     @cached_property
@@ -691,21 +717,42 @@ class Tableau:
     # witness and shared by all later ones
 
     @cached_property
-    def _primitive(self) -> list[tuple[str, Sort]]:
-        atoms = self.sig.object_atoms | self.sig.attribute_atoms
-        return [(name, self.sig.atom_sort(name)) for name in sorted(atoms - set(self.kb.definitions))]
+    def _primitive(self) -> list[str]:
+        return sorted((self.sig.object_atoms | self.sig.attribute_atoms) - set(self.kb.definitions))
 
     @cached_property
     def _formulas(self) -> list[tuple[Formula, Optional[Sort]]]:
-        return sorted_formulas(self.kb)
+        """The formulas a witness is re-checked against: every inclusion
+        and assertion, not the definitions, which hold by construction."""
+        return [(f, sort) for f, sort in sorted_formulas(self.kb) if not isinstance(f, Equivalence)]
+
+    @cached_property
+    def _definition_uses(self) -> dict[str, set[str]]:
+        """Each defined atom -> the defined atoms its definition uses."""
+        definitions = self.kb.definitions
+        return {name: {sub.name for sub in subexprs(definitions[name])
+                       if isinstance(sub, Atom) and sub.name in definitions}
+                for name in sorted(definitions)}
 
     @cached_property
     def _definition_order(self) -> list[str]:
-        definitions = self.kb.definitions
-        graph = {name: {sub.name for sub in subexprs(definitions[name])
-                        if isinstance(sub, Atom) and sub.name in definitions}
-                 for name in sorted(definitions)}
-        return list(TopologicalSorter(graph).static_order())
+        return list(TopologicalSorter(self._definition_uses).static_order())
+
+    @cached_property
+    def _definitions(self) -> list[tuple[str, ConceptExpr, Sort]]:
+        """``(name, definition, sort)`` in ``_definition_order``.  A witness
+        sets each defined atom to its definition's extension in this order,
+        so ``A == D`` holds in it by construction when every definition
+        comes once and after each defined atom it uses: that is checked
+        here, once, and no witness re-evaluates a definition."""
+        uses, done = self._definition_uses, set()
+        for name in self._definition_order:
+            if name not in uses or name in done or not uses[name] <= done:
+                raise KedlError(f"internal tableau error: definition of {name} out of dependency order")
+            done.add(name)
+        if len(done) != len(uses):
+            raise KedlError("internal tableau error: the definition order misses a definition")
+        return [(name, self.kb.definitions[name], self.sig.atom_sort(name)) for name in self._definition_order]
 
 
 class _Pool:

@@ -131,6 +131,22 @@ class TestExtension:
         assert extension(Exists(inv, Atom("Tunnel")), i) == 0b10
         assert extension(Forall(inv, Not(Atom("Tunnel"))), i) == 0b01
 
+    def test_unknown_node_raises(self):
+        # _ext dispatches on the exact type of a node: an unknown one, also
+        # inside a known one, is an error and never a silent mask
+        from kedl import KedlError
+        from kedl.syntax import ConceptExpr
+
+        class Unknown(ConceptExpr):
+            pass
+
+        i = hand_model()
+        for expr in (Unknown(), And(Atom("Tunnel"), Unknown()), Not(Unknown())):
+            with pytest.raises(KedlError, match="unknown concept node"):
+                extension(expr, i, Sort.OBJECT)
+        with pytest.raises(KedlError, match="no extension stored for atom Ghost"):
+            extension(Atom("Ghost"), i, Sort.OBJECT)
+
     def test_extension_stays_in_domain(self):
         sig = diff_signature()
         rng = random.Random(3)

@@ -192,7 +192,7 @@ class TestNodeOrder:
                             and tab.sig.roles.get(role_name) is RoleKind.CROSS):
                         agenda[MERGE].append((node.id, role_name))
                 if tab.mode is FunctionalityMode.EXACTLY_ONE and node.sort is Sort.OBJECT:
-                    agenda[TOTALITY].append((node.id,))
+                    agenda[TOTALITY] += [(node.id, role_name) for role_name in tab.sig.cross_roles()]
             return agenda
 
         fire = Tableau._fire_rule
@@ -286,6 +286,112 @@ class TestNodeOrder:
                 Tableau(kb, mode).is_satisfiable(And(Atom("C1"), gen_nnf(rng, Sort.OBJECT, 2)))
         assert blocked_seen > 500, blocked_seen  # 867
         assert direct_seen > 500, direct_seen  # 865
+
+
+class TestCertification:
+    """A witness reads each element's label and edges once, sets every
+    defined atom to its definition's extension in a dependency order that
+    is checked once per Tableau, and is re-checked on everything else."""
+
+    @staticmethod
+    def _scanned(tab, g):
+        """The reference extraction: every primitive atom and every role
+        tested against every element."""
+        blockers = {node.id: tab._blocker(g, node) for node in g.nodes.values()}
+        elements = [n for n in g.nodes.values() if blockers[n.id] is None]
+        index, size = {}, {Sort.OBJECT: 0, Sort.ATTRIBUTE: 0}
+        for node in elements:
+            index[node.id] = size[node.sort]
+            size[node.sort] += 1
+        concept_ext = {}
+        for name in sorted(tab.sig.object_atoms | tab.sig.attribute_atoms):
+            if name not in tab.kb.definitions:
+                sort, atom = tab.sig.atom_sort(name), tab.concepts.ids.get((Atom, name))
+                concept_ext[name] = sum(1 << index[n.id] for n in elements if n.sort is sort and atom in n.label)
+        role_ext = {}
+        for role_name, kind in tab.sig.roles.items():
+            rows = [0] * size[kind.source]
+            for node in elements:
+                if node.sort is kind.source:
+                    for target in g.successors(node.id, role_name):
+                        blocker = blockers[target]
+                        rows[index[node.id]] |= 1 << index[target if blocker is None else blocker.id]
+            role_ext[role_name] = tuple(rows)
+        return concept_ext, role_ext
+
+    @pytest.mark.parametrize("mode", list(FunctionalityMode), ids=str)
+    def test_one_pass_matches_the_membership_scan(self, monkeypatch, mode):
+        # on every witness of a corpus with merges (a second r-value of o1)
+        # and blocked nodes (C1 <= some p C1), in every mode
+        extract = Tableau._extract_witness
+        witnesses = blocked = 0
+
+        def checked(self, g):
+            nonlocal witnesses, blocked
+            witness = extract(self, g)
+            concept_ext, role_ext = TestCertification._scanned(self, g)
+            assert {name: witness.concept_ext[name] for name in concept_ext} == concept_ext
+            assert witness.role_ext == role_ext
+            assert validate_interpretation(witness) == []
+            assert satisfies_kb(witness, self.kb)  # the definitions too
+            witnesses += 1
+            blocked += any(self._blocker(g, n) is not None for n in g.nodes.values())
+            return witness
+
+        monkeypatch.setattr(Tableau, "_extract_witness", checked)
+        rng = random.Random(1919)
+        for k in range(60):
+            kb = (gen_kb, gen_atomic_gci_kb, gen_hierarchy_kb)[k % 3](rng)
+            if k % 3 < 2:  # the differential signature
+                if k % 2:
+                    kb.sig.declare_individual("u2", Sort.ATTRIBUTE)
+                    kb.assert_role(R, "o1", "u2")
+                else:
+                    kb.include(Atom("C1"), Exists(P, Atom("C1")))
+            tab = Tableau(kb, mode)
+            if not tab.is_consistent():
+                continue
+            for name in sorted(kb.sig.object_atoms | kb.sig.attribute_atoms):
+                tab.is_satisfiable(Atom(name))
+            if k % 3 < 2:
+                for sort in (Sort.OBJECT, Sort.ATTRIBUTE):
+                    tab.is_satisfiable(gen_nnf(rng, sort, 3), sort=sort)
+        assert witnesses > 300, witnesses  # 325-326 in each mode
+        assert blocked > 25, blocked  # 33
+
+    NESTED = """
+    oconcept A; oconcept B; oconcept C; oconcept D; aconcept S; xrole has-s;
+    A := B and some has-s S;
+    B := C or D;
+    C := all has-s S;
+    """
+
+    @pytest.mark.parametrize("broken", [lambda order: order[::-1], lambda order: order[1:],
+                                        lambda order: order + order[:1]],
+                             ids=["reversed", "incomplete", "repeated"])
+    def test_definition_order_is_certified(self, monkeypatch, broken):
+        from kedl import KedlError
+
+        kb = parse_kb(self.NESTED)
+        assert Tableau(kb)._definition_order == ["C", "B", "A"]
+        order = Tableau.__dict__["_definition_order"].func
+        monkeypatch.setattr(Tableau, "_definition_order", property(lambda self: broken(order(self))))
+        with pytest.raises(KedlError, match="internal tableau error: .*definition"):
+            Tableau(kb).is_consistent()
+
+    def test_definitions_hold_without_a_recheck(self, monkeypatch):
+        # the witness re-check evaluates inclusions, assertions and the
+        # query, never a definition, and the witness still satisfies all
+        import kedl.semantics as semantics
+
+        kb = parse_kb(self.NESTED + "oindividual a1; A(a1); C <= D;")
+        checked = []
+        formula = semantics.satisfies_formula
+        monkeypatch.setattr(semantics, "satisfies_formula", lambda i, f, **kw: checked.append(f) or formula(i, f, **kw))
+        result = Tableau(kb).is_satisfiable(parse_concept("B and not A", kb.sig))
+        assert result.satisfiable
+        assert [type(f).__name__ for f in checked] == ["Inclusion", "AssertionFormula"]
+        assert satisfies_kb(result.witness, kb)
 
 
 class TestConsistency:
@@ -615,6 +721,24 @@ class TestSubsumption:
 
         with pytest.raises(SortError):
             subsumes(kb, Atom("C1"), Atom("A1"))
+
+    def test_atom_pairs_keep_the_full_checks_errors(self, kb):
+        # two atoms are sort-checked by their declared sorts alone; a
+        # mismatch or an undeclared atom raises what check_sort raises
+        from kedl import SortError
+        from kedl.syntax import check_sort
+
+        def error(call):
+            with pytest.raises(SortError) as caught:
+                call()
+            return str(caught.value)
+
+        tab = Tableau(kb)
+        assert error(lambda: tab.subsumes(Atom("C1"), Atom("A1"))) == error(
+            lambda: check_sort(Atom("A1"), kb.sig, expected=Sort.OBJECT))
+        for sub, sup in ((Atom("Ghost"), Atom("C1")), (Atom("C1"), Atom("Ghost"))):
+            assert error(lambda: tab.subsumes(sub, sup)) == error(lambda: check_sort(Atom("Ghost"), kb.sig))
+        assert tab.subsumes(Atom("C1"), Atom("C1"))
 
 
 class TestInstanceChecking:
