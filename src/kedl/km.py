@@ -21,6 +21,15 @@ after itself plus one inclusion per input/output pair.  Measurability,
 dimensions, and function names are carried as comments in the emitted
 ontology, never as logic.
 
+There is one compile path: ``render_kedl`` writes the ontology as KEDL text,
+and ``translate_to_kb`` reads that text back with ``parse_kb``, so a file
+and a knowledge base compiled from the same records cannot disagree.
+``validate_km`` therefore also rejects records whose text would not parse:
+an element named by a KEDL keyword (or by no KEDL name at all), a cross
+role ``has-<attribute>`` that equals another cross role or an element name
+(as ``Foo`` and ``foo`` would give), and a line break in a note.  The file
+grammar below is scanned by one regex through ``parser.scan``.
+
 File grammar (``#`` line comments):
 
     object NAME STRING? { attributes: NAME, ...; relations: NAME, ...; }
@@ -32,10 +41,11 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Iterator, Optional, Union
 
 from .kb import KnowledgeBase
-from .syntax import And, Atom, ConceptExpr, DuplicateNameError, Exists, KedlError, RoleKind, Sort
+from .parser import ParseError, Token, _Stream, is_name, parse_kb, scan
+from .syntax import KedlError
 
 
 class KmError(KedlError):
@@ -71,16 +81,28 @@ KnowledgeElement = Union[ObjectKnowledgeElement, AttributeKnowledgeElement, Rela
 
 
 def validate_km(elements: list[KnowledgeElement]) -> list[str]:
-    """All invariant violations; [] means the records are well-formed."""
+    """All invariant violations; [] means the records are well-formed and
+    their rendered ontology parses."""
     out: list[str] = []
     seen: set[str] = set()
-    attributes = {e.name for e in elements if isinstance(e, AttributeKnowledgeElement)}
-    relations = {e.name: e for e in elements if isinstance(e, RelationalKnowledgeElement)}
+    attrs, _, rels, attached = _ordered(elements)
+    attributes = {a.name for a in attrs}
+    relations = {r.name: r for r in rels}
 
     for e in elements:
         if e.name in seen:
             out.append(f"{e.name}: duplicate element name")
         seen.add(e.name)
+        if not is_name(e.name):
+            out.append(f"{e.name!r}: a KEDL keyword, or not a KEDL name")
+        if any("\n" in v for v in vars(e).values() if isinstance(v, str)):
+            out.append(f"{e.name}: line break in a note, which rides as a comment")
+    roles: set[str] = set()
+    for a in attached:
+        role = role_name_for(a)
+        if role in seen or role in roles or not is_name(role):
+            out.append(f"{a}: cross role {role!r} is another name, or not a KEDL name")
+        roles.add(role)
 
     for e in elements:
         if isinstance(e, ObjectKnowledgeElement):
@@ -117,6 +139,12 @@ def validate_km(elements: list[KnowledgeElement]) -> list[str]:
     return out
 
 
+def _require_valid(elements: list[KnowledgeElement]) -> None:
+    problems = validate_km(elements)
+    if problems:
+        raise KmError("invalid knowledge elements:\n" + "\n".join(f"  - {p}" for p in problems))
+
+
 # --- Parsing ------------------------------------------------------------------
 
 _TOKEN_RE = re.compile(
@@ -131,140 +159,98 @@ _TOKEN_RE = re.compile(
 )
 
 
-def _km_tokens(text: str) -> list[tuple[str, str, int]]:
-    tokens = []
-    pos = 0
-    line = 1
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise KmError(f"line {line}: unexpected character {text[pos]!r}")
-        line += text[pos:m.end()].count("\n")
-        kind = m.lastgroup
-        if kind not in ("ws", "comment"):
-            tokens.append((kind, m.group(), line))
-        pos = m.end()
-    return tokens
+def _token(kind: str, text: str, line: int, col: int) -> Token:
+    return Token(text if kind == "punct" else kind, text, line, col)
 
 
-class _KmStream:
-    def __init__(self, tokens: list[tuple[str, str, int]]) -> None:
-        self.tokens = tokens
-        self.pos = 0
-
-    def peek(self) -> Optional[tuple[str, str, int]]:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def next(self) -> tuple[str, str, int]:
-        tok = self.peek()
-        if tok is None:
-            raise KmError("unexpected end of input")
-        self.pos += 1
-        return tok
-
-    def expect(self, kind: str, text: Optional[str] = None) -> tuple[str, str, int]:
-        tok = self.next()
-        if tok[0] != kind or (text is not None and tok[1] != text):
-            want = text if text is not None else kind
-            raise KmError(f"line {tok[2]}: expected {want!r}, found {tok[1]!r}")
-        return tok
-
-    def name_list(self) -> list[str]:
-        names = [self.expect("name")[1]]
-        while self.peek() is not None and self.peek()[1] == ",":
-            self.next()
-            names.append(self.expect("name")[1])
-        return names
+def _name_list(s: _Stream) -> list[str]:
+    names = [s.expect("name").text]
+    while s.at(","):
+        s.next()
+        names.append(s.expect("name").text)
+    return names
 
 
 def parse_km(text: str) -> list[KnowledgeElement]:
     """Parse a knowledge-element file and check every record invariant."""
-    s = _KmStream(_km_tokens(text))
     elements: list[KnowledgeElement] = []
-    while s.peek() is not None:
-        kind, word, line = s.expect("name")
-        if word == "object":
-            elements.append(_parse_object(s))
-        elif word == "attribute":
-            elements.append(_parse_attribute(s))
-        elif word == "relation":
-            elements.append(_parse_relation(s))
-        else:
-            raise KmError(f"line {line}: expected object/attribute/relation, found {word!r}")
-    problems = validate_km(elements)
-    if problems:
-        raise KmError("invalid knowledge elements:\n" + "\n".join(f"  - {p}" for p in problems))
+    try:
+        s = _Stream(scan(_TOKEN_RE, text, _token))
+        while s.peek() is not None:
+            tok = s.expect("name")
+            if tok.text == "object":
+                elements.append(_parse_object(s))
+            elif tok.text == "attribute":
+                elements.append(_parse_attribute(s))
+            elif tok.text == "relation":
+                elements.append(_parse_relation(s))
+            else:
+                raise ParseError(f"expected object/attribute/relation, found {tok.text!r}", tok.line, tok.col)
+    except ParseError as err:
+        raise KmError(str(err)) from err
+    _require_valid(elements)
     return elements
 
 
-def _parse_object(s: _KmStream) -> ObjectKnowledgeElement:
-    name = s.expect("name")[1]
-    gloss = ""
-    if s.peek() is not None and s.peek()[0] == "string":
-        gloss = s.next()[1][1:-1]
-    elem = ObjectKnowledgeElement(name=name, gloss=gloss)
-    s.expect("punct", "{")
-    while s.peek() is not None and s.peek()[1] != "}":
-        key = s.expect("name")[1]
-        s.expect("punct", ":")
-        if key == "attributes":
-            elem.attributes = s.name_list()
-        elif key == "relations":
-            if s.peek() is not None and s.peek()[1] == ";":
-                elem.relations = []
-            else:
-                elem.relations = s.name_list()
+def _entries(s: _Stream) -> Iterator[Token]:
+    """The key of each ``key: value;`` entry of a record body, with the
+    stream at its value; the caller reads the value."""
+    s.expect("{")
+    while not s.at("}"):
+        key = s.expect("name")
+        s.expect(":")
+        yield key
+        s.expect(";")
+    s.expect("}")
+
+
+def _parse_object(s: _Stream) -> ObjectKnowledgeElement:
+    elem = ObjectKnowledgeElement(name=s.expect("name").text)
+    if s.at("string"):
+        elem.gloss = s.next().text[1:-1]
+    for key in _entries(s):
+        if key.text == "attributes":
+            elem.attributes = _name_list(s)
+        elif key.text == "relations":
+            elem.relations = [] if s.at(";") else _name_list(s)
         else:
-            raise KmError(f"unknown object entry {key!r} in {name}")
-        s.expect("punct", ";")
-    s.expect("punct", "}")
+            raise ParseError(f"unknown object entry {key.text!r} in {elem.name}", key.line, key.col)
     return elem
 
 
-def _parse_attribute(s: _KmStream) -> AttributeKnowledgeElement:
-    name = s.expect("name")[1]
-    elem = AttributeKnowledgeElement(name=name)
-    s.expect("punct", "{")
+def _parse_attribute(s: _Stream) -> AttributeKnowledgeElement:
+    name = s.expect("name")
+    elem = AttributeKnowledgeElement(name=name.text)
     saw_measurability = False
-    while s.peek() is not None and s.peek()[1] != "}":
-        key = s.expect("name")[1]
-        s.expect("punct", ":")
-        if key == "measurability":
-            elem.measurability = int(s.expect("int")[1])
+    for key in _entries(s):
+        if key.text == "measurability":
+            elem.measurability = int(s.expect("int").text)
             saw_measurability = True
-        elif key == "dimension":
-            elem.dimension = s.expect("string")[1][1:-1]
-        elif key == "function":
-            word = s.expect("name")[1]
+        elif key.text == "dimension":
+            elem.dimension = s.expect("string").text[1:-1]
+        elif key.text == "function":
+            word = s.expect("name").text
             elem.change_function = None if word == "none" else word
         else:
-            raise KmError(f"unknown attribute entry {key!r} in {name}")
-        s.expect("punct", ";")
-    s.expect("punct", "}")
+            raise ParseError(f"unknown attribute entry {key.text!r} in {elem.name}", key.line, key.col)
     if not saw_measurability:
-        raise KmError(f"attribute {name}: measurability entry is required")
+        raise ParseError(f"attribute {elem.name}: measurability entry is required", name.line, name.col)
     return elem
 
 
-def _parse_relation(s: _KmStream) -> RelationalKnowledgeElement:
-    name = s.expect("name")[1]
-    elem = RelationalKnowledgeElement(name=name)
-    s.expect("punct", "{")
-    while s.peek() is not None and s.peek()[1] != "}":
-        key = s.expect("name")[1]
-        s.expect("punct", ":")
-        if key == "mapping":
-            elem.mapping_kind = s.expect("name")[1]
-        elif key == "inputs":
-            elem.inputs = s.name_list()
-        elif key == "outputs":
-            elem.outputs = s.name_list()
-        elif key == "function":
-            elem.map_function = s.expect("name")[1]
+def _parse_relation(s: _Stream) -> RelationalKnowledgeElement:
+    elem = RelationalKnowledgeElement(name=s.expect("name").text)
+    for key in _entries(s):
+        if key.text == "mapping":
+            elem.mapping_kind = s.expect("name").text
+        elif key.text == "inputs":
+            elem.inputs = _name_list(s)
+        elif key.text == "outputs":
+            elem.outputs = _name_list(s)
+        elif key.text == "function":
+            elem.map_function = s.expect("name").text
         else:
-            raise KmError(f"unknown relation entry {key!r} in {name}")
-        s.expect("punct", ";")
-    s.expect("punct", "}")
+            raise ParseError(f"unknown relation entry {key.text!r} in {elem.name}", key.line, key.col)
     return elem
 
 
@@ -284,43 +270,9 @@ def _ordered(elements: list[KnowledgeElement]):
 
 
 def translate_to_kb(elements: list[KnowledgeElement]) -> KnowledgeBase:
-    """Compile validated records into a sort-checked knowledge base."""
-    problems = validate_km(elements)
-    if problems:
-        raise KmError("invalid knowledge elements:\n" + "\n".join(f"  - {p}" for p in problems))
-    attrs, objects, relations, attached = _ordered(elements)
-
-    kb = KnowledgeBase()
-    try:
-        for a in attrs:
-            kb.sig.declare_atom(a.name, Sort.ATTRIBUTE)
-        for name in attached:
-            kb.sig.declare_role(role_name_for(name), RoleKind.CROSS)
-        for obj in objects:
-            kb.sig.declare_atom(obj.name, Sort.OBJECT)
-        for rel in relations:
-            kb.sig.declare_role(rel.name, RoleKind.ATTR_ATTR)
-    except DuplicateNameError as err:
-        raise KmError(f"name collision while translating: {err}") from err
-
-    for obj in objects:
-        kb.define(obj.name, _definition_concept(kb, obj))
-    for rel in relations:
-        role = kb.sig.role(rel.name)
-        for src in rel.inputs:
-            for dst in rel.outputs:
-                kb.include(Atom(src), Exists(role, Atom(dst)))
-    return kb
-
-
-def _definition_concept(kb: KnowledgeBase, obj: ObjectKnowledgeElement) -> ConceptExpr:
-    conjuncts = [
-        Exists(kb.sig.role(role_name_for(a)), Atom(a)) for a in obj.attributes
-    ]
-    expr = conjuncts[0]
-    for c in conjuncts[1:]:
-        expr = And(expr, c)
-    return expr
+    """Compile validated records into a sort-checked knowledge base: the
+    rendered ontology, read back by the KEDL parser."""
+    return parse_kb(render_kedl(elements))
 
 
 def render_kedl(elements: list[KnowledgeElement]) -> str:
@@ -329,7 +281,7 @@ def render_kedl(elements: list[KnowledgeElement]) -> str:
     Record metadata (measurability, dimension, functions, mapping kinds)
     rides along as comments.  Output is byte-stable for fixed input.
     """
-    kb = translate_to_kb(elements)  # re-checks invariants and collisions
+    _require_valid(elements)
     attrs, objects, relations, attached = _ordered(elements)
 
     lines = ["# compiled knowledge-element ontology", ""]

@@ -19,13 +19,18 @@ contain letters, digits, ``-`` and ``_``):
 Precedence: ``not`` > ``and`` > ``or`` > (``=>``, ``<=>``); quantifiers bind
 the tightest following concept.  The usual DL glyphs are accepted as aliases
 for the keywords (e.g. ``⊓`` for ``and``, ``∃`` for ``some``, ``→`` for
-``=>``, ``⊑`` for ``<=``).
+``=>``, ``⊑`` for ``<=``).  A name starts with a letter or ``_``; the
+keywords above are not names.
+
+Text is split into tokens by :func:`scan`, one regex of named alternatives
+per grammar, which the knowledge-element format of :mod:`kedl.km` shares;
+every token carries its line and column, and errors read ``L:C: message``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+import re
+from typing import Callable, NamedTuple, Optional
 
 from .kb import KnowledgeBase, KnowledgeBaseError
 from .syntax import (
@@ -78,69 +83,73 @@ _KEYWORDS = {
     "oindividual", "aindividual",
 }
 
-_PUNCT = ("<=>", ":=", "=>", "<=", "(", ")", ",", ";")
+_TOKEN_RE = re.compile(
+    r"""(?P<ws>\s+)
+      | (?P<comment>\#[^\n]*)
+      | (?P<glyph>[⊓⊔¬∃∀⊤⊥→↔⊑])
+      | (?P<punct><=>|:=|=>|<=|[(),;])
+      | (?P<name>\w[\w-]*)
+    """,
+    re.VERBOSE,
+)
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # "name", "kw", or the punctuation itself
     text: str
     line: int
     col: int
 
 
-def _is_name_char(c: str) -> bool:
-    return c.isalnum() or c in "-_"
+def scan(pattern: re.Pattern[str], text: str, token: Callable[[str, str, int, int], Token]) -> list[Token]:
+    """Split text by a regex of named alternatives, one per token kind.
+
+    ``ws`` and ``comment`` matches are dropped; ``token(kind, text, line,
+    col)`` makes every other match a token.  A character that no
+    alternative matches is a ParseError at its line and column.
+    """
+    tokens: list[Token] = []
+    line, start = 1, 0  # start: the index where the line begins
+    pos, end = 0, len(text)
+    while pos < end:
+        m = pattern.match(text, pos)
+        if m is None:
+            raise ParseError(f"unexpected character {text[pos]!r}", line, pos - start + 1)
+        kind = m.lastgroup
+        if kind == "ws":
+            breaks = text.count("\n", pos, m.end())
+            if breaks:
+                line += breaks
+                start = text.rindex("\n", pos, m.end()) + 1
+        elif kind != "comment":
+            tokens.append(token(kind, m.group(), line, pos - start + 1))
+        pos = m.end()
+    return tokens
+
+
+def _token(kind: str, text: str, line: int, col: int) -> Token:
+    if kind == "name":
+        if text in _KEYWORDS:
+            kind = "kw"
+        elif not (text[0].isalpha() or text[0] == "_"):  # a digit, or a numeral such as ²
+            raise ParseError(f"unexpected character {text[0]!r}", line, col)
+    elif kind == "glyph":
+        text = _GLYPHS[text]
+        kind = "kw" if text.isalpha() else text
+    else:
+        kind = text
+    return Token(kind, text, line, col)
 
 
 def tokenize(text: str) -> list[Token]:
-    tokens: list[Token] = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if c.isspace():
-            i += 1
-            col += 1
-            continue
-        if c == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if c in _GLYPHS:
-            alias = _GLYPHS[c]
-            kind = alias if alias in _PUNCT else ("kw" if alias in _KEYWORDS else "name")
-            tokens.append(Token(kind, alias, line, col))
-            i += 1
-            col += 1
-            continue
-        matched = False
-        for p in _PUNCT:
-            if text.startswith(p, i):
-                tokens.append(Token(p, p, line, col))
-                i += len(p)
-                col += len(p)
-                matched = True
-                break
-        if matched:
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and _is_name_char(text[j]):
-                j += 1
-            word = text[i:j]
-            tokens.append(Token("kw" if word in _KEYWORDS else "name", word, line, col))
-            col += j - i
-            i = j
-            continue
-        raise ParseError(f"unexpected character {c!r}", line, col)
-    return tokens
+    return scan(_TOKEN_RE, text, _token)
+
+
+def is_name(text: str) -> bool:
+    """Whether text reads as one name: a word that is no keyword and starts
+    with a letter or ``_``."""
+    m = _TOKEN_RE.fullmatch(text)
+    return m is not None and m.lastgroup == "name" and (text[0].isalpha() or text[0] == "_") and text not in _KEYWORDS
 
 
 class _Stream:
@@ -166,9 +175,10 @@ class _Stream:
             raise ParseError(f"expected {kind!r}, found {tok.text!r}", tok.line, tok.col)
         return tok
 
-    def at_kw(self, *words: str) -> bool:
+    def at(self, kind: str, *texts: str) -> bool:
+        """Whether the next token has this kind and, given texts, one of them."""
         tok = self.peek()
-        return tok is not None and tok.kind == "kw" and tok.text in words
+        return tok is not None and tok.kind == kind and (not texts or tok.text in texts)
 
 
 # --- Concept parsing ---------------------------------------------------------
@@ -177,29 +187,20 @@ class _Stream:
 # provisionally as cross roles and fixed up by inference later.
 
 
-def _parse_roleref(s: _Stream, sig: Optional[Signature]) -> tuple[RoleName, Token]:
-    if s.at_kw("inv"):
-        tok = s.next()
+def _parse_roleref(s: _Stream, sig: Optional[Signature]) -> RoleName:
+    inverted = s.at("kw", "inv")
+    if inverted:
+        s.next()
         s.expect("(")
-        name = s.expect("name")
-        s.expect(")")
-        if sig is not None:
-            try:
-                return sig.role(name.text, inverted=True), tok
-            except SortError as err:
-                raise err.at((name.line, name.col))
-        return RoleName(name.text, RoleKind.CROSS_INVERSE), tok
     name = s.expect("name")
-    if sig is not None:
-        try:
-            return sig.role(name.text), name
-        except SortError as err:
-            raise err.at((name.line, name.col))
-    return RoleName(name.text, RoleKind.CROSS), name
-
-
-def _parse_concept(s: _Stream, sig: Optional[Signature]) -> ConceptExpr:
-    return _parse_arrow(s, sig)
+    if inverted:
+        s.expect(")")
+    if sig is None:
+        return RoleName(name.text, RoleKind.CROSS_INVERSE if inverted else RoleKind.CROSS)
+    try:
+        return sig.role(name.text, inverted=inverted)
+    except SortError as err:
+        raise err.at((name.line, name.col))
 
 
 def _parse_arrow(s: _Stream, sig: Optional[Signature]) -> ConceptExpr:
@@ -214,7 +215,7 @@ def _parse_arrow(s: _Stream, sig: Optional[Signature]) -> ConceptExpr:
 
 def _parse_or(s: _Stream, sig: Optional[Signature]) -> ConceptExpr:
     expr = _parse_and(s, sig)
-    while s.at_kw("or"):
+    while s.at("kw", "or"):
         s.next()
         expr = Or(expr, _parse_and(s, sig))
     return expr
@@ -222,19 +223,19 @@ def _parse_or(s: _Stream, sig: Optional[Signature]) -> ConceptExpr:
 
 def _parse_and(s: _Stream, sig: Optional[Signature]) -> ConceptExpr:
     expr = _parse_unary(s, sig)
-    while s.at_kw("and"):
+    while s.at("kw", "and"):
         s.next()
         expr = And(expr, _parse_unary(s, sig))
     return expr
 
 
 def _parse_unary(s: _Stream, sig: Optional[Signature]) -> ConceptExpr:
-    if s.at_kw("not"):
+    if s.at("kw", "not"):
         s.next()
         return Not(_parse_unary(s, sig))
-    if s.at_kw("some", "all"):
+    if s.at("kw", "some", "all"):
         tok = s.next()
-        role, _ = _parse_roleref(s, sig)
+        role = _parse_roleref(s, sig)
         body = _parse_unary(s, sig)
         return Exists(role, body) if tok.text == "some" else Forall(role, body)
     return _parse_primary(s, sig)
@@ -255,20 +256,23 @@ def _parse_primary(s: _Stream, sig: Optional[Signature]) -> ConceptExpr:
     raise ParseError(f"expected a concept, found {tok.text!r}", tok.line, tok.col)
 
 
-def parse_concept(text: str, sig: Signature) -> ConceptExpr:
-    """Parse a concept expression and sort-check it against the signature."""
+def _parse_whole(text: str, sig: Optional[Signature]) -> tuple[ConceptExpr, Token]:
+    """The concept that is all of text, and its first token."""
     s = _Stream(tokenize(text))
-    first = s.peek()
-    expr = _parse_concept(s, sig)
+    expr = _parse_arrow(s, sig)
     extra = s.peek()
     if extra is not None:
         raise ParseError(f"trailing input: {extra.text!r}", extra.line, extra.col)
+    return expr, s.tokens[0]
+
+
+def parse_concept(text: str, sig: Signature) -> ConceptExpr:
+    """Parse a concept expression and sort-check it against the signature."""
+    expr, first = _parse_whole(text, sig)
     try:
         check_sort(expr, sig)
     except SortError as err:
-        if first is not None and err.location is None:
-            raise err.at((first.line, first.col))
-        raise
+        raise (err if err.location is not None else err.at((first.line, first.col)))
     return expr
 
 
@@ -294,11 +298,7 @@ def parse_concept_with_inference(text: str) -> tuple[ConceptExpr, Signature]:
     undetermined roles become cross roles and atoms nothing forces become
     object atoms; use an explicit signature when that is not what you mean.
     """
-    s = _Stream(tokenize(text))
-    proto = _parse_concept(s, sig=None)
-    extra = s.peek()
-    if extra is not None:
-        raise ParseError(f"trailing input: {extra.text!r}", extra.line, extra.col)
+    proto, _ = _parse_whole(text, sig=None)
 
     # union-find over sort variables; variables 0 and 1 are the object and
     # the attribute sort, and the two are never in one class
@@ -413,53 +413,39 @@ def _parse_statement(s: _Stream, kb: KnowledgeBase) -> None:
     assert tok is not None
     loc = (tok.line, tok.col)
     try:
-        if tok.kind == "kw" and tok.text in _DECL_SORT:
+        if tok.kind == "kw" and (tok.text in _DECL_SORT or tok.text in _DECL_ROLE):
             s.next()
-            name = s.expect("name")
+            name = s.expect("name").text
             s.expect(";")
-            if tok.text.endswith("individual"):
-                kb.sig.declare_individual(name.text, _DECL_SORT[tok.text])
+            if tok.text in _DECL_ROLE:
+                kb.sig.declare_role(name, _DECL_ROLE[tok.text])
+            elif tok.text.endswith("individual"):
+                kb.sig.declare_individual(name, _DECL_SORT[tok.text])
             else:
-                kb.sig.declare_atom(name.text, _DECL_SORT[tok.text])
-            return
-        if tok.kind == "kw" and tok.text in _DECL_ROLE:
-            s.next()
-            name = s.expect("name")
-            s.expect(";")
-            kb.sig.declare_role(name.text, _DECL_ROLE[tok.text])
+                kb.sig.declare_atom(name, _DECL_SORT[tok.text])
             return
         if tok.kind == "name":
             after = s.peek(1)
             if after is not None and after.kind == ":=":
                 s.next()
                 s.next()
-                expr = _parse_concept(s, kb.sig)
+                expr = _parse_arrow(s, kb.sig)
                 s.expect(";")
                 kb.define(tok.text, expr)
                 return
             if after is not None and after.kind == "(":
                 _parse_assertion(s, kb)
                 return
-        if tok.kind == "(":
-            # either a parenthesized-concept assertion or an inclusion whose
-            # left side happens to start with '('
-            expr = _parse_concept(s, kb.sig)
-            nxt = s.peek()
-            if nxt is not None and nxt.kind == "(":
-                s.next()
-                ind = s.expect("name")
-                s.expect(")")
-                s.expect(";")
-                kb.assert_concept(expr, ind.text)
-                return
-            s.expect("<=")
-            right = _parse_concept(s, kb.sig)
+        left = _parse_arrow(s, kb.sig)
+        if tok.kind == "(" and s.at("("):  # a parenthesized-concept assertion
+            s.next()
+            ind = s.expect("name")
+            s.expect(")")
             s.expect(";")
-            kb.include(expr, right)
+            kb.assert_concept(left, ind.text)
             return
-        left = _parse_concept(s, kb.sig)
         s.expect("<=")
-        right = _parse_concept(s, kb.sig)
+        right = _parse_arrow(s, kb.sig)
         s.expect(";")
         kb.include(left, right)
     except SortError as err:
@@ -472,8 +458,7 @@ def _parse_assertion(s: _Stream, kb: KnowledgeBase) -> None:
     name = s.expect("name")
     s.expect("(")
     first = s.expect("name")
-    nxt = s.peek()
-    if nxt is not None and nxt.kind == ",":
+    if s.at(","):
         s.next()
         second = s.expect("name")
         s.expect(")")

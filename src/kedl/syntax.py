@@ -162,15 +162,17 @@ BOT = Bot()
 
 
 def subexprs(e: ConceptExpr) -> Iterator[ConceptExpr]:
-    """All sub-expressions of e, including e itself, pre-order."""
-    yield e
-    if isinstance(e, Not):
-        yield from subexprs(e.expr)
-    elif isinstance(e, (And, Or, Implies, Iff)):
-        yield from subexprs(e.left)
-        yield from subexprs(e.right)
-    elif isinstance(e, (Exists, Forall)):
-        yield from subexprs(e.expr)
+    """All sub-expressions of e, including e itself, pre-order.  The walk
+    keeps its own stack, so depth is bounded by memory, not recursion."""
+    stack = [e]
+    while stack:
+        e = stack.pop()
+        yield e
+        if isinstance(e, (Not, Exists, Forall)):
+            stack.append(e.expr)
+        elif isinstance(e, (And, Or, Implies, Iff)):
+            stack.append(e.right)
+            stack.append(e.left)
 
 
 # --- Signatures -------------------------------------------------------------

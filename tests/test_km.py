@@ -1,6 +1,7 @@
 """Knowledge-element records: parsing, validation, and ontology compilation."""
 
 import importlib.resources
+import random
 
 import pytest
 
@@ -164,6 +165,70 @@ class TestTranslation:
 
     def test_corpus_translation_is_consistent(self, corpus):
         assert is_consistent(translate_to_kb(corpus)).satisfiable
+
+
+# records whose rendered text would not parse: an attribute named by a KEDL
+# keyword, and two attributes whose cross roles are both has-foo
+KEYWORD_KM = """
+attribute top { measurability: 0; function: none; }
+object Crate { attributes: top; }
+"""
+CASE_PAIR_KM = """
+attribute Foo { measurability: 0; function: none; }
+attribute foo { measurability: 0; function: none; }
+object Crate { attributes: Foo, foo; }
+"""
+KEYWORD_RECORDS = [AttributeKnowledgeElement("top"), ObjectKnowledgeElement("Crate", attributes=["top"])]
+CASE_PAIR_RECORDS = [
+    AttributeKnowledgeElement("Foo"),
+    AttributeKnowledgeElement("foo"),
+    ObjectKnowledgeElement("Crate", attributes=["Foo", "foo"]),
+]
+
+
+class TestRenderedTextParses:
+    @pytest.mark.parametrize("text,records", [(KEYWORD_KM, KEYWORD_RECORDS), (CASE_PAIR_KM, CASE_PAIR_RECORDS)])
+    def test_rejected_by_every_entry_point(self, text, records):
+        with pytest.raises(KmError):
+            parse_km(text)
+        with pytest.raises(KmError):
+            render_kedl(records)
+        with pytest.raises(KmError):
+            translate_to_kb(records)
+
+    def test_syntax_errors_carry_line_and_column(self):
+        with pytest.raises(KmError, match=r"^4:31: expected ':', found ';'$"):
+            parse_km(MINIMAL + "attribute Mood { measurability; }")
+
+    def test_records_render_to_text_that_parses_or_are_rejected(self):
+        # names come from a pool with keywords, case-colliding pairs and
+        # names of cross roles; records either fail validation or compile
+        # to text that parse_kb reads
+        pool = ["top", "inv", "and", "xrole", "Foo", "foo", "FOO", "Bar", "bar", "has-foo", "has-bar",
+                "Gas", "Tunnel", "Length", "Width", "Time", "Heat", "object", "none"]
+        rng = random.Random(20)
+        rejected = parsed = 0
+        for _ in range(300):
+            names = rng.sample(pool, rng.randrange(2, 8))
+            k = rng.randrange(1, len(names))
+            attrs = names[:k]
+            elements = [AttributeKnowledgeElement(a) for a in attrs]
+            for name in names[k:]:
+                if rng.randrange(3):
+                    elements.append(ObjectKnowledgeElement(name, attributes=rng.sample(attrs, rng.randrange(1, k + 1))))
+                else:
+                    elements.append(RelationalKnowledgeElement(name, "logical", [rng.choice(attrs)],
+                                                               [rng.choice(attrs)], "f"))
+            rng.shuffle(elements)
+            try:
+                text = render_kedl(elements)
+            except KmError:
+                rejected += 1
+                continue
+            assert validate_km(elements) == []
+            parse_kb(text)
+            parsed += 1
+        assert rejected > 100 and parsed > 50, (rejected, parsed)  # 218 and 82
 
 
 class TestRoleNaming:

@@ -24,7 +24,7 @@ from kedl import (
 )
 from kedl import kb as kb_module
 from kedl.kb import ConceptAssertion, KnowledgeBase, KnowledgeBaseError, RoleAssertion
-from kedl.parser import ParseError, parse_signature
+from kedl.parser import ParseError, parse_signature, tokenize
 from kedl.syntax import RoleName
 
 from generators import diff_signature
@@ -76,6 +76,52 @@ class TestConceptGrammar:
     def test_trailing_garbage(self, sig):
         with pytest.raises(ParseError):
             parse_concept("C1 C2", sig)
+
+
+# tokenize's result on each text: (kind, text, line, column) per token, or
+# the ParseError's text.  Glyphs read as their keyword or arrow, the longest
+# arrow wins, only "\n" ends a line, a comment runs to the end of its line,
+# and a name starts with a letter or "_": a digit, a numeral such as "²" or
+# "Ⅻ", or a combining mark there is an unexpected character.
+TOKENS = [
+    ("⊓⊔¬∃∀⊤⊥→↔⊑", [("kw", "and", 1, 1), ("kw", "or", 1, 2), ("kw", "not", 1, 3), ("kw", "some", 1, 4),
+                     ("kw", "all", 1, 5), ("kw", "top", 1, 6), ("kw", "bot", 1, 7), ("=>", "=>", 1, 8),
+                     ("<=>", "<=>", 1, 9), ("<=", "<=", 1, 10)]),
+    ("C ⊑ ∃r.⊤", "1:7: unexpected character '.'"),
+    ("<=><==><=>=>", [("<=>", "<=>", 1, 1), ("<=", "<=", 1, 4), ("=>", "=>", 1, 6), ("<=>", "<=>", 1, 8),
+                      ("=>", "=>", 1, 11)]),
+    ("a:=b;c(d,e)", [("name", "a", 1, 1), (":=", ":=", 1, 2), ("name", "b", 1, 4), (";", ";", 1, 5),
+                     ("name", "c", 1, 6), ("(", "(", 1, 7), ("name", "d", 1, 8), (",", ",", 1, 9),
+                     ("name", "e", 1, 10), (")", ")", 1, 11)]),
+    ("A\tB\r\nC\rD", [("name", "A", 1, 1), ("name", "B", 1, 3), ("name", "C", 2, 1), ("name", "D", 2, 3)]),
+    ("A\u2028B\x85C\x0bD", [("name", "A", 1, 1), ("name", "B", 1, 3), ("name", "C", 1, 5), ("name", "D", 1, 7)]),
+    ("inv(r) andy", [("kw", "inv", 1, 1), ("(", "(", 1, 4), ("name", "r", 1, 5), (")", ")", 1, 6),
+                     ("name", "andy", 1, 8)]),
+    ("A # a comment at the end", [("name", "A", 1, 1)]),
+    ("A\n#", [("name", "A", 1, 1)]),
+    ("# c <= $\n  B", [("name", "B", 2, 3)]),
+    ("Länge-2 _x Ωmega 中 𝔸 x² x٣", [("name", "Länge-2", 1, 1), ("name", "_x", 1, 9), ("name", "Ωmega", 1, 12),
+                                     ("name", "中", 1, 18), ("name", "𝔸", 1, 20), ("name", "x²", 1, 22),
+                                     ("name", "x٣", 1, 25)]),
+    ("A-b--", [("name", "A-b--", 1, 1)]),
+    ("C\n  2D", "2:3: unexpected character '2'"),
+    ("²x", "1:1: unexpected character '²'"),
+    ("Ⅻ", "1:1: unexpected character 'Ⅻ'"),
+    ("٣", "1:1: unexpected character '٣'"),
+    ("-A", "1:1: unexpected character '-'"),
+    ("e\u0301", "1:2: unexpected character '\u0301'"),
+    ("C1 $ C2", "1:4: unexpected character '$'"),
+    ("", []),
+]
+
+
+@pytest.mark.parametrize("text,expected", TOKENS)
+def test_tokenize_table(text, expected):
+    try:
+        got = [(t.kind, t.text, t.line, t.col) for t in tokenize(text)]
+    except ParseError as err:
+        got = str(err)
+    assert got == expected
 
 
 class TestInferenceMode:

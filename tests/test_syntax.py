@@ -159,6 +159,23 @@ class TestNnf:
             assert to_nnf(n) == n
 
 
+def test_subexprs_walks_a_deep_chain_once_in_pre_order():
+    # some p (A0 and some p (A1 and ... some p (A4999 and C))), built without
+    # recursion: the walk keeps its own stack, so no recursion limit is hit,
+    # and it yields each node once, before its operands, left before right
+    # (nodes are compared by identity, as == on this depth would recurse)
+    leaf = Atom("C")
+    expr, levels = leaf, []
+    for i in reversed(range(5000)):
+        atom = Atom(f"A{i}")
+        conj = And(atom, expr)
+        expr = Exists(P, conj)
+        levels.append((expr, conj, atom))
+    expected = [id(node) for level in reversed(levels) for node in level] + [id(leaf)]
+    assert [id(node) for node in subexprs(expr)] == expected
+    assert is_nnf(expr)
+
+
 # --- parser round-trip via hypothesis -----------------------------------------
 
 _SIG = diff_signature()

@@ -224,6 +224,14 @@ class TestNodeOrder:
                 is_consistent(kb, mode=mode)
                 for sort, query in queries:
                     is_satisfiable(query, kb, mode=mode, sort=sort)
+        # the differential signature has one cross role; gen_hierarchy_kb
+        # has five, so in exactly-one each object node must get a totality
+        # candidate for every cross role, not only for the first
+        for seed in range(20):
+            kb = gen_hierarchy_kb(random.Random(seed))
+            if is_consistent(kb, mode=FunctionalityMode.EXACTLY_ONE).satisfiable:
+                for name in sorted(kb.sig.object_atoms):
+                    is_satisfiable(Atom(name), kb, mode=FunctionalityMode.EXACTLY_ONE)
         assert merges > 400, merges  # 488
         assert applicable > 100000, applicable  # 180,114
 
