@@ -696,6 +696,21 @@ class _Objective:
         return bool(extension(self.goal, i, self.sort)) and satisfies_kb(i, self.kb)
 
 
+class _Refutation(_Objective):
+    """A model of ``kb`` in which the assertion ``f`` fails.  With
+    ``{a} <= R`` the inclusion an objective makes of ``f``, that is a model
+    where ``{a} and not R`` is non-empty: ``{a} and not C`` for ``C(a)``,
+    ``{a} and not some r {b}`` for ``r(a, b)``."""
+
+    def __init__(self, kb: KnowledgeBase, f: AssertionFormula) -> None:
+        singleton, concept, sort = _Objective(KnowledgeBase(sig=kb.sig, abox=[f.assertion])).inclusions[0]
+        super().__init__(kb, And(singleton, Not(concept)), sort)
+        self.formula = f
+
+    def holds_exactly(self, i: Interpretation) -> bool:
+        return not satisfies_formula(i, self.formula) and satisfies_kb(i, self.kb)
+
+
 def _used_symbols(exprs: list[ConceptExpr]):
     atoms: set[str] = set()
     roles: set[str] = set()
@@ -769,25 +784,34 @@ def find_model(
       the concept, the old elements keep every extension and x' gets x's
       values: the only role read backwards is ``inv(r)``, and at an
       attribute element x and x' are interchangeable predecessors.
-      Individual leaves ``{a}`` occur only as ``{a} <= C``, or as
-      ``some r {b}`` read at a's element, whose row is unchanged; so the
-      goal and every inclusion keep their truth.  Copied rows keep
-      functionality and totality, and frozen symbols (empty extensions,
-      the constant successor 0) stay frozen, so the search at the larger
-      size has the copy among its candidates.
+      Individual leaves ``{a}`` occur only as ``{a} <= C``, as
+      ``some r {b}`` read at a's element, whose row is unchanged, and in
+      the goal of :func:`check_validity_bounded` for an assertion,
+      ``{a} and not C`` or ``{a} and not some r {b}``, which a's element
+      keeps; the copy is in no singleton, so the goal and every inclusion
+      keep their truth.  Copied rows keep functionality and totality, and
+      frozen symbols (empty extensions, the constant successor 0) stay
+      frozen, so the search at the larger size has the copy among its
+      candidates.
     * Attribute copy.  Add u' with u's atoms and q-row.  No row points
       to u', and q is read forward only, so as above the copy is exact
       when no ``inv(r)`` is read.  In FREE, also add x -> u' for each
       r-predecessor x of u, for each cross role r the objective reads:
       u' gets u's predecessors, and x keeps its values as u' has u's, so
-      the copy is exact with ``inv(r)`` as well.  Under AT_MOST_ONE and
+      the copy is exact with ``inv(r)`` as well; u' is in no singleton,
+      so x keeps ``some r {b}`` and its negation.  Under AT_MOST_ONE and
       EXACTLY_ONE it fails: ``A <= some inv(r) top; top <= A`` has a
       model at (1, 1) and none at (1, 2).
     """
     if isinstance(goal, KnowledgeBase):
         goal, kb = Top(), goal
     kb = _kb_over(sig, kb)
-    objective = _Objective(kb, goal, check_sort(goal, kb.sig, expected=sort))
+    return _find(_Objective(kb, goal, check_sort(goal, kb.sig, expected=sort)), bounds)
+
+
+def _find(objective: _Objective, bounds: Bounds) -> SatVerdict:
+    """The size walk of :func:`find_model`."""
+    kb = objective.kb
     used = _used_symbols(objective.concepts)
 
     visible = _visible_sorts(kb.sig, used)
@@ -893,18 +917,16 @@ def check_validity_bounded(
     with one its signature is used.
 
     Dual to :func:`find_model`: an inclusion has a countermodel exactly when
-    ``left and not right`` has a model of the KB at the same bounds.
+    ``left and not right`` has a model of the KB at the same bounds, and an
+    assertion when its goal in :class:`_Refutation` has one.
     """
     kb = _kb_over(sig, kb)
     if isinstance(f, AssertionFormula):
-        for i in enumerate_interpretations(kb.sig, bounds):
-            if not satisfies_formula(i, f) and satisfies_kb(i, kb):
-                return Countermodel(i)
-        return NoCountermodelUpToBound(bounds)
-
-    sort = combined_sort(f.left, f.right, kb.sig, hint=f.sort)
-    for concept in refutation_goals(f):
-        verdict = find_model(concept, bounds, sort=sort, kb=kb)
+        verdicts = [_find(_Refutation(kb, f), bounds)]
+    else:
+        sort = combined_sort(f.left, f.right, kb.sig, hint=f.sort)
+        verdicts = (find_model(concept, bounds, sort=sort, kb=kb) for concept in refutation_goals(f))
+    for verdict in verdicts:
         if isinstance(verdict, Model):
             i = verdict.interpretation
             _require(not satisfies_formula(i, f), "countermodel satisfies the formula")

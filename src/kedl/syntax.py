@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterator, Optional, Union
+from typing import Callable, Iterator, Optional, Union
 
 
 class KedlError(Exception):
@@ -157,8 +157,17 @@ class Iff(ConceptExpr):
     right: ConceptExpr
 
 
-TOP = Top()
-BOT = Bot()
+_UNARY = {Not, Exists, Forall}
+_BINARY = {And, Or, Implies, Iff}
+_KINDS = {Top, Bot, Atom} | _UNARY | _BINARY
+
+
+def _label(e: ConceptExpr) -> Union[str, RoleName, None]:
+    """An atom's name, a quantifier's role, else None."""
+    kind = type(e)
+    if kind is Atom:
+        return e.name
+    return e.role if kind is Exists or kind is Forall else None
 
 
 def subexprs(e: ConceptExpr) -> Iterator[ConceptExpr]:
@@ -168,11 +177,39 @@ def subexprs(e: ConceptExpr) -> Iterator[ConceptExpr]:
     while stack:
         e = stack.pop()
         yield e
-        if isinstance(e, (Not, Exists, Forall)):
+        if type(e) in _BINARY:
+            stack += (e.right, e.left)
+        elif type(e) in _UNARY:
             stack.append(e.expr)
-        elif isinstance(e, (And, Or, Implies, Iff)):
-            stack.append(e.right)
-            stack.append(e.left)
+
+
+def _fold(e: ConceptExpr, combine: Callable, enter: Optional[Callable] = None):
+    """``combine(node, results of its operands)`` over the tree of e,
+    operands first and left before right; returns e's result.
+    ``enter(node)`` runs when the walk reaches a node, before its operands.
+    The walk keeps its own stack, so depth is bounded by memory, not
+    recursion."""
+    results: list = []
+    stack: list = [e]
+    while stack:
+        node = stack.pop()
+        if type(node) is tuple:  # (node, number of operands): they are done
+            node, n = node
+            value = combine(node, results[-n:])
+            del results[-n:]
+        else:
+            if enter is not None:
+                enter(node)
+            kind = type(node)
+            if kind in _BINARY:
+                stack += ((node, 2), node.right, node.left)
+                continue
+            if kind in _UNARY:
+                stack += ((node, 1), node.expr)
+                continue
+            value = combine(node, ())
+        results.append(value)
+    return results[0]
 
 
 # --- Signatures -------------------------------------------------------------
@@ -303,71 +340,153 @@ def check_sort(expr: ConceptExpr, sig: Signature, expected: Optional[Sort] = Non
 def infer_sort(expr: ConceptExpr, sig: Signature) -> Optional[Sort]:
     """Bottom-up sort inference, like :func:`check_sort`, but None for a
     fully polymorphic expression (only top/bot inside) instead of a default."""
-    if isinstance(expr, (Top, Bot)):
-        return None
-    if isinstance(expr, Atom):
-        return sig.atom_sort(expr.name)
-    if isinstance(expr, Not):
-        return infer_sort(expr.expr, sig)
-    if isinstance(expr, (And, Or, Implies, Iff)):
-        ls = infer_sort(expr.left, sig)
-        rs = infer_sort(expr.right, sig)
-        if ls is not None and rs is not None and ls is not rs:
-            raise SortError(
-                f"mixed-sort operands: {expr.left} is {ls}-sort but {expr.right} is {rs}-sort",
-                expected=ls,
-                found=rs,
-            )
-        return ls if ls is not None else rs
-    if isinstance(expr, (Exists, Forall)):
-        role = expr.role
-        declared = sig.roles.get(role.name)
-        if declared is None:
-            raise SortError(f"undeclared role name: {role.name}")
-        base = RoleKind.CROSS if role.kind is RoleKind.CROSS_INVERSE else role.kind
-        if declared is not base:
-            raise SortError(
-                f"role {role.name} is declared {declared}, used as {role.kind}",
-                expected=declared,
-                found=role.kind,
-            )
-        child = infer_sort(expr.expr, sig)
-        want = role.target_sort
-        if child is not None and child is not want:
-            raise SortError(
-                f"quantifier over {role} needs a {want}-sort concept, found {child}-sort: {expr.expr}",
-                expected=want,
-                found=child,
-            )
-        return role.source_sort
-    raise KedlError(f"unknown concept node: {expr!r}")
+
+    def enter(e: ConceptExpr) -> None:
+        if type(e) is Exists or type(e) is Forall:
+            role = e.role
+            declared = sig.roles.get(role.name)
+            if declared is None:
+                raise SortError(f"undeclared role name: {role.name}")
+            base = RoleKind.CROSS if role.kind is RoleKind.CROSS_INVERSE else role.kind
+            if declared is not base:
+                raise SortError(
+                    f"role {role.name} is declared {declared}, used as {role.kind}",
+                    expected=declared,
+                    found=role.kind,
+                )
+
+    def combine(e: ConceptExpr, sorts: list[Optional[Sort]]) -> Optional[Sort]:
+        kind = type(e)
+        if kind is Atom:
+            return sig.atom_sort(e.name)
+        if kind is Not:
+            return sorts[0]
+        if kind in _BINARY:
+            ls, rs = sorts
+            if ls is not None and rs is not None and ls is not rs:
+                raise SortError(
+                    f"mixed-sort operands: {e.left} is {ls}-sort but {e.right} is {rs}-sort",
+                    expected=ls,
+                    found=rs,
+                )
+            return ls if ls is not None else rs
+        if kind is Exists or kind is Forall:
+            child, want = sorts[0], e.role.target_sort
+            if child is not None and child is not want:
+                raise SortError(
+                    f"quantifier over {e.role} needs a {want}-sort concept, found {child}-sort: {e.expr}",
+                    expected=want,
+                    found=child,
+                )
+            return e.role.source_sort
+        if kind is Top or kind is Bot:
+            return None
+        raise KedlError(f"unknown concept node: {e!r}")
+
+    return _fold(expr, combine, enter)
 
 
-# --- Desugaring and negation normal form ------------------------------------
+# --- The concept store: hash-consing, desugaring and negation normal form ----
+
+_DUAL = {And: Or, Or: And, Exists: Forall, Forall: Exists}
+
+
+class ConceptStore:
+    """Hash-consed concepts (Filliâtre & Conchon, "Type-safe modular
+    hash-consing", 2006): each distinct concept has one id, every operand's
+    id below its parent's, and ``desc[i] = (class, label, *operand ids)``
+    (see :func:`_label`).  When an id is made, three more are made from its
+    operands' ids: ``plain[i]``, its arrow-free form (see :func:`desugar`);
+    ``nnf[i]``, its negation normal form (see :func:`to_nnf`); and
+    ``neg[i]``, the NNF of its negation."""
+
+    def __init__(self) -> None:
+        self.ids: dict[tuple, int] = {}
+        self.desc: list[tuple] = []
+        self.plain: list[int] = []
+        self.nnf: list[int] = []
+        self.neg: list[int] = []
+
+    def intern(self, e: ConceptExpr) -> int:
+        """The id of ``e``; the walk keeps its own stack."""
+        return _fold(e, lambda node, ids: self._make((type(node), _label(node), *ids)))
+
+    def _make(self, desc: tuple) -> int:
+        i = self.ids.get(desc)
+        if i is not None:
+            return i
+        kind, label, operands = desc[0], desc[1], desc[2:]
+        if kind not in _KINDS:
+            raise KedlError(f"unknown concept node: {kind.__name__}")
+        i = self.ids[desc] = len(self.desc)
+        self.desc.append(desc)
+        make, plain, nnf, neg = self._make, self.plain, self.nnf, self.neg
+        # each form is i until set; a form made below that is i finds i in
+        # ids, and reads no form of i
+        plain.append(i)
+        nnf.append(i)
+        neg.append(i)
+        if kind is Implies or kind is Iff:
+            left, right = plain[operands[0]], plain[operands[1]]
+            p = make((Or, None, make((Not, None, left)), right))
+            if kind is Iff:
+                p = make((And, None, p, make((Or, None, make((Not, None, right)), left))))
+        else:
+            forms = tuple(map(plain.__getitem__, operands))
+            p = i if forms == operands else make((kind, label, *forms))
+        if p != i:  # the forms of the arrow-free form
+            plain[i], nnf[i], neg[i] = p, nnf[p], neg[p]
+        elif kind is Atom:
+            neg[i] = make((Not, None, i))
+        elif kind is Top or kind is Bot:
+            neg[i] = make((Bot if kind is Top else Top, None))
+        elif kind is Not:
+            c = operands[0]
+            if self.desc[c][0] is Atom:  # a literal is its own NNF
+                neg[i] = c
+            else:
+                nnf[i], neg[i] = neg[c], nnf[c]
+        else:
+            forms = tuple(map(nnf.__getitem__, operands))
+            nnf[i] = i if forms == operands else make((kind, label, *forms))
+            neg[i] = make((_DUAL[kind], label, *map(neg.__getitem__, operands)))
+        return i
+
+    def _bottom_up(self, i: int, done: dict, make: Callable[..., object]):
+        """``done[i]``, once ``done[j] = make(*desc[j])`` is set, operands
+        first, for every id ``j`` under ``i`` that ``done`` lacks."""
+        todo, stack = set(), [i]
+        while stack:
+            j = stack.pop()
+            if j not in done and j not in todo:
+                todo.add(j)
+                stack.extend(self.desc[j][2:])
+        for j in sorted(todo):
+            done[j] = make(*self.desc[j])
+        return done[i]
+
+    def concept(self, i: int) -> ConceptExpr:
+        """The concept of id ``i``; a sub-concept that occurs twice is built
+        once and shared."""
+        built: dict[int, ConceptExpr] = {}
+        return self._bottom_up(i, built, lambda kind, label, *operands: kind(
+            *(() if label is None else (label,)), *(built[c] for c in operands)))
+
+    def text(self, i: int, texts: dict[int, str]) -> str:
+        """The printed form of id ``i``, entering in ``texts`` those of it
+        and its sub-concepts that it lacks, each made from its operands'."""
+        desc = self.desc
+        return self._bottom_up(i, texts, lambda kind, label, *operands: node_to_str(
+            kind, label, [(desc[c][0], texts[c]) for c in operands]))
 
 
 def desugar(expr: ConceptExpr) -> ConceptExpr:
     """Rewrite arrows away: C => D becomes (not C) or D, and C <=> D becomes
     ((not C) or D) and ((not D) or C).  Identity on arrow-free input."""
-    if isinstance(expr, (Top, Bot, Atom)):
-        return expr
-    if isinstance(expr, Not):
-        return Not(desugar(expr.expr))
-    if isinstance(expr, And):
-        return And(desugar(expr.left), desugar(expr.right))
-    if isinstance(expr, Or):
-        return Or(desugar(expr.left), desugar(expr.right))
-    if isinstance(expr, Exists):
-        return Exists(expr.role, desugar(expr.expr))
-    if isinstance(expr, Forall):
-        return Forall(expr.role, desugar(expr.expr))
-    if isinstance(expr, Implies):
-        return Or(Not(desugar(expr.left)), desugar(expr.right))
-    if isinstance(expr, Iff):
-        left = desugar(expr.left)
-        right = desugar(expr.right)
-        return And(Or(Not(left), right), Or(Not(right), left))
-    raise KedlError(f"unknown concept node: {expr!r}")
+    if not any(type(sub) in (Implies, Iff) for sub in subexprs(expr)):
+        return expr  # the oracle desugars every goal and formula, most arrow-free
+    store = ConceptStore()
+    return store.concept(store.plain[store.intern(expr)])
 
 
 def to_nnf(expr: ConceptExpr) -> ConceptExpr:
@@ -377,50 +496,20 @@ def to_nnf(expr: ConceptExpr) -> ConceptExpr:
     included), double-negation elimination, and top/bot complementation.
     Arrows are desugared if still present.  Idempotent.
     """
-    expr = desugar(expr)
-    return _nnf(expr, negate=False)
-
-
-def _nnf(expr: ConceptExpr, negate: bool) -> ConceptExpr:
-    if isinstance(expr, Top):
-        return BOT if negate else TOP
-    if isinstance(expr, Bot):
-        return TOP if negate else BOT
-    if isinstance(expr, Atom):
-        return Not(expr) if negate else expr
-    if isinstance(expr, Not):
-        return _nnf(expr.expr, not negate)
-    if isinstance(expr, And):
-        if negate:
-            return Or(_nnf(expr.left, True), _nnf(expr.right, True))
-        return And(_nnf(expr.left, False), _nnf(expr.right, False))
-    if isinstance(expr, Or):
-        if negate:
-            return And(_nnf(expr.left, True), _nnf(expr.right, True))
-        return Or(_nnf(expr.left, False), _nnf(expr.right, False))
-    if isinstance(expr, Exists):
-        if negate:
-            return Forall(expr.role, _nnf(expr.expr, True))
-        return Exists(expr.role, _nnf(expr.expr, False))
-    if isinstance(expr, Forall):
-        if negate:
-            return Exists(expr.role, _nnf(expr.expr, True))
-        return Forall(expr.role, _nnf(expr.expr, False))
-    raise KedlError(f"arrow survived desugaring: {expr!r}")
+    store = ConceptStore()
+    return store.concept(store.nnf[store.intern(expr)])
 
 
 def is_nnf(expr: ConceptExpr) -> bool:
-    for sub in subexprs(expr):
-        if isinstance(sub, (Implies, Iff)):
-            return False
-        if isinstance(sub, Not) and not isinstance(sub.expr, Atom):
-            return False
-    return True
+    store = ConceptStore()
+    i = store.intern(expr)
+    return store.nnf[i] == i
 
 
 def negated_nnf(expr: ConceptExpr) -> ConceptExpr:
     """NNF of the negation of ``expr``."""
-    return _nnf(desugar(expr), negate=True)
+    store = ConceptStore()
+    return store.concept(store.neg[store.intern(expr)])
 
 
 # --- Pretty printer ----------------------------------------------------------
@@ -435,58 +524,42 @@ _PREC_AND = 3
 _PREC_UNARY = 4
 _PREC_PRIMARY = 5
 
-
-def _prec(e: ConceptExpr) -> int:
-    if isinstance(e, (Implies, Iff)):
-        return _PREC_ARROW
-    if isinstance(e, Or):
-        return _PREC_OR
-    if isinstance(e, And):
-        return _PREC_AND
-    if isinstance(e, (Not, Exists, Forall)):
-        return _PREC_UNARY
-    return _PREC_PRIMARY
+_PREC = {Implies: _PREC_ARROW, Iff: _PREC_ARROW, Or: _PREC_OR, And: _PREC_AND,
+         Not: _PREC_UNARY, Exists: _PREC_UNARY, Forall: _PREC_UNARY}
 
 
 def concept_to_str(e: ConceptExpr) -> str:
-    if isinstance(e, (Not, Exists, Forall)):
-        return node_to_str(e, (concept_to_str(e.expr),))
-    if isinstance(e, (And, Or, Implies, Iff)):
-        return node_to_str(e, (concept_to_str(e.left), concept_to_str(e.right)))
-    return node_to_str(e, ())
+    return _fold(e, lambda node, operands: (type(node), node_to_str(type(node), _label(node), operands)))[1]
 
 
-def node_to_str(e: ConceptExpr, operands: tuple[str, ...]) -> str:
-    """The printed form of ``e`` from the printed forms of its operands
-    (``e.expr``, or ``e.left`` and ``e.right``), so a caller that keeps the
-    forms of sub-concepts prints each new concept in time linear in its
-    own text."""
-    if isinstance(e, Top):
+def node_to_str(kind: type, label: Union[str, RoleName, None], operands: list[tuple[type, str]]) -> str:
+    """The printed form of a node of class ``kind`` with ``label`` (see
+    :func:`_label`), from the class and printed form of each operand, so a
+    caller that keeps the forms of sub-concepts prints each new concept in
+    time linear in its own text."""
+    if kind is Atom:
+        return label
+    if kind is Top:
         return "top"
-    if isinstance(e, Bot):
+    if kind is Bot:
         return "bot"
-    if isinstance(e, Atom):
-        return e.name
-    if isinstance(e, Not):
-        return f"not {_wrap(e.expr, operands[0], _PREC_UNARY)}"
-    if isinstance(e, And):
-        # left-associative: right child at same precedence needs parens
-        return f"{_wrap(e.left, operands[0], _PREC_AND)} and {_wrap(e.right, operands[1], _PREC_AND + 1)}"
-    if isinstance(e, Or):
-        return f"{_wrap(e.left, operands[0], _PREC_OR)} or {_wrap(e.right, operands[1], _PREC_OR + 1)}"
-    if isinstance(e, Exists):
-        return f"some {e.role} {_wrap(e.expr, operands[0], _PREC_UNARY)}"
-    if isinstance(e, Forall):
-        return f"all {e.role} {_wrap(e.expr, operands[0], _PREC_UNARY)}"
-    if isinstance(e, Implies):
-        # right-associative
-        return f"{_wrap(e.left, operands[0], _PREC_ARROW + 1)} => {_wrap(e.right, operands[1], _PREC_ARROW)}"
-    if isinstance(e, Iff):
-        return f"{_wrap(e.left, operands[0], _PREC_ARROW + 1)} <=> {_wrap(e.right, operands[1], _PREC_ARROW)}"
-    raise KedlError(f"unknown concept node: {e!r}")
+    if kind is Not:
+        return f"not {_wrap(*operands[0], _PREC_UNARY)}"
+    if kind is Exists:
+        return f"some {label} {_wrap(*operands[0], _PREC_UNARY)}"
+    if kind is Forall:
+        return f"all {label} {_wrap(*operands[0], _PREC_UNARY)}"
+    left, right = operands
+    if kind is And:  # left-associative: a right operand at the same precedence needs parens
+        return f"{_wrap(*left, _PREC_AND)} and {_wrap(*right, _PREC_AND + 1)}"
+    if kind is Or:
+        return f"{_wrap(*left, _PREC_OR)} or {_wrap(*right, _PREC_OR + 1)}"
+    if kind is Implies:  # right-associative
+        return f"{_wrap(*left, _PREC_ARROW + 1)} => {_wrap(*right, _PREC_ARROW)}"
+    if kind is Iff:
+        return f"{_wrap(*left, _PREC_ARROW + 1)} <=> {_wrap(*right, _PREC_ARROW)}"
+    raise KedlError(f"unknown concept node: {kind.__name__}")
 
 
-def _wrap(e: ConceptExpr, text: str, min_prec: int) -> str:
-    if _prec(e) < min_prec:
-        return f"({text})"
-    return text
+def _wrap(kind: type, text: str, min_prec: int) -> str:
+    return text if _PREC.get(kind, _PREC_PRIMARY) >= min_prec else f"({text})"

@@ -32,12 +32,15 @@ concept the label holds, and the check reads only the marked nodes.  Node
 ids ascend in ``g.nodes`` order (a merge keeps the older node), so this is
 the rule a scan of the nodes in order would find first.
 
-Labels are sets of interned concept ids; wherever the search picks the first
-of several concepts it orders them by printed form, computed once per id
-from its operands' printed forms, so searches, witnesses and clash traces
-do not depend on hash seeds.  Cross roles are functional: an object node
-keeps at most one successor per cross role (two successors are merged), and
-under EXACTLY_ONE a successor is materialized for every declared cross role.
+Labels are sets of ids of the ``Tableau``'s ``syntax.ConceptStore``, in which
+each concept's NNF and the NNF of its negation are made once, together
+with its id, so a query interns its concept, or the negation, in one step.
+Wherever the search picks the first of several concepts it orders them by
+printed form, made once per id a label holds from its operands' printed
+forms, so searches, witnesses and clash traces do not depend on hash seeds.
+Cross roles are functional: an object node keeps at most one successor per
+cross role (two successors are merged), and under EXACTLY_ONE a successor
+is materialized for every declared cross role.
 
 Termination uses pairwise (double) blocking: a generated node is blocked by
 an ancestor when both nodes and both their parents carry identical labels
@@ -97,6 +100,7 @@ from .syntax import (
     Atom,
     Bot,
     ConceptExpr,
+    ConceptStore,
     Exists,
     Forall,
     KedlError,
@@ -106,15 +110,12 @@ from .syntax import (
     RoleName,
     Signature,
     Sort,
-    Top,
     check_sort,
-    concept_to_str,  # not called here; perfbench/spans.py wraps kedl.tableau.concept_to_str
     infer_sort,
-    negated_nnf,
-    node_to_str,
     subexprs,
-    to_nnf,
 )
+# not called here; perfbench/spans.py wraps these names of this module
+from .syntax import concept_to_str, negated_nnf, to_nnf  # noqa: F401
 
 MAX_TREE_DEPTH = 120
 MAX_NODES = 20000
@@ -230,52 +231,6 @@ class _Graph:
         return g
 
 
-class _ConceptTable:
-    """Hash-consed NNF concepts.  Id ``i`` is described by ``desc[i]``:
-    ``(Atom, name)``, ``(Not, atom id)``, ``(And | Or, left id, right id)``,
-    ``(Exists | Forall, role, child id)``, ``(Top,)`` or ``(Bot,)``;
-    ``key[i]`` is its printed form, the order of every choice the tableau
-    makes, ``neg`` maps an atom's id to the id of its negation and
-    ``atom`` an atom's id to its name."""
-
-    def __init__(self) -> None:
-        self.ids: dict[tuple, int] = {}
-        self.desc: list[tuple] = []
-        self.key: list[str] = []
-        self.neg: dict[int, int] = {}
-        self.atom: dict[int, str] = {}
-
-    def intern(self, c: ConceptExpr) -> int:
-        if isinstance(c, Atom):
-            operands: tuple[int, ...] = ()
-            desc: tuple = (Atom, c.name)
-        elif isinstance(c, Not) and isinstance(c.expr, Atom):
-            operands = (self.intern(c.expr),)
-            desc = (Not, *operands)
-        elif isinstance(c, (And, Or)):
-            operands = (self.intern(c.left), self.intern(c.right))
-            desc = (type(c), *operands)
-        elif isinstance(c, (Exists, Forall)):
-            operands = (self.intern(c.expr),)
-            desc = (type(c), c.role, *operands)
-        elif isinstance(c, (Top, Bot)):
-            operands = ()
-            desc = (type(c),)
-        else:
-            raise KedlError(f"internal tableau error: not in negation normal form: {c!r}")
-        cid = self.ids.get(desc)
-        if cid is None:
-            cid = self.ids[desc] = len(self.desc)
-            self.desc.append(desc)
-            # from the operands' keys, not by printing the whole subtree again
-            self.key.append(node_to_str(c, tuple(self.key[i] for i in operands)))
-            if desc[0] is Not:
-                self.neg[desc[1]] = cid
-            elif desc[0] is Atom:
-                self.atom[cid] = desc[1]
-        return cid
-
-
 class Tableau:
     """One reasoning context: a knowledge base plus a functionality mode."""
 
@@ -285,7 +240,8 @@ class Tableau:
         self.mode = mode
         self._totality = mode is FunctionalityMode.EXACTLY_ONE  # every object has every cross role
         self._merging = mode is not FunctionalityMode.FREE  # cross roles are functional
-        self.concepts = _ConceptTable()
+        self.concepts = ConceptStore()
+        self.keys: dict[int, str] = {}  # printed forms of the ids labels hold
         # sorts are inferred here, so a badly sorted KB fails at construction;
         # NNF and interning wait for the first query (_intern_kb)
         self._inclusions = [
@@ -300,24 +256,35 @@ class Tableau:
 
     def _intern_kb(self) -> None:
         if self._globals is None:
-            intern = self.concepts.intern
+            store, intern, key = self.concepts, self._intern, self._key
             definitions = self.kb.definitions
             for name, expr in definitions.items():
-                self._unfold[intern(Atom(name))] = intern(to_nnf(expr))
-                self._unfold[intern(Not(Atom(name)))] = intern(negated_nnf(expr))
+                atom, body = store.intern(Atom(name)), store.intern(expr)
+                for form in (store.nnf, store.neg):  # A unfolds to D, not A to not D
+                    self._unfold[key(form[atom])] = key(form[body])
             absorbed: dict[str, list[ConceptExpr]] = {}  # primitive atom -> right sides
             constraints: dict[Sort, list[int]] = {Sort.OBJECT: [], Sort.ATTRIBUTE: []}
             for left, right, sort in self._inclusions:
                 if isinstance(left, Atom) and left.name not in definitions:
                     absorbed.setdefault(left.name, []).append(right)
                     continue
-                constraint = intern(to_nnf(Or(Not(left), right)))
+                constraint = intern(Or(Not(left), right))
                 # fully polymorphic inclusion (only top/bot): constrain both domains
                 for each in (Sort.OBJECT, Sort.ATTRIBUTE) if sort is None else (sort,):
                     constraints[each].append(constraint)
             for name, rights in absorbed.items():
-                self._unfold[intern(Atom(name))] = intern(to_nnf(reduce(And, rights)))
+                self._unfold[intern(Atom(name))] = intern(reduce(And, rights))
             self._globals = constraints  # set last: a failed run is redone by the next query
+
+    def _intern(self, e: ConceptExpr, negated: bool = False) -> int:
+        """The id of the NNF of ``e``, or of its negation, keyed."""
+        store = self.concepts
+        return self._key((store.neg if negated else store.nnf)[store.intern(e)])
+
+    def _key(self, i: int) -> int:
+        """``i``, once its printed key and its sub-concepts' are made."""
+        self.concepts.text(i, self.keys)
+        return i
 
     # -- graph construction -------------------------------------------------
 
@@ -328,7 +295,7 @@ class Tableau:
             g.ind_node[name] = self._new_node(g, self.sig.individuals[name]).id
         for a in self.kb.abox:
             if isinstance(a, ConceptAssertion):
-                self._add(g, g.ind_node[a.individual], (self.concepts.intern(to_nnf(a.concept)),))
+                self._add(g, g.ind_node[a.individual], (self._intern(a.concept),))
             else:
                 src, dst, role = a.source, a.target, a.role
                 if role.kind is RoleKind.CROSS_INVERSE:
@@ -347,9 +314,8 @@ class Tableau:
 
     def is_satisfiable(self, expr: ConceptExpr, sort: Optional[Sort] = None) -> SatResult:
         sort = check_sort(expr, self.sig, expected=sort)
-        goal = to_nnf(expr)
-        g = self._init_graph(extra=[(sort, self.concepts.intern(goal))])
-        return self._run(g, query=(goal, sort))
+        g = self._init_graph(extra=[(sort, self._intern(expr))])
+        return self._run(g, query=(expr, sort))
 
     def is_consistent(self) -> SatResult:
         g = self._init_graph(extra=[])
@@ -386,7 +352,7 @@ class Tableau:
         sort = self.sig.individuals[individual]
         check_sort(expr, self.sig, expected=sort)
         g = self._init_graph(extra=[])
-        self._add(g, g.ind_node[individual], (self.concepts.intern(negated_nnf(expr)),))
+        self._add(g, g.ind_node[individual], (self._intern(expr, negated=True),))
         return not self._run(g, query=None).satisfiable
 
     # -- expansion loop -------------------------------------------------------
@@ -423,11 +389,11 @@ class Tableau:
             if step is not True:
                 # the left branch runs on a clone, the right one waits on the split graph
                 node_id, concept = step
-                _, left, right = self.concepts.desc[concept]
+                _, _, left, right = self.concepts.desc[concept]
                 todo.append(g)
                 g = g.clone()
                 for graph, tag, branch in ((g, "or-left", left), (todo[-1], "or-right", right)):
-                    graph.trace.append((tag, node_id, self.concepts.key[branch]))
+                    graph.trace.append((tag, node_id, self.keys[branch]))
                     self._add(graph, node_id, (branch,))
 
     def _find_clash(self, g: _Graph) -> Optional[TraceEntry]:
@@ -436,16 +402,16 @@ class Tableau:
         of a concept it holds stays clash-free."""
         if not g.touched:
             return None
-        table = self.concepts
-        bot = table.ids.get((Bot,))
+        desc, neg = self.concepts.desc, self.concepts.neg
+        bot = self.concepts.ids.get((Bot, None))
         node_id = min(g.touched)
         g.touched = set()
         label = g.nodes[node_id].label
-        c = min((c for c in label if c == bot or table.neg.get(c) in label),
-                key=table.key.__getitem__)  # the first in printed order
+        c = min((c for c in label if c == bot or (desc[c][0] is Atom and neg[c] in label)),
+                key=self.keys.__getitem__)  # the first in printed order
         if c == bot:
             return ("clash", node_id, "bot")
-        name = table.desc[c][1]
+        name = desc[c][1]
         return ("clash", node_id, f"{name}, not {name}")
 
     # -- the agenda -------------------------------------------------------------
@@ -513,7 +479,7 @@ class Tableau:
             unfolded = unfold.get(c)
             if unfolded is not None:
                 return None if unfolded in label else ("unfold", what, node_id, (unfolded,))
-            _, left, right = desc[c]
+            _, _, left, right = desc[c]
             return None if left in label and right in label else ("and", what, node_id, (left, right))
 
         def merge(g: _Graph, entry: tuple) -> Optional[tuple]:
@@ -533,7 +499,7 @@ class Tableau:
 
         def or_split(g: _Graph, entry: tuple) -> Optional[tuple]:
             label = g.nodes[entry[0]].label
-            _, left, right = desc[entry[2]]
+            _, _, left, right = desc[entry[2]]
             return None if left in label or right in label else ("or",)
 
         def exists(g: _Graph, entry: tuple) -> Optional[tuple]:
@@ -562,16 +528,16 @@ class Tableau:
         the node for ``_find_clash`` when one is ``bot`` or the complement
         of a concept the label holds."""
         label = g.nodes[node_id].label
-        agenda, unfold, table = g.agenda, self._unfold, self.concepts
-        desc, key, neg = table.desc, table.key, table.neg
+        agenda, unfold, key = g.agenda, self._unfold, self.keys
+        desc, neg = self.concepts.desc, self.concepts.neg
         for c in concepts:
             if c not in label:
                 label.add(c)
-                d = desc[c]
-                rule = UNFOLD_AND if c in unfold else _RULE_CLASS.get(d[0])
+                kind = desc[c][0]
+                rule = UNFOLD_AND if c in unfold else _RULE_CLASS.get(kind)
                 if rule is not None:
                     heappush(agenda[rule], (node_id, key[c], c))
-                if d[0] is Bot or (d[0] is Not and d[1] in label) or neg.get(c) in label:
+                if kind is Bot or ((kind is Atom or kind is Not) and neg[c] in label):
                     g.touched.add(node_id)
 
     def _add_edge(self, g: _Graph, src: int, role_name: str, dst: int) -> None:
@@ -582,7 +548,7 @@ class Tableau:
         targets.add(dst)
         if len(targets) == 2 and self._merging and self.sig.roles.get(role_name) is RoleKind.CROSS:
             heappush(g.agenda[MERGE], (src, role_name))
-        desc, key = self.concepts.desc, self.concepts.key
+        desc, key = self.concepts.desc, self.keys
         for node_id, inverse in ((src, False), (dst, True)):
             for c in g.nodes[node_id].label:
                 d = desc[c]
@@ -679,12 +645,12 @@ class Tableau:
         concept_ext = dict.fromkeys(self._primitive, 0)
         rows = {role_name: [0] * (n_delta if kind.source is Sort.OBJECT else n_sigma)
                 for role_name, kind in self.sig.roles.items()}
-        atom = self.concepts.atom
+        desc = self.concepts.desc
         for node in elements:
             x = index[node.id]
             for c in node.label:
-                name = atom.get(c)
-                if name in concept_ext:  # a primitive atom
+                kind, name = desc[c][:2]
+                if kind is Atom and name in concept_ext:  # a primitive atom
                     concept_ext[name] |= 1 << x
             for role_name, targets in g.succ[node.id].items():
                 row = rows[role_name]

@@ -45,7 +45,7 @@ from kedl.parser import parse_signature
 from kedl.semantics import FunctionalityMode, interpretation_to_text
 from kedl.syntax import check_sort, subexprs
 
-from generators import P, Q, R, R_INV, diff_signature, gen_atomic_gci_kb, gen_kb, gen_nnf
+from generators import P, Q, R, R_INV, diff_signature, gen_atomic_gci_kb, gen_concept, gen_kb, gen_nnf
 
 
 def _restricted_nnf(rng, sort, depth):
@@ -923,3 +923,57 @@ class TestCheckValidity:
             validity = check_validity_bounded(f, Bounds(2, 2), sig)
             refuter = find_model(And(left, Not(right)), Bounds(2, 2), sig=sig, sort=Sort.OBJECT)
             assert isinstance(validity, Countermodel) == isinstance(refuter, Model)
+
+    @pytest.mark.parametrize("mode", MODES, ids=str)
+    def test_assertions_agree_with_plain_enumeration(self, mode):
+        # C(a) and r(a, b) go through the pruned search, as the goals
+        # {a} and not C and {a} and not some r {b}; the reference is the
+        # plain enumeration filtered by the KB and the failed assertion.
+        # A countermodel has the domain sizes of the first enumerated one.
+        # o2 and u2 are in no assertion of the KB, so role assertions on
+        # them can fail
+        from kedl.kb import AssertionFormula, ConceptAssertion, RoleAssertion
+        from kedl.semantics import satisfies_formula, sorted_formulas
+
+        rng = random.Random(2121)
+        found = {(kind, failed): 0 for kind in (ConceptAssertion, RoleAssertion) for failed in (True, False)}
+        for _ in range(3):
+            kb = gen_kb(rng)
+            kb.sig.declare_individual("o2", Sort.OBJECT)
+            kb.sig.declare_individual("u2", Sort.ATTRIBUTE)
+            checked = kb.abox + [
+                RoleAssertion(R, "o1", "u2"), RoleAssertion(R_INV, "u2", "o2"),
+                RoleAssertion(P, "o1", "o2"), RoleAssertion(Q, "u2", "u1"),
+            ] + [
+                ConceptAssertion(gen_concept(rng, sort, 2), individual)
+                for _ in range(3) for sort, individual in ((Sort.OBJECT, "o1"), (Sort.ATTRIBUTE, "u1"),
+                                                           (Sort.OBJECT, "o2"), (Sort.ATTRIBUTE, "u2"))
+            ]
+            formulas = sorted_formulas(kb)
+            for sizes in ((1, 1), (2, 1), (1, 2)):
+                bounds = Bounds(*sizes, mode)
+                models = [i for i in enumerate_interpretations(kb.sig, bounds) if satisfies_kb(i, kb, formulas)]
+                for a in checked:
+                    f = AssertionFormula(a)
+                    slow = next((i for i in models if not satisfies_formula(i, f)), None)
+                    fast = check_validity_bounded(f, bounds, kb=kb)
+                    assert isinstance(fast, Countermodel) == (slow is not None)
+                    if slow is not None:
+                        i = fast.interpretation
+                        assert satisfies_kb(i, kb) and not satisfies_formula(i, f)
+                        assert (i.n_delta, i.n_sigma) == (slow.n_delta, slow.n_sigma)
+                    found[type(a), slow is not None] += 1
+        assert min(found.values()) >= 8
+
+    def test_an_asserted_fact_needs_no_plain_enumeration(self, monkeypatch):
+        # enumerating the whole signature at (2,2) took 14 s for this check
+        from kedl.kb import AssertionFormula, ConceptAssertion
+
+        monkeypatch.setattr(oracle, "enumerate_interpretations", None)
+        kb = KnowledgeBase(sig=diff_signature())
+        kb.sig.declare_individual("o1", Sort.OBJECT)
+        kb.sig.declare_individual("u1", Sort.ATTRIBUTE)
+        kb.assert_concept(Atom("C1"), "o1")
+        bounds = Bounds(2, 2)
+        f = AssertionFormula(ConceptAssertion(Atom("C1"), "o1"))
+        assert check_validity_bounded(f, bounds, kb=kb) == NoCountermodelUpToBound(bounds)

@@ -176,6 +176,43 @@ def test_subexprs_walks_a_deep_chain_once_in_pre_order():
     assert is_nnf(expr)
 
 
+def test_every_walker_takes_a_deep_mixed_chain():
+    # 10,000 levels cycling through not, and, =>, some and all, built
+    # without recursion: desugar, to_nnf, negated_nnf, concept_to_str and
+    # check_sort keep their own stacks, so none hits the recursion limit.
+    # The expected forms and text are built level by level beside the
+    # chain, and forms are compared by printed form, as == on this depth
+    # would recurse
+    import sys
+
+    from kedl.syntax import negated_nnf, node_to_str
+
+    limit = sys.getrecursionlimit()
+    expr = plain = pos = Atom("C1")
+    neg, text = Not(pos), "C1"
+    for i in range(10_000):
+        a, step, inner = Atom(f"C{1 + i % 2}"), i % 5, (type(expr), text)
+        if step == 0:
+            expr, plain, pos, neg, operands = Not(expr), Not(plain), neg, pos, [inner]
+        elif step == 1:
+            expr, plain, pos, neg = And(a, expr), And(a, plain), And(a, pos), Or(Not(a), neg)
+            operands = [(Atom, a.name), inner]
+        elif step == 2:
+            expr, plain, pos, neg = Implies(expr, a), Or(Not(plain), a), Or(neg, a), And(pos, Not(a))
+            operands = [inner, (Atom, a.name)]
+        elif step == 3:
+            expr, plain, pos, neg, operands = Exists(P, expr), Exists(P, plain), Exists(P, pos), Forall(P, neg), [inner]
+        else:
+            expr, plain, pos, neg, operands = Forall(P, expr), Forall(P, plain), Forall(P, pos), Exists(P, neg), [inner]
+        text = node_to_str(type(expr), P if step > 2 else None, operands)
+    assert concept_to_str(expr) == text
+    assert concept_to_str(desugar(expr)) == concept_to_str(plain)
+    assert concept_to_str(to_nnf(expr)) == concept_to_str(pos)
+    assert concept_to_str(negated_nnf(expr)) == concept_to_str(neg)
+    assert check_sort(expr, diff_signature()) is Sort.OBJECT
+    assert sys.getrecursionlimit() == limit
+
+
 # --- parser round-trip via hypothesis -----------------------------------------
 
 _SIG = diff_signature()

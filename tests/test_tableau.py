@@ -35,7 +35,7 @@ from kedl import (
 )
 from kedl.km import ObjectKnowledgeElement, parse_km, translate_to_kb
 from kedl.semantics import FunctionalityMode, interpretation_to_text
-from kedl.syntax import Forall, Or, concept_to_str
+from kedl.syntax import concept_to_str
 from kedl.tableau import InconsistentKBError, Tableau, trace_to_text
 
 from generators import (
@@ -61,6 +61,20 @@ def kb():
 class TestSatisfiability:
     def test_contradiction(self, kb):
         assert not is_satisfiable(parse_concept("C1 and not C1", kb.sig), kb).satisfiable
+
+    def test_a_deep_chain_meets_the_budget_not_the_recursion_limit(self, kb):
+        # 3,000 nested some p, built without recursion: the sort check and
+        # the interning keep their own stacks, so the query stops at the
+        # expansion budget
+        from kedl.syntax import check_sort
+        from kedl.tableau import TableauLimitError
+
+        expr = Atom("C1")
+        for _ in range(3000):
+            expr = Exists(P, expr)
+        assert check_sort(expr, kb.sig) is Sort.OBJECT
+        with pytest.raises(TableauLimitError):
+            Tableau(kb).is_satisfiable(expr)
 
     def test_inverse_propagation_clash(self, kb):
         # an attribute value seen back through the cross role must satisfy
@@ -181,7 +195,7 @@ class TestNodeOrder:
 
         def every_candidate(tab, g):
             agenda = [[] for _ in range(TOTALITY + 1)]
-            desc, key = tab.concepts.desc, tab.concepts.key
+            desc, key = tab.concepts.desc, tab.keys
             for node in g.nodes.values():
                 for c in node.label:
                     rule = UNFOLD_AND if c in tab._unfold else _RULE_CLASS.get(desc[c][0])
@@ -898,20 +912,6 @@ class TestClassificationWork:
         assert runs == 193  # in every mode
 
 
-def _concept_of(table, cid: int):
-    """The NNF concept that a ``_ConceptTable`` id interns."""
-    kind, *rest = table.desc[cid]
-    if kind is Atom:
-        return Atom(rest[0])
-    if kind is Not:
-        return Not(_concept_of(table, rest[0]))
-    if kind in (And, Or):
-        return kind(_concept_of(table, rest[0]), _concept_of(table, rest[1]))
-    if kind in (Exists, Forall):
-        return kind(rest[0], _concept_of(table, rest[1]))
-    return kind()
-
-
 def test_concept_keys_are_printed_forms():
     # a key is built from its operands' keys; it must be the printed form,
     # which orders every choice the tableau makes and appears in traces
@@ -930,10 +930,12 @@ def test_concept_keys_are_printed_forms():
             random_concepts.concepts.intern(gen_nnf(rng, sort, 4))
     tableaux.append(random_concepts)
     for tab in tableaux:
-        table = tab.concepts
-        assert len(table.key) == len(table.desc)
-        for cid in range(len(table.desc)):
-            assert table.key[cid] == concept_to_str(_concept_of(table, cid))
+        # the keys the tableau made, and through the store's printer those
+        # of every other id, each checked against the rebuilt concept
+        store, keys = tab.concepts, dict(tab.keys)
+        for cid in range(len(store.desc)):
+            assert store.text(cid, keys) == concept_to_str(store.concept(cid))
+        assert len(keys) == len(store.desc)
     assert len(random_concepts.concepts.desc) > 1000
 
 
