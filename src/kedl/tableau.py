@@ -36,7 +36,7 @@ Labels are sets of ids of the ``Tableau``'s ``syntax.ConceptStore``, in which
 each concept's NNF and the NNF of its negation are made once, together
 with its id, so a query interns its concept, or the negation, in one step.
 Wherever the search picks the first of several concepts it orders them by
-printed form, made once per id a label holds from its operands' printed
+printed form, made once per id a label can hold from its operands' printed
 forms, so searches, witnesses and clash traces do not depend on hash seeds.
 Cross roles are functional: an object node keeps at most one successor per
 cross role (two successors are merged), and under EXACTLY_ONE a successor
@@ -241,7 +241,7 @@ class Tableau:
         self._totality = mode is FunctionalityMode.EXACTLY_ONE  # every object has every cross role
         self._merging = mode is not FunctionalityMode.FREE  # cross roles are functional
         self.concepts = ConceptStore()
-        self.keys: dict[int, str] = {}  # printed forms of the ids labels hold
+        self.keys: dict[int, str] = {}  # printed forms of the ids labels can hold
         # sorts are inferred here, so a badly sorted KB fails at construction;
         # NNF and interning wait for the first query (_intern_kb)
         self._inclusions = [
