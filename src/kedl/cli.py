@@ -37,6 +37,7 @@ from .semantics import (
     interpretation_to_text,
     satisfies_formula,
     satisfies_kb,
+    sorted_formulas,
 )
 from .syntax import Iff, Implies, KedlError, Sort, Top, check_sort
 from .tableau import InconsistentKBError, SatResult, Tableau, classify, trace_to_text
@@ -307,10 +308,10 @@ def cmd_oracle(args) -> int:
         verdict = check_validity_bounded(formula, bounds, kb=kb)
         countermodel = verdict.interpretation if isinstance(verdict, Countermodel) else None
         return _report_countermodel(args, report, countermodel)
-    reading = FormulaReading.LITERAL_EXISTENTIAL
+    reading, formulas = FormulaReading.LITERAL_EXISTENTIAL, sorted_formulas(kb)
     countermodel = next(
         (i for i in enumerate_interpretations(kb.sig, bounds)
-         if not satisfies_formula(i, formula, reading) and satisfies_kb(i, kb)),
+         if not satisfies_formula(i, formula, reading) and satisfies_kb(i, kb, formulas)),
         None,
     )
     return _report_countermodel(args, report, countermodel, ("reading", "paper-existential"))

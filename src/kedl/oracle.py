@@ -18,11 +18,13 @@ the empty KB over its signature.
   already doomed.  Extensions are the interpretation's own int bitmasks
   (bit k is element k) and successor rows, so a found model is the
   search's slots as they stand.  The goal and
-  the KB are compiled once per domain size into a node table, one node
-  per distinct subterm and sort, which an assign updates only where the
-  changed slot is read (:class:`_Search`).  Every KB formula is one or
-  two inclusions over that table, an assertion ``C(a)`` as ``{a} <= C``,
-  so one interval test decides them all.  A sort that no symbol of the
+  the KB are interned once into a concept store, whose arrow-free ids
+  give the node list, one node per distinct subterm and sort, children
+  first (:class:`_Objective`); each domain size makes one update closure
+  per node, which an assign re-runs only where the changed slot is read
+  (:class:`_Search`).  Every KB formula is one or two inclusions over
+  those nodes, an assertion ``C(a)`` as ``{a} <= C``, so one interval
+  test decides them all.  A sort that no symbol of the
   goal or the KB reaches is searched at domain size 1 only.  A model
   survives adding a copy of an element, of either sort unless ``inv(r)``
   is read on a functional cross role, so the smallest and the largest
@@ -50,6 +52,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Sequence, Union
 
 from .kb import (
+    Assertion,
     AssertionFormula,
     ConceptAssertion,
     Equivalence,
@@ -64,6 +67,7 @@ from .semantics import (
     extension,
     satisfies_formula,
     satisfies_kb,
+    sorted_formulas,
     validate_interpretation,
 )
 from .syntax import (
@@ -71,19 +75,21 @@ from .syntax import (
     Atom,
     Bot,
     ConceptExpr,
+    ConceptStore,
     Exists,
     Forall,
     KedlError,
     Not,
     Or,
     RoleKind,
+    RoleName,
     Signature,
     Sort,
     Top,
     check_sort,
-    desugar,
-    subexprs,
 )
+# not called here; perfbench/spans.py wraps this name of this module
+from .syntax import desugar  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -182,9 +188,10 @@ def count_models(
     a non-empty extension.  With no ``kb``, every interpretation over
     ``sig`` counts; with one, its signature is used and ``sig`` ignored."""
     kb = _kb_over(sig, kb)
-    sort = check_sort(e, kb.sig)
+    sort, formulas = check_sort(e, kb.sig), sorted_formulas(kb)
     return sum(
-        1 for i in enumerate_interpretations(kb.sig, bounds) if extension(e, i, sort) and satisfies_kb(i, kb)
+        1 for i in enumerate_interpretations(kb.sig, bounds)
+        if extension(e, i, sort) and satisfies_kb(i, kb, formulas)
     )
 
 
@@ -206,6 +213,9 @@ _Cells = tuple[tuple[int, ...], tuple[int, ...]]  # object cells, attribute cell
 def _side(sort: Sort) -> int:
     """The index of the sort's cells in a :data:`_Cells` pair."""
     return 0 if sort is Sort.OBJECT else 1
+
+
+_SORTS = (Sort.OBJECT, Sort.ATTRIBUTE)  # the sort of each side
 
 
 class _Level:
@@ -276,14 +286,6 @@ def _holds_lowest(mask: int, cell: int) -> bool:
 _NO_LEVELS: frozenset[int] = frozenset()
 
 
-@dataclass(frozen=True)
-class _Individual(ConceptExpr):
-    """The singleton ``{name}`` of an individual: the left side of an
-    assertion read as an inclusion.  Only the search evaluates it."""
-
-    name: str
-
-
 class _Search:
     """Depth-first assignment of interpretation components at fixed sizes.
 
@@ -298,13 +300,13 @@ class _Search:
     to search an unreached sort at size 1 only, and on an element's copy
     keeping the frozen values to skip sizes below the largest.
 
-    Interval bounds live in a node table.  Each distinct (subterm, sort)
-    asked about is one node, compiled on first use after its children;
-    ``vals[n]`` holds node n's (lower, upper) masks, the elements in the
-    subterm under every completion of the current partial assignment and
-    under at least one.  A node's update closure recomputes its value from
-    its slots and its children's values, with its slots, full mask and
-    target sort bound at compile time.  ``touch[i]`` lists, in node order,
+    Interval bounds live in a node table: node n is entry n of the
+    objective's node list, which comes children first, and ``vals[n]``
+    holds its (lower, upper) masks, the elements in the subterm under every
+    completion of the current partial assignment and under at least one.
+    :meth:`add_node` makes a node's update closure, which recomputes its
+    value from its slots and its children's values, with its slots, full
+    mask and target sort bound then.  ``touch[i]`` lists, in node order,
     the updates of the nodes that read level i's slot directly or through
     a child; :meth:`assign` is the only writer of slots and re-runs that
     list, so every value stays what a fresh evaluation would give.  A
@@ -350,16 +352,7 @@ class _Search:
     first model found and the argument above unchanged.
     """
 
-    def __init__(
-        self,
-        sig: Signature,
-        d: int,
-        s: int,
-        mode: FunctionalityMode,
-        used_atoms: set[str],
-        used_roles: set[str],
-        used_inds: set[str],
-    ) -> None:
+    def __init__(self, sig: Signature, d: int, s: int, mode: FunctionalityMode, objective: _Objective) -> None:
         self.sig = sig
         self.d = d
         self.s = s
@@ -369,16 +362,15 @@ class _Search:
         self.role_rows: dict[str, list[Optional[int]]] = {}
         self.inds: dict[str, Optional[int]] = {}
         self.levels: list[_Level] = []
-        # the level deciding each used individual and atom, and each row of
-        # each used role
-        self._ind_level: dict[str, int] = {}
-        self._atom_level: dict[str, int] = {}
+        # the level deciding each used individual and atom (their names are
+        # apart), and each row of each used role
+        self._leaf_level: dict[str, int] = {}
         self._row_levels: dict[str, range] = {}
 
         for name in sorted(sig.individuals):
-            if name in used_inds:
+            if name in objective.individuals:
                 self.inds[name] = None
-                self._ind_level[name] = len(self.levels)
+                self._leaf_level[name] = len(self.levels)
                 sort = sig.individuals[name]
                 size = d if sort is Sort.OBJECT else s
                 self.levels.append(_Level(self.inds, name, range(size), sort, element=True))
@@ -386,9 +378,9 @@ class _Search:
                 self.inds[name] = 0
 
         for name in sorted(sig.object_atoms):
-            self._add_atom(name, Sort.OBJECT, d, name in used_atoms)
+            self._add_atom(name, Sort.OBJECT, d, name in objective.atoms)
         for name in sorted(sig.attribute_atoms):
-            self._add_atom(name, Sort.ATTRIBUTE, s, name in used_atoms)
+            self._add_atom(name, Sort.ATTRIBUTE, s, name in objective.atoms)
 
         # row assignment order: attribute roles, then cross, then object
         # roles -- deepest-nested symbols first, so contradictions surface
@@ -401,7 +393,7 @@ class _Search:
                     choices = _cross_rows(s, mode)
                 else:
                     choices = range(1 << n_rows)
-                if name in used_roles:
+                if name in objective.roles:
                     rows = self.role_rows[name] = [None] * n_rows
                     self._row_levels[name] = range(len(self.levels), len(self.levels) + n_rows)
                     for row in range(n_rows):
@@ -409,7 +401,6 @@ class _Search:
                 else:
                     self.role_rows[name] = [choices[0]] * n_rows
 
-        self.nodes: dict[tuple, int] = {}
         self.vals: list[tuple[int, int]] = []
         self._reads: list[frozenset[int]] = []  # levels a node reads, directly or below
         self.touch: list[list[Callable[[], None]]] = [[] for _ in self.levels]
@@ -417,7 +408,7 @@ class _Search:
     def _add_atom(self, name: str, sort: Sort, size: int, used: bool) -> None:
         if used:
             self.atom_ext[name] = None
-            self._atom_level[name] = len(self.levels)
+            self._leaf_level[name] = len(self.levels)
             self.levels.append(_Level(self.atom_ext, name, range(1 << size), sort))
         else:
             self.atom_ext[name] = 0
@@ -436,62 +427,37 @@ class _Search:
         """The mask of every element of the sort's domain."""
         return self.full_object if sort is Sort.OBJECT else self.full_attribute
 
-    def node(self, e: ConceptExpr, sort: Sort) -> int:
-        """The index of e's node at ``sort``, compiling what is new."""
-        # a key names the children by index, so a lookup hashes no subterm;
-        # atoms, individuals and roles have one sort each, so only top and
-        # bot name theirs
-        kind = type(e)
-        if kind is Exists or kind is Forall:
-            role = e.role
-            kids: tuple[int, ...] = (self.node(e.expr, role.kind.target),)
-            key: tuple = (kind, role.name, role.kind is RoleKind.CROSS_INVERSE, kids[0])
-        elif kind is Not:
-            kids = (self.node(e.expr, sort),)
-            key = (kind, kids[0])
-        elif kind is And or kind is Or:
-            kids = (self.node(e.left, sort), self.node(e.right, sort))
-            key = (kind, kids[0], kids[1])
-        elif kind is Atom or kind is _Individual:
-            kids, key = (), (kind, e.name)
-        elif kind is Top or kind is Bot:
-            kids, key = (), (kind, sort)
-        else:
-            raise KedlError(f"arrows must be desugared before the search: {e!r}")
-        n = self.nodes.get(key)
-        if n is None:
-            n = self.nodes[key] = self._compile(e, sort, kids)
-        return n
-
-    def _compile(self, e: ConceptExpr, sort: Sort, kids: tuple[int, ...]) -> int:
-        """Append e's node, whose children are compiled, evaluate it on the
-        current slots and enter it in the touch lists; return its index."""
-        n, vals, kind = len(self.vals), self.vals, type(e)
+    def add_node(self, kind: type, label: Union[str, RoleName, None], sort: Sort, kids: tuple[int, ...]) -> None:
+        """Append the node of a ``kind`` concept with ``label`` at ``sort``
+        (see :class:`_Objective`), whose children are the nodes ``kids``,
+        evaluate it on the current slots and enter it in the touch lists.
+        An atom leaf named by an individual is its singleton ``{a}``."""
+        n, vals = len(self.vals), self.vals
         if kind is Top or kind is Bot:
             vals.append((self.full(sort),) * 2 if kind is Top else (0, 0))
             self._reads.append(_NO_LEVELS)
-            return n
+            return
         reads = self._reads[kids[0]] if kids else _NO_LEVELS
         if len(kids) == 2:
             reads |= self._reads[kids[1]]
         row_updates: dict[int, Callable[[], None]] = {}
 
         if kind is Atom:
-            ext, name, full = self.atom_ext, e.name, self.full(sort)
-            if name in self._atom_level:
-                reads = frozenset((self._atom_level[name],))
+            full = self.full(sort)
+            reads = frozenset((self._leaf_level[label],))
+            if label in self.inds:
+                inds = self.inds
 
-            def update() -> None:
-                x = ext[name]
-                vals[n] = (0, full) if x is None else (x, x)
+                def update() -> None:
+                    x = inds[label]
+                    vals[n] = (0, full) if x is None else (1 << x, 1 << x)
 
-        elif kind is _Individual:
-            inds, name, full = self.inds, e.name, self.full(sort)
-            reads = frozenset((self._ind_level[name],))
+            else:
+                ext = self.atom_ext
 
-            def update() -> None:
-                x = inds[name]
-                vals[n] = (0, full) if x is None else (1 << x, 1 << x)
+                def update() -> None:
+                    x = ext[label]
+                    vals[n] = (0, full) if x is None else (x, x)
 
         elif kind is Not:
             (c,) = kids
@@ -515,13 +481,13 @@ class _Search:
                 (l1, u1), (l2, u2) = vals[a], vals[b]
                 vals[n] = l1 | l2, u1 | u2
 
-        elif kind is Exists or kind is Forall:
+        else:  # Exists or Forall
             (c,) = kids
-            row_levels = self._row_levels.get(e.role.name, ())
-            if e.role.kind is RoleKind.CROSS_INVERSE:
-                update = self._inverse_update(e, n, c)
+            row_levels = self._row_levels[label.name]
+            if label.kind is RoleKind.CROSS_INVERSE:
+                update = self._inverse_update(kind, label, n, c)
             else:
-                update, row_update = self._forward_updates(e, n, c)
+                update, row_update = self._forward_updates(kind, label, n, c)
                 for x, level in enumerate(row_levels):
                     if level not in reads:
                         row_updates[level] = row_update(x)
@@ -532,19 +498,19 @@ class _Search:
         update()
         for level in reads:
             self.touch[level].append(row_updates.get(level, update))
-        return n
 
-    def _forward_updates(self, e: Union[Exists, Forall], n: int, c: int):
-        """The update of node n, a quantifier over a role read forward with
-        child node c, and a maker of the update of row x alone.  Both apply
-        one rule: bit x of the bounds depends on row x and the child only."""
-        vals, rows = self.vals, self.role_rows[e.role.name]
-        existential = type(e) is Exists
-        full_target = self.full(e.role.kind.target)
+    def _forward_updates(self, kind: type, role: RoleName, n: int, c: int):
+        """The update of node n, a ``kind`` quantifier over a role read
+        forward with child node c, and a maker of the update of row x alone.
+        Both apply one rule: bit x of the bounds depends on row x and the
+        child only."""
+        vals, rows = self.vals, self.role_rows[role.name]
+        existential = kind is Exists
+        full_target = self.full(role.kind.target)
         # an unassigned row ranges over every still-possible choice: under
         # EXACTLY_ONE a cross row is one successor; otherwise the empty row
         # is possible, so the existential may fail and the universal hold
-        total = e.role.kind is RoleKind.CROSS and self.mode is FunctionalityMode.EXACTLY_ONE
+        total = role.kind is RoleKind.CROSS and self.mode is FunctionalityMode.EXACTLY_ONE
         open_needs_all = total or not existential
         open_needs_some = total or existential
 
@@ -580,10 +546,11 @@ class _Search:
 
         return update, row_update
 
-    def _inverse_update(self, e: Union[Exists, Forall], n: int, c: int) -> Callable[[], None]:
-        """The update of node n, a quantifier over ``inv(r)`` with child node c."""
-        vals, rows, s = self.vals, self.role_rows[e.role.name], self.s
-        existential = type(e) is Exists
+    def _inverse_update(self, kind: type, role: RoleName, n: int, c: int) -> Callable[[], None]:
+        """The update of node n, a ``kind`` quantifier over ``inv(r)`` with
+        child node c."""
+        vals, rows, s = self.vals, self.role_rows[role.name], self.s
+        existential = kind is Exists
 
         def update() -> None:
             # predecessors of u: the assigned rows that contain u (known),
@@ -637,45 +604,85 @@ Status = Callable[[], Optional[bool]]
 class _Objective:
     """A model of ``kb`` in which ``goal``, at ``sort``, is non-empty.
 
-    Each KB formula becomes inclusions ``(L, R, sort)``: two for an
-    equivalence, ``{a} <= C`` for ``C(a)`` and ``{a} <= some r {b}`` for
-    ``r(a, b)``, where ``{a}`` is an :class:`_Individual` leaf (``r`` may
-    be ``inv(r)``).  ``concepts`` lists the desugared concepts the status
-    reads, the goal first."""
+    Each formula of ``formulas``, ``sorted_formulas(kb)``, becomes
+    inclusions ``L <= R`` at its sort: two for an equivalence, and
+    :func:`_assertion_inclusion`'s for an assertion.  The goal and both
+    sides of each inclusion are interned once into a private
+    :class:`ConceptStore`, whose ``plain`` ids are arrow-free, and
+    ``nodes`` lists once every (id, sort) reachable from them, children
+    first (ascending id), as ``(class, label, sort, child node indices)``;
+    ``top``, ``bot`` and every concept made only of them occur at both
+    sorts, so the sort is part of a node.  ``goal_node`` indexes the goal's
+    node, and ``pairs`` the (L, R) nodes of each inclusion.  ``atoms``,
+    ``roles`` and ``individuals`` are the names the nodes read,
+    ``visible`` the sorts whose domain one of them reaches, and
+    ``reads_inverse`` tells whether a node reads ``inv(r)``."""
 
     def __init__(self, kb: KnowledgeBase, goal: ConceptExpr = Top(), sort: Sort = Sort.OBJECT) -> None:
         self.kb = kb
-        self.goal = desugar(goal)
+        self.goal = goal
         self.sort = sort
-        self.inclusions: list[tuple[ConceptExpr, ConceptExpr, Sort]] = []
-        for f in kb.formulas():
+        self.formulas = sorted_formulas(kb)
+        store = ConceptStore()
+
+        def root(e: ConceptExpr, at: Sort) -> int:
+            return 2 * store.plain[store.intern(e)] + _side(at)
+
+        goal_root, inclusions = root(goal, sort), []
+        for f, f_sort in self.formulas:
             if isinstance(f, AssertionFormula):
-                a = f.assertion
-                if isinstance(a, ConceptAssertion):
-                    singleton, concept = _Individual(a.individual), desugar(a.concept)
-                else:
-                    singleton, concept = _Individual(a.source), Exists(a.role, _Individual(a.target))
-                self.inclusions.append((singleton, concept, kb.sig.individuals[singleton.name]))
+                left, right, f_sort = _assertion_inclusion(f.assertion, kb.sig)
             else:
-                f_sort = combined_sort(f.left, f.right, kb.sig, hint=f.sort)
-                left, right = desugar(f.left), desugar(f.right)
-                self.inclusions.append((left, right, f_sort))
-                if isinstance(f, Equivalence):
-                    self.inclusions.append((right, left, f_sort))
-        self.concepts = [self.goal] + [e for left, right, _ in self.inclusions for e in (left, right)]
+                left, right = f.left, f.right
+            inclusions.append((root(left, f_sort), root(right, f_sort)))
+            if isinstance(f, Equivalence):
+                inclusions.append(inclusions[-1][::-1])
+
+        # a node is keyed 2 * id + the index of its sort's side, so that
+        # ascending keys put children first
+        desc, kids = store.desc, {}  # each reachable key: its children's
+        stack = [goal_root, *itertools.chain.from_iterable(inclusions)]
+        while stack:
+            key = stack.pop()
+            if key not in kids:
+                kind, label, *operands = desc[key >> 1]
+                side = _side(label.kind.target) if kind is Exists or kind is Forall else key & 1
+                kids[key] = [2 * c + side for c in operands]
+                stack += kids[key]
+        order = sorted(kids)
+        index = {key: n for n, key in enumerate(order)}
+        self.nodes: list[tuple[type, Union[str, RoleName, None], Sort, tuple[int, ...]]] = []
+        self.atoms: set[str] = set()
+        self.roles: set[str] = set()
+        self.individuals: set[str] = set()
+        self.visible: set[Sort] = set()
+        self.reads_inverse = False
+        for key in order:
+            kind, label = desc[key >> 1][:2]
+            if kind is Atom:
+                (self.individuals if label in kb.sig.individuals else self.atoms).add(label)
+                self.visible.add(_SORTS[key & 1])
+            elif kind is Exists or kind is Forall:
+                self.roles.add(label.name)
+                self.visible |= {label.kind.source, label.kind.target}
+                self.reads_inverse |= label.kind is RoleKind.CROSS_INVERSE
+            self.nodes.append((kind, label, _SORTS[key & 1], tuple([index[c] for c in kids[key]])))
+        self.goal_node = index[goal_root]
+        self.pairs = [(index[left], index[right]) for left, right in inclusions]
 
     def compile(self, search: _Search) -> Status:
-        """Enter the concepts in the search's node table and return the
-        status of its current partial assignment: True when every
-        completion is a model, False when none can be, None while open,
-        which it never is once every level is assigned.
+        """Enter the nodes in the search's node table and return the status
+        of its current partial assignment: True when every completion is a
+        model, False when none can be, None while open, which it never is
+        once every level is assigned.
 
         The goal fails when its upper mask is empty and is met when its
         lower mask is not.  A pair fails when some element certainly in L
         is certainly not in R, is open when some element possibly in L is
         possibly not in R, and holds otherwise."""
-        vals, goal = search.vals, search.node(self.goal, self.sort)
-        pairs = [(search.node(left, sort), search.node(right, sort)) for left, right, sort in self.inclusions]
+        for node in self.nodes:
+            search.add_node(*node)
+        vals, goal, pairs = search.vals, self.goal_node, self.pairs
 
         def status() -> Optional[bool]:
             lb, ub = vals[goal]
@@ -693,58 +700,33 @@ class _Objective:
         return status
 
     def holds_exactly(self, i: Interpretation) -> bool:
-        return bool(extension(self.goal, i, self.sort)) and satisfies_kb(i, self.kb)
+        return bool(extension(self.goal, i, self.sort)) and satisfies_kb(i, self.kb, self.formulas)
+
+
+def _assertion_inclusion(a: Assertion, sig: Signature) -> tuple[ConceptExpr, ConceptExpr, Sort]:
+    """The inclusion ``{a} <= C`` of ``C(a)``, or ``{a} <= some r {b}`` of
+    ``r(a, b)`` (``r`` may be ``inv(r)``), with its sort.  The singleton
+    ``{a}`` is the atom leaf named ``a``: a signature keeps the names of
+    atoms, roles and individuals apart, so the search reads it as ``a``'s
+    element."""
+    if isinstance(a, ConceptAssertion):
+        return Atom(a.individual), a.concept, sig.individuals[a.individual]
+    return Atom(a.source), Exists(a.role, Atom(a.target)), sig.individuals[a.source]
 
 
 class _Refutation(_Objective):
     """A model of ``kb`` in which the assertion ``f`` fails.  With
-    ``{a} <= R`` the inclusion an objective makes of ``f``, that is a model
-    where ``{a} and not R`` is non-empty: ``{a} and not C`` for ``C(a)``,
-    ``{a} and not some r {b}`` for ``r(a, b)``."""
+    ``{a} <= R`` its inclusion, that is a model where ``{a} and not R`` is
+    non-empty: ``{a} and not C`` for ``C(a)``, ``{a} and not some r {b}``
+    for ``r(a, b)``."""
 
     def __init__(self, kb: KnowledgeBase, f: AssertionFormula) -> None:
-        singleton, concept, sort = _Objective(KnowledgeBase(sig=kb.sig, abox=[f.assertion])).inclusions[0]
+        singleton, concept, sort = _assertion_inclusion(f.assertion, kb.sig)
         super().__init__(kb, And(singleton, Not(concept)), sort)
         self.formula = f
 
     def holds_exactly(self, i: Interpretation) -> bool:
-        return not satisfies_formula(i, self.formula) and satisfies_kb(i, self.kb)
-
-
-def _used_symbols(exprs: list[ConceptExpr]):
-    atoms: set[str] = set()
-    roles: set[str] = set()
-    inds: set[str] = set()
-    for e in exprs:
-        for sub in subexprs(e):
-            if isinstance(sub, Atom):
-                atoms.add(sub.name)
-            elif isinstance(sub, (Exists, Forall)):
-                roles.add(sub.role.name)
-            elif isinstance(sub, _Individual):
-                inds.add(sub.name)
-    return atoms, roles, inds
-
-
-def _visible_sorts(sig: Signature, used) -> set[Sort]:
-    """The sorts whose domain some used atom, role or individual reaches."""
-    atoms, roles, inds = used
-    sorts = {sig.atom_sort(name) for name in atoms} | {sig.individuals[name] for name in inds}
-    for name in roles:
-        if sig.roles[name] is not RoleKind.OBJ_OBJ:
-            sorts.add(Sort.ATTRIBUTE)
-        if sig.roles[name] is not RoleKind.ATTR_ATTR:
-            sorts.add(Sort.OBJECT)
-    return sorts
-
-
-def _reads_inverse(exprs: list[ConceptExpr]) -> bool:
-    """Whether some concept reads a cross role backwards, through ``inv(r)``."""
-    return any(
-        isinstance(sub, (Exists, Forall)) and sub.role.kind is RoleKind.CROSS_INVERSE
-        for e in exprs
-        for sub in subexprs(e)
-    )
+        return not satisfies_formula(i, self.formula) and satisfies_kb(i, self.kb, self.formulas)
 
 
 def find_model(
@@ -812,20 +794,17 @@ def find_model(
 def _find(objective: _Objective, bounds: Bounds) -> SatVerdict:
     """The size walk of :func:`find_model`."""
     kb = objective.kb
-    used = _used_symbols(objective.concepts)
-
-    visible = _visible_sorts(kb.sig, used)
-    deltas = range(1, bounds.max_delta + 1) if Sort.OBJECT in visible else (1,)
-    sigmas = range(1, bounds.max_sigma + 1) if Sort.ATTRIBUTE in visible else (1,)
+    deltas = range(1, bounds.max_delta + 1) if Sort.OBJECT in objective.visible else (1,)
+    sigmas = range(1, bounds.max_sigma + 1) if Sort.ATTRIBUTE in objective.visible else (1,)
     searched: dict[tuple[int, int], Optional[Interpretation]] = {}
 
     def search(d: int, s: int) -> Optional[Interpretation]:
         if (d, s) not in searched:
-            searched[d, s] = _search_at(kb.sig, d, s, bounds.mode, objective, used)
+            searched[d, s] = _search_at(kb.sig, d, s, bounds.mode, objective)
         return searched[d, s]
 
     functional = bounds.mode is not FunctionalityMode.FREE
-    tops = sigmas if functional and _reads_inverse(objective.concepts) else sigmas[-1:]
+    tops = sigmas if functional and objective.reads_inverse else sigmas[-1:]
     if search(1, 1) is None and all(search(deltas[-1], s) is None for s in tops):
         return NoModelUpToBound(bounds)
     for d in deltas:
@@ -871,11 +850,10 @@ def _dead_goal_elements(search: _Search, goal: int, sort: Sort) -> int:
     return dead
 
 
-def _search_at(sig, d, s, mode, objective: _Objective, used) -> Optional[Interpretation]:
-    used_atoms, used_roles, used_inds = used
-    search = _Search(sig, d, s, mode, used_atoms, used_roles, used_inds)
+def _search_at(sig, d, s, mode, objective: _Objective) -> Optional[Interpretation]:
+    search = _Search(sig, d, s, mode, objective)
     status = objective.compile(search)
-    goal = search.node(objective.goal, objective.sort)
+    goal = objective.goal_node
     levels, vals = search.levels, search.vals
     options: list[tuple[tuple[int, _Cells], ...]] = [()] * len(levels)  # kept choices per level
     tried = [0] * len(levels)  # options of each assigned level tried so far

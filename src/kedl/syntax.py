@@ -483,8 +483,6 @@ class ConceptStore:
 def desugar(expr: ConceptExpr) -> ConceptExpr:
     """Rewrite arrows away: C => D becomes (not C) or D, and C <=> D becomes
     ((not C) or D) and ((not D) or C).  Identity on arrow-free input."""
-    if not any(type(sub) in (Implies, Iff) for sub in subexprs(expr)):
-        return expr  # the oracle desugars every goal and formula, most arrow-free
     store = ConceptStore()
     return store.concept(store.plain[store.intern(expr)])
 

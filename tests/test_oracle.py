@@ -39,7 +39,7 @@ from kedl import (
 )
 from kedl import oracle
 from kedl.axioms import all_items, suite_signature
-from kedl.oracle import _Level, _Objective, _dead_goal_elements, _orbit_choices, _used_symbols
+from kedl.oracle import _Level, _Objective, _dead_goal_elements, _orbit_choices
 from kedl.oracle import _search_at as _unpatched_search_at
 from kedl.parser import parse_signature
 from kedl.semantics import FunctionalityMode, interpretation_to_text
@@ -186,6 +186,48 @@ class TestCountModels:
         assert sum(1 for _ in enumerate_interpretations(sig, Bounds(1, 1))) == 8
         expr = Exists(sig.role("has-r"), Atom("A"))
         assert count_models(expr, sig, Bounds(1, 1)) == 2
+
+    def test_formula_sorts_are_inferred_once_per_count(self, monkeypatch):
+        # satisfies_kb infers every formula's sort unless it is given the
+        # sorted formulas; a count gives them once, not once for each of
+        # the enumerated interpretations
+        from kedl import semantics
+
+        calls = 0
+        real = semantics.sorted_formulas
+
+        def counted(kb):
+            nonlocal calls
+            calls += 1
+            return real(kb)
+
+        monkeypatch.setattr(semantics, "sorted_formulas", counted)
+        monkeypatch.setattr(oracle, "sorted_formulas", counted)
+        assert count_models(Atom("C1"), None, Bounds(2, 1), kb=gen_kb(random.Random(2))) == 776
+        assert calls == 1
+
+
+class TestDeepGoals:
+    """A goal nested deeper than Python's recursion limit is interned and
+    searched without recursion, the limit left as it is.  The exact
+    re-check of a found model still recurses, so only goals without a
+    model are asked here."""
+
+    @staticmethod
+    def chain(depth=3000):
+        e = And(Atom("C1"), Not(Atom("C1")))
+        for _ in range(depth):
+            e = Exists(P, e)
+        return e
+
+    def test_unsatisfiable_chain_has_no_model(self):
+        bounds = Bounds(2, 2)
+        assert find_model(self.chain(), bounds, sig=diff_signature()) == NoModelUpToBound(bounds)
+
+    def test_chain_includes_itself(self):
+        chain, bounds = self.chain(), Bounds(2, 2)
+        verdict = check_validity_bounded(Inclusion(chain, chain), bounds, diff_signature())
+        assert verdict == NoCountermodelUpToBound(bounds)
 
 
 class TestFindModel:
@@ -404,7 +446,6 @@ class TestIntervalSoundness:
             attr_atoms=("A1",),
             roles=(("p", RoleKind.OBJ_OBJ), ("q", RoleKind.ATTR_ATTR), ("r", RoleKind.CROSS)),
         )
-        used = ({"C1", "A1"}, {"p", "q", "r"}, set())
         rng = random.Random(555)
         inverse_trials = 0
         for trial in range(150):
@@ -415,12 +456,13 @@ class TestIntervalSoundness:
             inverse_trials += any(
                 isinstance(sub, (Exists, Forall)) and sub.role == R_INV for sub in subexprs(expr)
             )
-            search = _Search(sig, 2, 2, mode, *used)
-            status = _Objective(KnowledgeBase(sig=sig), expr, sort).compile(search)
+            objective = _Objective(KnowledgeBase(sig=sig), expr, sort)
+            search = _Search(sig, 2, 2, mode, objective)
+            status = objective.compile(search)
             n_levels = len(search.levels)
             prefix = rng.randrange(n_levels + 1)
             _assign(search, range(prefix), rng)
-            lower, upper = search.vals[search.node(expr, sort)]
+            lower, upper = search.vals[objective.goal_node]
             for _ in range(8):
                 _assign(search, range(prefix, n_levels), rng)
                 i = search.build()
@@ -454,9 +496,9 @@ class TestIntervalSoundness:
             expr = desugar(expr)
             objective = _Objective(KnowledgeBase(sig=sig), expr, sort)
             d, s = rng.choice([(2, 2), (3, 2), (2, 3)])
-            search = _Search(sig, d, s, MODES[trial % 3], *_used_symbols(objective.concepts))
+            search = _Search(sig, d, s, MODES[trial % 3], objective)
             objective.compile(search)
-            goal = search.node(expr, sort)
+            goal = objective.goal_node
             rows = [idx for idx, level in enumerate(search.levels) if level.source is not None]
             depth = rows[0] + rng.randrange(len(rows) // 2 + 1)
             for _ in range(10):  # look for a prefix that leaves the goal open
@@ -491,8 +533,7 @@ class TestIntervalSoundness:
             small = trial >= 300
             kb = _small_kb(rng) if small else gen_kb(rng)
             objective = _Objective(kb)
-            used = _used_symbols(objective.concepts)
-            search = _Search(kb.sig, 2, 2, MODES[trial % 3], *used)
+            search = _Search(kb.sig, 2, 2, MODES[trial % 3], objective)
             status = objective.compile(search)
             # extend the assignment one level at a time, steering away from
             # dead ends so that satisfiable KBs can get decided True, and
@@ -537,25 +578,20 @@ class TestIncrementalValues:
             else:
                 sort = Sort.OBJECT if trial % 4 == 0 else Sort.ATTRIBUTE
                 goal_sig, objective = sig, _Objective(KnowledgeBase(sig=sig), gen_nnf(rng, sort, 3), sort)
-            used = _used_symbols(objective.concepts)
-            inverse_trials += any(
-                isinstance(sub, (Exists, Forall)) and sub.role == R_INV
-                for concept in objective.concepts
-                for sub in subexprs(concept)
-            )
+            inverse_trials += objective.reads_inverse
             d, s = rng.choice([(2, 2), (3, 2), (2, 3)])
-            search = _Search(goal_sig, d, s, mode, *used)
+            search = _Search(goal_sig, d, s, mode, objective)
             objective.compile(search)
             if not search.levels:
                 continue
             for _ in range(40):
                 idx = rng.randrange(len(search.levels))
                 search.assign(idx, rng.choice([None, *search.levels[idx].choices]))
-                fresh = _Search(goal_sig, d, s, mode, *used)
+                fresh = _Search(goal_sig, d, s, mode, objective)
                 for j, level in enumerate(search.levels):
                     fresh.assign(j, level.store[level.key])
                 objective.compile(fresh)
-                assert fresh.nodes == search.nodes
+                assert len(fresh.vals) == len(search.vals) == len(objective.nodes)
                 assert fresh.vals == search.vals
         assert inverse_trials >= 50
 
@@ -674,23 +710,22 @@ def test_models_are_pinned():
 
 
 def _objective(goal, sig=None, sort=None, kb=None):
-    """The objective and used symbols find_model builds for these arguments."""
+    """The objective find_model builds for these arguments."""
     if isinstance(goal, KnowledgeBase):
         goal, kb = Top(), goal
     kb = kb if kb is not None else KnowledgeBase(sig=sig)
-    objective = _Objective(kb, goal, check_sort(goal, kb.sig, expected=sort))
-    return objective, _used_symbols(objective.concepts)
+    return _Objective(kb, goal, check_sort(goal, kb.sig, expected=sort))
 
 
 def _every_size(goal, bounds, sig=None, sort=None, kb=None):
     """The model text find_model would return with no domain size skipped,
     and the number of sizes searched for it."""
-    objective, used = _objective(goal, sig, sort, kb)
+    objective = _objective(goal, sig, sort, kb)
     searched = 0
     for d in range(1, bounds.max_delta + 1):
         for s in range(1, bounds.max_sigma + 1):
             searched += 1
-            found = _unpatched_search_at(objective.kb.sig, d, s, bounds.mode, objective, used)
+            found = _unpatched_search_at(objective.kb.sig, d, s, bounds.mode, objective)
             if found is not None:
                 return interpretation_to_text(found), searched
     return None, searched
@@ -785,11 +820,11 @@ class TestDomainSizeSkip:
         assert walked >= 10
 
 
-def _sizes_with_a_model(objective, used, mode):
+def _sizes_with_a_model(objective, mode):
     return {
         (d, s)
         for d, s in ALL_SIZES_3_3
-        if _unpatched_search_at(objective.kb.sig, d, s, mode, objective, used) is not None
+        if _unpatched_search_at(objective.kb.sig, d, s, mode, objective) is not None
     }
 
 
@@ -822,19 +857,19 @@ class TestElementCopy:
 
     def test_attribute_copy_fails_under_a_functional_inverse(self):
         kb = parse_kb(INVERSE_KB)
-        objective, used = _objective(kb)
+        objective = _objective(kb)
         # an attribute with one r-predecessor in C and one outside
         two_predecessors = And(Exists(R_INV, Atom("C")), Exists(R_INV, Not(Atom("C"))))
-        query, query_used = _objective(two_predecessors, sort=Sort.ATTRIBUTE, kb=kb)
+        query = _objective(two_predecessors, sort=Sort.ATTRIBUTE, kb=kb)
         for mode in MODES:
-            at = {s: _unpatched_search_at(kb.sig, 1, s, mode, objective, used) for s in (1, 2)}
+            at = {s: _unpatched_search_at(kb.sig, 1, s, mode, objective) for s in (1, 2)}
             assert at[1] is not None
             assert (at[2] is not None) == (mode is _FREE)
             assert _model_text(find_model(kb, Bounds(1, 2, mode))) == interpretation_to_text(at[1])
 
             # the query's smallest model is at (2, 1), and outside FREE the
             # largest size (2, 2) has none: searching it alone would miss it
-            assert _sizes_with_a_model(query, query_used, mode) & {(1, 1), (1, 2), (2, 1), (2, 2)} == (
+            assert _sizes_with_a_model(query, mode) & {(1, 1), (1, 2), (2, 1), (2, 2)} == (
                 {(2, 1), (2, 2)} if mode is _FREE else {(2, 1)}
             )
             verdict = find_model(two_predecessors, Bounds(2, 2, mode), sort=Sort.ATTRIBUTE, kb=kb)
@@ -854,10 +889,10 @@ class TestElementCopy:
             cases += [(kb, None, None, None), (gen_nnf(rng, sort, 2), None, sort, kb)]
         grows_in_d = grows_in_s = shrinks_in_s = 0
         for goal, sig, sort, kb in cases:
-            objective, used = _objective(goal, sig, sort, kb)
-            attributes_monotone = not oracle._reads_inverse(objective.concepts)
+            objective = _objective(goal, sig, sort, kb)
+            attributes_monotone = not objective.reads_inverse
             for mode in MODES:
-                found = _sizes_with_a_model(objective, used, mode)
+                found = _sizes_with_a_model(objective, mode)
                 for d, s in found:
                     assert d == 3 or (d + 1, s) in found
                     if attributes_monotone or mode is _FREE:
