@@ -37,7 +37,6 @@ from .semantics import (
     interpretation_to_text,
     satisfies_formula,
     satisfies_kb,
-    sorted_formulas,
 )
 from .syntax import Iff, Implies, KedlError, Sort, Top, check_sort
 from .tableau import InconsistentKBError, SatResult, Tableau, classify, trace_to_text
@@ -296,19 +295,20 @@ def cmd_oracle(args) -> int:
         return _report_model(args, report, verdict)
 
     # validity: a top-level arrow is read as a statement; anything else is
-    # checked as "denotes the whole domain"
+    # checked as "denotes the whole domain"; an arrow's sort is its sides'
+    sort = check_sort(expr, kb.sig)
     if isinstance(expr, Implies):
-        formula = Inclusion(expr.left, expr.right)
+        formula = Inclusion(expr.left, expr.right, sort)
     elif isinstance(expr, Iff):
-        formula = Equivalence(expr.left, expr.right)
+        formula = Equivalence(expr.left, expr.right, sort)
     else:
-        formula = Inclusion(Top(), expr, check_sort(expr, kb.sig))
+        formula = Inclusion(Top(), expr, sort)
     report.add("formula", args.concept)
     if args.reading != "paper-existential":
         verdict = check_validity_bounded(formula, bounds, kb=kb)
         countermodel = verdict.interpretation if isinstance(verdict, Countermodel) else None
         return _report_countermodel(args, report, countermodel)
-    reading, formulas = FormulaReading.LITERAL_EXISTENTIAL, sorted_formulas(kb)
+    reading, formulas = FormulaReading.LITERAL_EXISTENTIAL, kb.formulas()
     countermodel = next(
         (i for i in enumerate_interpretations(kb.sig, bounds)
          if not satisfies_formula(i, formula, reading) and satisfies_kb(i, kb, formulas)),
@@ -431,10 +431,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print("error: standard output was closed before the report was written", file=sys.stderr)
         return EXIT_ERROR
-    except FileNotFoundError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_ERROR
-    except (ParseError, KedlError) as err:
+    except (OSError, UnicodeDecodeError, ParseError, KedlError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_ERROR
     except RecursionError:

@@ -3,11 +3,12 @@
 A knowledge base bundles a signature with:
 
 * definitions   -- ``X := C`` (acyclic, one per atom; equivalences)
-* inclusions    -- ``C <= D`` (general inclusions, per sort)
+* inclusions    -- ``C <= D`` (general inclusions, each with its sort)
 * abox          -- concept and role assertions over declared individuals
 
 ``Formula`` is the statement-level syntax checked by the model evaluator:
-inclusions, equivalences, and assertions.
+inclusions, equivalences, and assertions.  An inclusion's sort is decided
+once, by ``include``, and a definition's is its atom's.
 """
 
 from __future__ import annotations
@@ -59,7 +60,9 @@ Assertion = Union[ConceptAssertion, RoleAssertion]
 
 @dataclass(frozen=True)
 class Inclusion:
-    """``C <= D``.  ``sort`` pins the domain when both sides are polymorphic."""
+    """``C <= D``, its sides read at ``sort``; None means it is inferred.  A
+    KB keeps None only for sides made of ``top`` and ``bot`` alone, which the
+    tableau reads at both sorts and the evaluator at object sort."""
 
     left: ConceptExpr
     right: ConceptExpr
@@ -71,6 +74,8 @@ class Inclusion:
 
 @dataclass(frozen=True)
 class Equivalence:
+    """``C == D``, its sides read at ``sort``; None means it is inferred."""
+
     left: ConceptExpr
     right: ConceptExpr
     sort: Optional[Sort] = None
@@ -90,14 +95,9 @@ class AssertionFormula:
 Formula = Union[Inclusion, Equivalence, AssertionFormula]
 
 
-def combined_sort(
-    left: ConceptExpr,
-    right: ConceptExpr,
-    sig: Signature,
-    hint: Optional[Sort] = None,
-) -> Sort:
-    """The shared sort of two concepts that must agree; polymorphic sides
-    follow the determinate one (then the hint, then object sort)."""
+def combined_sort(left: ConceptExpr, right: ConceptExpr, sig: Signature) -> Optional[Sort]:
+    """The shared sort of two concepts that must agree: a polymorphic side
+    follows the determinate one, and None means both are polymorphic."""
     ls = infer_sort(left, sig)
     rs = infer_sort(right, sig)
     if ls is not None and rs is not None and ls is not rs:
@@ -106,7 +106,13 @@ def combined_sort(
             expected=ls,
             found=rs,
         )
-    return ls or rs or hint or Sort.OBJECT
+    return ls or rs
+
+
+def formula_sort(f: Union[Inclusion, Equivalence], sig: Signature) -> Sort:
+    """The sort ``f``'s sides are evaluated at: ``f.sort``, inferred only
+    when that is None, and object sort when both sides are polymorphic."""
+    return f.sort or combined_sort(f.left, f.right, sig) or Sort.OBJECT
 
 
 def refutation_goals(f: Union[Inclusion, Equivalence]) -> list[ConceptExpr]:
@@ -127,7 +133,7 @@ class KnowledgeBaseError(KedlError):
 class KnowledgeBase:
     sig: Signature = field(default_factory=Signature)
     definitions: dict[str, ConceptExpr] = field(default_factory=dict)
-    inclusions: list[tuple[ConceptExpr, ConceptExpr]] = field(default_factory=list)
+    inclusions: list[Inclusion] = field(default_factory=list)
     abox: list[Assertion] = field(default_factory=list)
 
     def define(self, name: str, expr: ConceptExpr) -> None:
@@ -143,8 +149,7 @@ class KnowledgeBase:
             raise
 
     def include(self, left: ConceptExpr, right: ConceptExpr) -> None:
-        combined_sort(left, right, self.sig)
-        self.inclusions.append((left, right))
+        self.inclusions.append(Inclusion(left, right, combined_sort(left, right, self.sig)))
 
     def assert_concept(self, concept: ConceptExpr, individual: str) -> None:
         if individual not in self.sig.individuals:
@@ -191,14 +196,11 @@ class KnowledgeBase:
     def formulas(self) -> list[Formula]:
         """Statement view: definitions as equivalences, then inclusions,
         then assertions, in declaration order."""
-        out: list[Formula] = []
-        for name, expr in self.definitions.items():
-            out.append(Equivalence(Atom(name), expr))
-        for left, right in self.inclusions:
-            out.append(Inclusion(left, right))
-        for a in self.abox:
-            out.append(AssertionFormula(a))
-        return out
+        return [
+            *(Equivalence(Atom(name), expr, self.sig.atom_sort(name)) for name, expr in self.definitions.items()),
+            *self.inclusions,
+            *map(AssertionFormula, self.abox),
+        ]
 
 
 def empty_kb(sig: Optional[Signature] = None) -> KnowledgeBase:

@@ -58,7 +58,7 @@ from .kb import (
     Equivalence,
     Formula,
     KnowledgeBase,
-    combined_sort,
+    formula_sort,
     refutation_goals,
 )
 from .semantics import (
@@ -67,7 +67,6 @@ from .semantics import (
     extension,
     satisfies_formula,
     satisfies_kb,
-    sorted_formulas,
     validate_interpretation,
 )
 from .syntax import (
@@ -188,7 +187,7 @@ def count_models(
     a non-empty extension.  With no ``kb``, every interpretation over
     ``sig`` counts; with one, its signature is used and ``sig`` ignored."""
     kb = _kb_over(sig, kb)
-    sort, formulas = check_sort(e, kb.sig), sorted_formulas(kb)
+    sort, formulas = check_sort(e, kb.sig), kb.formulas()
     return sum(
         1 for i in enumerate_interpretations(kb.sig, bounds)
         if extension(e, i, sort) and satisfies_kb(i, kb, formulas)
@@ -604,8 +603,8 @@ Status = Callable[[], Optional[bool]]
 class _Objective:
     """A model of ``kb`` in which ``goal``, at ``sort``, is non-empty.
 
-    Each formula of ``formulas``, ``sorted_formulas(kb)``, becomes
-    inclusions ``L <= R`` at its sort: two for an equivalence, and
+    Each formula of ``kb`` becomes inclusions ``L <= R`` at its sort
+    (:func:`~kedl.kb.formula_sort`): two for an equivalence, and
     :func:`_assertion_inclusion`'s for an assertion.  The goal and both
     sides of each inclusion are interned once into a private
     :class:`ConceptStore`, whose ``plain`` ids are arrow-free, and
@@ -622,18 +621,17 @@ class _Objective:
         self.kb = kb
         self.goal = goal
         self.sort = sort
-        self.formulas = sorted_formulas(kb)
         store = ConceptStore()
 
         def root(e: ConceptExpr, at: Sort) -> int:
             return 2 * store.plain[store.intern(e)] + _side(at)
 
         goal_root, inclusions = root(goal, sort), []
-        for f, f_sort in self.formulas:
+        for f in kb.formulas():
             if isinstance(f, AssertionFormula):
                 left, right, f_sort = _assertion_inclusion(f.assertion, kb.sig)
             else:
-                left, right = f.left, f.right
+                left, right, f_sort = f.left, f.right, formula_sort(f, kb.sig)
             inclusions.append((root(left, f_sort), root(right, f_sort)))
             if isinstance(f, Equivalence):
                 inclusions.append(inclusions[-1][::-1])
@@ -700,7 +698,7 @@ class _Objective:
         return status
 
     def holds_exactly(self, i: Interpretation) -> bool:
-        return bool(extension(self.goal, i, self.sort)) and satisfies_kb(i, self.kb, self.formulas)
+        return bool(extension(self.goal, i, self.sort)) and satisfies_kb(i, self.kb)
 
 
 def _assertion_inclusion(a: Assertion, sig: Signature) -> tuple[ConceptExpr, ConceptExpr, Sort]:
@@ -726,7 +724,7 @@ class _Refutation(_Objective):
         self.formula = f
 
     def holds_exactly(self, i: Interpretation) -> bool:
-        return not satisfies_formula(i, self.formula) and satisfies_kb(i, self.kb, self.formulas)
+        return not satisfies_formula(i, self.formula) and satisfies_kb(i, self.kb)
 
 
 def find_model(
@@ -902,7 +900,7 @@ def check_validity_bounded(
     if isinstance(f, AssertionFormula):
         verdicts = [_find(_Refutation(kb, f), bounds)]
     else:
-        sort = combined_sort(f.left, f.right, kb.sig, hint=f.sort)
+        sort = formula_sort(f, kb.sig)
         verdicts = (find_model(concept, bounds, sort=sort, kb=kb) for concept in refutation_goals(f))
     for verdict in verdicts:
         if isinstance(verdict, Model):

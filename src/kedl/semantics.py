@@ -33,7 +33,7 @@ from .kb import (
     Inclusion,
     KnowledgeBase,
     RoleAssertion,
-    combined_sort,
+    formula_sort,
 )
 from .syntax import (
     And,
@@ -239,19 +239,13 @@ def satisfies_assertion(i: Interpretation, a: Assertion) -> bool:
     raise KedlError(f"unknown assertion: {a!r}")
 
 
-def satisfies_formula(
-    i: Interpretation,
-    f: Formula,
-    reading: FormulaReading = FormulaReading.UNIVERSAL,
-    sort: Optional[Sort] = None,
-) -> bool:
-    """Whether ``i`` satisfies ``f``; ``sort``, the sort of an inclusion's
-    or equivalence's sides, is inferred when not given."""
+def satisfies_formula(i: Interpretation, f: Formula, reading: FormulaReading = FormulaReading.UNIVERSAL) -> bool:
+    """Whether ``i`` satisfies ``f``, an inclusion's or equivalence's sides
+    read at :func:`~kedl.kb.formula_sort`."""
     if isinstance(f, AssertionFormula):
         return satisfies_assertion(i, f.assertion)
 
-    if sort is None:
-        sort = combined_sort(f.left, f.right, i.sig, hint=f.sort)
+    sort = formula_sort(f, i.sig)
     left = extension(f.left, i, sort)
     right = extension(f.right, i, sort)
     if reading is FormulaReading.UNIVERSAL:
@@ -266,26 +260,14 @@ def satisfies_formula(
     return bool(dom & ~(left ^ right))
 
 
-def sorted_formulas(kb: KnowledgeBase) -> list[tuple[Formula, Optional[Sort]]]:
-    """``kb.formulas()``, each paired with the sort ``satisfies_formula``
-    evaluates it in (None for an assertion)."""
-    return [
-        (f, None if isinstance(f, AssertionFormula) else combined_sort(f.left, f.right, kb.sig, hint=f.sort))
-        for f in kb.formulas()
-    ]
-
-
-def satisfies_kb(
-    i: Interpretation,
-    kb: KnowledgeBase,
-    formulas: Optional[list[tuple[Formula, Optional[Sort]]]] = None,
-) -> bool:
-    """Whether ``i`` satisfies every formula of ``kb`` (universal reading).
-    A caller checking many interpretations against one KB passes
-    ``sorted_formulas(kb)`` as ``formulas`` so sorts are inferred once."""
-    if formulas is None:
-        formulas = sorted_formulas(kb)
-    return all(satisfies_formula(i, f, sort=sort) for f, sort in formulas)
+def satisfies_kb(i: Interpretation, kb: KnowledgeBase, formulas: Optional[list[Formula]] = None) -> bool:
+    """Whether ``i`` satisfies every formula of ``kb`` (universal reading),
+    or every one of ``formulas`` when given.  Each formula's ``sort`` is the
+    sort its sides are read at, and None means it is inferred; a KB's
+    inclusions and definitions carry theirs, so none is inferred here.  A
+    caller checking many interpretations passes ``kb.formulas()`` once,
+    which is otherwise built again for every call."""
+    return all(satisfies_formula(i, f) for f in (kb.formulas() if formulas is None else formulas))
 
 
 # --- Text serialization ------------------------------------------------------
@@ -333,7 +315,7 @@ class ModelFormatError(KedlError):
 def _parse_el(token: str, expect: Sort, i: Interpretation) -> int:
     """The index of a named element of sort ``expect`` in ``i``'s domains."""
     token = token.strip()
-    if not token or token[0] not in "xu" or not token[1:].isdigit():
+    if not token or token[0] not in "xu" or not token[1:].isdigit() or not token.isascii():
         raise ModelFormatError(f"bad element name: {token!r}")
     sort = Sort.OBJECT if token[0] == "x" else Sort.ATTRIBUTE
     if sort is not expect:
@@ -404,10 +386,11 @@ def _split_pairs(body: str) -> Iterable[tuple[str, str]]:
     while body:
         if not body.startswith("("):
             raise ModelFormatError(f"expected '(' in pair list near: {body!r}")
-        close = body.index(")")
-        inner = body[1:close]
+        inner, closed, rest = body[1:].partition(")")
+        if not closed:
+            raise ModelFormatError(f"expected ')' in pair list near: {body!r}")
         a, _, b = inner.partition(",")
         yield a, b
-        body = body[close + 1:].lstrip()
+        body = rest.lstrip()
         if body.startswith(","):
             body = body[1:].lstrip()

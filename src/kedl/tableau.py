@@ -92,7 +92,6 @@ from .semantics import (
     Interpretation,
     extension,
     satisfies_kb,
-    sorted_formulas,
     validate_interpretation,
 )
 from .syntax import (
@@ -111,11 +110,10 @@ from .syntax import (
     Signature,
     Sort,
     check_sort,
-    infer_sort,
     subexprs,
 )
 # not called here; perfbench/spans.py wraps these names of this module
-from .syntax import concept_to_str, negated_nnf, to_nnf  # noqa: F401
+from .syntax import concept_to_str, infer_sort, negated_nnf, to_nnf  # noqa: F401
 
 MAX_TREE_DEPTH = 120
 MAX_NODES = 20000
@@ -242,12 +240,7 @@ class Tableau:
         self._merging = mode is not FunctionalityMode.FREE  # cross roles are functional
         self.concepts = ConceptStore()
         self.keys: dict[int, str] = {}  # printed forms of the ids labels can hold
-        # sorts are inferred here, so a badly sorted KB fails at construction;
         # NNF and interning wait for the first query (_intern_kb)
-        self._inclusions = [
-            (left, right, infer_sort(left, self.sig) or infer_sort(right, self.sig))
-            for left, right in kb.inclusions
-        ]
         # defined literal, or primitive atom with inclusions -> its unfolding
         self._unfold: dict[int, int] = {}
         self._globals: Optional[dict[Sort, list[int]]] = None
@@ -264,13 +257,13 @@ class Tableau:
                     self._unfold[key(form[atom])] = key(form[body])
             absorbed: dict[str, list[ConceptExpr]] = {}  # primitive atom -> right sides
             constraints: dict[Sort, list[int]] = {Sort.OBJECT: [], Sort.ATTRIBUTE: []}
-            for left, right, sort in self._inclusions:
-                if isinstance(left, Atom) and left.name not in definitions:
-                    absorbed.setdefault(left.name, []).append(right)
+            for f in self.kb.inclusions:
+                if isinstance(f.left, Atom) and f.left.name not in definitions:
+                    absorbed.setdefault(f.left.name, []).append(f.right)
                     continue
-                constraint = intern(Or(Not(left), right))
+                constraint = intern(Or(Not(f.left), f.right))
                 # fully polymorphic inclusion (only top/bot): constrain both domains
-                for each in (Sort.OBJECT, Sort.ATTRIBUTE) if sort is None else (sort,):
+                for each in (Sort.OBJECT, Sort.ATTRIBUTE) if f.sort is None else (f.sort,):
                     constraints[each].append(constraint)
             for name, rights in absorbed.items():
                 self._unfold[intern(Atom(name))] = intern(reduce(And, rights))
@@ -687,10 +680,10 @@ class Tableau:
         return sorted((self.sig.object_atoms | self.sig.attribute_atoms) - set(self.kb.definitions))
 
     @cached_property
-    def _formulas(self) -> list[tuple[Formula, Optional[Sort]]]:
+    def _formulas(self) -> list[Formula]:
         """The formulas a witness is re-checked against: every inclusion
         and assertion, not the definitions, which hold by construction."""
-        return [(f, sort) for f, sort in sorted_formulas(self.kb) if not isinstance(f, Equivalence)]
+        return [f for f in self.kb.formulas() if not isinstance(f, Equivalence)]
 
     @cached_property
     def _definition_uses(self) -> dict[str, set[str]]:

@@ -484,6 +484,25 @@ class TestReports:
         assert result.stderr.startswith("error: ")
         assert "Traceback" not in result.stderr
 
+    @pytest.mark.parametrize("case", ["check-directory", "check-not-utf8", "model-out-directory",
+                                      "translate-to-directory"])
+    def test_unreadable_or_unwritable_file_is_exit_2(self, case, tmp_path, gas_kedl, gas_km):
+        # a file that cannot be read or written is an error, never the
+        # exit 1 of a negative verdict; in a subprocess, so that a
+        # traceback would reach stderr
+        latin1 = tmp_path / "latin1.kedl"
+        latin1.write_bytes("oconcept Caf\xe9;".encode("latin-1"))
+        argv = {
+            "check-directory": ["check", str(tmp_path)],
+            "check-not-utf8": ["check", str(latin1)],
+            "model-out-directory": ["sat", gas_kedl, "-c", "Gas", "--model-out", str(tmp_path)],
+            "translate-to-directory": ["km", "translate", gas_km, "-o", str(tmp_path)],
+        }[case]
+        result = subprocess.run([sys.executable, "-m", "kedl.cli", *argv], capture_output=True, text=True)
+        assert result.returncode == 2
+        assert result.stderr.startswith("error: ")
+        assert "Traceback" not in result.stderr
+
     def test_no_stdout_keeps_the_verdict(self):
         # started with standard output closed (`kedl ... >&-`): the report
         # goes nowhere and the exit code is still the verdict

@@ -8,8 +8,10 @@ import pytest
 from kedl import (
     Atom,
     Exists,
+    Inclusion,
     KmError,
     RoleKind,
+    Sort,
     is_consistent,
     parse_kb,
     parse_km,
@@ -119,7 +121,7 @@ class TestTranslation:
         assert kb.sig.roles["more-than"] is RoleKind.ATTR_ATTR
         assert len(kb.definitions) == 4
         assert kb.inclusions == [
-            (Atom("Length"), Exists(kb.sig.role("more-than"), Atom("Meters1200")))
+            Inclusion(Atom("Length"), Exists(kb.sig.role("more-than"), Atom("Meters1200")), Sort.ATTRIBUTE)
         ]
 
     def test_corpus_definition_shapes(self, corpus):

@@ -188,23 +188,27 @@ class TestCountModels:
         assert count_models(expr, sig, Bounds(1, 1)) == 2
 
     def test_formula_sorts_are_inferred_once_per_count(self, monkeypatch):
-        # satisfies_kb infers every formula's sort unless it is given the
-        # sorted formulas; a count gives them once, not once for each of
-        # the enumerated interpretations
-        from kedl import semantics
+        # a KB's inclusions and definitions carry their sorts, so checking
+        # an interpretation against the KB walks no concept to infer one:
+        # the count at (2,1) enumerates far more interpretations than the
+        # count at (1,1), and makes no more sort walks
+        from kedl import kb as kb_module, syntax
 
-        calls = 0
-        real = semantics.sorted_formulas
+        kb = gen_kb(random.Random(2))
+        walks = 0
+        real = syntax.infer_sort
 
-        def counted(kb):
-            nonlocal calls
-            calls += 1
-            return real(kb)
+        def counted(expr, sig):
+            nonlocal walks
+            walks += 1
+            return real(expr, sig)
 
-        monkeypatch.setattr(semantics, "sorted_formulas", counted)
-        monkeypatch.setattr(oracle, "sorted_formulas", counted)
-        assert count_models(Atom("C1"), None, Bounds(2, 1), kb=gen_kb(random.Random(2))) == 776
-        assert calls == 1
+        monkeypatch.setattr(syntax, "infer_sort", counted)
+        monkeypatch.setattr(kb_module, "infer_sort", counted)
+        count_models(Atom("C1"), None, Bounds(1, 1), kb=kb)
+        small = walks
+        assert count_models(Atom("C1"), None, Bounds(2, 1), kb=kb) == 776
+        assert walks - small <= small
 
 
 class TestDeepGoals:
@@ -968,7 +972,7 @@ class TestCheckValidity:
         # o2 and u2 are in no assertion of the KB, so role assertions on
         # them can fail
         from kedl.kb import AssertionFormula, ConceptAssertion, RoleAssertion
-        from kedl.semantics import satisfies_formula, sorted_formulas
+        from kedl.semantics import satisfies_formula
 
         rng = random.Random(2121)
         found = {(kind, failed): 0 for kind in (ConceptAssertion, RoleAssertion) for failed in (True, False)}
@@ -984,10 +988,9 @@ class TestCheckValidity:
                 for _ in range(3) for sort, individual in ((Sort.OBJECT, "o1"), (Sort.ATTRIBUTE, "u1"),
                                                            (Sort.OBJECT, "o2"), (Sort.ATTRIBUTE, "u2"))
             ]
-            formulas = sorted_formulas(kb)
             for sizes in ((1, 1), (2, 1), (1, 2)):
                 bounds = Bounds(*sizes, mode)
-                models = [i for i in enumerate_interpretations(kb.sig, bounds) if satisfies_kb(i, kb, formulas)]
+                models = [i for i in enumerate_interpretations(kb.sig, bounds) if satisfies_kb(i, kb)]
                 for a in checked:
                     f = AssertionFormula(a)
                     slow = next((i for i in models if not satisfies_formula(i, f)), None)

@@ -23,7 +23,7 @@ from kedl import (
     parse_kb,
 )
 from kedl import kb as kb_module
-from kedl.kb import ConceptAssertion, KnowledgeBase, KnowledgeBaseError, RoleAssertion
+from kedl.kb import ConceptAssertion, Inclusion, KnowledgeBase, KnowledgeBaseError, RoleAssertion
 from kedl.parser import ParseError, parse_signature, tokenize
 from kedl.syntax import RoleName
 
@@ -239,11 +239,11 @@ class TestKbGrammar:
 
     def test_inclusion_statement(self):
         kb = parse_kb("oconcept C; oconcept D; some-text <= D;".replace("some-text", "C"))
-        assert kb.inclusions == [(Atom("C"), Atom("D"))]
+        assert kb.inclusions == [Inclusion(Atom("C"), Atom("D"), Sort.OBJECT)]
 
     def test_inclusion_with_complex_left(self):
         kb = parse_kb("oconcept C; oconcept D; orole p; some p C <= D;")
-        assert kb.inclusions[0][0] == Exists(RoleName("p", RoleKind.OBJ_OBJ), Atom("C"))
+        assert kb.inclusions[0].left == Exists(RoleName("p", RoleKind.OBJ_OBJ), Atom("C"))
 
     def test_role_assertion(self):
         kb = parse_kb("xrole r; oindividual c; aindividual u; r(c,u);")

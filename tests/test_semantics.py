@@ -288,3 +288,14 @@ class TestSerialization:
         assert old in text
         with pytest.raises(ModelFormatError, match=f"element {element} is outside"):
             interpretation_from_text(text.replace(old, new), i.sig)
+
+    @pytest.mark.parametrize("old,new,message", [
+        ("(x1,u2)", "(x1,u2", "expected '\\)'"),  # an unclosed pair
+        ("Tunnel = {x1}", "Tunnel = {x¹}", "bad element name"),  # a digit that int() rejects
+    ])
+    def test_malformed_elements_are_format_errors(self, old, new, message):
+        i = hand_model()
+        text = interpretation_to_text(i)
+        assert old in text
+        with pytest.raises(ModelFormatError, match=message):
+            interpretation_from_text(text.replace(old, new), i.sig)

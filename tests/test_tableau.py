@@ -33,6 +33,7 @@ from kedl import (
     subsumes,
     validate_interpretation,
 )
+from kedl.kb import Inclusion
 from kedl.km import ObjectKnowledgeElement, parse_km, translate_to_kb
 from kedl.semantics import FunctionalityMode, interpretation_to_text
 from kedl.syntax import concept_to_str
@@ -130,8 +131,15 @@ class TestSatisfiability:
         assert satisfies_kb(result.witness, kb)
 
     def test_polymorphic_inclusion_hits_both_sorts(self):
-        kb = parse_kb("top <= bot;")
-        assert not is_consistent(kb).satisfiable
+        # an inclusion of top and bot alone has no sort of its own, so it
+        # constrains both domains: with one attribute individual, node 0,
+        # the clash is on that node (constraining the object domain alone
+        # would clash on node 1, the object root)
+        for mode in FunctionalityMode:
+            assert not is_consistent(parse_kb("top <= bot;"), mode=mode).satisfiable
+            result = is_consistent(parse_kb("aindividual a; top <= bot;"), mode=mode)
+            assert not result.satisfiable
+            assert result.clash_trace == [("or-right", 0, "bot"), ("clash", 0, "bot")]
 
     def test_long_internalized_chain(self):
         # "A_i and B_i" is no primitive atom, so every inclusion is
@@ -696,8 +704,8 @@ class TestAbsorption:
             internalized = KnowledgeBase(
                 sig=kb.sig,
                 definitions=dict(kb.definitions),
-                inclusions=[(And(left, Top()) if isinstance(left, Atom) else left, right)
-                            for left, right in kb.inclusions],
+                inclusions=[Inclusion(And(f.left, Top()), f.right, f.sort) if isinstance(f.left, Atom) else f
+                            for f in kb.inclusions],
                 abox=list(kb.abox),
             )
             queries = [(sort, gen_nnf(rng, sort, 2)) for sort in (Sort.OBJECT, Sort.ATTRIBUTE)]
