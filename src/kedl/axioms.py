@@ -19,7 +19,6 @@ from typing import Callable, Optional
 
 from .kb import Equivalence, Formula, Inclusion, KnowledgeBase, refutation_goals
 from .oracle import Bounds, NoCountermodelUpToBound, check_validity_bounded
-from .semantics import FunctionalityMode
 from .syntax import (
     And,
     Atom,
@@ -223,17 +222,14 @@ class SuiteCheck:
         return self.tableau_ok and self.oracle_ok
 
 
-def verify_suite(
-    bounds: Bounds = Bounds(2, 2),
-    only: Optional[str] = None,
-    mode: FunctionalityMode = FunctionalityMode.AT_MOST_ONE,
-) -> list[SuiteCheck]:
+def verify_suite(bounds: Bounds = Bounds(2, 2), only: Optional[str] = None) -> list[SuiteCheck]:
     """Run the whole catalog, or only the item whose id is ``only`` and the
     items numbered below it: ``property1`` selects ``property1.1`` and
-    ``property1.2`` but not ``property10.1``, and ``axiom1`` not ``axiom10``."""
+    ``property1.2`` but not ``property10.1``, and ``axiom1`` not ``axiom10``.
+    The tableau and the oracle both run in ``bounds.mode``."""
     sig = suite_signature()
     kb = KnowledgeBase(sig=sig)
-    tableau = Tableau(kb, mode)
+    tableau = Tableau(kb, bounds.mode)
     results: list[SuiteCheck] = []
     for item in all_items():
         if only is not None and item.item_id != only and not item.item_id.startswith(only + "."):

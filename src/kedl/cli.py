@@ -214,9 +214,8 @@ def cmd_classify(args) -> int:
 
 def cmd_verify(args) -> int:
     report = _Report("verify")
-    mode = _mode(args.mode)
-    bounds = _bounds(args.bounds, mode)
-    checks = verify_suite(bounds=bounds, only=args.only, mode=mode)
+    bounds = _bounds(args.bounds, _mode(args.mode))
+    checks = verify_suite(bounds=bounds, only=args.only)
     if not checks:
         report.add("error", f"no suite item matches {args.only!r}")
         report.emit(args.format)

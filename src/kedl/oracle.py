@@ -607,7 +607,7 @@ class _Objective:
     (:func:`~kedl.kb.formula_sort`): two for an equivalence, and
     :func:`_assertion_inclusion`'s for an assertion.  The goal and both
     sides of each inclusion are interned once into a private
-    :class:`ConceptStore`, whose ``plain`` ids are arrow-free, and
+    :class:`ConceptStore`, whose ids are arrow-free, and
     ``nodes`` lists once every (id, sort) reachable from them, children
     first (ascending id), as ``(class, label, sort, child node indices)``;
     ``top``, ``bot`` and every concept made only of them occur at both
@@ -624,7 +624,7 @@ class _Objective:
         store = ConceptStore()
 
         def root(e: ConceptExpr, at: Sort) -> int:
-            return 2 * store.plain[store.intern(e)] + _side(at)
+            return 2 * store.intern(e) + _side(at)
 
         goal_root, inclusions = root(goal, sort), []
         for f in kb.formulas():

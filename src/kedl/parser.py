@@ -16,7 +16,9 @@ contain letters, digits, ``-`` and ``_``):
              | concept ("=>"|"<=>") concept
     roleref := NAME | "inv(" NAME ")"
 
-Precedence: ``not`` > ``and`` > ``or`` > (``=>``, ``<=>``); quantifiers bind
+Keywords and precedence come from :data:`kedl.syntax.CONNECTIVES`, which the
+printer reads too: ``not`` > ``and`` > ``or`` > (``=>``, ``<=>``), ``and``
+and ``or`` group to the left and the arrows to the right; quantifiers bind
 the tightest following concept.  The usual DL glyphs are accepted as aliases
 for the keywords (e.g. ``⊓`` for ``and``, ``∃`` for ``some``, ``→`` for
 ``=>``, ``⊑`` for ``<=``).  A name starts with a letter or ``_``; the
@@ -34,24 +36,22 @@ from typing import Callable, NamedTuple, Optional
 
 from .kb import KnowledgeBase, KnowledgeBaseError
 from .syntax import (
-    And,
+    CONNECTIVES,
     Atom,
     Bot,
     ConceptExpr,
     DuplicateNameError,
     Exists,
     Forall,
-    Iff,
-    Implies,
     KedlError,
     Not,
-    Or,
     RoleKind,
     RoleName,
     Signature,
     Sort,
     SortError,
     Top,
+    _fold,
     check_sort,
 )
 
@@ -203,63 +203,60 @@ def _parse_roleref(s: _Stream, sig: Optional[Signature]) -> RoleName:
         raise err.at((name.line, name.col))
 
 
-def _parse_arrow(s: _Stream, sig: Optional[Signature]) -> ConceptExpr:
-    left = _parse_or(s, sig)
-    tok = s.peek()
-    if tok is not None and tok.kind in ("=>", "<=>"):
-        s.next()
-        right = _parse_arrow(s, sig)  # right-associative
-        return Implies(left, right) if tok.kind == "=>" else Iff(left, right)
-    return left
+_CLASS = {c.keyword: kind for kind, c in CONNECTIVES.items()}  # keyword -> concept class
 
 
-def _parse_or(s: _Stream, sig: Optional[Signature]) -> ConceptExpr:
-    expr = _parse_and(s, sig)
-    while s.at("kw", "or"):
-        s.next()
-        expr = Or(expr, _parse_and(s, sig))
-    return expr
+def _parse_concept(s: _Stream, sig: Optional[Signature]) -> ConceptExpr:
+    """One concept, read by Dijkstra's shunting-yard loop (1961) over
+    explicit operand and operator stacks.  A pending operator is applied
+    once its precedence reaches the left slot of the binary operator that
+    follows (see :data:`CONNECTIVES`), and at a closing parenthesis or the
+    concept's end."""
+    operands: list[ConceptExpr] = []
+    pending: list = []  # (precedence, class, label) per operator; None opens a parenthesis
 
+    def apply(least: int) -> None:
+        while pending and pending[-1] is not None and pending[-1][0] >= least:
+            _, kind, label = pending.pop()
+            n = len(CONNECTIVES[kind].slots)
+            operands[-n:] = [kind(*label, *operands[-n:])]
 
-def _parse_and(s: _Stream, sig: Optional[Signature]) -> ConceptExpr:
-    expr = _parse_unary(s, sig)
-    while s.at("kw", "and"):
-        s.next()
-        expr = And(expr, _parse_unary(s, sig))
-    return expr
-
-
-def _parse_unary(s: _Stream, sig: Optional[Signature]) -> ConceptExpr:
-    if s.at("kw", "not"):
-        s.next()
-        return Not(_parse_unary(s, sig))
-    if s.at("kw", "some", "all"):
-        tok = s.next()
-        role = _parse_roleref(s, sig)
-        body = _parse_unary(s, sig)
-        return Exists(role, body) if tok.text == "some" else Forall(role, body)
-    return _parse_primary(s, sig)
-
-
-def _parse_primary(s: _Stream, sig: Optional[Signature]) -> ConceptExpr:
-    tok = s.next()
-    if tok.kind == "kw" and tok.text == "top":
-        return Top()
-    if tok.kind == "kw" and tok.text == "bot":
-        return Bot()
-    if tok.kind == "name":
-        return Atom(tok.text)
-    if tok.kind == "(":
-        expr = _parse_arrow(s, sig)
-        s.expect(")")
-        return expr
-    raise ParseError(f"expected a concept, found {tok.text!r}", tok.line, tok.col)
+    while True:
+        tok = s.next()  # "(" and prefix operators, up to an operand
+        kind = None if tok.kind == "name" else _CLASS.get(tok.text)
+        if tok.kind == "(":
+            pending.append(None)
+            continue
+        if kind is Not or kind is Exists or kind is Forall:
+            label = () if kind is Not else (_parse_roleref(s, sig),)
+            pending.append((CONNECTIVES[kind].prec, kind, label))
+            continue
+        if tok.kind == "name":
+            operands.append(Atom(tok.text))
+        elif kind is Top or kind is Bot:
+            operands.append(kind())
+        else:
+            raise ParseError(f"expected a concept, found {tok.text!r}", tok.line, tok.col)
+        while True:  # ")" up to a binary operator or the concept's end
+            tok = s.peek()
+            kind = None if tok is None or tok.kind == "name" else _CLASS.get(tok.text)
+            op = CONNECTIVES.get(kind)
+            if op is not None and len(op.slots) == 2:
+                s.next()
+                apply(op.slots[0])
+                pending.append((op.prec, kind, ()))
+                break
+            apply(0)
+            if not pending:
+                return operands[0]
+            s.expect(")")
+            pending.pop()
 
 
 def _parse_whole(text: str, sig: Optional[Signature]) -> tuple[ConceptExpr, Token]:
     """The concept that is all of text, and its first token."""
     s = _Stream(tokenize(text))
-    expr = _parse_arrow(s, sig)
+    expr = _parse_concept(s, sig)
     extra = s.peek()
     if extra is not None:
         raise ParseError(f"trailing input: {extra.text!r}", extra.line, extra.col)
@@ -325,23 +322,19 @@ def parse_concept_with_inference(text: str) -> tuple[ConceptExpr, Signature]:
         parent[b] = a
         return a
 
-    def walk(e: ConceptExpr) -> int:
-        if isinstance(e, Atom):
+    def combine(e: ConceptExpr, operands: list[int]) -> int:
+        """The sort variable of ``e``, from its operands'."""
+        kind = type(e)
+        if kind is Atom:
             if e.name not in atoms:
                 atoms[e.name] = fresh()
             return atoms[e.name]
-        if isinstance(e, (Top, Bot)):
+        if kind is Top or kind is Bot:
             return fresh()
-        if isinstance(e, Not):
-            return walk(e.expr)
-        if isinstance(e, (And, Or, Implies, Iff)):
-            root = unify(walk(e.left), walk(e.right))
-            if root is None:
-                raise SortError(f"mixed-sort operands in {e}")
-            return root
-        if isinstance(e, (Exists, Forall)):
-            child = walk(e.expr)
-            name = e.role.name
+        if kind is Not:
+            return operands[0]
+        if kind is Exists or kind is Forall:
+            child, name = operands[0], e.role.name
             if name not in roles:
                 roles[name] = (fresh(), fresh())
             source, target = roles[name]
@@ -354,9 +347,12 @@ def parse_concept_with_inference(text: str) -> tuple[ConceptExpr, Signature]:
             if unify(child, target) is None:
                 raise SortError(f"role {name} used with two kinds")
             return source
-        raise KedlError(f"unknown concept node: {e!r}")
+        root = unify(*operands)  # and, or, => and <=>
+        if root is None:
+            raise SortError(f"mixed-sort operands in {e}")
+        return root
 
-    walk(proto)
+    _fold(proto, combine)
     changed = True
     while changed:  # a role with an attribute source or an object target has one sort
         changed = False
@@ -429,14 +425,14 @@ def _parse_statement(s: _Stream, kb: KnowledgeBase) -> None:
             if after is not None and after.kind == ":=":
                 s.next()
                 s.next()
-                expr = _parse_arrow(s, kb.sig)
+                expr = _parse_concept(s, kb.sig)
                 s.expect(";")
                 kb.define(tok.text, expr)
                 return
             if after is not None and after.kind == "(":
                 _parse_assertion(s, kb)
                 return
-        left = _parse_arrow(s, kb.sig)
+        left = _parse_concept(s, kb.sig)
         if tok.kind == "(" and s.at("("):  # a parenthesized-concept assertion
             s.next()
             ind = s.expect("name")
@@ -445,7 +441,7 @@ def _parse_statement(s: _Stream, kb: KnowledgeBase) -> None:
             kb.assert_concept(left, ind.text)
             return
         s.expect("<=")
-        right = _parse_arrow(s, kb.sig)
+        right = _parse_concept(s, kb.sig)
         s.expect(";")
         kb.include(left, right)
     except SortError as err:

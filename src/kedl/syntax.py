@@ -10,14 +10,15 @@ domain).  Three role families connect elements:
                         with an inverse constructor
 
 This module defines the concept AST, signatures, the sort checker, the
-arrow desugarer, negation normal form, and the concept pretty-printer.
+arrow desugarer, negation normal form, and the table of connectives from
+which the concept printer and the parser read keywords and precedence.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Union
+from typing import Callable, Iterator, NamedTuple, Optional, Union
 
 
 class KedlError(Exception):
@@ -395,15 +396,15 @@ class ConceptStore:
     """Hash-consed concepts (Filliâtre & Conchon, "Type-safe modular
     hash-consing", 2006): each distinct concept has one id, every operand's
     id below its parent's, and ``desc[i] = (class, label, *operand ids)``
-    (see :func:`_label`).  When an id is made, three more are made from its
-    operands' ids: ``plain[i]``, its arrow-free form (see :func:`desugar`);
-    ``nnf[i]``, its negation normal form (see :func:`to_nnf`); and
-    ``neg[i]``, the NNF of its negation."""
+    (see :func:`_label`).  An arrow gets no id of its own: its description
+    maps to the id of its arrow-free form (see :func:`desugar`), so every
+    id is arrow-free.  When an id is made, two more are made from its
+    operands' ids: ``nnf[i]``, its negation normal form (see
+    :func:`to_nnf`), and ``neg[i]``, the NNF of its negation."""
 
     def __init__(self) -> None:
         self.ids: dict[tuple, int] = {}
         self.desc: list[tuple] = []
-        self.plain: list[int] = []
         self.nnf: list[int] = []
         self.neg: list[int] = []
 
@@ -416,27 +417,23 @@ class ConceptStore:
         if i is not None:
             return i
         kind, label, operands = desc[0], desc[1], desc[2:]
+        make, nnf, neg = self._make, self.nnf, self.neg
+        if kind is Implies or kind is Iff:
+            left, right = operands
+            i = make((Or, None, make((Not, None, left)), right))
+            if kind is Iff:
+                i = make((And, None, i, make((Or, None, make((Not, None, right)), left))))
+            self.ids[desc] = i
+            return i
         if kind not in _KINDS:
             raise KedlError(f"unknown concept node: {kind.__name__}")
         i = self.ids[desc] = len(self.desc)
         self.desc.append(desc)
-        make, plain, nnf, neg = self._make, self.plain, self.nnf, self.neg
         # each form is i until set; a form made below that is i finds i in
         # ids, and reads no form of i
-        plain.append(i)
         nnf.append(i)
         neg.append(i)
-        if kind is Implies or kind is Iff:
-            left, right = plain[operands[0]], plain[operands[1]]
-            p = make((Or, None, make((Not, None, left)), right))
-            if kind is Iff:
-                p = make((And, None, p, make((Or, None, make((Not, None, right)), left))))
-        else:
-            forms = tuple(map(plain.__getitem__, operands))
-            p = i if forms == operands else make((kind, label, *forms))
-        if p != i:  # the forms of the arrow-free form
-            plain[i], nnf[i], neg[i] = p, nnf[p], neg[p]
-        elif kind is Atom:
+        if kind is Atom:
             neg[i] = make((Not, None, i))
         elif kind is Top or kind is Bot:
             neg[i] = make((Bot if kind is Top else Top, None))
@@ -484,7 +481,7 @@ def desugar(expr: ConceptExpr) -> ConceptExpr:
     """Rewrite arrows away: C => D becomes (not C) or D, and C <=> D becomes
     ((not C) or D) and ((not D) or C).  Identity on arrow-free input."""
     store = ConceptStore()
-    return store.concept(store.plain[store.intern(expr)])
+    return store.concept(store.intern(expr))
 
 
 def to_nnf(expr: ConceptExpr) -> ConceptExpr:
@@ -499,9 +496,9 @@ def to_nnf(expr: ConceptExpr) -> ConceptExpr:
 
 
 def is_nnf(expr: ConceptExpr) -> bool:
-    store = ConceptStore()
-    i = store.intern(expr)
-    return store.nnf[i] == i
+    """Whether ``expr`` has no arrow and negation only on atoms."""
+    return all(type(e) not in (Implies, Iff) and (type(e) is not Not or type(e.expr) is Atom)
+               for e in subexprs(expr))
 
 
 def negated_nnf(expr: ConceptExpr) -> ConceptExpr:
@@ -510,20 +507,35 @@ def negated_nnf(expr: ConceptExpr) -> ConceptExpr:
     return store.concept(store.neg[store.intern(expr)])
 
 
-# --- Pretty printer ----------------------------------------------------------
-#
-# Minimal parentheses under the surface grammar's precedence:
-#   not > and > or > (=>, <=>); quantifiers bind the tightest following
-#   concept.  parse_concept(concept_to_str(e)) reproduces e.
+# --- Operator table and printer ----------------------------------------------
 
-_PREC_ARROW = 1
-_PREC_OR = 2
-_PREC_AND = 3
-_PREC_UNARY = 4
-_PREC_PRIMARY = 5
 
-_PREC = {Implies: _PREC_ARROW, Iff: _PREC_ARROW, Or: _PREC_OR, And: _PREC_AND,
-         Not: _PREC_UNARY, Exists: _PREC_UNARY, Forall: _PREC_UNARY}
+class Connective(NamedTuple):
+    """How the grammar writes a concept class: its keyword, its precedence,
+    and per operand slot the least precedence an operand takes there
+    without parentheses."""
+
+    keyword: str
+    prec: int
+    slots: tuple[int, ...]
+
+
+# and/or group to the left, =>/<=> to the right, and not/some/all take the
+# tightest following concept.  The printer parenthesizes an operand below
+# its slot (an atom, in no entry, takes any); the parser applies a pending
+# operator once its precedence reaches the left slot of the operator that
+# follows.  So parse_concept(concept_to_str(e)) reproduces e.
+CONNECTIVES: dict[type, Connective] = {
+    Top: Connective("top", 5, ()),
+    Bot: Connective("bot", 5, ()),
+    Not: Connective("not", 4, (4,)),
+    Exists: Connective("some", 4, (4,)),
+    Forall: Connective("all", 4, (4,)),
+    And: Connective("and", 3, (3, 4)),
+    Or: Connective("or", 2, (2, 3)),
+    Implies: Connective("=>", 1, (2, 1)),
+    Iff: Connective("<=>", 1, (2, 1)),
+}
 
 
 def concept_to_str(e: ConceptExpr) -> str:
@@ -537,27 +549,18 @@ def node_to_str(kind: type, label: Union[str, RoleName, None], operands: list[tu
     time linear in its own text."""
     if kind is Atom:
         return label
-    if kind is Top:
-        return "top"
-    if kind is Bot:
-        return "bot"
-    if kind is Not:
-        return f"not {_wrap(*operands[0], _PREC_UNARY)}"
-    if kind is Exists:
-        return f"some {label} {_wrap(*operands[0], _PREC_UNARY)}"
-    if kind is Forall:
-        return f"all {label} {_wrap(*operands[0], _PREC_UNARY)}"
-    left, right = operands
-    if kind is And:  # left-associative: a right operand at the same precedence needs parens
-        return f"{_wrap(*left, _PREC_AND)} and {_wrap(*right, _PREC_AND + 1)}"
-    if kind is Or:
-        return f"{_wrap(*left, _PREC_OR)} or {_wrap(*right, _PREC_OR + 1)}"
-    if kind is Implies:  # right-associative
-        return f"{_wrap(*left, _PREC_ARROW + 1)} => {_wrap(*right, _PREC_ARROW)}"
-    if kind is Iff:
-        return f"{_wrap(*left, _PREC_ARROW + 1)} <=> {_wrap(*right, _PREC_ARROW)}"
-    raise KedlError(f"unknown concept node: {kind.__name__}")
+    op = CONNECTIVES.get(kind)
+    if op is None:
+        raise KedlError(f"unknown concept node: {kind.__name__}")
+    keyword, _, slots = op
+    if len(slots) == 2:
+        return f"{_wrap(*operands[0], slots[0])} {keyword} {_wrap(*operands[1], slots[1])}"
+    if not slots:
+        return keyword
+    body = _wrap(*operands[0], slots[0])
+    return f"{keyword} {body}" if label is None else f"{keyword} {label} {body}"
 
 
-def _wrap(kind: type, text: str, min_prec: int) -> str:
-    return text if _PREC.get(kind, _PREC_PRIMARY) >= min_prec else f"({text})"
+def _wrap(kind: type, text: str, least: int) -> str:
+    op = CONNECTIVES.get(kind)
+    return text if op is None or op.prec >= least else f"({text})"

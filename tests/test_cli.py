@@ -296,6 +296,18 @@ class TestSat:
         assert result.stderr.startswith("error: ")
         assert "Traceback" not in result.stderr
 
+    def test_deeply_parenthesized_input_is_answered(self):
+        # in a subprocess, as above: the parser keeps its own stacks, so
+        # 5,000 parentheses reach the tableau
+        concept = "(" * 5000 + "C" + ")" * 5000
+        result = subprocess.run(
+            [sys.executable, "-m", "kedl.cli", "sat", "--sig", "oconcept C;", "-c", concept],
+            capture_output=True,
+            text=True,
+        )
+        assert (result.returncode, result.stderr) == (0, "")
+        assert "verdict: satisfiable" in result.stdout
+
     def test_model_out(self, capsys, gas_kedl, tmp_path):
         out_path = tmp_path / "model.txt"
         code, _, _ = run(capsys, "sat", gas_kedl, "-c", "Gas", "--model-out", str(out_path))

@@ -3,6 +3,7 @@
 import itertools
 import random
 import re
+import sys
 
 import pytest
 
@@ -18,6 +19,7 @@ from kedl import (
     Sort,
     SortError,
     Top,
+    concept_to_str,
     parse_concept,
     parse_concept_with_inference,
     parse_kb,
@@ -150,6 +152,43 @@ class TestInferenceMode:
         _, sig = parse_concept_with_inference("some inv(r) C")
         assert sig.roles["r"] is RoleKind.CROSS
         assert sig.object_atoms == {"C"}
+
+
+class TestDeepInputs:
+    """The parser keeps its own stacks: nesting far past Python's recursion
+    limit parses with the limit left as it is."""
+
+    @pytest.fixture(autouse=True)
+    def limit_untouched(self):
+        limit = sys.getrecursionlimit()
+        yield
+        assert sys.getrecursionlimit() == limit
+
+    def test_nested_parentheses(self, sig):
+        assert parse_concept("(" * 10_000 + "C1" + ")" * 10_000, sig) == Atom("C1")
+
+    def test_arrow_chain_groups_to_the_right(self, sig):
+        names = [f"C{1 + i % 2}" for i in range(10_000)]
+        expr = parse_concept(" => ".join(names), sig)
+        for name in names[:-1]:  # walked by hand: == on this depth would recurse
+            assert type(expr) is Implies and expr.left == Atom(name)
+            expr = expr.right
+        assert expr == Atom(names[-1])
+
+    def test_inference_on_a_deep_chain(self):
+        expr, sig = parse_concept_with_inference("some p " * 3000 + "C")
+        assert sig.roles == {"p": RoleKind.OBJ_OBJ}
+        assert sig.object_atoms == {"C"} and not sig.attribute_atoms
+        assert concept_to_str(expr) == "some p " * 3000 + "C"
+
+    def test_a_parsed_deep_chain_meets_the_tableau_budget(self, sig):
+        # the tableau keeps a printed key per level, so this run peaks at
+        # about 360 MB
+        from kedl.tableau import Tableau, TableauLimitError
+
+        expr = parse_concept("some p " * 10_000 + "C1", sig)
+        with pytest.raises(TableauLimitError):
+            Tableau(KnowledgeBase(sig=sig)).is_satisfiable(expr)
 
 
 def bare_concept(rng, depth):

@@ -158,6 +158,13 @@ class TestNnf:
             assert is_nnf(n)
             assert to_nnf(n) == n
 
+    def test_arrows_and_negated_compounds_are_not_nnf(self):
+        # an arrow interns to the id of its NNF, so this is read off the tree
+        c, d = Atom("C1"), Atom("C2")
+        for e in (Implies(c, d), Iff(c, d), Not(Not(c)), Not(And(c, d)), Exists(P, Not(Top()))):
+            assert not is_nnf(e)
+        assert is_nnf(Or(Not(c), d))
+
 
 def test_subexprs_walks_a_deep_chain_once_in_pre_order():
     # some p (A0 and some p (A1 and ... some p (A4999 and C))), built without
@@ -178,8 +185,9 @@ def test_subexprs_walks_a_deep_chain_once_in_pre_order():
 
 def test_every_walker_takes_a_deep_mixed_chain():
     # 10,000 levels cycling through not, and, =>, some and all, built
-    # without recursion: desugar, to_nnf, negated_nnf, concept_to_str and
-    # check_sort keep their own stacks, so none hits the recursion limit.
+    # without recursion: desugar, to_nnf, negated_nnf, concept_to_str,
+    # check_sort and parse_concept keep their own stacks, so none hits the
+    # recursion limit.
     # The expected forms and text are built level by level beside the
     # chain, and forms are compared by printed form, as == on this depth
     # would recurse
@@ -210,6 +218,7 @@ def test_every_walker_takes_a_deep_mixed_chain():
     assert concept_to_str(to_nnf(expr)) == concept_to_str(pos)
     assert concept_to_str(negated_nnf(expr)) == concept_to_str(neg)
     assert check_sort(expr, diff_signature()) is Sort.OBJECT
+    assert concept_to_str(parse_concept(text, diff_signature())) == text
     assert sys.getrecursionlimit() == limit
 
 

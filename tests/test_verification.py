@@ -85,6 +85,24 @@ class TestSuiteRuns:
         assert {c.item_id for c in verify_suite(only="property1")} == {
             "property1.1", "property1.2"}
 
+    def test_tableau_runs_in_the_mode_of_the_bounds(self, monkeypatch):
+        # one setting for both engines: the oracle reads bounds.mode, and
+        # so does the tableau the suite builds
+        from kedl import axioms
+        from kedl.semantics import FunctionalityMode
+
+        modes = []
+
+        def spy(kb, mode=FunctionalityMode.AT_MOST_ONE):
+            modes.append(mode)
+            return real(kb, mode)
+
+        real = axioms.Tableau
+        monkeypatch.setattr(axioms, "Tableau", spy)
+        checks = verify_suite(Bounds(2, 2, FunctionalityMode.FREE), only="axiom1")
+        assert modes == [FunctionalityMode.FREE]
+        assert checks and all(c.ok for c in checks)
+
     def test_verdicts_stable_across_bounds(self):
         # a sample of roleful items at larger bounds: same verdicts
         for item_id in ("axiom6", "axiom12", "axiom16", "property7"):
