@@ -14,7 +14,7 @@ once, by ``include``, and a definition's is its atom's.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Any, Optional, Union
 
 from .syntax import (
     And,
@@ -131,10 +131,23 @@ class KnowledgeBaseError(KedlError):
 
 @dataclass
 class KnowledgeBase:
+    """A signature and the statements over it, edited through ``define``,
+    ``include``, ``assert_concept``, ``assert_role`` and ``sig.declare_*``:
+    each checks its statement, and each changes the ``revision``."""
+
     sig: Signature = field(default_factory=Signature)
     definitions: dict[str, ConceptExpr] = field(default_factory=dict)
     inclusions: list[Inclusion] = field(default_factory=list)
     abox: list[Assertion] = field(default_factory=list)
+    _compiled: Any = field(default=None, init=False, repr=False, compare=False)  # by the tableau
+
+    @property
+    def revision(self) -> tuple[int, ...]:
+        """The sizes of its tables and its signature's: every edit through
+        the API adds to one (``define`` undoes a definition it rejects)."""
+        sig = self.sig
+        return (len(self.definitions), len(self.inclusions), len(self.abox), len(sig.object_atoms),
+                len(sig.attribute_atoms), len(sig.roles), len(sig.individuals))
 
     def define(self, name: str, expr: ConceptExpr) -> None:
         if name in self.definitions:

@@ -48,16 +48,19 @@ class RoleKind(enum.Enum):
         kind.target = target
         return kind
 
+    # members are compared by identity, so the identity hash serves, in C;
+    # Enum's is a Python call, paid at every hash of a quantifier
+    __hash__ = object.__hash__
+
     def __str__(self) -> str:
         return self.value
 
 
-@dataclass(frozen=True)
-class RoleName:
+class RoleName(NamedTuple):
     """A role reference: a declared role name, possibly inverted.
 
     Only cross roles have inverses; ``kind`` is CROSS_INVERSE for ``inv(r)``
-    where ``r`` is a declared cross role.
+    where ``r`` is a declared cross role.  A named tuple: it hashes in C.
     """
 
     name: str

@@ -32,9 +32,12 @@ concept the label holds, and the check reads only the marked nodes.  Node
 ids ascend in ``g.nodes`` order (a merge keeps the older node), so this is
 the rule a scan of the nodes in order would find first.
 
-Labels are sets of ids of the ``Tableau``'s ``syntax.ConceptStore``, in which
-each concept's NNF and the NNF of its negation are made once, together
-with its id, so a query interns its concept, or the negation, in one step.
+The KB is compiled once per revision (see ``KnowledgeBase.revision``) into
+a ``_CompiledKB`` that every ``Tableau`` over it shares, in every mode: a
+query whose KB has changed since compiles it again first.  Labels are sets
+of ids of its ``syntax.ConceptStore``, in which each concept's NNF and the
+NNF of its negation are made once, together with its id, so a query interns
+its concept, or the negation, in one step.
 Wherever the search picks the first of several concepts it orders them by
 printed form, made once per id a label can hold from its operands' printed
 forms, so searches, witnesses and clash traces do not depend on hash seeds.
@@ -57,7 +60,7 @@ Every Satisfiable verdict carries a finite witness interpretation, rebuilt
 from the graph (blocked nodes identified with their blockers) in one pass
 over each element's label and edges.  Each defined atom is set to the exact
 extension of its definition, in a dependency order that is checked once per
-``Tableau``, so every definition holds in the witness by construction.  The
+compile, so every definition holds in the witness by construction.  The
 witness is then validated and re-checked with the exact evaluator against
 every inclusion and assertion of the KB, and the query, before being
 returned.
@@ -86,7 +89,7 @@ from graphlib import TopologicalSorter
 from heapq import heappop, heappush
 from typing import Iterable, Optional
 
-from .kb import ConceptAssertion, Equivalence, Formula, KnowledgeBase
+from .kb import AssertionFormula, ConceptAssertion, Formula, KnowledgeBase
 from .semantics import (
     FunctionalityMode,
     Interpretation,
@@ -153,7 +156,7 @@ class _Node:
         self.id = node_id
         self.sort = sort
         self.root = root
-        self.label: set[int] = set()  # concept ids of the owning Tableau
+        self.label: set[int] = set()  # ids of the compiled KB's concept store
         # (parent id, role name, via_inverse); via_inverse means the role
         # edge runs child -> parent (the node witnesses an inverse existential)
         self.parent = parent
@@ -229,47 +232,63 @@ class _Graph:
         return g
 
 
-class Tableau:
-    """One reasoning context: a knowledge base plus a functionality mode."""
+def _definition_order(uses: dict[str, set[str]]) -> list[str]:
+    return list(TopologicalSorter(uses).static_order())
 
-    def __init__(self, kb: KnowledgeBase, mode: FunctionalityMode = FunctionalityMode.AT_MOST_ONE) -> None:
-        self.kb = kb
-        self.sig = kb.sig
-        self.mode = mode
-        self._totality = mode is FunctionalityMode.EXACTLY_ONE  # every object has every cross role
-        self._merging = mode is not FunctionalityMode.FREE  # cross roles are functional
+
+class _CompiledKB:
+    """What the tableau makes of one revision of a KB, in no particular
+    mode, so that every ``Tableau`` over the KB shares it (``kb._compiled``):
+    the store of the concepts of the KB and its queries, with ``keys``, the
+    printed forms of the ids labels can hold; ``unfold``, each defined
+    literal and each primitive atom with inclusions to the id it unfolds
+    to; ``globals``, each sort's internalized inclusions; the ``formulas``
+    a witness is re-checked against (the definitions hold by construction);
+    and ``definitions``, ``(name, definition, sort)`` in the dependency
+    order, checked here once, in which a witness sets each defined atom to
+    its definition's extension."""
+
+    def __init__(self, kb: KnowledgeBase) -> None:
+        self.revision = kb.revision
         self.concepts = ConceptStore()
-        self.keys: dict[int, str] = {}  # printed forms of the ids labels can hold
-        # NNF and interning wait for the first query (_intern_kb)
-        # defined literal, or primitive atom with inclusions -> its unfolding
-        self._unfold: dict[int, int] = {}
-        self._globals: Optional[dict[Sort, list[int]]] = None
-        # certified models that refute subsumptions; set only by classify
-        self._pool: Optional[_Pool] = None
+        self.keys: dict[int, str] = {}
+        self.unfold: dict[int, int] = {}
+        store, intern, key, sig = self.concepts, self.intern, self._key, kb.sig
+        definitions = kb.definitions
+        for name, expr in definitions.items():
+            atom, body = store.intern(Atom(name)), store.intern(expr)
+            for form in (store.nnf, store.neg):  # A unfolds to D, not A to not D
+                self.unfold[key(form[atom])] = key(form[body])
+        absorbed: dict[str, list[ConceptExpr]] = {}  # primitive atom -> right sides
+        self.globals: dict[Sort, list[int]] = {Sort.OBJECT: [], Sort.ATTRIBUTE: []}
+        for f in kb.inclusions:
+            if isinstance(f.left, Atom) and f.left.name not in definitions:
+                absorbed.setdefault(f.left.name, []).append(f.right)
+                continue
+            constraint = intern(Or(Not(f.left), f.right))
+            # fully polymorphic inclusion (only top/bot): constrain both domains
+            for each in (Sort.OBJECT, Sort.ATTRIBUTE) if f.sort is None else (f.sort,):
+                self.globals[each].append(constraint)
+        for name, rights in absorbed.items():
+            self.unfold[intern(Atom(name))] = intern(reduce(And, rights))
+        self.cross_roles = sig.cross_roles()
+        self.primitive = sorted((sig.object_atoms | sig.attribute_atoms) - set(definitions))
+        self.formulas: list[Formula] = [*kb.inclusions, *map(AssertionFormula, kb.abox)]
+        # each defined atom -> the defined atoms its definition uses; the
+        # order must hold each once, after each one it uses
+        uses = {name: {sub.name for sub in subexprs(definitions[name])
+                       if isinstance(sub, Atom) and sub.name in definitions}
+                for name in sorted(definitions)}
+        order, done = _definition_order(uses), set()
+        for name in order:
+            if name not in uses or name in done or not uses[name] <= done:
+                raise KedlError(f"internal tableau error: definition of {name} out of dependency order")
+            done.add(name)
+        if len(done) != len(uses):
+            raise KedlError("internal tableau error: the definition order misses a definition")
+        self.definitions = [(name, definitions[name], sig.atom_sort(name)) for name in order]
 
-    def _intern_kb(self) -> None:
-        if self._globals is None:
-            store, intern, key = self.concepts, self._intern, self._key
-            definitions = self.kb.definitions
-            for name, expr in definitions.items():
-                atom, body = store.intern(Atom(name)), store.intern(expr)
-                for form in (store.nnf, store.neg):  # A unfolds to D, not A to not D
-                    self._unfold[key(form[atom])] = key(form[body])
-            absorbed: dict[str, list[ConceptExpr]] = {}  # primitive atom -> right sides
-            constraints: dict[Sort, list[int]] = {Sort.OBJECT: [], Sort.ATTRIBUTE: []}
-            for f in self.kb.inclusions:
-                if isinstance(f.left, Atom) and f.left.name not in definitions:
-                    absorbed.setdefault(f.left.name, []).append(f.right)
-                    continue
-                constraint = intern(Or(Not(f.left), f.right))
-                # fully polymorphic inclusion (only top/bot): constrain both domains
-                for each in (Sort.OBJECT, Sort.ATTRIBUTE) if f.sort is None else (f.sort,):
-                    constraints[each].append(constraint)
-            for name, rights in absorbed.items():
-                self._unfold[intern(Atom(name))] = intern(reduce(And, rights))
-            self._globals = constraints  # set last: a failed run is redone by the next query
-
-    def _intern(self, e: ConceptExpr, negated: bool = False) -> int:
+    def intern(self, e: ConceptExpr, negated: bool = False) -> int:
         """The id of the NNF of ``e``, or of its negation, keyed."""
         store = self.concepts
         return self._key((store.neg if negated else store.nnf)[store.intern(e)])
@@ -279,23 +298,51 @@ class Tableau:
         self.concepts.text(i, self.keys)
         return i
 
+
+class Tableau:
+    """One reasoning context: a knowledge base plus a functionality mode."""
+
+    def __init__(self, kb: KnowledgeBase, mode: FunctionalityMode = FunctionalityMode.AT_MOST_ONE) -> None:
+        self.kb = kb
+        self.sig = kb.sig
+        self.mode = mode
+        self._totality = mode is FunctionalityMode.EXACTLY_ONE  # every object has every cross role
+        self._merging = mode is not FunctionalityMode.FREE  # cross roles are functional
+        # the KB's compiled form at the last query, and the rule checks over it
+        self.compiled: Optional[_CompiledKB] = None
+        self._checks: list = []
+        # certified models that refute subsumptions; set only by classify
+        self._pool: Optional[_Pool] = None
+
+    def _compile(self) -> _CompiledKB:
+        """The KB's compiled form, made again first if the KB has changed
+        since it was made.  Every query starts here, so none is answered
+        from a stale form, and a compile that fails is not kept."""
+        kb = self.kb
+        compiled = kb._compiled
+        if compiled is None or compiled.revision != kb.revision:
+            compiled = kb._compiled = _CompiledKB(kb)
+        if compiled is not self.compiled:
+            self.compiled, self._checks = compiled, self._rule_checks(compiled)
+        return compiled
+
     # -- graph construction -------------------------------------------------
 
-    def _init_graph(self, extra: list[tuple[Sort, int]]) -> _Graph:
-        self._intern_kb()
+    def _init_graph(self, extra: list[tuple[Sort, ConceptExpr]]) -> _Graph:
+        compiled = self._compile()
         g = _Graph()
         for name in sorted(self.sig.individuals):
             g.ind_node[name] = self._new_node(g, self.sig.individuals[name]).id
         for a in self.kb.abox:
             if isinstance(a, ConceptAssertion):
-                self._add(g, g.ind_node[a.individual], (self._intern(a.concept),))
+                self._add(g, g.ind_node[a.individual], (compiled.intern(a.concept),))
             else:
                 src, dst, role = a.source, a.target, a.role
                 if role.kind is RoleKind.CROSS_INVERSE:
                     src, dst = dst, src
                 self._add_edge(g, g.ind_node[src], role.name, g.ind_node[dst])
-        for sort, concept in extra:
-            self._add(g, self._new_node(g, sort).id, (concept,))
+        for sort, expr in extra:
+            self._add(g, self._new_node(g, sort).id, (compiled.intern(expr),))
         # both domains are non-empty in every model; seed missing sorts so
         # their global constraints are exercised
         for sort in (Sort.OBJECT, Sort.ATTRIBUTE):
@@ -307,7 +354,7 @@ class Tableau:
 
     def is_satisfiable(self, expr: ConceptExpr, sort: Optional[Sort] = None) -> SatResult:
         sort = check_sort(expr, self.sig, expected=sort)
-        g = self._init_graph(extra=[(sort, self._intern(expr))])
+        g = self._init_graph(extra=[(sort, expr)])
         return self._run(g, query=(expr, sort))
 
     def is_consistent(self) -> SatResult:
@@ -345,7 +392,7 @@ class Tableau:
         sort = self.sig.individuals[individual]
         check_sort(expr, self.sig, expected=sort)
         g = self._init_graph(extra=[])
-        self._add(g, g.ind_node[individual], (self._intern(expr, negated=True),))
+        self._add(g, g.ind_node[individual], (self.compiled.intern(expr, negated=True),))
         return not self._run(g, query=None).satisfiable
 
     # -- expansion loop -------------------------------------------------------
@@ -359,8 +406,8 @@ class Tableau:
         problems = validate_interpretation(witness)
         if problems:
             raise KedlError(f"internal tableau error: invalid witness: {problems}")
-        # the definitions hold by construction (_extract_witness, _definitions)
-        if not satisfies_kb(witness, self.kb, formulas=self._formulas):
+        # the definitions hold by construction (_extract_witness)
+        if not satisfies_kb(witness, self.kb, formulas=self.compiled.formulas):
             raise KedlError("internal tableau error: witness does not satisfy the knowledge base")
         if query is not None and not extension(query[0], witness, query[1]):
             raise KedlError("internal tableau error: witness misses the query concept")
@@ -382,11 +429,11 @@ class Tableau:
             if step is not True:
                 # the left branch runs on a clone, the right one waits on the split graph
                 node_id, concept = step
-                _, _, left, right = self.concepts.desc[concept]
+                _, _, left, right = self.compiled.concepts.desc[concept]
                 todo.append(g)
                 g = g.clone()
                 for graph, tag, branch in ((g, "or-left", left), (todo[-1], "or-right", right)):
-                    graph.trace.append((tag, node_id, self.keys[branch]))
+                    graph.trace.append((tag, node_id, self.compiled.keys[branch]))
                     self._add(graph, node_id, (branch,))
 
     def _find_clash(self, g: _Graph) -> Optional[TraceEntry]:
@@ -395,13 +442,13 @@ class Tableau:
         of a concept it holds stays clash-free."""
         if not g.touched:
             return None
-        desc, neg = self.concepts.desc, self.concepts.neg
-        bot = self.concepts.ids.get((Bot, None))
+        store = self.compiled.concepts
+        desc, neg, bot = store.desc, store.neg, store.ids.get((Bot, None))
         node_id = min(g.touched)
         g.touched = set()
         label = g.nodes[node_id].label
         c = min((c for c in label if c == bot or (desc[c][0] is Atom and neg[c] in label)),
-                key=self.keys.__getitem__)  # the first in printed order
+                key=self.compiled.keys.__getitem__)  # the first in printed order
         if c == bot:
             return ("clash", node_id, "bot")
         name = desc[c][1]
@@ -460,11 +507,10 @@ class Tableau:
             target = self._add_child(g, g.nodes[node_id], target).id
         self._add(g, target, concepts)
 
-    @cached_property
-    def _checks(self) -> list:
+    def _rule_checks(self, compiled: _CompiledKB) -> list:
         """One check per rule class: None when the candidate is
         inapplicable, else ``(rule, what, target, concepts)`` for ``_apply``."""
-        desc, unfold, merging = self.concepts.desc, self._unfold, self._merging
+        desc, unfold, merging = compiled.concepts.desc, compiled.unfold, self._merging
 
         def unfold_and(g: _Graph, entry: tuple) -> Optional[tuple]:
             node_id, what, c = entry
@@ -521,8 +567,9 @@ class Tableau:
         the node for ``_find_clash`` when one is ``bot`` or the complement
         of a concept the label holds."""
         label = g.nodes[node_id].label
-        agenda, unfold, key = g.agenda, self._unfold, self.keys
-        desc, neg = self.concepts.desc, self.concepts.neg
+        compiled = self.compiled
+        agenda, unfold, key = g.agenda, compiled.unfold, compiled.keys
+        desc, neg = compiled.concepts.desc, compiled.concepts.neg
         for c in concepts:
             if c not in label:
                 label.add(c)
@@ -541,7 +588,7 @@ class Tableau:
         targets.add(dst)
         if len(targets) == 2 and self._merging and self.sig.roles.get(role_name) is RoleKind.CROSS:
             heappush(g.agenda[MERGE], (src, role_name))
-        desc, key = self.concepts.desc, self.keys
+        desc, key = self.compiled.concepts.desc, self.compiled.keys
         for node_id, inverse in ((src, False), (dst, True)):
             for c in g.nodes[node_id].label:
                 d = desc[c]
@@ -553,9 +600,9 @@ class Tableau:
         candidates they make and, under EXACTLY_ONE, a totality candidate
         per cross role."""
         node = g.new_node(sort, parent)
-        self._add(g, node.id, self._globals[sort])
+        self._add(g, node.id, self.compiled.globals[sort])
         if self._totality and sort is Sort.OBJECT:
-            for role_name in self._cross_roles:
+            for role_name in self.compiled.cross_roles:
                 heappush(g.agenda[TOTALITY], (node.id, role_name))
         return node
 
@@ -635,10 +682,11 @@ class Tableau:
                 index[nid] = index[blocker.id]
 
         # one pass over each element's label and edges
-        concept_ext = dict.fromkeys(self._primitive, 0)
+        compiled = self.compiled
+        concept_ext = dict.fromkeys(compiled.primitive, 0)
         rows = {role_name: [0] * (n_delta if kind.source is Sort.OBJECT else n_sigma)
                 for role_name, kind in self.sig.roles.items()}
-        desc = self.concepts.desc
+        desc = compiled.concepts.desc
         for node in elements:
             x = index[node.id]
             for c in node.label:
@@ -663,55 +711,11 @@ class Tableau:
             mode=self.mode,
         )
         # defined atoms denote exactly their definitions; labels only ever
-        # carry the unfolded content, so evaluate in dependency order
-        for name, definition, sort in self._definitions:
+        # carry the unfolded content, so evaluate in the checked dependency
+        # order: A == D then holds by construction, and no re-check reads it
+        for name, definition, sort in compiled.definitions:
             concept_ext[name] = extension(definition, witness, sort)
         return witness
-
-    @cached_property
-    def _cross_roles(self) -> list[str]:
-        return self.sig.cross_roles()
-
-    # per-KB facts of witness extraction and re-check, computed at the first
-    # witness and shared by all later ones
-
-    @cached_property
-    def _primitive(self) -> list[str]:
-        return sorted((self.sig.object_atoms | self.sig.attribute_atoms) - set(self.kb.definitions))
-
-    @cached_property
-    def _formulas(self) -> list[Formula]:
-        """The formulas a witness is re-checked against: every inclusion
-        and assertion, not the definitions, which hold by construction."""
-        return [f for f in self.kb.formulas() if not isinstance(f, Equivalence)]
-
-    @cached_property
-    def _definition_uses(self) -> dict[str, set[str]]:
-        """Each defined atom -> the defined atoms its definition uses."""
-        definitions = self.kb.definitions
-        return {name: {sub.name for sub in subexprs(definitions[name])
-                       if isinstance(sub, Atom) and sub.name in definitions}
-                for name in sorted(definitions)}
-
-    @cached_property
-    def _definition_order(self) -> list[str]:
-        return list(TopologicalSorter(self._definition_uses).static_order())
-
-    @cached_property
-    def _definitions(self) -> list[tuple[str, ConceptExpr, Sort]]:
-        """``(name, definition, sort)`` in ``_definition_order``.  A witness
-        sets each defined atom to its definition's extension in this order,
-        so ``A == D`` holds in it by construction when every definition
-        comes once and after each defined atom it uses: that is checked
-        here, once, and no witness re-evaluates a definition."""
-        uses, done = self._definition_uses, set()
-        for name in self._definition_order:
-            if name not in uses or name in done or not uses[name] <= done:
-                raise KedlError(f"internal tableau error: definition of {name} out of dependency order")
-            done.add(name)
-        if len(done) != len(uses):
-            raise KedlError("internal tableau error: the definition order misses a definition")
-        return [(name, self.kb.definitions[name], self.sig.atom_sort(name)) for name in self._definition_order]
 
 
 class _Pool:

@@ -362,6 +362,36 @@ class TestSubsumesInstanceClassify:
         assert code == 0
         assert out == (DATA / f"classify-gas-{mode}.records").read_text(encoding="utf-8")
 
+    @pytest.mark.parametrize("mode", ["at-most-one", "exactly-one", "free"])
+    @pytest.mark.parametrize("name", ["gas", "hierarchy"])
+    def test_classify_records_after_other_modes(self, capsys, monkeypatch, gas_kedl, name, mode):
+        # every mode shares the KB's compiled concept store: the other
+        # modes' queries, run first, give it another id history, and the
+        # records must not move
+        from functools import reduce
+
+        from kedl import Or, cli
+        from kedl.semantics import FunctionalityMode
+        from kedl.syntax import Atom
+        from kedl.tableau import Tableau, classify
+
+        load = cli._load_kb
+
+        def queried(path):
+            kb = load(path)
+            atoms = [Atom(a) for a in sorted(kb.sig.object_atoms, reverse=True)]
+            for other in FunctionalityMode:
+                if str(other) != mode:
+                    Tableau(kb, other).is_satisfiable(reduce(Or, atoms))
+                    classify(kb, other)
+            return kb
+
+        monkeypatch.setattr(cli, "_load_kb", queried)
+        path = gas_kedl if name == "gas" else str(HIERARCHY)
+        code, out, _ = run(capsys, "classify", path, "--mode", mode, "--format", "records")
+        assert code == 0
+        assert out == (DATA / f"classify-{name}-{mode}.records").read_text(encoding="utf-8")
+
     def test_classify_inconsistent(self, capsys, tmp_path):
         path = tmp_path / "bad.kedl"
         path.write_text("oconcept C; oindividual c1; C <= bot; C(c1);")

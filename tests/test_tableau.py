@@ -14,6 +14,7 @@ import pytest
 from kedl import (
     And,
     Atom,
+    Bot,
     Bounds,
     Exists,
     KnowledgeBase,
@@ -203,10 +204,10 @@ class TestNodeOrder:
 
         def every_candidate(tab, g):
             agenda = [[] for _ in range(TOTALITY + 1)]
-            desc, key = tab.concepts.desc, tab.keys
+            desc, key = tab.compiled.concepts.desc, tab.compiled.keys
             for node in g.nodes.values():
                 for c in node.label:
-                    rule = UNFOLD_AND if c in tab._unfold else _RULE_CLASS.get(desc[c][0])
+                    rule = UNFOLD_AND if c in tab.compiled.unfold else _RULE_CLASS.get(desc[c][0])
                     if rule is not None:
                         agenda[rule].append((node.id, key[c], c))
                 for role_name, targets in g.succ[node.id].items():
@@ -336,7 +337,7 @@ class TestCertification:
         concept_ext = {}
         for name in sorted(tab.sig.object_atoms | tab.sig.attribute_atoms):
             if name not in tab.kb.definitions:
-                sort, atom = tab.sig.atom_sort(name), tab.concepts.ids.get((Atom, name))
+                sort, atom = tab.sig.atom_sort(name), tab.compiled.concepts.ids.get((Atom, name))
                 concept_ext[name] = sum(1 << index[n.id] for n in elements if n.sort is sort and atom in n.label)
         role_ext = {}
         for role_name, kind in tab.sig.roles.items():
@@ -400,14 +401,18 @@ class TestCertification:
                                         lambda order: order + order[:1]],
                              ids=["reversed", "incomplete", "repeated"])
     def test_definition_order_is_certified(self, monkeypatch, broken):
-        from kedl import KedlError
+        # a broken order raises at the compile, which is then not kept
+        from kedl import KedlError, tableau
 
         kb = parse_kb(self.NESTED)
-        assert Tableau(kb)._definition_order == ["C", "B", "A"]
-        order = Tableau.__dict__["_definition_order"].func
-        monkeypatch.setattr(Tableau, "_definition_order", property(lambda self: broken(order(self))))
+        order = tableau._definition_order
+        monkeypatch.setattr(tableau, "_definition_order", lambda uses: broken(order(uses)))
         with pytest.raises(KedlError, match="internal tableau error: .*definition"):
             Tableau(kb).is_consistent()
+        assert kb._compiled is None
+        monkeypatch.undo()
+        assert Tableau(kb).is_consistent()
+        assert [name for name, _, _ in kb._compiled.definitions] == ["C", "B", "A"]
 
     def test_definitions_hold_without_a_recheck(self, monkeypatch):
         # the witness re-check evaluates inclusions, assertions and the
@@ -920,6 +925,81 @@ class TestClassificationWork:
         assert runs == 193  # in every mode
 
 
+class TestCompiledKB:
+    """A KB is compiled once per revision and shared by every ``Tableau``
+    over it; an edit made through the API after a query is compiled again
+    at the next query, never answered from the old compile."""
+
+    # (KB, query of a held Tableau, the edit, the answer before and after)
+    EDITS = {
+        "define": ("oconcept A; oconcept B;", lambda t: t.is_satisfiable(parse_concept("A and not B", t.sig)),
+                   lambda kb: kb.define("A", Atom("B")), True, False),
+        "include": ("oconcept A; oconcept B;", lambda t: t.is_satisfiable(Atom("A")),
+                    lambda kb: kb.include(Atom("A"), Bot()), True, False),
+        "assert_concept": ("oconcept A; oindividual a;", lambda t: t.instance_of("a", Atom("A")),
+                           lambda kb: kb.assert_concept(Atom("A"), "a"), False, True),
+        "assert_role": ("oconcept A; orole p; oindividual a; oindividual b; A(b);",
+                        lambda t: t.instance_of("a", Exists(P, Atom("A"))),
+                        lambda kb: kb.assert_role(P, "a", "b"), False, True),
+    }
+
+    @pytest.mark.parametrize("edit", list(EDITS))
+    @pytest.mark.parametrize("mode", list(FunctionalityMode), ids=str)
+    def test_edit_between_queries_is_answered(self, edit, mode):
+        text, query, change, before, after = self.EDITS[edit]
+        kb = parse_kb(text)
+        tab = Tableau(kb, mode)
+        assert bool(query(tab)) is before
+        change(kb)
+        assert bool(query(tab)) is after
+        assert bool(query(Tableau(parse_kb(text), mode))) is before  # the edit, not the text, decides
+
+    @pytest.mark.parametrize("declare", ["atom", "attribute atom", "role", "individual"])
+    def test_declaration_between_queries(self, declare):
+        from kedl.syntax import RoleKind
+
+        kb = parse_kb("oconcept A; aconcept S; xrole r;")
+        tab = Tableau(kb, FunctionalityMode.EXACTLY_ONE)
+        assert tab.is_satisfiable(Atom("A"))
+        if declare == "atom":
+            kb.sig.declare_atom("C", Sort.OBJECT)
+            witness = tab.is_satisfiable(Atom("C")).witness
+            assert witness.concept_ext["C"]
+        elif declare == "attribute atom":
+            kb.sig.declare_atom("T", Sort.ATTRIBUTE)
+            witness = tab.is_satisfiable(Atom("T")).witness
+            assert witness.concept_ext["T"]
+        elif declare == "role":
+            kb.sig.declare_role("h", RoleKind.CROSS)
+            witness = tab.is_satisfiable(Atom("A")).witness
+            assert all(witness.role_ext["h"])  # totality: every object has an h-value
+        else:
+            kb.sig.declare_individual("c", Sort.OBJECT)
+            witness = tab.is_satisfiable(Atom("A")).witness
+            assert "c" in witness.ind_map
+        assert validate_interpretation(witness) == []
+        assert satisfies_kb(witness, kb)
+
+    def test_one_compile_per_revision(self, monkeypatch):
+        from kedl import tableau
+
+        compiles = []
+        init = tableau._CompiledKB.__init__
+        monkeypatch.setattr(tableau._CompiledKB, "__init__", lambda self, kb: compiles.append(1) or init(self, kb))
+        kb = parse_kb((pathlib.Path(__file__).parent / "data" / "hierarchy.kedl").read_text())
+        assert Tableau(kb).is_consistent()
+        compiled, ids = kb._compiled, len(kb._compiled.concepts.desc)
+        for mode in FunctionalityMode:
+            assert Tableau(kb, mode).is_consistent()
+        assert kb._compiled is compiled and len(compiled.concepts.desc) == ids  # no new id for the KB
+        classify(kb, FunctionalityMode.FREE)
+        assert len(compiles) == 1
+        kb.include(Atom("Sealed-hazard"), Atom("Sealed-hazard"))
+        for mode in FunctionalityMode:
+            assert Tableau(kb, mode).is_consistent()
+        assert len(compiles) == 2 and kb._compiled is not compiled
+
+
 def test_concept_keys_are_printed_forms():
     # a key is built from its operands' keys; it must be the printed form,
     # which orders every choice the tableau makes and appears in traces
@@ -932,19 +1012,20 @@ def test_concept_keys_are_printed_forms():
     for tab in tableaux:
         tab.is_consistent()  # interns the definitions, inclusions and assertions
     random_concepts = Tableau(empty_diff_kb())
+    random_concepts.is_consistent()
     rng = random.Random(1717)
     for _ in range(200):
         for sort in (Sort.OBJECT, Sort.ATTRIBUTE):
-            random_concepts.concepts.intern(gen_nnf(rng, sort, 4))
+            random_concepts.compiled.concepts.intern(gen_nnf(rng, sort, 4))
     tableaux.append(random_concepts)
     for tab in tableaux:
         # the keys the tableau made, and through the store's printer those
         # of every other id, each checked against the rebuilt concept
-        store, keys = tab.concepts, dict(tab.keys)
+        store, keys = tab.compiled.concepts, dict(tab.compiled.keys)
         for cid in range(len(store.desc)):
             assert store.text(cid, keys) == concept_to_str(store.concept(cid))
         assert len(keys) == len(store.desc)
-    assert len(random_concepts.concepts.desc) > 1000
+    assert len(random_concepts.compiled.concepts.desc) > 1000
 
 
 class TestOracleAgreement:
