@@ -44,6 +44,8 @@ from .parser import ParseError, parse_concept, parse_concept_with_inference, par
 from .semantics import (
     FormulaReading,
     FunctionalityMode,
+    InternedConcepts,
+    InternedFormulas,
     Interpretation,
     extension,
     interpretation_from_text,

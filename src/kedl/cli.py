@@ -31,11 +31,11 @@ from .oracle import (
 )
 from .parser import ParseError, parse_concept, parse_concept_with_inference, parse_kb, parse_signature
 from .semantics import (
-    FormulaReading,
     FunctionalityMode,
+    InternedConcepts,
+    InternedFormulas,
     Interpretation,
     interpretation_to_text,
-    satisfies_formula,
     satisfies_kb,
 )
 from .syntax import Iff, Implies, KedlError, Sort, Top, check_sort
@@ -307,10 +307,13 @@ def cmd_oracle(args) -> int:
         verdict = check_validity_bounded(formula, bounds, kb=kb)
         countermodel = verdict.interpretation if isinstance(verdict, Countermodel) else None
         return _report_countermodel(args, report, countermodel)
-    reading, formulas = FormulaReading.LITERAL_EXISTENTIAL, kb.formulas()
+    # the paper-existential reading of the formula holds where expr has an
+    # element: an arrow read as a concept holds where its conditional does,
+    # and top <= expr has a witness exactly in expr
+    claim, formulas = InternedConcepts([(expr, sort)]), InternedFormulas(kb.formulas(), kb.sig)
     countermodel = next(
         (i for i in enumerate_interpretations(kb.sig, bounds)
-         if not satisfies_formula(i, formula, reading) and satisfies_kb(i, kb, formulas)),
+         if not next(claim.extensions(i)) and satisfies_kb(i, kb, formulas)),
         None,
     )
     return _report_countermodel(args, report, countermodel, ("reading", "paper-existential"))

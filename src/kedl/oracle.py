@@ -63,6 +63,8 @@ from .kb import (
 )
 from .semantics import (
     FunctionalityMode,
+    InternedConcepts,
+    InternedFormulas,
     Interpretation,
     extension,
     satisfies_formula,
@@ -187,10 +189,10 @@ def count_models(
     a non-empty extension.  With no ``kb``, every interpretation over
     ``sig`` counts; with one, its signature is used and ``sig`` ignored."""
     kb = _kb_over(sig, kb)
-    sort, formulas = check_sort(e, kb.sig), kb.formulas()
+    goal, formulas = InternedConcepts([(e, check_sort(e, kb.sig))]), InternedFormulas(kb.formulas(), kb.sig)
     return sum(
         1 for i in enumerate_interpretations(kb.sig, bounds)
-        if extension(e, i, sort) and satisfies_kb(i, kb, formulas)
+        if next(goal.extensions(i)) and satisfies_kb(i, kb, formulas)
     )
 
 

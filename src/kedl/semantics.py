@@ -9,6 +9,9 @@ serialization names them ``x1..xn`` and ``u1..un``.
 A set of elements is an int bitmask, bit k standing for element k: an
 atom's extension is one mask, a role's extension one mask of successors per
 element of its source domain (a row), and a concept evaluates to a mask.
+Concepts are evaluated by the ids of a ``syntax.ConceptStore`` with no
+sort: a mask is exact on its sort's domain and arbitrary above it until it
+is cleared, once per concept (see :class:`InternedConcepts`).
 
 Cross roles are functional: under AT_MOST_ONE every object element has at
 most one successor per cross role, under EXACTLY_ONE exactly one.  FREE
@@ -23,7 +26,8 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional
+from functools import cached_property
+from typing import Iterable, Iterator, Optional
 
 from .kb import (
     Assertion,
@@ -40,14 +44,13 @@ from .syntax import (
     Atom,
     Bot,
     ConceptExpr,
+    ConceptStore,
     Exists,
-    Forall,
-    Iff,
-    Implies,
     KedlError,
     Not,
     Or,
     RoleKind,
+    RoleName,
     Signature,
     Sort,
     Top,
@@ -159,41 +162,64 @@ def _rows(i: Interpretation, name: str) -> tuple[int, ...]:
     return i.role_ext[name]
 
 
-def extension(e: ConceptExpr, i: Interpretation, sort: Optional[Sort] = None) -> int:
-    """The mask of the elements denoted by ``e`` in ``i``.
+class InternedConcepts:
+    """Concepts, each read at a sort, interned once into a concept store (a
+    private one unless ``store`` is given), as ``ids``: (id, sort) pairs.
+    They are ordered for evaluation by id, as model checking labels
+    subformulas (Clarke, Emerson & Sistla, TOPLAS 1986), when first
+    evaluated: a concept's run is ``(id, *desc[id])``, padded to five
+    fields, for each id under it that no earlier run holds, operands first."""
 
-    ``sort`` resolves polymorphic expressions (bare ``top``/``bot``); by
-    default it is inferred, defaulting to object sort.  Arrows are evaluated
-    through their boolean desugaring.
-    """
-    if sort is None:
-        sort = check_sort(e, i.sig)
-    return _ext(e, i, sort)
+    def __init__(self, concepts: Iterable[tuple[ConceptExpr, Sort]], store: Optional[ConceptStore] = None) -> None:
+        self.store = store = ConceptStore() if store is None else store
+        self.ids = [(store.intern(e), sort) for e, sort in concepts]
+
+    @cached_property
+    def roots(self) -> list[tuple[int, Sort, list[tuple]]]:
+        """``(id, sort, run)`` of each concept."""
+        roots, done, store = [], set(), self.store
+        for root, sort in self.ids:
+            ids = store.order((root,), done)
+            done.update(ids)
+            roots.append((root, sort, [(j, *store.desc[j], None, None)[:5] for j in ids]))
+        return roots
+
+    def extensions(self, i: Interpretation) -> Iterator[int]:
+        """The extension in ``i`` of each concept, in order, each run
+        evaluated only when its extension is asked for: a caller may set an
+        atom's extension from one before the next is evaluated.  No sort is
+        read: ``top`` is ``-1``, ``not`` is ``~``, and a quantifier reads
+        only rows, which lie in the domains, so a mask is exact on its
+        sort's domain and arbitrary above it until it is cleared."""
+        ext, masks = i.concept_ext, {}
+        delta, sigma = (1 << i.n_delta) - 1, (1 << i.n_sigma) - 1
+        for root, sort, run in self.roots:
+            for j, kind, label, a, b in run:
+                if kind is And:
+                    masks[j] = masks[a] & masks[b]
+                elif kind is Atom:
+                    mask = ext.get(label)
+                    if mask is None:
+                        raise KedlError(f"no extension stored for atom {label}")
+                    masks[j] = mask
+                elif kind is Not:
+                    masks[j] = ~masks[a]
+                elif kind is Or:
+                    masks[j] = masks[a] | masks[b]
+                elif kind is Top or kind is Bot:
+                    masks[j] = -1 if kind is Top else 0
+                else:
+                    masks[j] = _quantified(kind is Exists, label, masks[a], i)
+            yield masks[root] & (delta if sort is Sort.OBJECT else sigma)
 
 
-def _ext(e: ConceptExpr, i: Interpretation, sort: Sort) -> int:
-    rule = _EXT.get(type(e))
-    if rule is None:
-        raise KedlError(f"unknown concept node: {e!r}")
-    return rule(e, i, sort)
-
-
-def _ext_atom(e: Atom, i: Interpretation, sort: Sort) -> int:
-    ext = i.concept_ext.get(e.name)
-    if ext is None:
-        raise KedlError(f"no extension stored for atom {e.name}")
-    return ext
-
-
-def _ext_quantifier(e: Exists | Forall, i: Interpretation, sort: Sort) -> int:
-    role, some = e.role, type(e) is Exists
-    kind, rows = role.kind, _rows(i, role.name)
-    child = _ext(e.expr, i, kind.target)
-    # the sources with a successor in child (some) or outside it (not
-    # in all); for inv(r), those are the successors of the r-sources
-    # in or outside child
-    marked = 0
-    if kind is RoleKind.CROSS_INVERSE:
+def _quantified(some: bool, role: RoleName, child: int, i: Interpretation) -> int:
+    """The mask of ``some role child``, or else of ``all role child``."""
+    rows, marked = _rows(i, role.name), 0
+    # the sources with a successor in child (some) or outside it (not in
+    # all); for inv(r), those are the successors of the r-sources in or
+    # outside child
+    if role.kind is RoleKind.CROSS_INVERSE:
         for x, row in enumerate(rows):
             if (child >> x & 1) == some:
                 marked |= row
@@ -202,72 +228,86 @@ def _ext_quantifier(e: Exists | Forall, i: Interpretation, sort: Sort) -> int:
         for x, row in enumerate(rows):
             if row & wanted:
                 marked |= 1 << x
-    src_dom = i.domain(kind.source)
-    return src_dom & marked if some else src_dom & ~marked
+    return marked if some else ~marked
 
 
-# _ext's rule for each concept node class, looked up by exact type
-_EXT: dict[type, Callable[..., int]] = {
-    Atom: _ext_atom,
-    And: lambda e, i, sort: _ext(e.left, i, sort) & _ext(e.right, i, sort),
-    Or: lambda e, i, sort: _ext(e.left, i, sort) | _ext(e.right, i, sort),
-    Exists: _ext_quantifier,
-    Forall: _ext_quantifier,
-    Top: lambda e, i, sort: i.domain(sort),
-    Bot: lambda e, i, sort: 0,
-    Not: lambda e, i, sort: i.domain(sort) & ~_ext(e.expr, i, sort),
-    Implies: lambda e, i, sort: i.domain(sort) & ~_ext(e.left, i, sort) | _ext(e.right, i, sort),
-    Iff: lambda e, i, sort: i.domain(sort) & ~(_ext(e.left, i, sort) ^ _ext(e.right, i, sort)),
-}
+class InternedFormulas(InternedConcepts):
+    """Formulas interned as the concepts they read, for :func:`satisfies_kb`:
+    an inclusion's or equivalence's sides at :func:`~kedl.kb.formula_sort`,
+    and the concept of an assertion ``C(a)`` at ``a``'s sort."""
+
+    def __init__(self, formulas: Iterable[Formula], sig: Signature, store: Optional[ConceptStore] = None) -> None:
+        self.formulas, sides = list(formulas), []
+        for f in self.formulas:
+            if not isinstance(f, AssertionFormula):
+                sort = formula_sort(f, sig)
+                sides += [(f.left, sort), (f.right, sort)]
+            elif isinstance(f.assertion, ConceptAssertion):
+                c, a = f.assertion.concept, f.assertion.individual
+                sides.append((c, sig.individuals.get(a) or check_sort(c, sig)))
+        super().__init__(sides, store)
+
+
+def _holds(i: Interpretation, f: Formula, sides: Iterator[int]) -> bool:
+    """Whether ``i`` satisfies ``f`` (universal reading), taking the
+    extensions of the concepts it reads from ``sides``."""
+    if not isinstance(f, AssertionFormula):
+        left, right = next(sides), next(sides)
+        return not left & ~right if isinstance(f, Inclusion) else left == right
+    a = f.assertion
+    if isinstance(a, ConceptAssertion):
+        return bool(next(sides) >> _element(i, a.individual) & 1)
+    if not isinstance(a, RoleAssertion):
+        raise KedlError(f"unknown assertion: {a!r}")
+    src, dst = _element(i, a.source), _element(i, a.target)
+    if a.role.kind is RoleKind.CROSS_INVERSE:
+        src, dst = dst, src
+    rows = _rows(i, a.role.name)
+    return src < len(rows) and bool(rows[src] >> dst & 1)
+
+
+def _element(i: Interpretation, individual: str) -> int:
+    if individual not in i.ind_map:
+        raise KedlError(f"unmapped individual: {individual}")
+    return i.ind_map[individual]
+
+
+def extension(e: ConceptExpr, i: Interpretation, sort: Optional[Sort] = None) -> int:
+    """The mask of the elements denoted by ``e`` in ``i``.
+
+    ``sort`` resolves polymorphic expressions (bare ``top``/``bot``); by
+    default it is inferred, defaulting to object sort.  Arrows are evaluated
+    through their boolean desugaring.  To evaluate a concept on many
+    interpretations, intern it once in :class:`InternedConcepts`.
+    """
+    if sort is None:
+        sort = check_sort(e, i.sig)
+    return next(InternedConcepts([(e, sort)]).extensions(i))
 
 
 def satisfies_assertion(i: Interpretation, a: Assertion) -> bool:
-    if isinstance(a, ConceptAssertion):
-        if a.individual not in i.ind_map:
-            raise KedlError(f"unmapped individual: {a.individual}")
-        sort = i.sig.individuals.get(a.individual)
-        return bool(extension(a.concept, i, sort) >> i.ind_map[a.individual] & 1)
-    if isinstance(a, RoleAssertion):
-        for ind in (a.source, a.target):
-            if ind not in i.ind_map:
-                raise KedlError(f"unmapped individual: {ind}")
-        src, dst = i.ind_map[a.source], i.ind_map[a.target]
-        if a.role.kind is RoleKind.CROSS_INVERSE:
-            src, dst = dst, src
-        rows = _rows(i, a.role.name)
-        return src < len(rows) and bool(rows[src] >> dst & 1)
-    raise KedlError(f"unknown assertion: {a!r}")
+    return satisfies_formula(i, AssertionFormula(a))
 
 
 def satisfies_formula(i: Interpretation, f: Formula, reading: FormulaReading = FormulaReading.UNIVERSAL) -> bool:
     """Whether ``i`` satisfies ``f``, an inclusion's or equivalence's sides
     read at :func:`~kedl.kb.formula_sort`."""
-    if isinstance(f, AssertionFormula):
-        return satisfies_assertion(i, f.assertion)
-
-    sort = formula_sort(f, i.sig)
-    left = extension(f.left, i, sort)
-    right = extension(f.right, i, sort)
-    if reading is FormulaReading.UNIVERSAL:
-        if isinstance(f, Inclusion):
-            return not left & ~right
-        return left == right
+    form = InternedFormulas([f], i.sig)
+    if reading is FormulaReading.UNIVERSAL or isinstance(f, AssertionFormula):
+        return _holds(i, f, form.extensions(i))
     # literal existential reading: a witness element satisfies the
     # conditional (or, for equivalences, both conditionals)
-    dom = i.domain(sort)
-    if isinstance(f, Inclusion):
-        return bool(dom & ~(left & ~right))
-    return bool(dom & ~(left ^ right))
+    (left, right), sort = form.extensions(i), form.ids[0][1]
+    return (left & ~right if isinstance(f, Inclusion) else left ^ right) != i.domain(sort)
 
 
-def satisfies_kb(i: Interpretation, kb: KnowledgeBase, formulas: Optional[list[Formula]] = None) -> bool:
+def satisfies_kb(i: Interpretation, kb: KnowledgeBase, formulas: Optional[InternedFormulas] = None) -> bool:
     """Whether ``i`` satisfies every formula of ``kb`` (universal reading),
-    or every one of ``formulas`` when given.  Each formula's ``sort`` is the
-    sort its sides are read at, and None means it is inferred; a KB's
-    inclusions and definitions carry theirs, so none is inferred here.  A
-    caller checking many interpretations passes ``kb.formulas()`` once,
-    which is otherwise built again for every call."""
-    return all(satisfies_formula(i, f) for f in (kb.formulas() if formulas is None else formulas))
+    or every one of ``formulas`` when given: ``kb.formulas()``, or some,
+    interned once by a caller that checks many interpretations."""
+    formulas = InternedFormulas(kb.formulas(), kb.sig) if formulas is None else formulas
+    sides = formulas.extensions(i)
+    return all(_holds(i, f, sides) for f in formulas.formulas)
 
 
 # --- Text serialization ------------------------------------------------------

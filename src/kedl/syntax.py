@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, Iterator, NamedTuple, Optional, Union
+from typing import Callable, Container, Iterable, Iterator, NamedTuple, Optional, Union
 
 
 class KedlError(Exception):
@@ -452,32 +452,34 @@ class ConceptStore:
             neg[i] = make((_DUAL[kind], label, *map(neg.__getitem__, operands)))
         return i
 
-    def _bottom_up(self, i: int, done: dict, make: Callable[..., object]):
-        """``done[i]``, once ``done[j] = make(*desc[j])`` is set, operands
-        first, for every id ``j`` under ``i`` that ``done`` lacks."""
-        todo, stack = set(), [i]
+    def order(self, roots: Iterable[int], done: Container[int]) -> list[int]:
+        """Every id under ``roots`` that ``done`` lacks, ascending, so each
+        comes after its operands."""
+        todo, stack = set(), list(roots)
         while stack:
             j = stack.pop()
             if j not in done and j not in todo:
                 todo.add(j)
                 stack.extend(self.desc[j][2:])
-        for j in sorted(todo):
-            done[j] = make(*self.desc[j])
-        return done[i]
+        return sorted(todo)
 
     def concept(self, i: int) -> ConceptExpr:
         """The concept of id ``i``; a sub-concept that occurs twice is built
         once and shared."""
         built: dict[int, ConceptExpr] = {}
-        return self._bottom_up(i, built, lambda kind, label, *operands: kind(
-            *(() if label is None else (label,)), *(built[c] for c in operands)))
+        for j in self.order((i,), built):
+            kind, label, *operands = self.desc[j]
+            built[j] = kind(*(() if label is None else (label,)), *map(built.__getitem__, operands))
+        return built[i]
 
     def text(self, i: int, texts: dict[int, str]) -> str:
         """The printed form of id ``i``, entering in ``texts`` those of it
         and its sub-concepts that it lacks, each made from its operands'."""
         desc = self.desc
-        return self._bottom_up(i, texts, lambda kind, label, *operands: node_to_str(
-            kind, label, [(desc[c][0], texts[c]) for c in operands]))
+        for j in self.order((i,), texts):
+            d = desc[j]
+            texts[j] = node_to_str(d[0], d[1], [(desc[c][0], texts[c]) for c in d[2:]])
+        return texts[i]
 
 
 def desugar(expr: ConceptExpr) -> ConceptExpr:

@@ -63,7 +63,9 @@ extension of its definition, in a dependency order that is checked once per
 compile, so every definition holds in the witness by construction.  The
 witness is then validated and re-checked with the exact evaluator against
 every inclusion and assertion of the KB, and the query, before being
-returned.
+returned.  The definitions and the re-checked inclusions and assertions
+are interned into the compiled store once per compile, so a witness is
+evaluated by id, each subterm the definitions share once.
 
 ``classify`` still asks ``subsumes`` once per ordered pair of atoms, but its
 ``Tableau`` keeps a pool of certified models, each a finite model of the KB
@@ -89,11 +91,12 @@ from graphlib import TopologicalSorter
 from heapq import heappop, heappush
 from typing import Iterable, Optional
 
-from .kb import AssertionFormula, ConceptAssertion, Formula, KnowledgeBase
+from .kb import AssertionFormula, ConceptAssertion, KnowledgeBase
 from .semantics import (
     FunctionalityMode,
+    InternedConcepts,
+    InternedFormulas,
     Interpretation,
-    extension,
     satisfies_kb,
     validate_interpretation,
 )
@@ -116,6 +119,7 @@ from .syntax import (
     subexprs,
 )
 # not called here; perfbench/spans.py wraps these names of this module
+from .semantics import extension  # noqa: F401
 from .syntax import concept_to_str, infer_sort, negated_nnf, to_nnf  # noqa: F401
 
 MAX_TREE_DEPTH = 120
@@ -242,11 +246,12 @@ class _CompiledKB:
     the store of the concepts of the KB and its queries, with ``keys``, the
     printed forms of the ids labels can hold; ``unfold``, each defined
     literal and each primitive atom with inclusions to the id it unfolds
-    to; ``globals``, each sort's internalized inclusions; the ``formulas``
-    a witness is re-checked against (the definitions hold by construction);
-    and ``definitions``, ``(name, definition, sort)`` in the dependency
-    order, checked here once, in which a witness sets each defined atom to
-    its definition's extension."""
+    to; ``globals``, each sort's internalized inclusions; ``definitions``,
+    the defined atoms in the dependency order, checked here once, in which
+    a witness sets each to its definition's extension, evaluated from
+    ``bodies``; and ``recheck``, the inclusions and assertions a witness is
+    re-checked against (the definitions hold by construction).  Both are
+    interned into the store here, once, and ordered at the first witness."""
 
     def __init__(self, kb: KnowledgeBase) -> None:
         self.revision = kb.revision
@@ -273,7 +278,6 @@ class _CompiledKB:
             self.unfold[intern(Atom(name))] = intern(reduce(And, rights))
         self.cross_roles = sig.cross_roles()
         self.primitive = sorted((sig.object_atoms | sig.attribute_atoms) - set(definitions))
-        self.formulas: list[Formula] = [*kb.inclusions, *map(AssertionFormula, kb.abox)]
         # each defined atom -> the defined atoms its definition uses; the
         # order must hold each once, after each one it uses
         uses = {name: {sub.name for sub in subexprs(definitions[name])
@@ -286,7 +290,9 @@ class _CompiledKB:
             done.add(name)
         if len(done) != len(uses):
             raise KedlError("internal tableau error: the definition order misses a definition")
-        self.definitions = [(name, definitions[name], sig.atom_sort(name)) for name in order]
+        self.definitions = order
+        self.bodies = InternedConcepts(((definitions[name], sig.atom_sort(name)) for name in order), store)
+        self.recheck = InternedFormulas([*kb.inclusions, *map(AssertionFormula, kb.abox)], sig, store)
 
     def intern(self, e: ConceptExpr, negated: bool = False) -> int:
         """The id of the NNF of ``e``, or of its negation, keyed."""
@@ -328,7 +334,9 @@ class Tableau:
 
     # -- graph construction -------------------------------------------------
 
-    def _init_graph(self, extra: list[tuple[Sort, ConceptExpr]]) -> _Graph:
+    def _init_graph(self, query: Optional[InternedConcepts] = None) -> _Graph:
+        """The initial graph: the individuals and their assertions, and a
+        node for the query concept, which ``query`` has interned."""
         compiled = self._compile()
         g = _Graph()
         for name in sorted(self.sig.individuals):
@@ -341,8 +349,9 @@ class Tableau:
                 if role.kind is RoleKind.CROSS_INVERSE:
                     src, dst = dst, src
                 self._add_edge(g, g.ind_node[src], role.name, g.ind_node[dst])
-        for sort, expr in extra:
-            self._add(g, self._new_node(g, sort).id, (compiled.intern(expr),))
+        if query is not None:
+            root, sort = query.ids[0]
+            self._add(g, self._new_node(g, sort).id, (compiled._key(compiled.concepts.nnf[root]),))
         # both domains are non-empty in every model; seed missing sorts so
         # their global constraints are exercised
         for sort in (Sort.OBJECT, Sort.ATTRIBUTE):
@@ -354,12 +363,11 @@ class Tableau:
 
     def is_satisfiable(self, expr: ConceptExpr, sort: Optional[Sort] = None) -> SatResult:
         sort = check_sort(expr, self.sig, expected=sort)
-        g = self._init_graph(extra=[(sort, expr)])
-        return self._run(g, query=(expr, sort))
+        query = InternedConcepts([(expr, sort)], self._compile().concepts)
+        return self._run(self._init_graph(query), query)
 
     def is_consistent(self) -> SatResult:
-        g = self._init_graph(extra=[])
-        return self._run(g, query=None)
+        return self._run(self._init_graph(), None)
 
     def subsumes(self, sub: ConceptExpr, sup: ConceptExpr) -> bool:
         atoms = isinstance(sub, Atom) and isinstance(sup, Atom)
@@ -391,13 +399,13 @@ class Tableau:
             raise KedlError(f"undeclared individual: {individual}")
         sort = self.sig.individuals[individual]
         check_sort(expr, self.sig, expected=sort)
-        g = self._init_graph(extra=[])
+        g = self._init_graph()
         self._add(g, g.ind_node[individual], (self.compiled.intern(expr, negated=True),))
-        return not self._run(g, query=None).satisfiable
+        return not self._run(g, None).satisfiable
 
     # -- expansion loop -------------------------------------------------------
 
-    def _run(self, g: _Graph, query: Optional[tuple[ConceptExpr, Sort]]) -> SatResult:
+    def _run(self, g: _Graph, query: Optional[InternedConcepts]) -> SatResult:
         result = self._expand(g)
         if not result.satisfiable:
             return result
@@ -407,9 +415,9 @@ class Tableau:
         if problems:
             raise KedlError(f"internal tableau error: invalid witness: {problems}")
         # the definitions hold by construction (_extract_witness)
-        if not satisfies_kb(witness, self.kb, formulas=self.compiled.formulas):
+        if not satisfies_kb(witness, self.kb, self.compiled.recheck):
             raise KedlError("internal tableau error: witness does not satisfy the knowledge base")
-        if query is not None and not extension(query[0], witness, query[1]):
+        if query is not None and not next(query.extensions(witness)):
             raise KedlError("internal tableau error: witness misses the query concept")
         return result
 
@@ -713,8 +721,8 @@ class Tableau:
         # defined atoms denote exactly their definitions; labels only ever
         # carry the unfolded content, so evaluate in the checked dependency
         # order: A == D then holds by construction, and no re-check reads it
-        for name, definition, sort in compiled.definitions:
-            concept_ext[name] = extension(definition, witness, sort)
+        for name, mask in zip(compiled.definitions, compiled.bodies.extensions(witness)):
+            concept_ext[name] = mask
         return witness
 
 

@@ -12,6 +12,7 @@ from kedl import (
     Atom,
     Bounds,
     Exists,
+    InternedConcepts,
     KnowledgeBase,
     Model,
     NoModelUpToBound,
@@ -19,7 +20,6 @@ from kedl import (
     Signature,
     Sort,
     enumerate_interpretations,
-    extension,
     find_model,
     is_consistent,
     is_satisfiable,
@@ -211,10 +211,11 @@ def test_criterion_6_nnf_soundness():
         sort = Sort.OBJECT if k % 2 == 0 else Sort.ATTRIBUTE
         expr = gen_concept(rng, sort, 3)
         normal = to_nnf(desugar(expr))
-        sig = _projection(expr)
+        sig, pair = _projection(expr), InternedConcepts([(expr, sort), (normal, sort)])
         for i in enumerate_interpretations(sig, Bounds(2, 2)):
             interps_checked += 1
-            if extension(expr, i, sort) != extension(normal, i, sort):
+            left, right = pair.extensions(i)
+            if left != right:
                 failures += 1
                 break
     elapsed = time.perf_counter() - start

@@ -284,17 +284,25 @@ class TestSat:
         )
         assert code == 1
 
-    def test_too_deep_input_is_exit_2(self, gas_kedl):
-        # in a subprocess, so that a traceback would reach stderr
-        concept = "not " * 3000 + "Gas"
+    def test_deep_input_gets_a_verdict_or_the_budget_error(self, gas_kedl):
+        # in a subprocess, so that a traceback would reach stderr: 3,000
+        # nested not are answered, and the witness is certified without
+        # recursion; 5,000 nested some p meet the tableau's budget
         result = subprocess.run(
-            [sys.executable, "-m", "kedl.cli", "sat", gas_kedl, "-c", concept],
+            [sys.executable, "-m", "kedl.cli", "sat", gas_kedl, "-c", "not " * 3000 + "Gas"],
+            capture_output=True,
+            text=True,
+        )
+        assert (result.returncode, result.stderr) == (0, "")
+        assert "verdict: satisfiable" in result.stdout
+        result = subprocess.run(
+            [sys.executable, "-m", "kedl.cli", "sat", "--sig", "oconcept C; orole p;", "-c",
+             "some p " * 5000 + "C"],
             capture_output=True,
             text=True,
         )
         assert result.returncode == 2
-        assert result.stderr.startswith("error: ")
-        assert "Traceback" not in result.stderr
+        assert result.stderr == "error: completion graph exceeded its expansion budget\n"
 
     def test_deeply_parenthesized_input_is_answered(self):
         # in a subprocess, as above: the parser keeps its own stacks, so

@@ -17,6 +17,8 @@ from kedl import (
     Exists,
     Forall,
     Inclusion,
+    InternedConcepts,
+    InternedFormulas,
     KnowledgeBase,
     Model,
     NoCountermodelUpToBound,
@@ -212,17 +214,24 @@ class TestCountModels:
 
 
 class TestDeepGoals:
-    """A goal nested deeper than Python's recursion limit is interned and
-    searched without recursion, the limit left as it is.  The exact
-    re-check of a found model still recurses, so only goals without a
-    model are asked here."""
+    """A goal nested deeper than Python's recursion limit is interned,
+    searched and, when a model is found, re-checked by the exact evaluator
+    without recursion, the limit left as it is."""
 
     @staticmethod
-    def chain(depth=3000):
-        e = And(Atom("C1"), Not(Atom("C1")))
+    def chain(depth=3000, e=And(Atom("C1"), Not(Atom("C1")))):
         for _ in range(depth):
             e = Exists(P, e)
         return e
+
+    def test_satisfiable_chain_has_a_certified_model(self):
+        limit, sig, chain = sys.getrecursionlimit(), diff_signature(), self.chain(e=Atom("C1"))
+        verdict = find_model(chain, Bounds(2, 2), sig=sig)
+        assert isinstance(verdict, Model)
+        i = verdict.interpretation
+        assert validate_interpretation(i) == []
+        assert satisfies_kb(i, KnowledgeBase(sig=sig)) and extension(chain, i)
+        assert sys.getrecursionlimit() == limit
 
     def test_unsatisfiable_chain_has_no_model(self):
         bounds = Bounds(2, 2)
@@ -296,8 +305,9 @@ class TestFindModel:
             e = _restricted_nnf(rng, sort, 3)
             bounds = Bounds(2, 2, mode)
             fast = find_model(e, bounds, sig=sig, sort=sort)
+            goal = InternedConcepts([(e, sort)])
             slow = any(
-                extension(e, i, sort) for i in enumerate_interpretations(sig, bounds)
+                next(goal.extensions(i)) for i in enumerate_interpretations(sig, bounds)
             )
             assert isinstance(fast, Model) == slow
 
@@ -338,7 +348,8 @@ class TestFindModel:
             kb = _small_kb(rng)
             bounds = Bounds(3, 1, mode) if trial % 2 else Bounds(1, 3, mode)
             fast = isinstance(find_model(kb, bounds), Model)
-            slow = any(satisfies_kb(i, kb) for i in enumerate_interpretations(kb.sig, bounds))
+            formulas = InternedFormulas(kb.formulas(), kb.sig)
+            slow = any(satisfies_kb(i, kb, formulas) for i in enumerate_interpretations(kb.sig, bounds))
             assert fast == slow
             found[slow] += 1
         assert found[True] >= 8 and found[False] >= 8
@@ -473,6 +484,7 @@ class TestIntervalSoundness:
                 exact = extension(expr, i, sort)
                 assert lower & ~exact == 0 and exact & ~upper == 0
                 assert all(lb == ub for lb, ub in search.vals)
+                assert search.vals[objective.goal_node] == (exact, exact)
                 assert status() is bool(exact)
         assert inverse_trials >= 20
 
@@ -990,10 +1002,12 @@ class TestCheckValidity:
             ]
             for sizes in ((1, 1), (2, 1), (1, 2)):
                 bounds = Bounds(*sizes, mode)
-                models = [i for i in enumerate_interpretations(kb.sig, bounds) if satisfies_kb(i, kb)]
+                formulas = InternedFormulas(kb.formulas(), kb.sig)
+                models = [i for i in enumerate_interpretations(kb.sig, bounds) if satisfies_kb(i, kb, formulas)]
                 for a in checked:
                     f = AssertionFormula(a)
-                    slow = next((i for i in models if not satisfies_formula(i, f)), None)
+                    claim = InternedFormulas([f], kb.sig)
+                    slow = next((i for i in models if not satisfies_kb(i, kb, claim)), None)
                     fast = check_validity_bounded(f, bounds, kb=kb)
                     assert isinstance(fast, Countermodel) == (slow is not None)
                     if slow is not None:

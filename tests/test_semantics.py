@@ -28,7 +28,7 @@ from kedl import (
 from kedl.kb import ConceptAssertion, RoleAssertion
 from kedl.oracle import Bounds, enumerate_interpretations
 from kedl.semantics import FormulaReading, FunctionalityMode, ModelFormatError
-from kedl.syntax import And, desugar, to_nnf
+from kedl.syntax import And, Iff, Implies, desugar, to_nnf
 
 from generators import P, Q, R, R_INV, diff_signature, gen_concept, gen_nnf
 
@@ -131,9 +131,22 @@ class TestExtension:
         assert extension(Exists(inv, Atom("Tunnel")), i) == 0b10
         assert extension(Forall(inv, Not(Atom("Tunnel"))), i) == 0b01
 
+    def test_arrows_are_read_as_conditionals(self):
+        # hand-computed masks: the evaluator reads an arrow through the
+        # store's desugaring, which these pin against the semantics
+        sig = Signature()
+        sig.declare_atom("C", Sort.OBJECT)
+        sig.declare_atom("D", Sort.OBJECT)
+        i = Interpretation(sig=sig, n_delta=3, n_sigma=1, concept_ext={"C": 0b011, "D": 0b110})
+        c, d = Atom("C"), Atom("D")
+        assert extension(Implies(c, d), i) == 0b110
+        assert extension(Implies(d, c), i) == 0b011
+        assert extension(Iff(c, d), i) == 0b010
+        assert extension(Not(Iff(d, c)), i) == 0b101
+
     def test_unknown_node_raises(self):
-        # _ext dispatches on the exact type of a node: an unknown one, also
-        # inside a known one, is an error and never a silent mask
+        # the evaluator's store interns a node by its exact type: an unknown
+        # one, also inside a known one, is an error and never a silent mask
         from kedl import KedlError
         from kedl.syntax import ConceptExpr
 

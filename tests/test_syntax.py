@@ -186,13 +186,15 @@ def test_subexprs_walks_a_deep_chain_once_in_pre_order():
 def test_every_walker_takes_a_deep_mixed_chain():
     # 10,000 levels cycling through not, and, =>, some and all, built
     # without recursion: desugar, to_nnf, negated_nnf, concept_to_str,
-    # check_sort and parse_concept keep their own stacks, so none hits the
-    # recursion limit.
+    # check_sort, parse_concept and extension keep their own stacks, so
+    # none hits the recursion limit.
     # The expected forms and text are built level by level beside the
     # chain, and forms are compared by printed form, as == on this depth
-    # would recurse
+    # would recurse; on a fixed interpretation, the chain and its NNF have
+    # one extension, {x1, x2}, and the NNF of its negation the complement
     import sys
 
+    from kedl.semantics import Interpretation, extension
     from kedl.syntax import negated_nnf, node_to_str
 
     limit = sys.getrecursionlimit()
@@ -219,6 +221,11 @@ def test_every_walker_takes_a_deep_mixed_chain():
     assert concept_to_str(negated_nnf(expr)) == concept_to_str(neg)
     assert check_sort(expr, diff_signature()) is Sort.OBJECT
     assert concept_to_str(parse_concept(text, diff_signature())) == text
+    i = Interpretation(sig=diff_signature(), n_delta=3, n_sigma=1,
+                       concept_ext={"C1": 0, "C2": 0, "A1": 0, "A2": 0},
+                       role_ext={"p": (0, 0, 0b001), "q": (0,), "r": (0, 0, 0)})  # x3 -> x1
+    assert extension(expr, i) == extension(pos, i) == 0b011
+    assert extension(neg, i) == 0b100
     assert sys.getrecursionlimit() == limit
 
 

@@ -412,20 +412,27 @@ class TestCertification:
         assert kb._compiled is None
         monkeypatch.undo()
         assert Tableau(kb).is_consistent()
-        assert [name for name, _, _ in kb._compiled.definitions] == ["C", "B", "A"]
+        assert kb._compiled.definitions == ["C", "B", "A"]
 
     def test_definitions_hold_without_a_recheck(self, monkeypatch):
-        # the witness re-check evaluates inclusions, assertions and the
+        # the witness evaluates the definitions once, to set the defined
+        # atoms; the re-check evaluates inclusions, assertions and the
         # query, never a definition, and the witness still satisfies all
         import kedl.semantics as semantics
 
         kb = parse_kb(self.NESTED + "oindividual a1; A(a1); C <= D;")
-        checked = []
-        formula = semantics.satisfies_formula
-        monkeypatch.setattr(semantics, "satisfies_formula", lambda i, f, **kw: checked.append(f) or formula(i, f, **kw))
-        result = Tableau(kb).is_satisfiable(parse_concept("B and not A", kb.sig))
+        query = parse_concept("B and not A", kb.sig)
+        checked, holds = [], semantics._holds
+        evaluated, extensions = [], semantics.InternedConcepts.extensions
+        monkeypatch.setattr(semantics, "_holds", lambda i, f, sides: checked.append(f) or holds(i, f, sides))
+        monkeypatch.setattr(semantics.InternedConcepts, "extensions",
+                            lambda self, i: evaluated.append(self) or extensions(self, i))
+        result = Tableau(kb).is_satisfiable(query)
         assert result.satisfiable
+        compiled = kb._compiled
+        assert evaluated[:2] == [compiled.bodies, compiled.recheck] and len(evaluated) == 3
         assert [type(f).__name__ for f in checked] == ["Inclusion", "AssertionFormula"]
+        assert [compiled.concepts.concept(root) for root, _ in evaluated[2].ids] == [query]
         assert satisfies_kb(result.witness, kb)
 
 
