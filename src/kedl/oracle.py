@@ -24,8 +24,9 @@ the empty KB over its signature.
   per node, which an assign re-runs only where the changed slot is read
   (:class:`_Search`).  Every KB formula is one or two inclusions over
   those nodes, an assertion ``C(a)`` as ``{a} <= C``, so one interval
-  test decides them all.  A sort that no symbol of the
-  goal or the KB reaches is searched at domain size 1 only.  A model
+  test decides them all.  A sort that no role of the goal or the KB
+  reaches is searched only up to 1 + the number of its individuals they
+  name.  A model
   survives adding a copy of an element, of either sort unless ``inv(r)``
   is read on a functional cross role, so the smallest and the largest
   sizes are searched first, and a no-model verdict needs no other.  Each
@@ -48,6 +49,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Sequence, Union
 
@@ -298,7 +300,8 @@ class _Search:
     roles under EXACTLY_ONE, the constant successor 0) and never
     enumerated, so the outcome at sizes (d, s) depends on a domain only
     through the symbols they mention; :func:`find_model` relies on this
-    to search an unreached sort at size 1 only, and on an element's copy
+    to cap the sizes of a sort that no read role reaches (element 0, which
+    every size has, keeps the frozen values), and on an element's copy
     keeping the frozen values to skip sizes below the largest.
 
     Interval bounds live in a node table: node n is entry n of the
@@ -549,38 +552,42 @@ class _Search:
 
     def _inverse_update(self, kind: type, role: RoleName, n: int, c: int) -> Callable[[], None]:
         """The update of node n, a ``kind`` quantifier over ``inv(r)`` with
-        child node c."""
-        vals, rows, s = self.vals, self.role_rows[role.name], self.s
-        existential = kind is Exists
+        child node c.  The r-predecessors of u are the assigned rows that
+        hold u (known), and those and every unassigned row (possible), so
+        one pass over the rows ORs each bound together: ``some inv(r)``
+        holds u surely when a known predecessor is surely in the child and
+        possibly when a possible one is possibly in it; ``all inv(r)``
+        fails u possibly or surely when a possible or a known predecessor
+        is possibly or surely outside it."""
+        vals, rows, full = self.vals, self.role_rows[role.name], self.full_attribute
 
-        def update() -> None:
-            # predecessors of u: the assigned rows that contain u (known),
-            # and those plus every unassigned row (possible)
+        def some() -> None:
             clb, cub = vals[c]
-            unassigned = 0
-            for x, row in enumerate(rows):
-                if row is None:
-                    unassigned |= 1 << x
             lower = upper = 0
-            for u in range(s):
-                known = 0
-                for x, row in enumerate(rows):
-                    if row is not None and row >> u & 1:
-                        known |= 1 << x
-                possible = known | unassigned
-                if existential:
-                    if known & clb:
-                        lower |= 1 << u
-                    if possible & cub:
-                        upper |= 1 << u
-                else:
-                    if not possible & ~clb:
-                        lower |= 1 << u
-                    if not known & ~cub:
-                        upper |= 1 << u
+            for x, row in enumerate(rows):
+                if cub >> x & 1:
+                    if row is None:
+                        upper = full
+                    else:
+                        upper |= row
+                        if clb >> x & 1:
+                            lower |= row
             vals[n] = lower, upper
 
-        return update
+        def every() -> None:
+            clb, cub = vals[c]
+            maybe_out = surely_out = 0
+            for x, row in enumerate(rows):
+                if not clb >> x & 1:
+                    if row is None:
+                        maybe_out = full
+                    else:
+                        maybe_out |= row
+                        if not cub >> x & 1:
+                            surely_out |= row
+            vals[n] = full & ~maybe_out, full & ~surely_out
+
+        return some if kind is Exists else every
 
     # -- assembling interpretations ----------------------------------------
 
@@ -615,9 +622,12 @@ class _Objective:
     ``top``, ``bot`` and every concept made only of them occur at both
     sorts, so the sort is part of a node.  ``goal_node`` indexes the goal's
     node, and ``pairs`` the (L, R) nodes of each inclusion.  ``atoms``,
-    ``roles`` and ``individuals`` are the names the nodes read,
-    ``visible`` the sorts whose domain one of them reaches, and
-    ``reads_inverse`` tells whether a node reads ``inv(r)``."""
+    ``roles`` and ``individuals`` are the names the nodes read, and
+    ``reads_inverse`` tells whether a node reads ``inv(r)``.  ``caps``
+    holds the largest size :func:`find_model` searches each sort at: any
+    size when a role the nodes read has the sort as its source or target
+    (the sort is *linked*), else 1 + the number of its individuals they
+    read."""
 
     def __init__(self, kb: KnowledgeBase, goal: ConceptExpr = Top(), sort: Sort = Sort.OBJECT) -> None:
         self.kb = kb
@@ -655,18 +665,21 @@ class _Objective:
         self.atoms: set[str] = set()
         self.roles: set[str] = set()
         self.individuals: set[str] = set()
-        self.visible: set[Sort] = set()
         self.reads_inverse = False
+        linked: set[Sort] = set()
         for key in order:
             kind, label = desc[key >> 1][:2]
             if kind is Atom:
                 (self.individuals if label in kb.sig.individuals else self.atoms).add(label)
-                self.visible.add(_SORTS[key & 1])
             elif kind is Exists or kind is Forall:
                 self.roles.add(label.name)
-                self.visible |= {label.kind.source, label.kind.target}
+                linked |= {label.kind.source, label.kind.target}
                 self.reads_inverse |= label.kind is RoleKind.CROSS_INVERSE
             self.nodes.append((kind, label, _SORTS[key & 1], tuple([index[c] for c in kids[key]])))
+        self.caps = {
+            sort: math.inf if sort in linked else 1 + sum(kb.sig.individuals[a] is sort for a in self.individuals)
+            for sort in _SORTS
+        }
         self.goal_node = index[goal_root]
         self.pairs = [(index[left], index[right]) for left, right in inclusions]
 
@@ -746,21 +759,40 @@ def find_model(
     knowledge base passed as ``goal`` is ``kb`` with the goal ``top``.
 
     The model returned is the first one with the domain sizes (d, s)
-    ascending, object-major.  A sort that no symbol of the goal or the KB
-    reaches is searched at size 1 only.  With D and S the largest sizes,
-    each size is searched at most once, in this order: (1, 1); then the
-    top sizes, (D, S) alone, or (D, s) for every s ascending when the
-    objective reads ``inv(r)`` and cross roles are functional (every mode
-    but FREE).  When none of these has a model, no size has, and the
-    verdict is given.  Otherwise the ascending walk runs, reusing the
-    sizes already searched, and returns its first model.
+    ascending, object-major.  A sort is *linked* when a role that the goal
+    or the KB reads, ``inv(r)`` and the ``r`` of ``r(a, b)`` included, has
+    it as its source or target.  A linked sort walks every size up to its
+    bound, any other only up to 1 + k, with k the number of its
+    individuals that the goal or the KB names.  With D and S the largest
+    sizes walked, each size is searched at most once, in this order:
+    (1, 1); then the top sizes, (D, S) alone, or (D, s) for every s
+    ascending when the objective reads ``inv(r)`` and cross roles are
+    functional (every mode but FREE).  When none of these has a model, no
+    size has, and the verdict is given.  Otherwise the ascending walk
+    runs, reusing the sizes already searched, and returns its first model.
 
-    Why that is exact: a model at (d, s) gives one at (d + 1, s), and one
-    at (d, s + 1) unless ``inv(r)`` is read on a functional cross role, by
-    adding a copy of one element (ALC models are closed under it, being
-    closed under bisimulation).  So if (D, s) has no model, no (d, s)
-    has; and if the attribute sort is monotone and (D, S) has none, no
-    size has.
+    Why the cap is exact: in an unlinked sort, every node of that sort is
+    a Boolean combination of atoms and singletons ``{a}``, and no node of
+    the other sort reads an element of it.  So whether an element is in a
+    node depends only on its own atom bits and on which of the read
+    individuals name it.  Restrict a model, in that sort, to the goal's
+    element (when the goal has that sort) and the read individuals'
+    elements: every inclusion still holds, being universal, and so does
+    the goal, so it is still a model, with at most 1 + k elements there.
+    Re-index them from 0, sending the unread individuals and the frozen
+    successors to element 0, which every size has, and it is a candidate
+    of the search at that smaller size, which the ascending walk visits
+    first.  So the first model of the walk over every size lies inside
+    the capped sizes, which the capped walk visits in the same order: it
+    returns the same verdict and the same model.
+
+    Why the order is exact: a model at (d, s) gives one at (d + 1, s), and
+    one at (d, s + 1) unless ``inv(r)`` is read on a functional cross
+    role, by adding a copy of one element (ALC models are closed under it,
+    being closed under bisimulation).  So if (D, s) has no model, no
+    (d, s) with d <= D has; and if the attribute sort is monotone and
+    (D, S) has none, no size up to (D, S) has, nor, by the cap, any size
+    beyond.
 
     * Object copy.  Add x' with x's atoms and x's rows.  By induction on
       the concept, the old elements keep every extension and x' gets x's
@@ -794,8 +826,8 @@ def find_model(
 def _find(objective: _Objective, bounds: Bounds) -> SatVerdict:
     """The size walk of :func:`find_model`."""
     kb = objective.kb
-    deltas = range(1, bounds.max_delta + 1) if Sort.OBJECT in objective.visible else (1,)
-    sigmas = range(1, bounds.max_sigma + 1) if Sort.ATTRIBUTE in objective.visible else (1,)
+    deltas = range(1, min(bounds.max_delta, objective.caps[Sort.OBJECT]) + 1)
+    sigmas = range(1, min(bounds.max_sigma, objective.caps[Sort.ATTRIBUTE]) + 1)
     searched: dict[tuple[int, int], Optional[Interpretation]] = {}
 
     def search(d: int, s: int) -> Optional[Interpretation]:

@@ -29,6 +29,9 @@ class Sort(enum.Enum):
     OBJECT = "object"
     ATTRIBUTE = "attribute"
 
+    # compared by identity, so the identity hash serves, in C (see RoleKind)
+    __hash__ = object.__hash__
+
     def __str__(self) -> str:
         return self.value
 

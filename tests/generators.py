@@ -158,6 +158,35 @@ def gen_atomic_gci_kb(rng: random.Random) -> KnowledgeBase:
     return kb
 
 
+def gen_boolean(rng: random.Random, sort: Sort, depth: int) -> ConceptExpr:
+    """A random concept that reads no role: atoms, ``top`` and ``bot``
+    under ``not``, ``and`` and ``or``."""
+    if depth == 0 or rng.randrange(3) == 0:
+        return rng.choice(_leaves(sort, negated=True))
+    kind = rng.randrange(3)
+    if kind == 0:
+        return Not(gen_boolean(rng, sort, depth - 1))
+    return (And if kind == 1 else Or)(gen_boolean(rng, sort, depth - 1), gen_boolean(rng, sort, depth - 1))
+
+
+def gen_role_free_kb(rng: random.Random) -> KnowledgeBase:
+    """A random KB over the differential signature that reads no role: per
+    sort, one to three inclusions between literals or Boolean concepts,
+    and zero to two individuals, most of them asserted a literal."""
+    kb = empty_diff_kb()
+    for sort, prefix in ((Sort.OBJECT, "o"), (Sort.ATTRIBUTE, "u")):
+        for _ in range(rng.randrange(1, 4)):
+            if rng.randrange(2):
+                kb.include(_literal(rng, sort), _literal(rng, sort))
+            else:
+                kb.include(gen_boolean(rng, sort, 2), gen_boolean(rng, sort, 2))
+        for k in range(1, rng.randrange(3) + 1):
+            kb.sig.declare_individual(f"{prefix}{k}", sort)
+            if rng.randrange(4):
+                kb.assert_concept(_literal(rng, sort), f"{prefix}{k}")
+    return kb
+
+
 def gen_hierarchy_kb(rng: random.Random) -> KnowledgeBase:
     """A km-style KB with a real subsumption hierarchy.  Attribute states
     S1..S5 carry one cross role has-si each; S5 is defined as the union of

@@ -47,7 +47,19 @@ from kedl.parser import parse_signature
 from kedl.semantics import FunctionalityMode, interpretation_to_text
 from kedl.syntax import check_sort, subexprs
 
-from generators import P, Q, R, R_INV, diff_signature, gen_atomic_gci_kb, gen_concept, gen_kb, gen_nnf
+from generators import (
+    P,
+    Q,
+    R,
+    R_INV,
+    diff_signature,
+    gen_atomic_gci_kb,
+    gen_boolean,
+    gen_concept,
+    gen_kb,
+    gen_nnf,
+    gen_role_free_kb,
+)
 
 
 def _restricted_nnf(rng, sort, depth):
@@ -452,7 +464,8 @@ class TestIntervalSoundness:
         # white-box: on any partial assignment, the interval evaluator's
         # lower set is inside, and its upper set outside, the exact
         # extension of every completion; on a full assignment every node
-        # is exact and the status definite
+        # is exact and the status definite; at (3,2) and (2,3) as well as
+        # (2,2), where a bound that mixes up the two sorts' sizes passes
         from kedl.oracle import _Search
         from kedl.syntax import desugar
 
@@ -463,7 +476,8 @@ class TestIntervalSoundness:
         )
         rng = random.Random(555)
         inverse_trials = 0
-        for trial in range(150):
+        for trial in range(450):
+            d, s = ((2, 2), (3, 2), (2, 3))[trial // 150]
             sort = Sort.OBJECT if trial % 2 == 0 else Sort.ATTRIBUTE
             mode = MODES[trial % 3]
             expr = desugar(_restricted_nnf(rng, sort, 3))
@@ -472,7 +486,7 @@ class TestIntervalSoundness:
                 isinstance(sub, (Exists, Forall)) and sub.role == R_INV for sub in subexprs(expr)
             )
             objective = _Objective(KnowledgeBase(sig=sig), expr, sort)
-            search = _Search(sig, 2, 2, mode, objective)
+            search = _Search(sig, d, s, mode, objective)
             status = objective.compile(search)
             n_levels = len(search.levels)
             prefix = rng.randrange(n_levels + 1)
@@ -486,7 +500,7 @@ class TestIntervalSoundness:
                 assert all(lb == ub for lb, ub in search.vals)
                 assert search.vals[objective.goal_node] == (exact, exact)
                 assert status() is bool(exact)
-        assert inverse_trials >= 20
+        assert inverse_trials >= 60
 
     def test_lookahead_dead_elements_are_in_no_completion(self):
         # white-box: with every individual and atom assigned and a prefix
@@ -798,10 +812,42 @@ class TestDomainSizeSkip:
             assert self.check(visited, goal, Bounds(3, 3), sig, Sort.ATTRIBUTE) == [(1, 1)]
 
     def test_individual_alone_reaches_its_sort(self, visited):
+        # a sort that no role reaches needs one element per named
+        # individual and one more, here 2
         text = "oconcept C; oindividual o1; aindividual u1; C <= bot; C(o1);"
-        assert self.check(visited, parse_kb(text), Bounds(3, 3)) == [(1, 1), (3, 1)]
+        assert self.check(visited, parse_kb(text), Bounds(3, 3)) == [(1, 1), (2, 1)]
         with_u1 = parse_kb(text + " (top)(u1);")
-        assert self.check(visited, with_u1, Bounds(3, 3)) == [(1, 1), (3, 3)]
+        assert self.check(visited, with_u1, Bounds(3, 3)) == [(1, 1), (2, 2)]
+
+    def test_two_individuals_force_two_elements(self, visited):
+        kb = parse_kb("oconcept C; oindividual a; oindividual b; C(a); (not C)(b);")
+        assert self.check(visited, kb, Bounds(3, 3)) == [(1, 1), (3, 1), (2, 1)]
+        model = find_model(kb, Bounds(3, 3)).interpretation
+        assert (model.n_delta, model.n_sigma) == (2, 1)
+
+    def test_role_free_objectives_stay_inside_the_cap(self, visited):
+        # a goal and a KB that read no role: each sort is searched only up
+        # to 1 + the number of its individuals the KB names, and the model
+        # is the one the search over every size returns
+        rng = random.Random(2027)
+        capped = wide = no_model = 0
+        for trial in range(240):
+            kb = gen_role_free_kb(rng)
+            sort = Sort.OBJECT if trial % 2 == 0 else Sort.ATTRIBUTE
+            goal = gen_boolean(rng, sort, 2)
+            named = {a.individual for a in kb.abox}
+            caps = [1 + sum(kb.sig.individuals[a] is side for a in named) for side in (Sort.OBJECT, Sort.ATTRIBUTE)]
+            bounds = Bounds(3, 3, MODES[trial % 3])
+            visited.clear()
+            verdict = find_model(goal, bounds, sort=sort, kb=kb)
+            assert _model_text(verdict) == _every_size(goal, bounds, sort=sort, kb=kb)[0]
+            assert all(d <= caps[0] and s <= caps[1] for d, s in visited)
+            capped += 2 in caps  # a sort searched up to 2 of the bound's 3
+            no_model += not isinstance(verdict, Model)
+            if isinstance(verdict, Model):
+                i = verdict.interpretation
+                wide += i.n_delta > 1 or i.n_sigma > 1
+        assert capped >= 40 and wide >= 10 and no_model >= 10
 
     def test_unused_cross_role_under_exactly_one(self, visited):
         sig = diff_signature()
@@ -921,8 +967,10 @@ class TestElementCopy:
 
     def test_suite_searches_are_pinned(self, monkeypatch):
         """Every check of the suite at (3,3) is a no-model verdict, which
-        needs searches at the first and the top sizes only.  Searching
-        every size took 374 searches per mode."""
+        needs searches at the first and the top sizes only, and a check
+        that reads no role at (1, 1) alone.  Searching every size took 374
+        searches per mode, and the first and the top sizes of every check
+        230, 230 and 220."""
         built = []
 
         class Counted(oracle._Search):
@@ -932,7 +980,7 @@ class TestElementCopy:
 
         monkeypatch.setattr(oracle, "_Search", Counted)
         sig = suite_signature()
-        for mode, searches in zip(MODES, (230, 230, 220)):
+        for mode, searches in zip(MODES, (138, 138, 128)):
             built.clear()
             for item in all_items():
                 for sort in item.sorts:
