@@ -17,14 +17,15 @@ the empty KB over its signature.
   pruning: a partial assignment is abandoned only when every completion is
   already doomed.  Extensions are the interpretation's own int bitmasks
   (bit k is element k) and successor rows, so a found model is the
-  search's slots as they stand.  The goal and
-  the KB are interned once into a concept store, whose arrow-free ids
-  give the node list, one node per distinct subterm and sort, children
-  first (:class:`_Objective`); each domain size makes one update closure
-  per node, which an assign re-runs only where the changed slot is read
-  (:class:`_Search`).  Every KB formula is one or two inclusions over
-  those nodes, an assertion ``C(a)`` as ``{a} <= C``, so one interval
-  test decides them all.  A sort that no role of the goal or the KB
+  search's slots as they stand.  The goal and the KB are interned once
+  into a concept store, which makes no NNF form and so holds only their
+  arrow-free subterms; the goal's sort is read off its ids, and one pass
+  over the ids gives the node list, one node per distinct subterm and
+  sort, children first (:class:`_Objective`).  Each domain size makes one
+  update closure per node, which an assign re-runs only where the changed
+  slot is read (:class:`_Search`).  Every KB formula is one or two
+  inclusions over those nodes, an assertion ``C(a)`` as ``{a} <= C``, so
+  one interval test decides them all.  A sort that no role of the goal or the KB
   reaches is searched only up to 1 + the number of its individuals they
   name.  A model
   survives adding a copy of an element, of either sort unless ``inv(r)``
@@ -219,6 +220,7 @@ def _side(sort: Sort) -> int:
 
 
 _SORTS = (Sort.OBJECT, Sort.ATTRIBUTE)  # the sort of each side
+_SIDES = ((), (0,), (1,), (0, 1))  # the sides of each mask of them
 
 
 class _Level:
@@ -616,29 +618,33 @@ class _Objective:
     (:func:`~kedl.kb.formula_sort`): two for an equivalence, and
     :func:`_assertion_inclusion`'s for an assertion.  The goal and both
     sides of each inclusion are interned once into a private
-    :class:`ConceptStore`, whose ids are arrow-free, and
-    ``nodes`` lists once every (id, sort) reachable from them, children
-    first (ascending id), as ``(class, label, sort, child node indices)``;
-    ``top``, ``bot`` and every concept made only of them occur at both
-    sorts, so the sort is part of a node.  ``goal_node`` indexes the goal's
-    node, and ``pairs`` the (L, R) nodes of each inclusion.  ``atoms``,
-    ``roles`` and ``individuals`` are the names the nodes read, and
-    ``reads_inverse`` tells whether a node reads ``inv(r)``.  ``caps``
-    holds the largest size :func:`find_model` searches each sort at: any
-    size when a role the nodes read has the sort as its source or target
-    (the sort is *linked*), else 1 + the number of its individuals they
-    read."""
+    :class:`ConceptStore`, which makes no form, so it holds only their
+    arrow-free subterms, each id above its operands'.  ``sort`` is the
+    goal's, read off its ids with ``sort`` the expected one (see
+    :meth:`_goal_sort`).  ``nodes`` lists once every (id, sort) reachable
+    from them, as ``(class, label, sort, child node indices)``, in one
+    pass over the store in ascending ``2 * id + side`` order, so children
+    come first; ``top``, ``bot`` and every concept made only of them may
+    occur at both sorts, so the sort is part of a node.  ``goal_node``
+    indexes the goal's node, and ``pairs`` the (L, R) nodes of each
+    inclusion.  ``atoms``, ``roles`` and ``individuals`` are the names the
+    nodes read, and ``reads_inverse`` tells whether a node reads
+    ``inv(r)``.  ``caps`` holds the largest size :func:`find_model`
+    searches each sort at: any size when a role the nodes read has the
+    sort as its source or target (the sort is *linked*), else 1 + the
+    number of its individuals they read."""
 
-    def __init__(self, kb: KnowledgeBase, goal: ConceptExpr = Top(), sort: Sort = Sort.OBJECT) -> None:
+    def __init__(self, kb: KnowledgeBase, goal: ConceptExpr = Top(), sort: Optional[Sort] = None) -> None:
         self.kb = kb
         self.goal = goal
-        self.sort = sort
         store = ConceptStore()
+        desc, goal_id = store.desc, store.intern(goal)
+        self.sort = self._goal_sort(desc, kb.sig, sort)
 
         def root(e: ConceptExpr, at: Sort) -> int:
             return 2 * store.intern(e) + _side(at)
 
-        goal_root, inclusions = root(goal, sort), []
+        goal_root, inclusions = 2 * goal_id + _side(self.sort), []
         for f in kb.formulas():
             if isinstance(f, AssertionFormula):
                 left, right, f_sort = _assertion_inclusion(f.assertion, kb.sig)
@@ -648,40 +654,74 @@ class _Objective:
             if isinstance(f, Equivalence):
                 inclusions.append(inclusions[-1][::-1])
 
-        # a node is keyed 2 * id + the index of its sort's side, so that
-        # ascending keys put children first
-        desc, kids = store.desc, {}  # each reachable key: its children's
-        stack = [goal_root, *itertools.chain.from_iterable(inclusions)]
-        while stack:
-            key = stack.pop()
-            if key not in kids:
-                kind, label, *operands = desc[key >> 1]
-                side = _side(label.kind.target) if kind is Exists or kind is Forall else key & 1
-                kids[key] = [2 * c + side for c in operands]
-                stack += kids[key]
-        order = sorted(kids)
-        index = {key: n for n, key in enumerate(order)}
+        # every id is under a root; an id's sides are a bit mask, bit k for
+        # the side with index k, passed from the roots down: a quantifier
+        # reads its child at its role's target, any other kind at its own
+        sides = [0] * len(desc)
+        for key in (goal_root, *itertools.chain.from_iterable(inclusions)):
+            sides[key >> 1] |= 1 << (key & 1)
+        for i in reversed(range(len(desc))):
+            d = desc[i]
+            at = 1 << _side(d[1].kind.target) if d[0] is Exists or d[0] is Forall else sides[i]
+            for c in d[2:]:
+                sides[c] |= at
+        # a node is keyed 2 * id + the index of its sort's side, and made in
+        # ascending key order, so children come first
+        index = [0] * (2 * len(desc))
         self.nodes: list[tuple[type, Union[str, RoleName, None], Sort, tuple[int, ...]]] = []
         self.atoms: set[str] = set()
         self.roles: set[str] = set()
         self.individuals: set[str] = set()
         self.reads_inverse = False
         linked: set[Sort] = set()
-        for key in order:
-            kind, label = desc[key >> 1][:2]
-            if kind is Atom:
-                (self.individuals if label in kb.sig.individuals else self.atoms).add(label)
-            elif kind is Exists or kind is Forall:
+        for i, d in enumerate(desc):
+            kind, label, at = d[0], d[1], None  # at: the side a quantifier's child is read at
+            if kind is Exists or kind is Forall:
                 self.roles.add(label.name)
                 linked |= {label.kind.source, label.kind.target}
                 self.reads_inverse |= label.kind is RoleKind.CROSS_INVERSE
-            self.nodes.append((kind, label, _SORTS[key & 1], tuple([index[c] for c in kids[key]])))
+                at = _side(label.kind.target)
+            elif kind is Atom:
+                (self.individuals if label in kb.sig.individuals else self.atoms).add(label)
+            for side in _SIDES[sides[i]]:
+                index[2 * i + side] = len(self.nodes)
+                read = side if at is None else at
+                self.nodes.append((kind, label, _SORTS[side], tuple([index[2 * c + read] for c in d[2:]])))
         self.caps = {
             sort: math.inf if sort in linked else 1 + sum(kb.sig.individuals[a] is sort for a in self.individuals)
             for sort in _SORTS
         }
         self.goal_node = index[goal_root]
         self.pairs = [(index[left], index[right]) for left, right in inclusions]
+
+    def _goal_sort(self, desc: list[tuple], sig: Signature, expected: Optional[Sort]) -> Sort:
+        """The goal's sort, by :func:`check_sort`'s rules with ``expected``
+        the expected sort, read bottom-up off ``desc``, which holds only the
+        goal's ids yet.  An ill-sorted goal raises ``check_sort``'s error."""
+        sorts: list[Union[Sort, None, bool]] = []  # False: ill-sorted
+        objects, attributes, roles = sig.object_atoms, sig.attribute_atoms, sig.roles
+        for d in desc:
+            kind = d[0]
+            if kind is Atom:
+                found = Sort.OBJECT if d[1] in objects else Sort.ATTRIBUTE if d[1] in attributes else False
+            elif kind is Not:
+                found = sorts[d[2]]
+            elif kind is And or kind is Or:
+                left, right = sorts[d[2]], sorts[d[3]]
+                found = right if left is None else left if right is None or right is left else False
+            elif kind is Exists or kind is Forall:
+                role = d[1].kind
+                base = RoleKind.CROSS if role is RoleKind.CROSS_INVERSE else role
+                fits = roles.get(d[1].name) is base and sorts[d[2]] in (None, role.target)
+                found = role.source if fits else False
+            else:  # top and bot
+                found = None
+            sorts.append(found)
+        found = sorts[-1]
+        if found is False or found is not None and expected is not None and found is not expected:
+            check_sort(self.goal, sig, expected)
+            raise KedlError(f"internal oracle error: check_sort accepts the goal {self.goal}")
+        return found or expected or Sort.OBJECT
 
     def compile(self, search: _Search) -> Status:
         """Enter the nodes in the search's node table and return the status
@@ -738,6 +778,11 @@ class _Refutation(_Objective):
         super().__init__(kb, And(singleton, Not(concept)), sort)
         self.formula = f
 
+    def _goal_sort(self, desc: list[tuple], sig: Signature, expected: Optional[Sort]) -> Sort:
+        """The individual's sort, ``expected``: no sort rule admits the
+        singleton ``{a}`` that the goal reads."""
+        return expected
+
     def holds_exactly(self, i: Interpretation) -> bool:
         return not satisfies_formula(i, self.formula) and satisfies_kb(i, self.kb)
 
@@ -757,6 +802,8 @@ def find_model(
     ``sig``, so a model is any interpretation with a non-empty extension
     for the goal; with one, its signature is used and ``sig`` ignored.  A
     knowledge base passed as ``goal`` is ``kb`` with the goal ``top``.
+    ``sort`` is the sort the goal is expected to have, as for
+    :func:`check_sort`, whose error an ill-sorted goal raises.
 
     The model returned is the first one with the domain sizes (d, s)
     ascending, object-major.  A sort is *linked* when a role that the goal
@@ -820,7 +867,7 @@ def find_model(
     if isinstance(goal, KnowledgeBase):
         goal, kb = Top(), goal
     kb = _kb_over(sig, kb)
-    return _find(_Objective(kb, goal, check_sort(goal, kb.sig, expected=sort)), bounds)
+    return _find(_Objective(kb, goal, sort), bounds)
 
 
 def _find(objective: _Objective, bounds: Bounds) -> SatVerdict:

@@ -404,27 +404,32 @@ class ConceptStore:
     id below its parent's, and ``desc[i] = (class, label, *operand ids)``
     (see :func:`_label`).  An arrow gets no id of its own: its description
     maps to the id of its arrow-free form (see :func:`desugar`), so every
-    id is arrow-free.  When an id is made, two more are made from its
-    operands' ids: ``nnf[i]``, its negation normal form (see
-    :func:`to_nnf`), and ``neg[i]``, the NNF of its negation."""
+    id is arrow-free.  Making an id makes nothing else.  Two forms of an id
+    are made the first time :meth:`forms` reads them: ``nnf[i]``, its
+    negation normal form (see :func:`to_nnf`), and ``neg[i]``, the NNF of
+    its negation.  ``formed`` holds the ids whose forms are made; the
+    lists are read only there, and hold None or end before any other."""
 
     def __init__(self) -> None:
         self.ids: dict[tuple, int] = {}
         self.desc: list[tuple] = []
-        self.nnf: list[int] = []
-        self.neg: list[int] = []
+        self.nnf: list[Optional[int]] = []
+        self.neg: list[Optional[int]] = []
+        self.formed: set[int] = set()
 
     def intern(self, e: ConceptExpr) -> int:
         """The id of ``e``; the walk keeps its own stack."""
-        return _fold(e, lambda node, ids: self._make((type(node), _label(node), *ids)))
+        return _fold(e, lambda node, ids: self.make((type(node), _label(node), *ids)))
 
-    def _make(self, desc: tuple) -> int:
+    def make(self, desc: tuple) -> int:
+        """The id of the concept ``desc`` describes, its operands given by
+        id, made if it is new."""
         i = self.ids.get(desc)
         if i is not None:
             return i
-        kind, label, operands = desc[0], desc[1], desc[2:]
-        make, nnf, neg = self._make, self.nnf, self.neg
+        kind, operands = desc[0], desc[2:]
         if kind is Implies or kind is Iff:
+            make = self.make
             left, right = operands
             i = make((Or, None, make((Not, None, left)), right))
             if kind is Iff:
@@ -435,25 +440,42 @@ class ConceptStore:
             raise KedlError(f"unknown concept node: {kind.__name__}")
         i = self.ids[desc] = len(self.desc)
         self.desc.append(desc)
-        # each form is i until set; a form made below that is i finds i in
-        # ids, and reads no form of i
-        nnf.append(i)
-        neg.append(i)
-        if kind is Atom:
-            neg[i] = make((Not, None, i))
-        elif kind is Top or kind is Bot:
-            neg[i] = make((Bot if kind is Top else Top, None))
-        elif kind is Not:
-            c = operands[0]
-            if self.desc[c][0] is Atom:  # a literal is its own NNF
-                neg[i] = c
-            else:
-                nnf[i], neg[i] = neg[c], nnf[c]
-        else:
-            forms = tuple(map(nnf.__getitem__, operands))
-            nnf[i] = i if forms == operands else make((kind, label, *forms))
-            neg[i] = make((_DUAL[kind], label, *map(neg.__getitem__, operands)))
         return i
+
+    def forms(self, i: int) -> tuple[int, int]:
+        """``(nnf[i], neg[i])``, made first for ``i`` and every id under it
+        that lacks them, in ascending id order, each from its operands'.
+        The forms of an id get theirs with it: ``nnf[i]`` is its own NNF
+        and ``neg[i]`` the NNF of its negation, and the other way round for
+        ``neg[i]``, so the ids with forms stay closed under operands and
+        forms."""
+        formed = self.formed
+        if i not in formed:
+            make, desc, nnf, neg = self.make, self.desc, self.nnf, self.neg
+            for j in self.order((i,), formed):
+                if j in formed:  # the form of an id before it
+                    continue
+                kind, label, *operands = desc[j]
+                if kind is Atom:
+                    pos, negated = j, make((Not, None, j))
+                elif kind is Top or kind is Bot:
+                    pos, negated = j, make((Bot if kind is Top else Top, None))
+                elif kind is Not:
+                    c = operands[0]
+                    # a literal is its own NNF
+                    pos, negated = (j, c) if desc[c][0] is Atom else (neg[c], nnf[c])
+                else:
+                    inner = [nnf[c] for c in operands]
+                    pos = j if inner == operands else make((kind, label, *inner))
+                    negated = make((_DUAL[kind], label, *[neg[c] for c in operands]))
+                if len(nnf) < len(desc):
+                    pad = [None] * (len(desc) - len(nnf))
+                    nnf += pad
+                    neg += pad
+                nnf[j], neg[j] = nnf[pos], neg[pos] = pos, negated
+                nnf[negated], neg[negated] = negated, pos
+                formed.update((j, pos, negated))
+        return self.nnf[i], self.neg[i]
 
     def order(self, roots: Iterable[int], done: Container[int]) -> list[int]:
         """Every id under ``roots`` that ``done`` lacks, ascending, so each
@@ -500,7 +522,7 @@ def to_nnf(expr: ConceptExpr) -> ConceptExpr:
     Arrows are desugared if still present.  Idempotent.
     """
     store = ConceptStore()
-    return store.concept(store.nnf[store.intern(expr)])
+    return store.concept(store.forms(store.intern(expr))[0])
 
 
 def is_nnf(expr: ConceptExpr) -> bool:
@@ -512,7 +534,7 @@ def is_nnf(expr: ConceptExpr) -> bool:
 def negated_nnf(expr: ConceptExpr) -> ConceptExpr:
     """NNF of the negation of ``expr``."""
     store = ConceptStore()
-    return store.concept(store.neg[store.intern(expr)])
+    return store.concept(store.forms(store.intern(expr))[1])
 
 
 # --- Operator table and printer ----------------------------------------------

@@ -34,10 +34,12 @@ the rule a scan of the nodes in order would find first.
 
 The KB is compiled once per revision (see ``KnowledgeBase.revision``) into
 a ``_CompiledKB`` that every ``Tableau`` over it shares, in every mode: a
-query whose KB has changed since compiles it again first.  Labels are sets
-of ids of its ``syntax.ConceptStore``, in which each concept's NNF and the
-NNF of its negation are made once, together with its id, so a query interns
-its concept, or the negation, in one step.
+query whose KB has changed since compiles it again first.  The compile
+interns each concept of the KB once.  Labels are sets of ids of its
+``syntax.ConceptStore``, which makes a concept's NNF and the NNF of its
+negation once, the first time they are read; the compile makes them for
+every id it keys, so a label's forms are plain list reads, and a query
+interns its concept, or the negation, in one step.
 Wherever the search picks the first of several concepts it orders them by
 printed form, made once per id a label can hold from its operands' printed
 forms, so searches, witnesses and clash traces do not depend on hash seeds.
@@ -258,26 +260,8 @@ class _CompiledKB:
         self.concepts = ConceptStore()
         self.keys: dict[int, str] = {}
         self.unfold: dict[int, int] = {}
-        store, intern, key, sig = self.concepts, self.intern, self._key, kb.sig
+        store, forms, key, sig = self.concepts, self.concepts.forms, self._key, kb.sig
         definitions = kb.definitions
-        for name, expr in definitions.items():
-            atom, body = store.intern(Atom(name)), store.intern(expr)
-            for form in (store.nnf, store.neg):  # A unfolds to D, not A to not D
-                self.unfold[key(form[atom])] = key(form[body])
-        absorbed: dict[str, list[ConceptExpr]] = {}  # primitive atom -> right sides
-        self.globals: dict[Sort, list[int]] = {Sort.OBJECT: [], Sort.ATTRIBUTE: []}
-        for f in kb.inclusions:
-            if isinstance(f.left, Atom) and f.left.name not in definitions:
-                absorbed.setdefault(f.left.name, []).append(f.right)
-                continue
-            constraint = intern(Or(Not(f.left), f.right))
-            # fully polymorphic inclusion (only top/bot): constrain both domains
-            for each in (Sort.OBJECT, Sort.ATTRIBUTE) if f.sort is None else (f.sort,):
-                self.globals[each].append(constraint)
-        for name, rights in absorbed.items():
-            self.unfold[intern(Atom(name))] = intern(reduce(And, rights))
-        self.cross_roles = sig.cross_roles()
-        self.primitive = sorted((sig.object_atoms | sig.attribute_atoms) - set(definitions))
         # each defined atom -> the defined atoms its definition uses; the
         # order must hold each once, after each one it uses
         uses = {name: {sub.name for sub in subexprs(definitions[name])
@@ -291,16 +275,41 @@ class _CompiledKB:
         if len(done) != len(uses):
             raise KedlError("internal tableau error: the definition order misses a definition")
         self.definitions = order
+        # each KB concept is interned once, here, and the tableau's forms
+        # are made from these ids
         self.bodies = InternedConcepts(((definitions[name], sig.atom_sort(name)) for name in order), store)
         self.recheck = InternedFormulas([*kb.inclusions, *map(AssertionFormula, kb.abox)], sig, store)
+        for name, (body, _) in zip(order, self.bodies.ids):
+            # A unfolds to D, not A to not D
+            for atom_form, body_form in zip(forms(store.make((Atom, name))), forms(body)):
+                self.unfold[key(atom_form)] = key(body_form)
+        absorbed: dict[str, list[int]] = {}  # primitive atom -> the NNFs of its right sides
+        self.globals: dict[Sort, list[int]] = {Sort.OBJECT: [], Sort.ATTRIBUTE: []}
+        sides = iter(self.recheck.ids)
+        for f, (left, _), (right, _) in zip(kb.inclusions, sides, sides):
+            if isinstance(f.left, Atom) and f.left.name not in definitions:
+                absorbed.setdefault(f.left.name, []).append(forms(right)[0])
+                continue
+            constraint = key(store.make((Or, None, forms(left)[1], forms(right)[0])))  # not L or R
+            # fully polymorphic inclusion (only top/bot): constrain both domains
+            for each in (Sort.OBJECT, Sort.ATTRIBUTE) if f.sort is None else (f.sort,):
+                self.globals[each].append(constraint)
+        for name, rights in absorbed.items():
+            both = reduce(lambda a, b: store.make((And, None, a, b)), rights)
+            self.unfold[key(store.make((Atom, name)))] = key(both)
+        self.cross_roles = sig.cross_roles()
+        self.primitive = sorted((sig.object_atoms | sig.attribute_atoms) - set(definitions))
 
     def intern(self, e: ConceptExpr, negated: bool = False) -> int:
         """The id of the NNF of ``e``, or of its negation, keyed."""
         store = self.concepts
-        return self._key((store.neg if negated else store.nnf)[store.intern(e)])
+        return self._key(store.forms(store.intern(e))[negated])
 
     def _key(self, i: int) -> int:
-        """``i``, once its printed key and its sub-concepts' are made."""
+        """``i``, once the forms and printed keys of it and its
+        sub-concepts are made: labels hold only keyed ids, so ``_add`` and
+        ``_find_clash`` read their forms as plain list entries."""
+        self.concepts.forms(i)
         self.concepts.text(i, self.keys)
         return i
 
@@ -351,7 +360,7 @@ class Tableau:
                 self._add_edge(g, g.ind_node[src], role.name, g.ind_node[dst])
         if query is not None:
             root, sort = query.ids[0]
-            self._add(g, self._new_node(g, sort).id, (compiled._key(compiled.concepts.nnf[root]),))
+            self._add(g, self._new_node(g, sort).id, (compiled._key(compiled.concepts.forms(root)[0]),))
         # both domains are non-empty in every model; seed missing sorts so
         # their global constraints are exercised
         for sort in (Sort.OBJECT, Sort.ATTRIBUTE):

@@ -16,6 +16,8 @@ from kedl import (
     Countermodel,
     Exists,
     Forall,
+    Iff,
+    Implies,
     Inclusion,
     InternedConcepts,
     InternedFormulas,
@@ -26,8 +28,10 @@ from kedl import (
     Not,
     Or,
     RoleKind,
+    RoleName,
     Signature,
     Sort,
+    SortError,
     Top,
     check_validity_bounded,
     count_models,
@@ -41,11 +45,12 @@ from kedl import (
 )
 from kedl import oracle
 from kedl.axioms import all_items, suite_signature
+from kedl.kb import AssertionFormula, Equivalence, formula_sort, refutation_goals
 from kedl.oracle import _Level, _Objective, _dead_goal_elements, _orbit_choices
 from kedl.oracle import _search_at as _unpatched_search_at
 from kedl.parser import parse_signature
 from kedl.semantics import FunctionalityMode, interpretation_to_text
-from kedl.syntax import check_sort, subexprs
+from kedl.syntax import ConceptStore, check_sort, desugar, subexprs
 
 from generators import (
     P,
@@ -53,6 +58,7 @@ from generators import (
     R,
     R_INV,
     diff_signature,
+    empty_diff_kb,
     gen_atomic_gci_kb,
     gen_boolean,
     gen_concept,
@@ -253,6 +259,128 @@ class TestDeepGoals:
         chain, bounds = self.chain(), Bounds(2, 2)
         verdict = check_validity_bounded(Inclusion(chain, chain), bounds, diff_signature())
         assert verdict == NoCountermodelUpToBound(bounds)
+
+
+def _listed_by_walk(kb, goal, sort):
+    """The objective's node table, goal node and pairs as a stack walk over
+    (id, side) keys from the roots lists them, sorted: the reference for
+    the one-pass listing, over a store interned in the same order."""
+    store = ConceptStore()
+    roots = [2 * store.intern(goal) + (sort is Sort.ATTRIBUTE)]
+    for f in kb.formulas():
+        if isinstance(f, AssertionFormula):
+            left, right, f_sort = oracle._assertion_inclusion(f.assertion, kb.sig)
+        else:
+            left, right, f_sort = f.left, f.right, formula_sort(f, kb.sig)
+        pair = [2 * store.intern(e) + (f_sort is Sort.ATTRIBUTE) for e in (left, right)]
+        roots += pair + pair[::-1] * isinstance(f, Equivalence)
+    kids, stack = {}, list(roots)
+    while stack:
+        key = stack.pop()
+        if key not in kids:
+            kind, label, *operands = store.desc[key >> 1]
+            side = (label.kind.target is Sort.ATTRIBUTE) if kind in (Exists, Forall) else key & 1
+            kids[key] = [2 * c + side for c in operands]
+            stack += kids[key]
+    index = {key: n for n, key in enumerate(sorted(kids))}
+    nodes = [(*store.desc[key >> 1][:2], (Sort.OBJECT, Sort.ATTRIBUTE)[key & 1],
+              tuple(index[c] for c in kids[key])) for key in sorted(kids)]
+    return nodes, index[roots[0]], [(index[a], index[b]) for a, b in zip(roots[1::2], roots[2::2])]
+
+
+class TestObjectiveListing:
+    """The objective's store holds only the arrow-free ids the goal and the
+    KB read, with no NNF form, and the node table is read off it in one
+    pass."""
+
+    def test_suite_goal_stores_hold_their_subterms(self, monkeypatch):
+        # a deterministic count: the store of each of the suite's 114
+        # refutation goals holds exactly the goal's arrow-free subterms
+        stores = []
+
+        class Recording(ConceptStore):
+            def __init__(self):
+                super().__init__()
+                stores.append(self)
+
+        monkeypatch.setattr(oracle, "ConceptStore", Recording)
+        sig, goals, ids = suite_signature(), 0, 0
+        for item in all_items():
+            for sort in item.sorts:
+                f = item.build(sort)
+                for goal in refutation_goals(f):
+                    stores.clear()
+                    _Objective(KnowledgeBase(sig=sig), goal, formula_sort(f, sig))
+                    (store,) = stores
+                    held = [store.concept(i) for i in range(len(store.desc))]
+                    assert len(set(held)) == len(held) and set(held) == set(subexprs(desugar(goal)))
+                    assert store.formed == set() and store.nnf == store.neg == []
+                    goals, ids = goals + 1, ids + len(held)
+        assert (goals, ids) == (114, 810)
+
+    def test_one_pass_listing_equals_the_walk(self):
+        # seeded KBs with definitions, individuals and inv(r), and seeded
+        # goals of both sorts; the last goals read top and bot at both sorts
+        rng, both = random.Random(560), 0
+        cases = [(gen(rng), Top(), Sort.OBJECT) for _ in range(40)
+                 for gen in (gen_kb, gen_atomic_gci_kb, gen_role_free_kb, _small_kb)]
+        for trial in range(200):
+            sort = Sort.OBJECT if trial % 2 else Sort.ATTRIBUTE
+            cases.append((empty_diff_kb(), gen_concept(rng, sort, 3), sort))
+        for trial in range(20):
+            kb = empty_diff_kb()
+            kb.include(Or(Top(), Bot()), gen_boolean(rng, Sort.OBJECT, 1) if trial % 2 else Top())
+            cases.append((kb, And(Atom("A1"), Or(Top(), Not(Bot()))), Sort.ATTRIBUTE))
+        for kb, goal, sort in cases:
+            objective = _Objective(kb, goal, sort)
+            listed = (objective.nodes, objective.goal_node, objective.pairs)
+            assert listed == _listed_by_walk(kb, goal, sort)
+            both += {(Top, Sort.OBJECT), (Top, Sort.ATTRIBUTE)} <= {node[::2] for node in objective.nodes}
+        assert both >= 20
+
+
+class TestGoalSort:
+    """find_model reads the goal's sort off the objective's ids, by
+    check_sort's rules, and words an ill-sorted goal's error as check_sort
+    does."""
+
+    @staticmethod
+    def sig():
+        sig = diff_signature()
+        sig.declare_individual("o1", Sort.OBJECT)
+        return sig
+
+    @pytest.mark.parametrize("goal, expected", [
+        (And(Atom("C1"), Atom("A1")), None),  # mixed-sort operands
+        (Or(Atom("A1"), Exists(R, Atom("A1"))), None),
+        (Implies(Atom("C1"), Atom("A1")), None),  # an arrow with mixed sides
+        (Iff(Exists(Q, Atom("A1")), Forall(P, Atom("C1"))), None),
+        (Not(And(Atom("C1"), Atom("C3"))), None),  # an undeclared atom
+        (Exists(RoleName("s", RoleKind.OBJ_OBJ), Atom("C1")), None),  # an undeclared role
+        (Forall(RoleName("p", RoleKind.ATTR_ATTR), Atom("A1")), None),  # the wrong kind
+        (Exists(RoleName("q", RoleKind.CROSS_INVERSE), Atom("C1")), None),
+        (Exists(RoleName("p", RoleKind.CROSS), Atom("A1")), None),
+        (Exists(P, Atom("A1")), None),  # a filler of the wrong sort
+        (And(Atom("C1"), Atom("o1")), None),  # an individual's name as a concept
+        (Atom("C1"), Sort.ATTRIBUTE),  # the expected sort differs
+        (Or(Top(), Exists(R_INV, Top())), Sort.OBJECT),
+    ])
+    def test_ill_sorted_goal_raises_check_sorts_error(self, goal, expected):
+        sig = self.sig()
+        with pytest.raises(SortError) as wanted:
+            check_sort(goal, sig, expected=expected)
+        with pytest.raises(SortError) as got:
+            find_model(goal, Bounds(1, 1), sig=sig, sort=expected)
+        assert str(got.value) == str(wanted.value)
+
+    def test_well_sorted_goal_takes_check_sorts_sort(self):
+        rng, sig = random.Random(561), self.sig()
+        for trial in range(300):
+            sort = Sort.OBJECT if trial % 2 else Sort.ATTRIBUTE
+            goal = gen_concept(rng, sort, rng.randrange(4))
+            for expected in (None, check_sort(goal, sig)):
+                objective = _Objective(KnowledgeBase(sig=sig), goal, expected)
+                assert objective.sort is check_sort(goal, sig, expected=expected)
 
 
 class TestFindModel:

@@ -29,9 +29,9 @@ from kedl import (
     to_nnf,
 )
 from kedl.parser import parse_concept
-from kedl.syntax import is_nnf, subexprs
+from kedl.syntax import ConceptStore, is_nnf, subexprs
 
-from generators import P, Q, R, R_INV, diff_signature, gen_concept
+from generators import P, Q, R, R_INV, diff_signature, gen_concept, gen_nnf
 
 
 @pytest.fixture
@@ -164,6 +164,62 @@ class TestNnf:
         for e in (Implies(c, d), Iff(c, d), Not(Not(c)), Not(And(c, d)), Exists(P, Not(Top()))):
             assert not is_nnf(e)
         assert is_nnf(Or(Not(c), d))
+
+
+class TestFormsOnDemand:
+    """A concept store makes the NNF forms of an id only when they are read."""
+
+    @staticmethod
+    def closure(store, read):
+        """The ids under the ids read, with their two forms."""
+        under = set(store.order(read, ()))
+        return under | {store.nnf[j] for j in under} | {store.neg[j] for j in under}
+
+    def test_interning_makes_no_form(self):
+        rng, store = random.Random(31), ConceptStore()
+        for k in range(50):
+            store.intern(gen_concept(rng, Sort.OBJECT if k % 2 else Sort.ATTRIBUTE, 4))
+        assert store.formed == set() and store.nnf == [] and store.neg == []
+        assert all(type(store.concept(i)) not in (Implies, Iff) for i in range(len(store.desc)))
+
+    def test_a_read_forms_the_ids_under_it_and_their_forms_only(self):
+        # each read forms what it reaches, and a later read adds only what
+        # it reaches that an earlier read did not
+        rng = random.Random(32)
+        for _ in range(100):
+            store = ConceptStore()
+            roots = [store.intern(gen_concept(rng, Sort.OBJECT, 3)) for _ in range(3)]
+            read = []
+            for i in rng.choices(range(len(store.desc)), k=3) + roots:
+                read.append(i)
+                store.forms(i)
+                assert store.formed == self.closure(store, read)
+
+    def test_read_orders_agree(self):
+        # the forms of a seeded NNF concept and of its negation, read from
+        # the root, through the negation first, or sub-concept by
+        # sub-concept, operands first or in a random order, are one pair of
+        # concepts, each in NNF; neg of neg is nnf, and nnf is its own NNF
+        rng = random.Random(33)
+        for trial in range(200):
+            sort = Sort.OBJECT if trial % 2 else Sort.ATTRIBUTE
+            e = gen_nnf(rng, sort, 4)
+            seen = set()
+            for order in ("root", "negation", "up", "shuffled"):
+                store = ConceptStore()
+                i, negation = store.intern(e), store.intern(Not(e))
+                if order == "negation":
+                    store.forms(negation)
+                elif order in ("up", "shuffled"):
+                    under = store.order((i,), ())
+                    for j in under if order == "up" else rng.sample(under, len(under)):
+                        store.forms(j)
+                pos, neg = store.forms(i)
+                assert store.forms(negation) == (neg, pos)
+                assert store.forms(neg)[1] == pos and store.forms(pos) == (pos, neg)
+                assert is_nnf(store.concept(pos)) and is_nnf(store.concept(neg))
+                seen.add((concept_to_str(store.concept(pos)), concept_to_str(store.concept(neg))))
+            assert seen == {(concept_to_str(to_nnf(e)), concept_to_str(to_nnf(Not(e))))}
 
 
 def test_subexprs_walks_a_deep_chain_once_in_pre_order():
