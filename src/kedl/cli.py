@@ -38,7 +38,7 @@ from .semantics import (
     interpretation_to_text,
     satisfies_kb,
 )
-from .syntax import Iff, Implies, KedlError, Sort, Top, check_sort
+from .syntax import ConceptExpr, Iff, Implies, KedlError, Sort, Top, check_sort
 from .tableau import InconsistentKBError, SatResult, Tableau, classify, trace_to_text
 
 EXIT_OK = 0
@@ -98,7 +98,7 @@ def _load_kb(path: str) -> KnowledgeBase:
         return parse_kb(handle.read())
 
 
-def _concept_context(args) -> tuple[KnowledgeBase, "ConceptExpr"]:
+def _concept_context(args) -> tuple[KnowledgeBase, ConceptExpr]:
     """Resolve the -c concept against a KB file, --sig text, or inference."""
     if args.kbfile is not None:
         kb = _load_kb(args.kbfile)

@@ -19,7 +19,8 @@ the empty KB over its signature.
   (bit k is element k) and successor rows, so a found model is the
   search's slots as they stand.  The goal and the KB are interned once
   into a concept store, which makes no NNF form and so holds only their
-  arrow-free subterms; the goal's sort is read off its ids, and one pass
+  arrow-free subterms; the goal's sort is read off its ids by the sort
+  loop that :func:`~kedl.syntax.check_sort` runs, and one pass
   over the ids gives the node list, one node per distinct subterm and
   sort, children first (:class:`_Objective`).  Each domain size makes one
   update closure per node, which an assign re-runs only where the changed
@@ -91,6 +92,8 @@ from .syntax import (
     Sort,
     Top,
     check_sort,
+    expect_sort,
+    sort_ids,
 )
 # not called here; perfbench/spans.py wraps this name of this module
 from .syntax import desugar  # noqa: F401
@@ -620,8 +623,10 @@ class _Objective:
     sides of each inclusion are interned once into a private
     :class:`ConceptStore`, which makes no form, so it holds only their
     arrow-free subterms, each id above its operands'.  ``sort`` is the
-    goal's, read off its ids with ``sort`` the expected one (see
-    :meth:`_goal_sort`).  ``nodes`` lists once every (id, sort) reachable
+    goal's, read off its ids by :func:`~kedl.syntax.sort_ids` with
+    ``sort`` the expected one, as :func:`check_sort` reads it, whose error
+    an ill-sorted goal raises; a :class:`_Refutation`'s is its
+    individual's.  ``nodes`` lists once every (id, sort) reachable
     from them, as ``(class, label, sort, child node indices)``, in one
     pass over the store in ascending ``2 * id + side`` order, so children
     come first; ``top``, ``bot`` and every concept made only of them may
@@ -637,9 +642,12 @@ class _Objective:
     def __init__(self, kb: KnowledgeBase, goal: ConceptExpr = Top(), sort: Optional[Sort] = None) -> None:
         self.kb = kb
         self.goal = goal
-        store = ConceptStore()
+        store, sorts = ConceptStore(), {}
         desc, goal_id = store.desc, store.intern(goal)
-        self.sort = self._goal_sort(desc, kb.sig, sort)
+        if not isinstance(self, _Refutation):  # no sort rule admits a refutation's singleton {a}
+            sort_ids(store, range(len(desc)), kb.sig, sorts)  # the goal's ids: all the store holds yet
+            sort = expect_sort(goal, sorts[goal_id], sort)
+        self.sort = sort
 
         def root(e: ConceptExpr, at: Sort) -> int:
             return 2 * store.intern(e) + _side(at)
@@ -693,35 +701,6 @@ class _Objective:
         }
         self.goal_node = index[goal_root]
         self.pairs = [(index[left], index[right]) for left, right in inclusions]
-
-    def _goal_sort(self, desc: list[tuple], sig: Signature, expected: Optional[Sort]) -> Sort:
-        """The goal's sort, by :func:`check_sort`'s rules with ``expected``
-        the expected sort, read bottom-up off ``desc``, which holds only the
-        goal's ids yet.  An ill-sorted goal raises ``check_sort``'s error."""
-        sorts: list[Union[Sort, None, bool]] = []  # False: ill-sorted
-        objects, attributes, roles = sig.object_atoms, sig.attribute_atoms, sig.roles
-        for d in desc:
-            kind = d[0]
-            if kind is Atom:
-                found = Sort.OBJECT if d[1] in objects else Sort.ATTRIBUTE if d[1] in attributes else False
-            elif kind is Not:
-                found = sorts[d[2]]
-            elif kind is And or kind is Or:
-                left, right = sorts[d[2]], sorts[d[3]]
-                found = right if left is None else left if right is None or right is left else False
-            elif kind is Exists or kind is Forall:
-                role = d[1].kind
-                base = RoleKind.CROSS if role is RoleKind.CROSS_INVERSE else role
-                fits = roles.get(d[1].name) is base and sorts[d[2]] in (None, role.target)
-                found = role.source if fits else False
-            else:  # top and bot
-                found = None
-            sorts.append(found)
-        found = sorts[-1]
-        if found is False or found is not None and expected is not None and found is not expected:
-            check_sort(self.goal, sig, expected)
-            raise KedlError(f"internal oracle error: check_sort accepts the goal {self.goal}")
-        return found or expected or Sort.OBJECT
 
     def compile(self, search: _Search) -> Status:
         """Enter the nodes in the search's node table and return the status
@@ -778,11 +757,6 @@ class _Refutation(_Objective):
         super().__init__(kb, And(singleton, Not(concept)), sort)
         self.formula = f
 
-    def _goal_sort(self, desc: list[tuple], sig: Signature, expected: Optional[Sort]) -> Sort:
-        """The individual's sort, ``expected``: no sort rule admits the
-        singleton ``{a}`` that the goal reads."""
-        return expected
-
     def holds_exactly(self, i: Interpretation) -> bool:
         return not satisfies_formula(i, self.formula) and satisfies_kb(i, self.kb)
 
@@ -803,7 +777,8 @@ def find_model(
     for the goal; with one, its signature is used and ``sig`` ignored.  A
     knowledge base passed as ``goal`` is ``kb`` with the goal ``top``.
     ``sort`` is the sort the goal is expected to have, as for
-    :func:`check_sort`, whose error an ill-sorted goal raises.
+    :func:`check_sort`, whose sort loop reads the goal's sort off the
+    objective's store, so an ill-sorted goal raises check_sort's error.
 
     The model returned is the first one with the domain sizes (d, s)
     ascending, object-major.  A sort is *linked* when a role that the goal

@@ -9,9 +9,12 @@ domain).  Three role families connect elements:
 * cross roles        -- object -> attribute (functional), the only family
                         with an inverse constructor
 
-This module defines the concept AST, signatures, the sort checker, the
+This module defines the concept AST, signatures, the concept store, the
 arrow desugarer, negation normal form, and the table of connectives from
 which the concept printer and the parser read keywords and precedence.
+The sort rules are one loop over the ids of a concept store, :func:`sort_ids`,
+which :func:`check_sort` runs over a private store, the tableau over its
+compiled store and the bounded oracle over its objective's.
 """
 
 from __future__ import annotations
@@ -190,12 +193,10 @@ def subexprs(e: ConceptExpr) -> Iterator[ConceptExpr]:
             stack.append(e.expr)
 
 
-def _fold(e: ConceptExpr, combine: Callable, enter: Optional[Callable] = None):
+def _fold(e: ConceptExpr, combine: Callable):
     """``combine(node, results of its operands)`` over the tree of e,
-    operands first and left before right; returns e's result.
-    ``enter(node)`` runs when the walk reaches a node, before its operands.
-    The walk keeps its own stack, so depth is bounded by memory, not
-    recursion."""
+    operands first and left before right; returns e's result.  The walk
+    keeps its own stack, so depth is bounded by memory, not recursion."""
     results: list = []
     stack: list = [e]
     while stack:
@@ -205,8 +206,6 @@ def _fold(e: ConceptExpr, combine: Callable, enter: Optional[Callable] = None):
             value = combine(node, results[-n:])
             del results[-n:]
         else:
-            if enter is not None:
-                enter(node)
             kind = type(node)
             if kind in _BINARY:
                 stack += ((node, 2), node.right, node.left)
@@ -332,65 +331,65 @@ def check_sort(expr: ConceptExpr, sig: Signature, expected: Optional[Sort] = Non
     ``top``/``bot`` are sort-polymorphic; an expression whose sort is not
     fixed by any atom or role takes ``expected`` (object sort by default).
     """
-    inferred = infer_sort(expr, sig)
-    if inferred is None:
-        inferred = expected if expected is not None else Sort.OBJECT
-    if expected is not None and inferred is not expected:
-        raise SortError(
-            f"expected a {expected}-sort concept, found {inferred}-sort: {expr}",
-            expected=expected,
-            found=inferred,
-        )
-    return inferred
+    return expect_sort(expr, infer_sort(expr, sig), expected)
 
 
 def infer_sort(expr: ConceptExpr, sig: Signature) -> Optional[Sort]:
     """Bottom-up sort inference, like :func:`check_sort`, but None for a
-    fully polymorphic expression (only top/bot inside) instead of a default."""
+    fully polymorphic expression (only top/bot inside) instead of a default:
+    :func:`sort_ids` over a private store, whose ids all lie under ``expr``'s id."""
+    store, sorts = ConceptStore(), {}
+    root = store.intern(expr)
+    sort_ids(store, range(len(store.desc)), sig, sorts)
+    return sorts[root]
 
-    def enter(e: ConceptExpr) -> None:
-        if type(e) is Exists or type(e) is Forall:
-            role = e.role
-            declared = sig.roles.get(role.name)
+
+def expect_sort(expr: ConceptExpr, inferred: Optional[Sort], expected: Optional[Sort]) -> Sort:
+    """:func:`check_sort`'s verdict on ``expr``, whose sort by the rules is
+    ``inferred``, when it is expected to have the sort ``expected``."""
+    if expected is not None and inferred is not None and inferred is not expected:
+        raise SortError(f"expected a {expected}-sort concept, found {inferred}-sort: {expr}", expected, inferred)
+    return inferred or expected or Sort.OBJECT
+
+
+def sort_ids(store: ConceptStore, ids: Iterable[int], sig: Signature, sorts: dict[int, Optional[Sort]]) -> None:
+    """The sort rules, in one loop: enter in ``sorts`` the sort against
+    ``sig`` of each id of ``store`` in ``ids``, None when only ``top`` and
+    ``bot`` fix it, from its operands' sorts.  ``ids`` ascend and hold, with
+    an id, each of its operands that ``sorts`` lacks, as the ids under a
+    root do (see :meth:`ConceptStore.order`).  The first ill-sorted id
+    raises :class:`SortError`; an operand the error names is printed from
+    the store, so an arrow in it is printed desugared."""
+    desc, objects, roles = store.desc, sig.object_atoms, sig.roles
+    for i in ids:
+        d = desc[i]
+        kind = d[0]
+        if kind is Atom:
+            found = Sort.OBJECT if d[1] in objects else sig.atom_sort(d[1])
+        elif kind is Not:
+            found = sorts[d[2]]
+        elif kind is And or kind is Or:
+            left, right = sorts[d[2]], sorts[d[3]]
+            found = right if left is None else left
+            if right is not None and right is not found:
+                a, b = (concept_to_str(store.concept(c)) for c in d[2:])
+                raise SortError(f"mixed-sort operands: {a} is {left}-sort but {b} is {right}-sort", left, right)
+        elif kind is Exists or kind is Forall:
+            role = d[1]
+            used, child, declared = role.kind, sorts[d[2]], roles.get(role.name)
             if declared is None:
                 raise SortError(f"undeclared role name: {role.name}")
-            base = RoleKind.CROSS if role.kind is RoleKind.CROSS_INVERSE else role.kind
-            if declared is not base:
-                raise SortError(
-                    f"role {role.name} is declared {declared}, used as {role.kind}",
-                    expected=declared,
-                    found=role.kind,
-                )
-
-    def combine(e: ConceptExpr, sorts: list[Optional[Sort]]) -> Optional[Sort]:
-        kind = type(e)
-        if kind is Atom:
-            return sig.atom_sort(e.name)
-        if kind is Not:
-            return sorts[0]
-        if kind in _BINARY:
-            ls, rs = sorts
-            if ls is not None and rs is not None and ls is not rs:
-                raise SortError(
-                    f"mixed-sort operands: {e.left} is {ls}-sort but {e.right} is {rs}-sort",
-                    expected=ls,
-                    found=rs,
-                )
-            return ls if ls is not None else rs
-        if kind is Exists or kind is Forall:
-            child, want = sorts[0], e.role.target_sort
+            if declared is not (RoleKind.CROSS if used is RoleKind.CROSS_INVERSE else used):
+                raise SortError(f"role {role.name} is declared {declared}, used as {used}", declared, used)
+            want = used.target
             if child is not None and child is not want:
-                raise SortError(
-                    f"quantifier over {e.role} needs a {want}-sort concept, found {child}-sort: {e.expr}",
-                    expected=want,
-                    found=child,
-                )
-            return e.role.source_sort
-        if kind is Top or kind is Bot:
-            return None
-        raise KedlError(f"unknown concept node: {e!r}")
-
-    return _fold(expr, combine, enter)
+                body = concept_to_str(store.concept(d[2]))
+                message = f"quantifier over {role} needs a {want}-sort concept, found {child}-sort: {body}"
+                raise SortError(message, want, child)
+            found = used.source
+        else:  # top and bot
+            found = None
+        sorts[i] = found
 
 
 # --- The concept store: hash-consing, desugaring and negation normal form ----
@@ -480,12 +479,12 @@ class ConceptStore:
     def order(self, roots: Iterable[int], done: Container[int]) -> list[int]:
         """Every id under ``roots`` that ``done`` lacks, ascending, so each
         comes after its operands."""
-        todo, stack = set(), list(roots)
+        desc, todo, stack = self.desc, set(), list(roots)
         while stack:
             j = stack.pop()
             if j not in done and j not in todo:
                 todo.add(j)
-                stack.extend(self.desc[j][2:])
+                stack += desc[j][2:]
         return sorted(todo)
 
     def concept(self, i: int) -> ConceptExpr:

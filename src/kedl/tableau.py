@@ -38,8 +38,10 @@ query whose KB has changed since compiles it again first.  The compile
 interns each concept of the KB once.  Labels are sets of ids of its
 ``syntax.ConceptStore``, which makes a concept's NNF and the NNF of its
 negation once, the first time they are read; the compile makes them for
-every id it keys, so a label's forms are plain list reads, and a query
-interns its concept, or the negation, in one step.
+every id it keys, so a label's forms are plain list reads.  A query
+interns its concept in one walk and reads its sort off the ids with
+``syntax.sort_ids``, the one copy of the sort rules, keeping the sorts it
+reads for the next query.
 Wherever the search picks the first of several concepts it orders them by
 printed form, made once per id a label can hold from its operands' printed
 forms, so searches, witnesses and clash traces do not depend on hash seeds.
@@ -117,7 +119,10 @@ from .syntax import (
     RoleName,
     Signature,
     Sort,
+    SortError,
     check_sort,
+    expect_sort,
+    sort_ids,
     subexprs,
 )
 # not called here; perfbench/spans.py wraps these names of this module
@@ -246,19 +251,23 @@ class _CompiledKB:
     """What the tableau makes of one revision of a KB, in no particular
     mode, so that every ``Tableau`` over the KB shares it (``kb._compiled``):
     the store of the concepts of the KB and its queries, with ``keys``, the
-    printed forms of the ids labels can hold; ``unfold``, each defined
+    printed forms of the ids labels can hold, and ``sorts``, the sorts of
+    the ids queries have read (see :meth:`query`); ``unfold``, each defined
     literal and each primitive atom with inclusions to the id it unfolds
     to; ``globals``, each sort's internalized inclusions; ``definitions``,
     the defined atoms in the dependency order, checked here once, in which
     a witness sets each to its definition's extension, evaluated from
-    ``bodies``; and ``recheck``, the inclusions and assertions a witness is
-    re-checked against (the definitions hold by construction).  Both are
-    interned into the store here, once, and ordered at the first witness."""
+    ``bodies``; ``recheck``, the inclusions and assertions a witness is
+    re-checked against (the definitions hold by construction), both
+    interned into the store here, once, and ordered at the first witness;
+    and ``assertions``, the NNF of each concept assertion's concept, from
+    ``recheck``'s ids, in ABox order, which seeds every graph."""
 
     def __init__(self, kb: KnowledgeBase) -> None:
         self.revision = kb.revision
         self.concepts = ConceptStore()
         self.keys: dict[int, str] = {}
+        self.sorts: dict[int, Optional[Sort]] = {}
         self.unfold: dict[int, int] = {}
         store, forms, key, sig = self.concepts, self.concepts.forms, self._key, kb.sig
         definitions = kb.definitions
@@ -294,16 +303,31 @@ class _CompiledKB:
             # fully polymorphic inclusion (only top/bot): constrain both domains
             for each in (Sort.OBJECT, Sort.ATTRIBUTE) if f.sort is None else (f.sort,):
                 self.globals[each].append(constraint)
+        # recheck's other ids are the concept assertions', in ABox order
+        self.assertions = [self.nnf(i) for i, _ in sides]
         for name, rights in absorbed.items():
             both = reduce(lambda a, b: store.make((And, None, a, b)), rights)
             self.unfold[key(store.make((Atom, name)))] = key(both)
         self.cross_roles = sig.cross_roles()
         self.primitive = sorted((sig.object_atoms | sig.attribute_atoms) - set(definitions))
 
-    def intern(self, e: ConceptExpr, negated: bool = False) -> int:
-        """The id of the NNF of ``e``, or of its negation, keyed."""
-        store = self.concepts
-        return self._key(store.forms(store.intern(e))[negated])
+    def query(self, e: ConceptExpr, sig: Signature, expected: Optional[Sort]) -> tuple[int, Sort]:
+        """The id of ``e``, interned in one walk, and its sort by
+        :func:`check_sort` with ``expected`` the expected sort, read off the
+        ids by :func:`sort_ids` into ``sorts``.  An ill-sorted ``e`` raises
+        check_sort's error: here the ids it shares with earlier concepts
+        come first, so the loop may meet another error first."""
+        i = self.concepts.intern(e)
+        try:
+            sort_ids(self.concepts, self.concepts.order((i,), self.sorts), sig, self.sorts)
+            return i, expect_sort(e, self.sorts[i], expected)
+        except SortError:
+            check_sort(e, sig, expected)
+            raise
+
+    def nnf(self, i: int, negated: bool = False) -> int:
+        """The id of the NNF of id ``i``, or of its negation, keyed."""
+        return self._key(self.concepts.forms(i)[negated])
 
     def _key(self, i: int) -> int:
         """``i``, once the forms and printed keys of it and its
@@ -350,9 +374,10 @@ class Tableau:
         g = _Graph()
         for name in sorted(self.sig.individuals):
             g.ind_node[name] = self._new_node(g, self.sig.individuals[name]).id
+        concepts = iter(compiled.assertions)
         for a in self.kb.abox:
             if isinstance(a, ConceptAssertion):
-                self._add(g, g.ind_node[a.individual], (compiled.intern(a.concept),))
+                self._add(g, g.ind_node[a.individual], (next(concepts),))
             else:
                 src, dst, role = a.source, a.target, a.role
                 if role.kind is RoleKind.CROSS_INVERSE:
@@ -360,7 +385,7 @@ class Tableau:
                 self._add_edge(g, g.ind_node[src], role.name, g.ind_node[dst])
         if query is not None:
             root, sort = query.ids[0]
-            self._add(g, self._new_node(g, sort).id, (compiled._key(compiled.concepts.forms(root)[0]),))
+            self._add(g, self._new_node(g, sort).id, (compiled.nnf(root),))
         # both domains are non-empty in every model; seed missing sorts so
         # their global constraints are exercised
         for sort in (Sort.OBJECT, Sort.ATTRIBUTE):
@@ -371,8 +396,9 @@ class Tableau:
     # -- public queries -------------------------------------------------------
 
     def is_satisfiable(self, expr: ConceptExpr, sort: Optional[Sort] = None) -> SatResult:
-        sort = check_sort(expr, self.sig, expected=sort)
-        query = InternedConcepts([(expr, sort)], self._compile().concepts)
+        compiled = self._compile()
+        query = InternedConcepts((), compiled.concepts)
+        query.ids.append(compiled.query(expr, self.sig, sort))
         return self._run(self._init_graph(query), query)
 
     def is_consistent(self) -> SatResult:
@@ -406,10 +432,9 @@ class Tableau:
     def instance_of(self, individual: str, expr: ConceptExpr) -> bool:
         if individual not in self.sig.individuals:
             raise KedlError(f"undeclared individual: {individual}")
-        sort = self.sig.individuals[individual]
-        check_sort(expr, self.sig, expected=sort)
+        i, _ = self._compile().query(expr, self.sig, self.sig.individuals[individual])
         g = self._init_graph()
-        self._add(g, g.ind_node[individual], (self.compiled.intern(expr, negated=True),))
+        self._add(g, g.ind_node[individual], (self.compiled.nnf(i, negated=True),))
         return not self._run(g, None).satisfiable
 
     # -- expansion loop -------------------------------------------------------

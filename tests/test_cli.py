@@ -574,3 +574,12 @@ def test_console_script_entrypoint():
     )
     assert result.returncode == 0
     assert "models: 0" in result.stdout
+
+
+def test_annotations_resolve():
+    import typing
+
+    import kedl.cli
+    from kedl import ConceptExpr, KnowledgeBase
+
+    assert typing.get_type_hints(kedl.cli._concept_context)["return"] == tuple[KnowledgeBase, ConceptExpr]

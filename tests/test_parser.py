@@ -181,6 +181,23 @@ class TestDeepInputs:
         assert sig.object_atoms == {"C"} and not sig.attribute_atoms
         assert concept_to_str(expr) == "some p " * 3000 + "C"
 
+    def test_a_deep_ill_sorted_input_is_rejected(self, sig, monkeypatch):
+        # the error prints its operand from the store, not through
+        # ConceptStore.text, whose memo of a d-deep chain holds O(d^2)
+        # characters
+        from kedl.syntax import ConceptStore, SortError, check_sort
+
+        def text(*args):
+            raise AssertionError("printed through ConceptStore.text")
+
+        monkeypatch.setattr(ConceptStore, "text", text)
+        chain = Atom("C1")
+        for _ in range(10_000):
+            chain = Exists(RoleName("p", RoleKind.OBJ_OBJ), chain)
+        with pytest.raises(SortError) as caught:
+            check_sort(And(Atom("A1"), chain), sig)
+        assert str(caught.value) == f"mixed-sort operands: A1 is attribute-sort but {'some p ' * 10_000}C1 is object-sort"
+
     def test_a_parsed_deep_chain_meets_the_tableau_budget(self, sig):
         # the tableau keeps a printed key per level, so this run peaks at
         # about 360 MB

@@ -20,6 +20,7 @@ from kedl import (
     KnowledgeBase,
     Model,
     Not,
+    Or,
     Sort,
     Top,
     classify,
@@ -1006,6 +1007,74 @@ class TestCompiledKB:
             assert Tableau(kb, mode).is_consistent()
         assert len(compiles) == 2 and kb._compiled is not compiled
 
+    def test_second_consistency_check_interns_nothing(self, monkeypatch):
+        # the compile interns and keys the ABox's concepts once
+        from kedl.syntax import ConceptStore
+
+        tab = Tableau(parse_kb((pathlib.Path(__file__).parent / "data" / "abox.kedl").read_text()))
+        assert tab.is_consistent()
+        interned = []
+        intern = ConceptStore.intern
+        monkeypatch.setattr(ConceptStore, "intern", lambda store, e: interned.append(e) or intern(store, e))
+        assert tab.is_consistent()
+        assert interned == []
+
+
+class TestQuerySort:
+    """A query is interned into the compiled store in one walk, and its sort
+    is read off its ids there; an ill-sorted one raises check_sort's error."""
+
+    @staticmethod
+    def abox():
+        return parse_kb((pathlib.Path(__file__).parent / "data" / "abox.kedl").read_text())
+
+    def test_a_query_is_walked_once(self, monkeypatch):
+        from kedl import syntax
+
+        kb = self.abox()
+        tab = Tableau(kb)
+        assert tab.is_consistent()
+        query = parse_concept("Tunnel and some has-sensor (Sensor and not Tunnel)", kb.sig)
+        walked = []
+        fold = syntax._fold
+        monkeypatch.setattr(syntax, "_fold", lambda e, *args: walked.append(e) or fold(e, *args))
+        assert tab.is_satisfiable(query)
+        assert len(walked) == 1 and walked[0] is query
+        walked.clear()
+        assert tab.instance_of("tunnel1", query)
+        assert len(walked) == 1 and walked[0] is query
+
+    def test_an_ill_sorted_query_raises_check_sorts_error(self):
+        from kedl import SortError
+        from kedl.syntax import RoleKind, RoleName, check_sort
+
+        def error(call):
+            with pytest.raises(SortError) as caught:
+                call()
+            return str(caught.value)
+
+        kb = self.abox()
+        tab = Tableau(kb)
+        mixed = And(Atom("Tunnel"), Atom("Reading"))
+        fresh = Tableau(self.abox())
+        # the second query holds the first, whose ids the compiled store
+        # then has below those of the second's first error
+        for expr, sort in ((mixed, None), (Or(And(Atom("Sensor"), Atom("Methane-level")), mixed), None),
+                           (Exists(RoleName("ghost", RoleKind.OBJ_OBJ), Atom("Sensor")), None),
+                           (Exists(RoleName("has-sensor", RoleKind.CROSS), Atom("Reading")), None),
+                           (Atom("Ghost"), None), (Atom("Reading"), Sort.OBJECT)):
+            assert error(lambda: tab.is_satisfiable(expr, sort)) == error(
+                lambda: check_sort(expr, kb.sig, expected=sort))
+            assert error(lambda: tab.instance_of("tunnel1", expr)) == error(
+                lambda: check_sort(expr, kb.sig, expected=Sort.OBJECT))
+            # the next well-sorted queries are answered as a fresh Tableau answers them
+            for query in (Atom("Reading"), And(Atom("Sensor"), Atom("Tunnel"))):
+                held, new = tab.is_satisfiable(query), fresh.is_satisfiable(query)
+                assert held.satisfiable == new.satisfiable and held.clash_trace == new.clash_trace
+                assert held.witness is new.witness is None or (
+                    interpretation_to_text(held.witness) == interpretation_to_text(new.witness))
+            assert tab.instance_of("tunnel1", Atom("Monitored-tunnel"))
+            assert not tab.instance_of("sensor1", Atom("Tunnel"))
 
 def test_concept_keys_are_printed_forms():
     # a key is built from its operands' keys; it must be the printed form,
