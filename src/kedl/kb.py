@@ -7,8 +7,11 @@ A knowledge base bundles a signature with:
 * abox          -- concept and role assertions over declared individuals
 
 ``Formula`` is the statement-level syntax checked by the model evaluator:
-inclusions, equivalences, and assertions.  An inclusion's sort is decided
-once, by ``include``, and a definition's is its atom's.
+inclusions, equivalences, and assertions.  A knowledge base keeps one
+concept store: ``KnowledgeBase.intern`` interns each concept a statement or
+a tableau query reads into it and sorts its new ids there, once, and the
+tableau compiles the KB over the same store.  An inclusion's sort is
+decided once, by ``include``, and a definition's is its atom's.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from .syntax import (
     And,
     Atom,
     ConceptExpr,
+    ConceptStore,
     KedlError,
     Not,
     RoleName,
@@ -27,7 +31,9 @@ from .syntax import (
     Sort,
     SortError,
     check_sort,
+    expect_sort,
     infer_sort,
+    sort_ids,
     subexprs,
 )
 
@@ -95,24 +101,11 @@ class AssertionFormula:
 Formula = Union[Inclusion, Equivalence, AssertionFormula]
 
 
-def combined_sort(left: ConceptExpr, right: ConceptExpr, sig: Signature) -> Optional[Sort]:
-    """The shared sort of two concepts that must agree: a polymorphic side
-    follows the determinate one, and None means both are polymorphic."""
-    ls = infer_sort(left, sig)
-    rs = infer_sort(right, sig)
-    if ls is not None and rs is not None and ls is not rs:
-        raise SortError(
-            f"sides differ in sort: {left} is {ls}-sort but {right} is {rs}-sort",
-            expected=ls,
-            found=rs,
-        )
-    return ls or rs
-
-
 def formula_sort(f: Union[Inclusion, Equivalence], sig: Signature) -> Sort:
     """The sort ``f``'s sides are evaluated at: ``f.sort``, inferred only
-    when that is None, and object sort when both sides are polymorphic."""
-    return f.sort or combined_sort(f.left, f.right, sig) or Sort.OBJECT
+    when that is None, as the sort of ``left and right``, and object sort
+    when both sides are polymorphic."""
+    return f.sort or infer_sort(And(f.left, f.right), sig) or Sort.OBJECT
 
 
 def refutation_goals(f: Union[Inclusion, Equivalence]) -> list[ConceptExpr]:
@@ -133,12 +126,17 @@ class KnowledgeBaseError(KedlError):
 class KnowledgeBase:
     """A signature and the statements over it, edited through ``define``,
     ``include``, ``assert_concept``, ``assert_role`` and ``sig.declare_*``:
-    each checks its statement, and each changes the ``revision``."""
+    each checks its statement, and each changes the ``revision``.  Its
+    concepts live in one store, ``concepts``, shared by the tableau's
+    compile and queries; ``sorts`` holds the sort of each id that
+    :meth:`intern` has read."""
 
     sig: Signature = field(default_factory=Signature)
     definitions: dict[str, ConceptExpr] = field(default_factory=dict)
     inclusions: list[Inclusion] = field(default_factory=list)
     abox: list[Assertion] = field(default_factory=list)
+    concepts: ConceptStore = field(default_factory=ConceptStore, init=False, repr=False, compare=False)
+    sorts: dict[int, Optional[Sort]] = field(default_factory=dict, init=False, repr=False, compare=False)
     _compiled: Any = field(default=None, init=False, repr=False, compare=False)  # by the tableau
 
     @property
@@ -149,11 +147,26 @@ class KnowledgeBase:
         return (len(self.definitions), len(self.inclusions), len(self.abox), len(sig.object_atoms),
                 len(sig.attribute_atoms), len(sig.roles), len(sig.individuals))
 
+    def intern(self, e: ConceptExpr, expected: Optional[Sort] = None) -> tuple[int, Sort]:
+        """The id of ``e`` in ``concepts``, interned in one walk, and its
+        sort by :func:`check_sort` with ``expected`` the expected sort, read
+        by :func:`sort_ids` off the ids ``sorts`` lacks (a declaration only
+        adds names, so a sort once read stays right).  An ill-sorted ``e``
+        raises check_sort's error, which need not be the first the loop
+        meets: the ids ``e`` shares with earlier concepts come first."""
+        store, sorts = self.concepts, self.sorts
+        i = store.intern(e)
+        try:
+            sort_ids(store, store.order((i,), sorts), self.sig, sorts)
+            return i, expect_sort(e, sorts[i], expected)
+        except SortError:
+            check_sort(e, self.sig, expected)
+            raise
+
     def define(self, name: str, expr: ConceptExpr) -> None:
         if name in self.definitions:
             raise KnowledgeBaseError(f"duplicate definition for {name}")
-        sort = self.sig.atom_sort(name)
-        check_sort(expr, self.sig, expected=sort)
+        self.intern(expr, self.sig.atom_sort(name))
         self.definitions[name] = expr
         try:
             self._check_acyclic(name)
@@ -162,12 +175,15 @@ class KnowledgeBase:
             raise
 
     def include(self, left: ConceptExpr, right: ConceptExpr) -> None:
-        self.inclusions.append(Inclusion(left, right, combined_sort(left, right, self.sig)))
+        ls, rs = (self.sorts[self.intern(side)[0]] for side in (left, right))
+        if ls is not None and rs is not None and ls is not rs:
+            raise SortError(f"sides differ in sort: {left} is {ls}-sort but {right} is {rs}-sort", ls, rs)
+        self.inclusions.append(Inclusion(left, right, ls or rs))
 
     def assert_concept(self, concept: ConceptExpr, individual: str) -> None:
         if individual not in self.sig.individuals:
             raise SortError(f"undeclared individual: {individual}")
-        check_sort(concept, self.sig, expected=self.sig.individuals[individual])
+        self.intern(concept, self.sig.individuals[individual])
         self.abox.append(ConceptAssertion(concept, individual))
 
     def assert_role(self, role: RoleName, source: str, target: str) -> None:

@@ -956,8 +956,8 @@ def check_validity_bounded(
     if isinstance(f, AssertionFormula):
         verdicts = [_find(_Refutation(kb, f), bounds)]
     else:
-        sort = formula_sort(f, kb.sig)
-        verdicts = (find_model(concept, bounds, sort=sort, kb=kb) for concept in refutation_goals(f))
+        # a goal is read at f.sort, and at the sort of its ids without one
+        verdicts = (find_model(concept, bounds, sort=f.sort, kb=kb) for concept in refutation_goals(f))
     for verdict in verdicts:
         if isinstance(verdict, Model):
             i = verdict.interpretation

@@ -13,8 +13,8 @@ This module defines the concept AST, signatures, the concept store, the
 arrow desugarer, negation normal form, and the table of connectives from
 which the concept printer and the parser read keywords and precedence.
 The sort rules are one loop over the ids of a concept store, :func:`sort_ids`,
-which :func:`check_sort` runs over a private store, the tableau over its
-compiled store and the bounded oracle over its objective's.
+which :func:`check_sort` runs over a private store, a knowledge base over its
+own and the bounded oracle over its objective's.
 """
 
 from __future__ import annotations

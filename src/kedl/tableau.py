@@ -34,14 +34,15 @@ the rule a scan of the nodes in order would find first.
 
 The KB is compiled once per revision (see ``KnowledgeBase.revision``) into
 a ``_CompiledKB`` that every ``Tableau`` over it shares, in every mode: a
-query whose KB has changed since compiles it again first.  The compile
-interns each concept of the KB once.  Labels are sets of ids of its
-``syntax.ConceptStore``, which makes a concept's NNF and the NNF of its
-negation once, the first time they are read; the compile makes them for
-every id it keys, so a label's forms are plain list reads.  A query
-interns its concept in one walk and reads its sort off the ids with
-``syntax.sort_ids``, the one copy of the sort rules, keeping the sorts it
-reads for the next query.
+query whose KB has changed since compiles it again first.  Labels are
+sets of ids of the KB's own ``syntax.ConceptStore``, ``kb.concepts``, where
+the KB's statements put their concepts when they were made; the store makes
+a concept's NNF and the NNF of its negation once, the first time they are
+read, and the compile makes them for every id it keys, so a label's forms
+are plain list reads.  A query goes through ``KnowledgeBase.intern`` too:
+it interns its concept into the same store in one walk and sorts only the
+ids the KB has not sorted before, with ``syntax.sort_ids``, the one copy of
+the sort rules.
 Wherever the search picks the first of several concepts it orders them by
 printed form, made once per id a label can hold from its operands' printed
 forms, so searches, witnesses and clash traces do not depend on hash seeds.
@@ -68,7 +69,7 @@ compile, so every definition holds in the witness by construction.  The
 witness is then validated and re-checked with the exact evaluator against
 every inclusion and assertion of the KB, and the query, before being
 returned.  The definitions and the re-checked inclusions and assertions
-are interned into the compiled store once per compile, so a witness is
+are interned into the KB's store once per compile, so a witness is
 evaluated by id, each subterm the definitions share once.
 
 ``classify`` still asks ``subsumes`` once per ordered pair of atoms, but its
@@ -109,7 +110,6 @@ from .syntax import (
     Atom,
     Bot,
     ConceptExpr,
-    ConceptStore,
     Exists,
     Forall,
     KedlError,
@@ -119,15 +119,11 @@ from .syntax import (
     RoleName,
     Signature,
     Sort,
-    SortError,
-    check_sort,
-    expect_sort,
-    sort_ids,
     subexprs,
 )
 # not called here; perfbench/spans.py wraps these names of this module
 from .semantics import extension  # noqa: F401
-from .syntax import concept_to_str, infer_sort, negated_nnf, to_nnf  # noqa: F401
+from .syntax import check_sort, concept_to_str, infer_sort, negated_nnf, to_nnf  # noqa: F401
 
 MAX_TREE_DEPTH = 120
 MAX_NODES = 20000
@@ -250,24 +246,23 @@ def _definition_order(uses: dict[str, set[str]]) -> list[str]:
 class _CompiledKB:
     """What the tableau makes of one revision of a KB, in no particular
     mode, so that every ``Tableau`` over the KB shares it (``kb._compiled``):
-    the store of the concepts of the KB and its queries, with ``keys``, the
-    printed forms of the ids labels can hold, and ``sorts``, the sorts of
-    the ids queries have read (see :meth:`query`); ``unfold``, each defined
-    literal and each primitive atom with inclusions to the id it unfolds
-    to; ``globals``, each sort's internalized inclusions; ``definitions``,
-    the defined atoms in the dependency order, checked here once, in which
-    a witness sets each to its definition's extension, evaluated from
-    ``bodies``; ``recheck``, the inclusions and assertions a witness is
-    re-checked against (the definitions hold by construction), both
-    interned into the store here, once, and ordered at the first witness;
-    and ``assertions``, the NNF of each concept assertion's concept, from
-    ``recheck``'s ids, in ABox order, which seeds every graph."""
+    ``concepts``, the KB's store (``kb.concepts``), which holds the concepts
+    of the KB and its queries, with ``keys``, the printed forms of the ids
+    labels can hold; ``unfold``, each defined literal and each primitive
+    atom with inclusions to the id it unfolds to; ``globals``, each sort's
+    internalized inclusions; ``definitions``, the defined atoms in the
+    dependency order, checked here once, in which a witness sets each to its
+    definition's extension, evaluated from ``bodies``; ``recheck``, the
+    inclusions and assertions a witness is re-checked against (the
+    definitions hold by construction), both interned into the store here,
+    once, and ordered at the first witness; and ``assertions``, the NNF of
+    each concept assertion's concept, from ``recheck``'s ids, in ABox
+    order, which seeds every graph."""
 
     def __init__(self, kb: KnowledgeBase) -> None:
         self.revision = kb.revision
-        self.concepts = ConceptStore()
+        self.concepts = kb.concepts
         self.keys: dict[int, str] = {}
-        self.sorts: dict[int, Optional[Sort]] = {}
         self.unfold: dict[int, int] = {}
         store, forms, key, sig = self.concepts, self.concepts.forms, self._key, kb.sig
         definitions = kb.definitions
@@ -284,8 +279,8 @@ class _CompiledKB:
         if len(done) != len(uses):
             raise KedlError("internal tableau error: the definition order misses a definition")
         self.definitions = order
-        # each KB concept is interned once, here, and the tableau's forms
-        # are made from these ids
+        # a statement made through the KB's API finds its ids made; the
+        # tableau's forms are made from these ids
         self.bodies = InternedConcepts(((definitions[name], sig.atom_sort(name)) for name in order), store)
         self.recheck = InternedFormulas([*kb.inclusions, *map(AssertionFormula, kb.abox)], sig, store)
         for name, (body, _) in zip(order, self.bodies.ids):
@@ -310,20 +305,6 @@ class _CompiledKB:
             self.unfold[key(store.make((Atom, name)))] = key(both)
         self.cross_roles = sig.cross_roles()
         self.primitive = sorted((sig.object_atoms | sig.attribute_atoms) - set(definitions))
-
-    def query(self, e: ConceptExpr, sig: Signature, expected: Optional[Sort]) -> tuple[int, Sort]:
-        """The id of ``e``, interned in one walk, and its sort by
-        :func:`check_sort` with ``expected`` the expected sort, read off the
-        ids by :func:`sort_ids` into ``sorts``.  An ill-sorted ``e`` raises
-        check_sort's error: here the ids it shares with earlier concepts
-        come first, so the loop may meet another error first."""
-        i = self.concepts.intern(e)
-        try:
-            sort_ids(self.concepts, self.concepts.order((i,), self.sorts), sig, self.sorts)
-            return i, expect_sort(e, self.sorts[i], expected)
-        except SortError:
-            check_sort(e, sig, expected)
-            raise
 
     def nnf(self, i: int, negated: bool = False) -> int:
         """The id of the NNF of id ``i``, or of its negation, keyed."""
@@ -396,9 +377,8 @@ class Tableau:
     # -- public queries -------------------------------------------------------
 
     def is_satisfiable(self, expr: ConceptExpr, sort: Optional[Sort] = None) -> SatResult:
-        compiled = self._compile()
-        query = InternedConcepts((), compiled.concepts)
-        query.ids.append(compiled.query(expr, self.sig, sort))
+        query = InternedConcepts((), self._compile().concepts)
+        query.ids.append(self.kb.intern(expr, sort))
         return self._run(self._init_graph(query), query)
 
     def is_consistent(self) -> SatResult:
@@ -409,8 +389,8 @@ class Tableau:
         left = self.sig.atom_sort(sub.name) if atoms else None
         if left is None or self.sig.atom_sort(sup.name) is not left:
             # the full check, which also words the SortError of a mismatch
-            left = check_sort(sub, self.sig)
-            check_sort(sup, self.sig, expected=left)
+            _, left = self.kb.intern(sub)
+            self.kb.intern(sup, left)
         pool = self._pool if atoms else None
         if pool is not None:
             if sub.name in pool.unsatisfiable:
@@ -432,7 +412,7 @@ class Tableau:
     def instance_of(self, individual: str, expr: ConceptExpr) -> bool:
         if individual not in self.sig.individuals:
             raise KedlError(f"undeclared individual: {individual}")
-        i, _ = self._compile().query(expr, self.sig, self.sig.individuals[individual])
+        i, _ = self.kb.intern(expr, self.sig.individuals[individual])
         g = self._init_graph()
         self._add(g, g.ind_node[individual], (self.compiled.nnf(i, negated=True),))
         return not self._run(g, None).satisfiable

@@ -1193,6 +1193,29 @@ class TestCheckValidity:
                     found[type(a), slow is not None] += 1
         assert min(found.values()) >= 8
 
+    def test_a_formula_without_a_sort_is_walked_once(self, monkeypatch):
+        # a goal of a formula with no sort is read at the sort of its ids in
+        # the objective's store, so the formula's concept is walked once,
+        # not once more per side to infer the formula's sort first
+        from kedl import syntax
+
+        fold, walked, walks = syntax._fold, [], {True: [], False: []}
+        monkeypatch.setattr(syntax, "_fold", lambda e, *args: walked.append(e) or fold(e, *args))
+        for item in all_items():
+            for sort in item.sorts:
+                f = item.build(sort)
+                walked.clear()
+                assert isinstance(check_validity_bounded(f, Bounds(3, 3), suite_signature()), NoCountermodelUpToBound)
+                walks[f.sort is None].append(len(walked))
+        assert walks[True] == [1] * 14
+        assert set(walks[False]) == {1, 2}
+
+    def test_sides_of_two_sorts_are_a_mixed_sort_goal(self):
+        f = Inclusion(Atom("C1"), Atom("A1"))
+        with pytest.raises(SortError) as caught:
+            check_validity_bounded(f, Bounds(1, 1), diff_signature())
+        assert str(caught.value) == "mixed-sort operands: C1 is object-sort but not A1 is attribute-sort"
+
     def test_an_asserted_fact_needs_no_plain_enumeration(self, monkeypatch):
         # enumerating the whole signature at (2,2) took 14 s for this check
         from kedl.kb import AssertionFormula, ConceptAssertion

@@ -1019,6 +1019,44 @@ class TestCompiledKB:
         assert tab.is_consistent()
         assert interned == []
 
+    @pytest.mark.parametrize("path", ["gas", "abox"])
+    def test_a_kb_is_interned_once(self, monkeypatch, path):
+        # parse_kb makes the KB's one store, and the statements are sorted
+        # there; the compile and the queries use it, so the first
+        # consistency check makes no store and sorts no id, and a
+        # subsumption with a compound side makes no store
+        import importlib.resources
+
+        from kedl import kb as kb_module, syntax
+        from kedl.syntax import ConceptStore
+
+        if path == "gas":
+            text = importlib.resources.files("kedl.data").joinpath("gas.kedl").read_text()
+        else:
+            text = (pathlib.Path(__file__).parent / "data" / "abox.kedl").read_text()
+        stores, sorted_ids = [], []
+        init, sort_ids = ConceptStore.__init__, syntax.sort_ids
+        monkeypatch.setattr(ConceptStore, "__init__", lambda store: stores.append(store) or init(store))
+
+        def spy(store, ids, sig, sorts):
+            ids = list(ids)
+            sorted_ids.extend(ids)
+            sort_ids(store, ids, sig, sorts)
+
+        monkeypatch.setattr(syntax, "sort_ids", spy)
+        monkeypatch.setattr(kb_module, "sort_ids", spy, raising=False)
+        kb = parse_kb(text)
+        assert stores == [kb.concepts] and sorted_ids
+        stores.clear()
+        sorted_ids.clear()
+        tab = Tableau(kb)
+        assert tab.is_consistent()
+        assert stores == [] and sorted_ids == []
+        a, b = sorted(kb.sig.object_atoms)[:2]
+        assert tab.subsumes(And(Atom(a), Atom(b)), Atom(a))
+        assert not tab.subsumes(Atom(a), And(Atom(a), Not(Atom(a))))
+        assert stores == []
+
 
 class TestQuerySort:
     """A query is interned into the compiled store in one walk, and its sort
@@ -1075,6 +1113,81 @@ class TestQuerySort:
                     interpretation_to_text(held.witness) == interpretation_to_text(new.witness))
             assert tab.instance_of("tunnel1", Atom("Monitored-tunnel"))
             assert not tab.instance_of("sensor1", Atom("Tunnel"))
+
+class TestRejectedStatements:
+    """An ill-sorted statement raises check_sort's error (an inclusion, its
+    sides' or their disagreement), though the ids it interned stay in the
+    KB's store; the KB then answers as one made of its accepted statements."""
+
+    TEXT = (pathlib.Path(__file__).parent / "data" / "abox.kedl").read_text() + "oconcept Alarm; oconcept Leak;"
+    MIXED = And(Atom("Tunnel"), Atom("Reading"))
+    HAS_SENSOR = kedl.RoleName("has-sensor", kedl.RoleKind.OBJ_OBJ)
+    # (method, arguments, the error's class and message; None if accepted)
+    STATEMENTS = [
+        ("define", ("Alarm", MIXED), "SortError: mixed-sort operands: Tunnel is object-sort but Reading is "
+                                     "attribute-sort"),
+        ("define", ("Alarm", Atom("Reading")), "SortError: expected a object-sort concept, found attribute-sort: "
+                                               "Reading"),
+        ("define", ("Alarm", kedl.Implies(Atom("Sensor"), Atom("Reading"))),
+         "SortError: mixed-sort operands: not Sensor is object-sort but Reading is attribute-sort"),
+        ("define", ("Alarm", Not(Atom("Alarm"))), "KnowledgeBaseError: cyclic definition through Alarm"),
+        ("define", ("Ghost", Atom("Tunnel")), "SortError: undeclared concept name: Ghost"),
+        ("define", ("Alarm", And(Atom("Tunnel"), Exists(HAS_SENSOR, Atom("Sensor")))), None),
+        ("include", (Atom("Sensor"), Atom("Reading")),
+         "SortError: sides differ in sort: Sensor is object-sort but Reading is attribute-sort"),
+        # MIXED's ids come first in the KB's store; the error is still the
+        # one check_sort meets first
+        ("include", (Or(And(Atom("Sensor"), Atom("Methane-level")), MIXED), Atom("Tunnel")),
+         "SortError: mixed-sort operands: Sensor is object-sort but Methane-level is attribute-sort"),
+        ("include", (Top(), Or(Atom("Tunnel"), MIXED)),
+         "SortError: mixed-sort operands: Tunnel is object-sort but Reading is attribute-sort"),
+        ("include", (Exists(kedl.RoleName("has-sensor", kedl.RoleKind.CROSS), Atom("Reading")), Atom("Tunnel")),
+         "SortError: role has-sensor is declared obj-obj, used as cross"),
+        ("include", (Atom("Tunnel"), kedl.Forall(kedl.RoleName("ghost", kedl.RoleKind.OBJ_OBJ), Atom("Sensor"))),
+         "SortError: undeclared role name: ghost"),
+        ("include", (Exists(HAS_SENSOR, Atom("Reading")), Bot()),
+         "SortError: quantifier over has-sensor needs a object-sort concept, found attribute-sort: Reading"),
+        ("include", (And(Atom("Sensor"), Atom("Tunnel")), Bot()), None),
+        ("include", (Atom("Leak"), Exists(HAS_SENSOR, Not(Atom("Sensor")))), None),
+        ("assert_concept", (Atom("Reading"), "tunnel1"),
+         "SortError: expected a object-sort concept, found attribute-sort: Reading"),
+        ("assert_concept", (Or(Atom("Methane-level"), MIXED), "level1"),
+         "SortError: mixed-sort operands: Tunnel is object-sort but Reading is attribute-sort"),
+        ("assert_concept", (Atom("Ghost"), "tunnel1"), "SortError: undeclared concept name: Ghost"),
+        ("assert_concept", (Atom("Tunnel"), "nobody"), "SortError: undeclared individual: nobody"),
+        ("assert_concept", (Atom("Alarm"), "tunnel1"), None),
+        ("assert_concept", (Or(Atom("Methane-level"), Not(Atom("Reading"))), "level1"), None),
+    ]
+
+    def test_a_rejected_statement_leaves_the_kb_as_it_was(self):
+        kb, fresh = parse_kb(self.TEXT), parse_kb(self.TEXT)
+        tab = Tableau(kb)
+        assert tab.is_consistent()
+        queries = [Atom("Reading"), And(Atom("Sensor"), Atom("Tunnel")), Atom("Leak"),
+                   And(Atom("Alarm"), Not(Atom("Monitored-tunnel")))]
+        for method, args, message in self.STATEMENTS:
+            try:
+                getattr(kb, method)(*args)
+                error = None
+            except kedl.KedlError as caught:
+                error = f"{type(caught).__name__}: {caught}"
+            assert error == message
+            if message is None:
+                getattr(fresh, method)(*args)
+            assert (kb.definitions, kb.inclusions, kb.abox) == (fresh.definitions, fresh.inclusions, fresh.abox)
+            new = Tableau(fresh)
+            for held, made in [(tab.is_consistent(), new.is_consistent()),
+                               *((tab.is_satisfiable(q), new.is_satisfiable(q)) for q in queries)]:
+                assert held.satisfiable == made.satisfiable and held.clash_trace == made.clash_trace
+                assert held.witness is made.witness is None or (
+                    interpretation_to_text(held.witness) == interpretation_to_text(made.witness))
+            assert tab.instance_of("tunnel1", Atom("Alarm")) == new.instance_of("tunnel1", Atom("Alarm"))
+            for sub, sup in ((Atom("Alarm"), Atom("Monitored-tunnel")), (Atom("Leak"), Exists(self.HAS_SENSOR, Top()))):
+                assert tab.subsumes(sub, sup) == new.subsumes(sub, sup)
+        assert tab.subsumes(Atom("Alarm"), Atom("Monitored-tunnel"))
+        assert tab.subsumes(Atom("Leak"), Exists(self.HAS_SENSOR, Top()))
+        assert tab.instance_of("tunnel1", Atom("Alarm"))
+
 
 def test_concept_keys_are_printed_forms():
     # a key is built from its operands' keys; it must be the printed form,
