@@ -39,7 +39,7 @@ from .semantics import (
     satisfies_kb,
 )
 from .syntax import ConceptExpr, Iff, Implies, KedlError, Sort, Top, check_sort
-from .tableau import InconsistentKBError, SatResult, Tableau, classify, trace_to_text
+from .tableau import InconsistentKBError, SatResult, Tableau, classify, instance_of, subsumes, trace_to_text
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -158,7 +158,7 @@ def cmd_subsumes(args) -> int:
     kb = _load_kb(args.kbfile)
     sub = parse_concept(args.sub, kb.sig)
     sup = parse_concept(args.sup, kb.sig)
-    holds = Tableau(kb, _mode(args.mode)).subsumes(sub, sup)
+    holds = subsumes(kb, sub, sup, _mode(args.mode))
     report.add("sub", args.sub)
     report.add("sup", args.sup)
     report.add("verdict", "true" if holds else "false")
@@ -170,7 +170,7 @@ def cmd_instance(args) -> int:
     report = _Report("instance")
     kb = _load_kb(args.kbfile)
     expr = parse_concept(args.concept, kb.sig)
-    holds = Tableau(kb, _mode(args.mode)).instance_of(args.individual, expr)
+    holds = instance_of(kb, args.individual, expr, _mode(args.mode))
     report.add("individual", args.individual)
     report.add("concept", args.concept)
     report.add("verdict", "true" if holds else "false")

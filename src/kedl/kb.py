@@ -9,8 +9,9 @@ A knowledge base bundles a signature with:
 ``Formula`` is the statement-level syntax checked by the model evaluator:
 inclusions, equivalences, and assertions.  A knowledge base keeps one
 concept store: ``KnowledgeBase.intern`` interns each concept a statement or
-a tableau query reads into it and sorts its new ids there, once, and the
-tableau compiles the KB over the same store.  An inclusion's sort is
+a tableau query reads into it and sorts its new ids there, once; the KB
+keeps each accepted statement's ids beside it, and the tableau compiles the
+KB over the same store, reading them with no walk.  An inclusion's sort is
 decided once, by ``include``, and a definition's is its atom's.
 """
 
@@ -101,6 +102,14 @@ class AssertionFormula:
 Formula = Union[Inclusion, Equivalence, AssertionFormula]
 
 
+def _concepts(statement: Union[Inclusion, Equivalence, Assertion]) -> tuple[ConceptExpr, ...]:
+    """The concepts a statement reads, as :class:`InternedFormulas` reads
+    them: both sides, an assertion's concept, or none for a role assertion."""
+    if isinstance(statement, ConceptAssertion):
+        return (statement.concept,)
+    return () if isinstance(statement, RoleAssertion) else (statement.left, statement.right)
+
+
 def formula_sort(f: Union[Inclusion, Equivalence], sig: Signature) -> Sort:
     """The sort ``f``'s sides are evaluated at: ``f.sort``, inferred only
     when that is None, as the sort of ``left and right``, and object sort
@@ -129,7 +138,8 @@ class KnowledgeBase:
     each checks its statement, and each changes the ``revision``.  Its
     concepts live in one store, ``concepts``, shared by the tableau's
     compile and queries; ``sorts`` holds the sort of each id that
-    :meth:`intern` has read."""
+    :meth:`intern` has read.  Beside each statement it accepts, the KB keeps
+    the ids its concepts were interned at, for :meth:`statement_ids`."""
 
     sig: Signature = field(default_factory=Signature)
     definitions: dict[str, ConceptExpr] = field(default_factory=dict)
@@ -138,6 +148,10 @@ class KnowledgeBase:
     concepts: ConceptStore = field(default_factory=ConceptStore, init=False, repr=False, compare=False)
     sorts: dict[int, Optional[Sort]] = field(default_factory=dict, init=False, repr=False, compare=False)
     _compiled: Any = field(default=None, init=False, repr=False, compare=False)  # by the tableau
+    # id(statement) -> (the statement, the ids of the concepts it reads); a
+    # definition's statement is its body
+    _stated: dict[int, tuple[Any, tuple[int, ...]]] = field(default_factory=dict, init=False, repr=False,
+                                                            compare=False)
 
     @property
     def revision(self) -> tuple[int, ...]:
@@ -166,25 +180,31 @@ class KnowledgeBase:
     def define(self, name: str, expr: ConceptExpr) -> None:
         if name in self.definitions:
             raise KnowledgeBaseError(f"duplicate definition for {name}")
-        self.intern(expr, self.sig.atom_sort(name))
+        i, _ = self.intern(expr, self.sig.atom_sort(name))
         self.definitions[name] = expr
         try:
             self._check_acyclic(name)
         except KnowledgeBaseError:
             del self.definitions[name]
             raise
+        self._stated[id(expr)] = (expr, (i,))
 
     def include(self, left: ConceptExpr, right: ConceptExpr) -> None:
-        ls, rs = (self.sorts[self.intern(side)[0]] for side in (left, right))
+        (li, _), (ri, _) = self.intern(left), self.intern(right)
+        ls, rs = self.sorts[li], self.sorts[ri]
         if ls is not None and rs is not None and ls is not rs:
             raise SortError(f"sides differ in sort: {left} is {ls}-sort but {right} is {rs}-sort", ls, rs)
-        self.inclusions.append(Inclusion(left, right, ls or rs))
+        inclusion = Inclusion(left, right, ls or rs)
+        self.inclusions.append(inclusion)
+        self._stated[id(inclusion)] = (inclusion, (li, ri))
 
     def assert_concept(self, concept: ConceptExpr, individual: str) -> None:
         if individual not in self.sig.individuals:
             raise SortError(f"undeclared individual: {individual}")
-        self.intern(concept, self.sig.individuals[individual])
-        self.abox.append(ConceptAssertion(concept, individual))
+        i, _ = self.intern(concept, self.sig.individuals[individual])
+        assertion = ConceptAssertion(concept, individual)
+        self.abox.append(assertion)
+        self._stated[id(assertion)] = (assertion, (i,))
 
     def assert_role(self, role: RoleName, source: str, target: str) -> None:
         for ind, want in ((source, role.source_sort), (target, role.target_sort)):
@@ -198,6 +218,24 @@ class KnowledgeBase:
                     found=self.sig.individuals[ind],
                 )
         self.abox.append(RoleAssertion(role, source, target))
+
+    def statement_ids(self) -> tuple[dict[str, int], list[int]]:
+        """The ids of the concepts the statements read, for the tableau's
+        compile: each definition's body, by its atom, and the sides of each
+        inclusion, then the concept of each concept assertion, in order.  A
+        statement made through the API is read off the ids kept beside it;
+        one put in by hand is interned here, in a walk.  The ids kept are
+        then those of the current statements alone."""
+        kept, stated, intern = self._stated, {}, self.concepts.intern
+
+        def ids(statement: Any, concepts: tuple[ConceptExpr, ...]) -> tuple[int, ...]:
+            found = stated[id(statement)] = kept.get(id(statement)) or (statement, tuple(map(intern, concepts)))
+            return found[1]
+
+        bodies = {name: ids(body, (body,))[0] for name, body in self.definitions.items()}
+        sides = [i for s in (*self.inclusions, *self.abox) for i in ids(s, _concepts(s))]
+        self._stated = stated
+        return bodies, sides
 
     def _check_acyclic(self, name: str) -> None:
         """The definition of ``name`` must not refer back to ``name``.  The

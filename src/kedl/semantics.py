@@ -164,15 +164,20 @@ def _rows(i: Interpretation, name: str) -> tuple[int, ...]:
 
 class InternedConcepts:
     """Concepts, each read at a sort, interned once into a concept store (a
-    private one unless ``store`` is given), as ``ids``: (id, sort) pairs.
+    private one unless ``store`` is given), as ``ids``: (id, sort) pairs;
+    ``ids``, when given, are the concepts' ids in ``store``, made already.
     They are ordered for evaluation by id, as model checking labels
     subformulas (Clarke, Emerson & Sistla, TOPLAS 1986), when first
     evaluated: a concept's run is ``(id, *desc[id])``, padded to five
     fields, for each id under it that no earlier run holds, operands first."""
 
-    def __init__(self, concepts: Iterable[tuple[ConceptExpr, Sort]], store: Optional[ConceptStore] = None) -> None:
+    def __init__(self, concepts: Iterable[tuple[ConceptExpr, Sort]], store: Optional[ConceptStore] = None,
+                 ids: Optional[Iterable[int]] = None) -> None:
         self.store = store = ConceptStore() if store is None else store
-        self.ids = [(store.intern(e), sort) for e, sort in concepts]
+        if ids is None:
+            self.ids = [(store.intern(e), sort) for e, sort in concepts]
+        else:
+            self.ids = [(i, sort) for i, (_, sort) in zip(ids, concepts, strict=True)]
 
     @cached_property
     def roots(self) -> list[tuple[int, Sort, list[tuple]]]:
@@ -236,7 +241,8 @@ class InternedFormulas(InternedConcepts):
     an inclusion's or equivalence's sides at :func:`~kedl.kb.formula_sort`,
     and the concept of an assertion ``C(a)`` at ``a``'s sort."""
 
-    def __init__(self, formulas: Iterable[Formula], sig: Signature, store: Optional[ConceptStore] = None) -> None:
+    def __init__(self, formulas: Iterable[Formula], sig: Signature, store: Optional[ConceptStore] = None,
+                 ids: Optional[Iterable[int]] = None) -> None:
         self.formulas, sides = list(formulas), []
         for f in self.formulas:
             if not isinstance(f, AssertionFormula):
@@ -245,7 +251,7 @@ class InternedFormulas(InternedConcepts):
             elif isinstance(f.assertion, ConceptAssertion):
                 c, a = f.assertion.concept, f.assertion.individual
                 sides.append((c, sig.individuals.get(a) or check_sort(c, sig)))
-        super().__init__(sides, store)
+        super().__init__(sides, store, ids)
 
 
 def _holds(i: Interpretation, f: Formula, sides: Iterator[int]) -> bool:

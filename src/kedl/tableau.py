@@ -69,23 +69,32 @@ compile, so every definition holds in the witness by construction.  The
 witness is then validated and re-checked with the exact evaluator against
 every inclusion and assertion of the KB, and the query, before being
 returned.  The definitions and the re-checked inclusions and assertions
-are interned into the KB's store once per compile, so a witness is
+are read by the ids their statements were interned at (the KB keeps them
+beside each statement, so a compile walks none), and a witness is
 evaluated by id, each subterm the definitions share once.
 
-``classify`` still asks ``subsumes`` once per ordered pair of atoms, but its
-``Tableau`` keeps a pool of certified models, each a finite model of the KB
-in the Tableau's mode: first the consistency witness, then every witness a
-pooled query finds.  The pool holds one int per atom, a bitset over the
-elements of the atom's sort in all pooled models, each model's elements
-placed after those of the models before it (the known non-subsumers of
-Glimm, Horrocks, Motik, Shearer & Stoilos, J. Web Semantics 2012), so
-``bits[A] & ~bits[B]`` refutes ``A <= B`` without a tableau run.  An atom
-that no pooled model populates is first tested alone: that run is cheaper
-than ``A and not B``, whose ``not B`` may split, an unsatisfiable ``A`` is
-below every atom with no further run, and a satisfiable one brings a
-witness into the pool.  A tableau runs ``A and not B`` only for a pair the
-pool leaves open.  A ``Tableau`` held by a caller keeps no pool: its
-queries do the same work every time.
+A ``Tableau`` keeps a pool of certified models per compile, each a finite
+model of the KB in the Tableau's mode: first the consistency witness, made
+by the first atom query, then every witness a pooled query finds.  The
+pool holds one int per atom, a bitset over the elements of the atom's sort
+in all pooled models, each model's elements placed after those of the
+models before it (the known non-subsumers of Glimm, Horrocks, Motik,
+Shearer & Stoilos, J. Web Semantics 2012), so ``bits[A] & ~bits[B]``
+refutes ``A <= B`` without a tableau run; and one int per individual, its
+element in each model, so ``inds[a] & ~bits[A]`` refutes ``A(a)``.  An
+atom that no pooled model populates is first tested alone: that run is
+cheaper than ``A and not B``, whose ``not B`` may split, an unsatisfiable
+``A`` is below every atom with no further run, and a satisfiable one brings
+a witness into the pool.  A tableau runs ``A and not B`` only for a pair
+the pool leaves open, and the KB plus ``(not A)(a)`` only for an instance
+it leaves open.  Compound queries and public ``is_satisfiable`` calls
+neither read nor grow the pool, so a query asked again adds nothing to it.
+A new compile drops the pool, so no model of an older revision refutes a
+query.  ``classify`` asks ``subsumes`` once per ordered pair of atoms on a
+fresh ``Tableau`` and takes the seed's verdict as its consistency check.
+The pool pays for its seed only over many queries: the module-level
+``subsumes`` and ``instance_of``, and so ``kedl subsumes`` and ``kedl
+instance``, answer one query with one run and make no pool.
 """
 
 from __future__ import annotations
@@ -254,8 +263,9 @@ class _CompiledKB:
     dependency order, checked here once, in which a witness sets each to its
     definition's extension, evaluated from ``bodies``; ``recheck``, the
     inclusions and assertions a witness is re-checked against (the
-    definitions hold by construction), both interned into the store here,
-    once, and ordered at the first witness; and ``assertions``, the NNF of
+    definitions hold by construction), both read off the ids the KB kept
+    beside its statements, and ordered at the first witness; and
+    ``assertions``, the NNF of
     each concept assertion's concept, from ``recheck``'s ids, in ABox
     order, which seeds every graph."""
 
@@ -279,10 +289,13 @@ class _CompiledKB:
         if len(done) != len(uses):
             raise KedlError("internal tableau error: the definition order misses a definition")
         self.definitions = order
-        # a statement made through the KB's API finds its ids made; the
-        # tableau's forms are made from these ids
-        self.bodies = InternedConcepts(((definitions[name], sig.atom_sort(name)) for name in order), store)
-        self.recheck = InternedFormulas([*kb.inclusions, *map(AssertionFormula, kb.abox)], sig, store)
+        # the ids a statement made through the KB's API was interned at are
+        # read with no walk (one added by hand is walked); the tableau's
+        # forms are made from them
+        bodies, sides = kb.statement_ids()
+        self.bodies = InternedConcepts(((definitions[name], sig.atom_sort(name)) for name in order), store,
+                                       [bodies[name] for name in order])
+        self.recheck = InternedFormulas([*kb.inclusions, *map(AssertionFormula, kb.abox)], sig, store, sides)
         for name, (body, _) in zip(order, self.bodies.ids):
             # A unfolds to D, not A to not D
             for atom_form, body_form in zip(forms(store.make((Atom, name))), forms(body)):
@@ -320,7 +333,11 @@ class _CompiledKB:
 
 
 class Tableau:
-    """One reasoning context: a knowledge base plus a functionality mode."""
+    """One reasoning context: a knowledge base plus a functionality mode,
+    with its pool of certified models (``_Pool``) for the KB's current
+    compile, which atom ``subsumes`` and ``instance_of`` read first.  Hold
+    one for many queries; for a single one, the module-level functions
+    make no pool."""
 
     def __init__(self, kb: KnowledgeBase, mode: FunctionalityMode = FunctionalityMode.AT_MOST_ONE) -> None:
         self.kb = kb
@@ -331,20 +348,29 @@ class Tableau:
         # the KB's compiled form at the last query, and the rule checks over it
         self.compiled: Optional[_CompiledKB] = None
         self._checks: list = []
-        # certified models that refute subsumptions; set only by classify
+        # the certified models of this compile, made by the first atom query
         self._pool: Optional[_Pool] = None
 
     def _compile(self) -> _CompiledKB:
         """The KB's compiled form, made again first if the KB has changed
         since it was made.  Every query starts here, so none is answered
-        from a stale form, and a compile that fails is not kept."""
+        from a stale form or refuted by a model of an older revision, and a
+        compile that fails is not kept."""
         kb = self.kb
         compiled = kb._compiled
         if compiled is None or compiled.revision != kb.revision:
             compiled = kb._compiled = _CompiledKB(kb)
         if compiled is not self.compiled:
-            self.compiled, self._checks = compiled, self._rule_checks(compiled)
+            self.compiled, self._checks, self._pool = compiled, self._rule_checks(compiled), None
         return compiled
+
+    def _atom_pool(self) -> _Pool:
+        """The pool of the KB's current compile, made and seeded with the
+        consistency witness when an atom query first needs it."""
+        if self._pool is None or self.compiled.revision != self.kb.revision:
+            self._compile()
+            self._pool = _Pool(self.sig, self.is_consistent())
+        return self._pool
 
     # -- graph construction -------------------------------------------------
 
@@ -385,37 +411,57 @@ class Tableau:
         return self._run(self._init_graph(), None)
 
     def subsumes(self, sub: ConceptExpr, sup: ConceptExpr) -> bool:
-        atoms = isinstance(sub, Atom) and isinstance(sup, Atom)
-        left = self.sig.atom_sort(sub.name) if atoms else None
-        if left is None or self.sig.atom_sort(sup.name) is not left:
-            # the full check, which also words the SortError of a mismatch
-            _, left = self.kb.intern(sub)
-            self.kb.intern(sup, left)
-        pool = self._pool if atoms else None
-        if pool is not None:
-            if sub.name in pool.unsatisfiable:
-                return True
-            if not pool.bits[sub.name]:
-                # no pooled model populates sub: test it alone first
-                found = self.is_satisfiable(sub, sort=left)
-                if not found.satisfiable:
-                    pool.unsatisfiable.add(sub.name)
-                    return True
-                pool.add(found.witness)
-            if pool.bits[sub.name] & ~pool.bits[sup.name]:
-                return False
-        result = self.is_satisfiable(And(sub, Not(sup)), sort=left)
-        if pool is not None and result.satisfiable:
-            pool.add(result.witness)
-        return not result.satisfiable
+        if isinstance(sub, Atom) and isinstance(sup, Atom):
+            pool = self._pool
+            if pool is None or self.compiled.revision != self.kb.revision:
+                # a pair the full check rejects makes no pool, so no run
+                sig, names = self.sig, (sub.name, sup.name)
+                same = all(map(sig.has_atom, names)) and sig.atom_sort(sub.name) is sig.atom_sort(sup.name)
+                pool = self._atom_pool() if same else None
+            if pool is not None:
+                sorts, bits, name = pool.sorts, pool.bits, sub.name
+                left = sorts.get(name)
+                if left is not None and sorts.get(sup.name) is left:
+                    if not bits[name]:
+                        if name in pool.unsatisfiable:
+                            return True
+                        # no pooled model populates sub: test it alone first
+                        if not pool.add(self.is_satisfiable(sub, sort=left)):
+                            pool.unsatisfiable.add(name)
+                            return True
+                    if bits[name] & ~bits[sup.name]:  # a pooled model has a sub outside sup
+                        return False
+                    return not pool.add(self.is_satisfiable(And(sub, Not(sup)), sort=left))
+        return self._subsumes_by_run(sub, sup)
 
     def instance_of(self, individual: str, expr: ConceptExpr) -> bool:
+        i = self._instance_id(individual, expr)
+        pool = self._atom_pool() if isinstance(expr, Atom) else None
+        if pool is not None and pool.inds[individual] & ~pool.bits[expr.name]:
+            return False  # a pooled model has the individual outside expr
+        result = self._instance_run(individual, i)
+        return not (result.satisfiable if pool is None else pool.add(result))
+
+    # -- single queries, with no pool ------------------------------------------
+
+    def _subsumes_by_run(self, sub: ConceptExpr, sup: ConceptExpr) -> bool:
+        """Whether ``sub <= sup``, by one run of ``sub and not sup``: the
+        full check, which also words the SortError of a mismatch."""
+        _, left = self.kb.intern(sub)
+        self.kb.intern(sup, left)
+        return not self.is_satisfiable(And(sub, Not(sup)), sort=left).satisfiable
+
+    def _instance_id(self, individual: str, expr: ConceptExpr) -> int:
+        """The id of ``expr``, checked at the sort of ``individual``."""
         if individual not in self.sig.individuals:
             raise KedlError(f"undeclared individual: {individual}")
-        i, _ = self.kb.intern(expr, self.sig.individuals[individual])
+        return self.kb.intern(expr, self.sig.individuals[individual])[0]
+
+    def _instance_run(self, individual: str, i: int) -> SatResult:
+        """A run of the KB plus ``(not i)(individual)``."""
         g = self._init_graph()
         self._add(g, g.ind_node[individual], (self.compiled.nnf(i, negated=True),))
-        return not self._run(g, None).satisfiable
+        return self._run(g, None)
 
     # -- expansion loop -------------------------------------------------------
 
@@ -741,25 +787,40 @@ class Tableau:
 
 
 class _Pool:
-    """The certified models of one classification, as one bitset per atom:
-    each added model shifts its extension of the atom past the elements of
-    the atom's sort that earlier models brought, so ``bits[A] & ~bits[B]``
-    is non-zero exactly when some pooled model has an element of ``A`` that
-    is not in ``B``.  ``unsatisfiable`` holds the atoms no model can
-    populate."""
+    """The certified models of one ``Tableau`` in one compile of its KB,
+    as one bitset per atom and one per individual: each added model shifts
+    its extension of an atom, and the element of an individual, past the
+    elements of their sort that earlier models brought.  So ``bits[A] &
+    ~bits[B]`` is non-zero exactly when some pooled model has an element of
+    ``A`` that is not in ``B``, and ``inds[a] & ~bits[A]`` exactly when
+    ``a`` is outside ``A`` in one.  ``sorts`` holds each atom's sort,
+    ``consistent`` the verdict of the seed, the consistency check, and
+    ``unsatisfiable`` the atoms no model can populate."""
 
-    def __init__(self, sig: Signature) -> None:
-        self.atoms = [(name, sig.atom_sort(name)) for name in sorted(sig.object_atoms | sig.attribute_atoms)]
-        self.bits = {name: 0 for name, _ in self.atoms}
+    def __init__(self, sig: Signature, seed: SatResult) -> None:
+        self.sorts = {name: sig.atom_sort(name) for name in sorted(sig.object_atoms | sig.attribute_atoms)}
+        self.individuals = dict(sig.individuals)
+        self.bits = dict.fromkeys(self.sorts, 0)
+        self.inds = dict.fromkeys(self.individuals, 0)
         self.size = {Sort.OBJECT: 0, Sort.ATTRIBUTE: 0}
-        self.unsatisfiable: set[str] = set()
+        self.consistent = self.add(seed)
+        # a KB with no model has every atom unsatisfiable
+        self.unsatisfiable: set[str] = set() if self.consistent else set(self.sorts)
 
-    def add(self, model: Interpretation) -> None:
-        bits, size, ext = self.bits, self.size, model.concept_ext
-        for name, sort in self.atoms:
+    def add(self, result: SatResult) -> bool:
+        """Pool the witness of a satisfiable ``result``; return whether it
+        is satisfiable."""
+        if not result.satisfiable:
+            return False
+        model, bits, inds, size = result.witness, self.bits, self.inds, self.size
+        ext, where = model.concept_ext, model.ind_map
+        for name, sort in self.sorts.items():
             bits[name] |= ext[name] << size[sort]
+        for name, sort in self.individuals.items():
+            inds[name] |= 1 << (where[name] + size[sort])
         size[Sort.OBJECT] += model.n_delta
         size[Sort.ATTRIBUTE] += model.n_sigma
+        return True
 
 
 # -- module-level operations ---------------------------------------------------
@@ -784,7 +845,9 @@ def subsumes(
     sup: ConceptExpr,
     mode: FunctionalityMode = FunctionalityMode.AT_MOST_ONE,
 ) -> bool:
-    return Tableau(kb, mode).subsumes(sub, sup)
+    """One query: one run of ``sub and not sup``, as no pool would serve a
+    second; a caller with many queries holds a ``Tableau``."""
+    return Tableau(kb, mode)._subsumes_by_run(sub, sup)
 
 
 def instance_of(
@@ -793,7 +856,10 @@ def instance_of(
     expr: ConceptExpr,
     mode: FunctionalityMode = FunctionalityMode.AT_MOST_ONE,
 ) -> bool:
-    return Tableau(kb, mode).instance_of(individual, expr)
+    """One query: one run of the KB plus ``(not expr)(individual)``, with
+    no pool, as :func:`subsumes`."""
+    tab = Tableau(kb, mode)
+    return not tab._instance_run(individual, tab._instance_id(individual, expr)).satisfiable
 
 
 @dataclass
@@ -819,11 +885,8 @@ class Classification:
 
 def classify(kb: KnowledgeBase, mode: FunctionalityMode = FunctionalityMode.AT_MOST_ONE) -> Classification:
     tab = Tableau(kb, mode)
-    consistent = tab.is_consistent()
-    if not consistent.satisfiable:
+    if not tab._atom_pool().consistent:
         raise InconsistentKBError("knowledge base is inconsistent; no subsumption order exists")
-    tab._pool = _Pool(kb.sig)
-    tab._pool.add(consistent.witness)
 
     cells: dict[Sort, list[list[str]]] = {}
     leq: dict[Sort, set[tuple[str, str]]] = {}

@@ -882,6 +882,10 @@ class TestPooledClassification:
         assert (calls["subsumes"], calls["is_consistent"]) == (4 * 3 + 16 * 15, 1)
         assert calls["_expand"] <= 1 + atoms  # the pool refutes almost every pair
 
+    # A held Tableau now keeps a pool: the 2 runs are its seed (the
+    # consistency check) and C's test alone, whose model refutes the pair;
+    # the second call makes none.  That a query with no pool behind it runs
+    # again is checked by TestHeldPool.test_single_queries_make_no_pool.
     def test_caller_held_tableau_keeps_no_verdicts(self, monkeypatch):
         kb = parse_kb("oconcept C; oconcept D; orole r; C <= some r D;")
         tab = Tableau(kb)
@@ -1057,6 +1061,210 @@ class TestCompiledKB:
         assert not tab.subsumes(Atom(a), And(Atom(a), Not(Atom(a))))
         assert stores == []
 
+
+def _atom_queries(kb) -> list[tuple[str, str, str]]:
+    """Every ordered pair of same-sort atoms, ``("subsumes", A, B)``, and
+    every individual with every atom of its sort, ``("instance", a, A)``."""
+    atoms = [sorted(kb.sig.object_atoms), sorted(kb.sig.attribute_atoms)]
+    queries = [("subsumes", a, b) for names in atoms for a in names for b in names]
+    return queries + [("instance", a, name) for a, sort in sorted(kb.sig.individuals.items())
+                      for name in atoms[sort is Sort.ATTRIBUTE]]
+
+
+def _ask(tab, query) -> bool:
+    kind, x, name = query
+    return tab.subsumes(Atom(x), Atom(name)) if kind == "subsumes" else tab.instance_of(x, Atom(name))
+
+
+def _raw_verdict(kb, mode, query) -> bool:
+    """The answer of a tableau run with no pool: ``A and not B`` is
+    unsatisfiable, or the KB plus ``(not A)(a)`` is inconsistent."""
+    kind, x, name = query
+    if kind == "subsumes":
+        return not Tableau(kb, mode).is_satisfiable(And(Atom(x), Not(Atom(name)))).satisfiable
+    return not Tableau(_with_witness(kb, Not(Atom(name)), kb.sig.individuals[x], x), mode).is_consistent()
+
+
+class TestHeldPool:
+    """A held ``Tableau`` keeps a pool of certified models per compile of
+    its KB: an atom ``subsumes`` or ``instance_of`` that a pooled model
+    refutes makes no tableau run, and every edit and declaration drops the
+    pool, so no model of an older revision refutes a query."""
+
+    # (KB, an atom query of a held Tableau, the edit, the answer before and after)
+    EDITS = {
+        "define": ("oconcept A; oconcept B;", ("subsumes", "A", "B"),
+                   lambda kb: kb.define("A", Atom("B")), False, True),
+        "include": ("oconcept C; oconcept D; orole r; C <= some r D;", ("subsumes", "C", "D"),
+                    lambda kb: kb.include(Atom("C"), Atom("D")), False, True),
+        "assert_concept": ("oconcept A; oindividual a;", ("instance", "a", "A"),
+                           lambda kb: kb.assert_concept(Atom("A"), "a"), False, True),
+        "assert_role": ("oconcept A; oconcept B; orole p; oindividual a; oindividual b; A(b); some p A <= B;",
+                        ("instance", "a", "B"), lambda kb: kb.assert_role(P, "a", "b"), False, True),
+    }
+    # a declaration changes no answer, but the new name must be read
+    DECLARED = ("oconcept A; oconcept B; aconcept S; xrole r; oindividual a; aindividual s; A(a); S(s);",
+                ("subsumes", "A", "B"))
+    EDITS.update({
+        "declare_atom": (*DECLARED, lambda kb: kb.sig.declare_atom("C", Sort.OBJECT), False, False),
+        "declare_attribute_atom": (*DECLARED, lambda kb: kb.sig.declare_atom("T", Sort.ATTRIBUTE), False, False),
+        "declare_role": (*DECLARED, lambda kb: kb.sig.declare_role("h", kedl.RoleKind.CROSS), False, False),
+        "declare_individual": (*DECLARED, lambda kb: kb.sig.declare_individual("c", Sort.OBJECT), False, False),
+    })
+
+    @pytest.mark.parametrize("edit", list(EDITS))
+    @pytest.mark.parametrize("mode", list(FunctionalityMode), ids=str)
+    def test_a_stale_pool_is_never_read(self, edit, mode):
+        # the second held Tableau meets the new revision first in a query
+        # that reads no pool, so it has compiled it before its next atom query
+        text, query, change, before, after = self.EDITS[edit]
+        kb = parse_kb(text)
+        held = [Tableau(kb, mode), Tableau(kb, mode)]
+        for tab in held:
+            answers = {q: _ask(tab, q) for q in _atom_queries(kb)}
+            assert answers[query] is before and not all(answers.values())  # the pool has refuted a query
+        change(kb)
+        assert held[1].is_consistent()
+        fresh = parse_kb(text)
+        change(fresh)
+        for tab in held:
+            assert _ask(tab, query) is after
+            for q in _atom_queries(kb):
+                assert _ask(tab, q) == _raw_verdict(fresh, mode, q), q
+
+    @staticmethod
+    def _corpus() -> list:
+        from kedl.km import render_kedl
+
+        kbs = [gen(random.Random(seed)) for seed in range(10) for gen in (gen_kb, gen_atomic_gci_kb, gen_hierarchy_kb)]
+        return kbs + [parse_kb(render_kedl(parse_km(gen_km_text(random.Random(1), 20))))]
+
+    @pytest.mark.parametrize("mode", list(FunctionalityMode), ids=str)
+    def test_held_answers_are_the_raw_verdicts(self, monkeypatch, mode):
+        # one held Tableau per KB answers every atom query in a shuffled
+        # order, twice; the second pass runs no tableau for a refuted query
+        # and leaves the pool as it was
+        runs = []
+        expand = Tableau._expand
+        monkeypatch.setattr(Tableau, "_expand", lambda self, g: runs.append(1) or expand(self, g))
+        rng = random.Random(31)
+        refuted = reused = 0
+        for kb in self._corpus():
+            queries = _atom_queries(kb)
+            expected = {q: _raw_verdict(kb, mode, q) for q in queries}
+            rng.shuffle(queries)
+            tab = Tableau(kb, mode)
+            for rerun in (False, True):
+                if rerun:
+                    sizes = (dict(tab._pool.size), set(tab._pool.unsatisfiable))
+                for q in queries:
+                    runs.clear()
+                    assert _ask(tab, q) == expected[q], q
+                    if rerun and not expected[q]:
+                        assert runs == [], q
+                    refuted += rerun and not expected[q]
+                    reused += not rerun and not expected[q] and not runs  # refuted by another query's model
+            assert (tab._pool.size, tab._pool.unsatisfiable) == sizes
+        assert refuted >= 1200 and reused >= 1100  # 1,227-1,230 and 1,155-1,156
+
+    def test_another_querys_model_refutes_with_no_run(self, monkeypatch):
+        data = pathlib.Path(__file__).parent / "data"
+        runs = []
+        expand = Tableau._expand
+        monkeypatch.setattr(Tableau, "_expand", lambda self, g: runs.append(1) or expand(self, g))
+        for mode in FunctionalityMode:
+            tab = Tableau(parse_kb((data / "hierarchy.kedl").read_text()), mode)
+            assert not tab.subsumes(Atom("Site"), Atom("Hazard"))
+            assert len(runs) == 2  # the seed and Site alone, whose model has a Site outside Monitored-site
+            runs.clear()
+            assert not tab.subsumes(Atom("Site"), Atom("Monitored-site"))
+            assert runs == []
+            tab = Tableau(parse_kb((data / "abox.kedl").read_text()), mode)
+            assert not tab.instance_of("sensor1", Atom("Tunnel"))
+            assert len(runs) == 1  # the seed: sensor1 is asserted outside Tunnel
+            runs.clear()
+            assert not tab.instance_of("tunnel1", Atom("Sensor")) and not tab.subsumes(Atom("Sensor"), Atom("Tunnel"))
+            assert runs == []
+
+
+    @pytest.mark.parametrize("mode", list(FunctionalityMode), ids=str)
+    def test_single_queries_make_no_pool(self, monkeypatch, mode):
+        # the module-level functions answer one query with one run, as the
+        # pair or the instance alone, however often it is asked
+        data = pathlib.Path(__file__).parent / "data"
+        runs = []
+        expand = Tableau._expand
+        monkeypatch.setattr(Tableau, "_expand", lambda self, g: runs.append(1) or expand(self, g))
+        hierarchy, abox = (parse_kb((data / name).read_text()) for name in ("hierarchy.kedl", "abox.kedl"))
+        for ask, holds in ((lambda: subsumes(hierarchy, Atom("Hazard"), Atom("Monitored-site"), mode), True),
+                           (lambda: subsumes(hierarchy, Atom("Site"), Atom("Hazard"), mode), False),
+                           (lambda: subsumes(hierarchy, Atom("Sealed-hazard"), Atom("Site"), mode), True),
+                           (lambda: instance_of(abox, "tunnel1", Atom("Monitored-tunnel"), mode), True),
+                           (lambda: instance_of(abox, "sensor1", Atom("Tunnel"), mode), False)):
+            for _ in range(2):
+                runs.clear()
+                assert ask() is holds
+                assert len(runs) == 1
+
+    def test_a_rejected_pair_makes_no_pool(self, monkeypatch):
+        # the sorts are read before a pool is made, so a pair of an
+        # undeclared atom or of two sorts raises with no consistency run
+        from kedl import SortError
+
+        runs = []
+        expand = Tableau._expand
+        monkeypatch.setattr(Tableau, "_expand", lambda self, g: runs.append(1) or expand(self, g))
+        tab = Tableau(parse_kb("oconcept C; aconcept S;"))
+        for sub, sup in (("C", "S"), ("Ghost", "C"), ("C", "Ghost")):
+            with pytest.raises(SortError):
+                tab.subsumes(Atom(sub), Atom(sup))
+        assert runs == [] and tab._pool is None
+
+
+class TestStatedConcepts:
+    """The KB keeps the ids of each statement's concepts beside it, so the
+    tableau compile finds every statement's ids with no walk."""
+
+    def test_a_compile_walks_no_statement(self, monkeypatch):
+        import importlib.resources
+
+        from kedl import syntax
+
+        walked = []
+        fold = syntax._fold
+        monkeypatch.setattr(syntax, "_fold", lambda e, *args: walked.append(e) or fold(e, *args))
+        kb = parse_kb(importlib.resources.files("kedl.data").joinpath("gas.kedl").read_text())
+        assert len(walked) == 6  # 4 definitions and 2 inclusion sides, as they are stated
+        walked.clear()
+        tab = Tableau(kb)
+        assert tab.is_consistent()
+        assert walked == []
+        a, b = sorted(kb.sig.object_atoms)[:2]
+        kb.sig.declare_atom("Sample", Sort.OBJECT)
+        kb.sig.declare_individual("s1", Sort.OBJECT)
+        for statement, concepts in ((lambda: kb.define("Sample", And(Atom(a), Atom(b))), 1),
+                                    (lambda: kb.include(Atom(a), Not(Atom(b))), 2),
+                                    (lambda: kb.assert_concept(Or(Atom("Sample"), Atom(b)), "s1"), 1)):
+            walked.clear()
+            statement()
+            assert len(walked) == concepts
+            walked.clear()
+            tab.is_consistent()
+            assert tab.compiled.revision == kb.revision and walked == []  # a new compile, no walk
+
+    def test_statements_put_in_by_hand(self):
+        # a statement added by hand is interned at the compile, and one
+        # removed by hand leaves no ids behind
+        kb = parse_kb("oconcept A; oconcept B; oconcept C; oindividual a; A <= B; B(a);")
+        tab = Tableau(kb)
+        assert tab.instance_of("a", Atom("B")) and not tab.instance_of("a", Atom("C"))
+        by_hand = Inclusion(Atom("B"), Atom("C"), Sort.OBJECT)
+        kb.inclusions.append(by_hand)
+        assert tab.instance_of("a", Atom("C")) and tab.subsumes(Atom("A"), Atom("C"))
+        removed = kb.inclusions.pop(0)
+        assert not tab.subsumes(Atom("A"), Atom("C")) and tab.subsumes(Atom("B"), Atom("C"))
+        kept = [statement for statement, _ in kb._stated.values()]
+        assert any(s is by_hand for s in kept) and not any(s is removed for s in kept)
 
 class TestQuerySort:
     """A query is interned into the compiled store in one walk, and its sort
