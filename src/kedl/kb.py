@@ -139,7 +139,12 @@ class KnowledgeBase:
     concepts live in one store, ``concepts``, shared by the tableau's
     compile and queries; ``sorts`` holds the sort of each id that
     :meth:`intern` has read.  Beside each statement it accepts, the KB keeps
-    the ids its concepts were interned at, for :meth:`statement_ids`."""
+    the ids its concepts were interned at, for :meth:`statement_ids`.
+
+    The ``revision`` is the sizes of the tables, so a statement replaced in
+    place by hand (``kb.inclusions[0] = ...``) changes none and is never
+    seen: a ``Tableau`` that has queried the KB keeps answering from its
+    old compile and pool.  Edit through the API."""
 
     sig: Signature = field(default_factory=Signature)
     definitions: dict[str, ConceptExpr] = field(default_factory=dict)

@@ -73,28 +73,28 @@ are read by the ids their statements were interned at (the KB keeps them
 beside each statement, so a compile walks none), and a witness is
 evaluated by id, each subterm the definitions share once.
 
-A ``Tableau`` keeps a pool of certified models per compile, each a finite
-model of the KB in the Tableau's mode: first the consistency witness, made
-by the first atom query, then every witness a pooled query finds.  The
-pool holds one int per atom, a bitset over the elements of the atom's sort
-in all pooled models, each model's elements placed after those of the
-models before it (the known non-subsumers of Glimm, Horrocks, Motik,
-Shearer & Stoilos, J. Web Semantics 2012), so ``bits[A] & ~bits[B]``
-refutes ``A <= B`` without a tableau run; and one int per individual, its
-element in each model, so ``inds[a] & ~bits[A]`` refutes ``A(a)``.  An
-atom that no pooled model populates is first tested alone: that run is
-cheaper than ``A and not B``, whose ``not B`` may split, an unsatisfiable
-``A`` is below every atom with no further run, and a satisfiable one brings
-a witness into the pool.  A tableau runs ``A and not B`` only for a pair
-the pool leaves open, and the KB plus ``(not A)(a)`` only for an instance
-it leaves open.  Compound queries and public ``is_satisfiable`` calls
-neither read nor grow the pool, so a query asked again adds nothing to it.
-A new compile drops the pool, so no model of an older revision refutes a
-query.  ``classify`` asks ``subsumes`` once per ordered pair of atoms on a
-fresh ``Tableau`` and takes the seed's verdict as its consistency check.
-The pool pays for its seed only over many queries: the module-level
-``subsumes`` and ``instance_of``, and so ``kedl subsumes`` and ``kedl
-instance``, answer one query with one run and make no pool.
+A ``Tableau`` keeps a pool of certified models, each a finite model of the
+KB in the Tableau's mode.  ``_compile`` makes it empty whenever it installs
+a new compile, so no model of an older revision refutes a query, and only
+the runs of atom queries fill it.  The pool holds one int per atom, a
+bitset over the elements of the atom's sort in all pooled models, each
+model's elements placed after those of the models before it (the known
+non-subsumers of Glimm, Horrocks, Motik, Shearer & Stoilos, J. Web
+Semantics 2012), so ``bits[A] & ~bits[B]`` refutes ``A <= B`` without a
+tableau run; and one int per individual, its element in each model, so
+``inds[a] & ~bits[A]`` refutes ``A(a)``.  Atom ``subsumes`` and
+``instance_of`` take one path, asked once or many times.  A query a pooled
+model refutes is False, and an atom known to be unsatisfiable is below
+every atom.  An atom that no pooled model populates, in a pool that holds
+a model, is first tested alone: that run is cheaper than ``A and not B``,
+whose ``not B`` may split, an unsatisfiable ``A`` is below every atom with
+no further run, and a satisfiable one brings a witness into the pool.
+Otherwise the pair runs as ``A and not B``, or the instance as the KB plus
+``(not A)(a)``, and its witness joins the pool, so a single query makes
+one run.  Compound queries and public ``is_satisfiable`` calls neither
+read nor grow the pool, so a query asked again adds nothing to it.
+``classify`` pools its consistency witness on a fresh ``Tableau``, then
+asks ``subsumes`` once per ordered pair of atoms.
 """
 
 from __future__ import annotations
@@ -126,7 +126,6 @@ from .syntax import (
     Or,
     RoleKind,
     RoleName,
-    Signature,
     Sort,
     subexprs,
 )
@@ -264,10 +263,11 @@ class _CompiledKB:
     definition's extension, evaluated from ``bodies``; ``recheck``, the
     inclusions and assertions a witness is re-checked against (the
     definitions hold by construction), both read off the ids the KB kept
-    beside its statements, and ordered at the first witness; and
+    beside its statements, and ordered at the first witness;
     ``assertions``, the NNF of
     each concept assertion's concept, from ``recheck``'s ids, in ABox
-    order, which seeds every graph."""
+    order, which seeds every graph; and ``sorts``, each atom's sort, which
+    the Tableaus' pools read."""
 
     def __init__(self, kb: KnowledgeBase) -> None:
         self.revision = kb.revision
@@ -317,6 +317,7 @@ class _CompiledKB:
             both = reduce(lambda a, b: store.make((And, None, a, b)), rights)
             self.unfold[key(store.make((Atom, name)))] = key(both)
         self.cross_roles = sig.cross_roles()
+        self.sorts = dict.fromkeys(sig.object_atoms, Sort.OBJECT) | dict.fromkeys(sig.attribute_atoms, Sort.ATTRIBUTE)
         self.primitive = sorted((sig.object_atoms | sig.attribute_atoms) - set(definitions))
 
     def nnf(self, i: int, negated: bool = False) -> int:
@@ -335,9 +336,8 @@ class _CompiledKB:
 class Tableau:
     """One reasoning context: a knowledge base plus a functionality mode,
     with its pool of certified models (``_Pool``) for the KB's current
-    compile, which atom ``subsumes`` and ``instance_of`` read first.  Hold
-    one for many queries; for a single one, the module-level functions
-    make no pool."""
+    compile, which atom ``subsumes`` and ``instance_of`` read first and
+    fill with the witnesses of their runs."""
 
     def __init__(self, kb: KnowledgeBase, mode: FunctionalityMode = FunctionalityMode.AT_MOST_ONE) -> None:
         self.kb = kb
@@ -348,7 +348,7 @@ class Tableau:
         # the KB's compiled form at the last query, and the rule checks over it
         self.compiled: Optional[_CompiledKB] = None
         self._checks: list = []
-        # the certified models of this compile, made by the first atom query
+        # the certified models of this compile, empty at each compile
         self._pool: Optional[_Pool] = None
 
     def _compile(self) -> _CompiledKB:
@@ -361,16 +361,9 @@ class Tableau:
         if compiled is None or compiled.revision != kb.revision:
             compiled = kb._compiled = _CompiledKB(kb)
         if compiled is not self.compiled:
-            self.compiled, self._checks, self._pool = compiled, self._rule_checks(compiled), None
+            self.compiled, self._checks = compiled, self._rule_checks(compiled)
+            self._pool = _Pool(compiled.sorts, self.sig.individuals)
         return compiled
-
-    def _atom_pool(self) -> _Pool:
-        """The pool of the KB's current compile, made and seeded with the
-        consistency witness when an atom query first needs it."""
-        if self._pool is None or self.compiled.revision != self.kb.revision:
-            self._compile()
-            self._pool = _Pool(self.sig, self.is_consistent())
-        return self._pool
 
     # -- graph construction -------------------------------------------------
 
@@ -412,16 +405,14 @@ class Tableau:
 
     def subsumes(self, sub: ConceptExpr, sup: ConceptExpr) -> bool:
         if isinstance(sub, Atom) and isinstance(sup, Atom):
+            compiled = self.compiled
+            if compiled is None or compiled.revision != self.kb.revision:
+                self._compile()
             pool = self._pool
-            if pool is None or self.compiled.revision != self.kb.revision:
-                # a pair the full check rejects makes no pool, so no run
-                sig, names = self.sig, (sub.name, sup.name)
-                same = all(map(sig.has_atom, names)) and sig.atom_sort(sub.name) is sig.atom_sort(sup.name)
-                pool = self._atom_pool() if same else None
-            if pool is not None:
-                sorts, bits, name = pool.sorts, pool.bits, sub.name
-                left = sorts.get(name)
-                if left is not None and sorts.get(sup.name) is left:
+            sorts, bits, name = pool.sorts, pool.bits, sub.name
+            left = sorts.get(name)
+            if left is not None and sorts.get(sup.name) is left:
+                if pool.size[left]:  # the pool holds a model
                     if not bits[name]:
                         if name in pool.unsatisfiable:
                             return True
@@ -431,37 +422,24 @@ class Tableau:
                             return True
                     if bits[name] & ~bits[sup.name]:  # a pooled model has a sub outside sup
                         return False
-                    return not pool.add(self.is_satisfiable(And(sub, Not(sup)), sort=left))
-        return self._subsumes_by_run(sub, sup)
-
-    def instance_of(self, individual: str, expr: ConceptExpr) -> bool:
-        i = self._instance_id(individual, expr)
-        pool = self._atom_pool() if isinstance(expr, Atom) else None
-        if pool is not None and pool.inds[individual] & ~pool.bits[expr.name]:
-            return False  # a pooled model has the individual outside expr
-        result = self._instance_run(individual, i)
-        return not (result.satisfiable if pool is None else pool.add(result))
-
-    # -- single queries, with no pool ------------------------------------------
-
-    def _subsumes_by_run(self, sub: ConceptExpr, sup: ConceptExpr) -> bool:
-        """Whether ``sub <= sup``, by one run of ``sub and not sup``: the
-        full check, which also words the SortError of a mismatch."""
+                return not pool.add(self.is_satisfiable(And(sub, Not(sup)), sort=left))
+        # the full check, which also words the SortError of a mismatch
         _, left = self.kb.intern(sub)
         self.kb.intern(sup, left)
         return not self.is_satisfiable(And(sub, Not(sup)), sort=left).satisfiable
 
-    def _instance_id(self, individual: str, expr: ConceptExpr) -> int:
-        """The id of ``expr``, checked at the sort of ``individual``."""
+    def instance_of(self, individual: str, expr: ConceptExpr) -> bool:
         if individual not in self.sig.individuals:
             raise KedlError(f"undeclared individual: {individual}")
-        return self.kb.intern(expr, self.sig.individuals[individual])[0]
-
-    def _instance_run(self, individual: str, i: int) -> SatResult:
-        """A run of the KB plus ``(not i)(individual)``."""
+        i, _ = self.kb.intern(expr, self.sig.individuals[individual])
+        self._compile()
+        pool = self._pool if isinstance(expr, Atom) else None
+        if pool is not None and pool.inds.get(individual, 0) & ~pool.bits.get(expr.name, 0):
+            return False  # a pooled model has the individual outside expr
         g = self._init_graph()
         self._add(g, g.ind_node[individual], (self.compiled.nnf(i, negated=True),))
-        return self._run(g, None)
+        result = self._run(g, None)
+        return not (result.satisfiable if pool is None else pool.add(result))
 
     # -- expansion loop -------------------------------------------------------
 
@@ -794,18 +772,18 @@ class _Pool:
     ~bits[B]`` is non-zero exactly when some pooled model has an element of
     ``A`` that is not in ``B``, and ``inds[a] & ~bits[A]`` exactly when
     ``a`` is outside ``A`` in one.  ``sorts`` holds each atom's sort,
-    ``consistent`` the verdict of the seed, the consistency check, and
-    ``unsatisfiable`` the atoms no model can populate."""
+    ``individuals`` each individual's, ``size`` the elements of each sort
+    that the models hold, and ``unsatisfiable`` the atoms no model can
+    populate.  It starts empty, so making one costs no run and no loop:
+    ``bits`` and ``inds`` get their entries with the first model, and only
+    the runs it asks for fill it."""
 
-    def __init__(self, sig: Signature, seed: SatResult) -> None:
-        self.sorts = {name: sig.atom_sort(name) for name in sorted(sig.object_atoms | sig.attribute_atoms)}
-        self.individuals = dict(sig.individuals)
-        self.bits = dict.fromkeys(self.sorts, 0)
-        self.inds = dict.fromkeys(self.individuals, 0)
+    def __init__(self, sorts: dict[str, Sort], individuals: dict[str, Sort]) -> None:
+        self.sorts, self.individuals = sorts, individuals
+        self.bits: dict[str, int] = {}
+        self.inds: dict[str, int] = {}
         self.size = {Sort.OBJECT: 0, Sort.ATTRIBUTE: 0}
-        self.consistent = self.add(seed)
-        # a KB with no model has every atom unsatisfiable
-        self.unsatisfiable: set[str] = set() if self.consistent else set(self.sorts)
+        self.unsatisfiable: set[str] = set()
 
     def add(self, result: SatResult) -> bool:
         """Pool the witness of a satisfiable ``result``; return whether it
@@ -815,9 +793,9 @@ class _Pool:
         model, bits, inds, size = result.witness, self.bits, self.inds, self.size
         ext, where = model.concept_ext, model.ind_map
         for name, sort in self.sorts.items():
-            bits[name] |= ext[name] << size[sort]
+            bits[name] = bits.get(name, 0) | ext[name] << size[sort]
         for name, sort in self.individuals.items():
-            inds[name] |= 1 << (where[name] + size[sort])
+            inds[name] = inds.get(name, 0) | 1 << (where[name] + size[sort])
         size[Sort.OBJECT] += model.n_delta
         size[Sort.ATTRIBUTE] += model.n_sigma
         return True
@@ -845,9 +823,7 @@ def subsumes(
     sup: ConceptExpr,
     mode: FunctionalityMode = FunctionalityMode.AT_MOST_ONE,
 ) -> bool:
-    """One query: one run of ``sub and not sup``, as no pool would serve a
-    second; a caller with many queries holds a ``Tableau``."""
-    return Tableau(kb, mode)._subsumes_by_run(sub, sup)
+    return Tableau(kb, mode).subsumes(sub, sup)
 
 
 def instance_of(
@@ -856,10 +832,7 @@ def instance_of(
     expr: ConceptExpr,
     mode: FunctionalityMode = FunctionalityMode.AT_MOST_ONE,
 ) -> bool:
-    """One query: one run of the KB plus ``(not expr)(individual)``, with
-    no pool, as :func:`subsumes`."""
-    tab = Tableau(kb, mode)
-    return not tab._instance_run(individual, tab._instance_id(individual, expr)).satisfiable
+    return Tableau(kb, mode).instance_of(individual, expr)
 
 
 @dataclass
@@ -885,7 +858,8 @@ class Classification:
 
 def classify(kb: KnowledgeBase, mode: FunctionalityMode = FunctionalityMode.AT_MOST_ONE) -> Classification:
     tab = Tableau(kb, mode)
-    if not tab._atom_pool().consistent:
+    consistent = tab.is_consistent()
+    if not tab._pool.add(consistent):
         raise InconsistentKBError("knowledge base is inconsistent; no subsumption order exists")
 
     cells: dict[Sort, list[list[str]]] = {}

@@ -882,19 +882,20 @@ class TestPooledClassification:
         assert (calls["subsumes"], calls["is_consistent"]) == (4 * 3 + 16 * 15, 1)
         assert calls["_expand"] <= 1 + atoms  # the pool refutes almost every pair
 
-    # A held Tableau now keeps a pool: the 2 runs are its seed (the
-    # consistency check) and C's test alone, whose model refutes the pair;
-    # the second call makes none.  That a query with no pool behind it runs
-    # again is checked by TestHeldPool.test_single_queries_make_no_pool.
-    def test_caller_held_tableau_keeps_no_verdicts(self, monkeypatch):
+    def test_caller_held_tableau_runs_a_refuted_pair_once(self, monkeypatch):
+        # the pool starts empty, so the first query runs the pair, and its
+        # witness, a C outside D, refutes the same query asked again
         kb = parse_kb("oconcept C; oconcept D; orole r; C <= some r D;")
         tab = Tableau(kb)
-        runs = []
-        original = Tableau._expand
-        monkeypatch.setattr(Tableau, "_expand", lambda self, g: runs.append(1) or original(self, g))
-        for _ in range(2):
-            assert not tab.subsumes(Atom("C"), Atom("D"))
-        assert len(runs) == 2
+        queries = []
+        satisfiable = Tableau.is_satisfiable
+        monkeypatch.setattr(Tableau, "is_satisfiable",
+                            lambda self, expr, sort=None: queries.append(expr) or satisfiable(self, expr, sort))
+        assert not tab.subsumes(Atom("C"), Atom("D"))
+        assert queries == [And(Atom("C"), Not(Atom("D")))]
+        queries.clear()
+        assert not tab.subsumes(Atom("C"), Atom("D"))
+        assert queries == []
 
 
 class TestClassificationWork:
@@ -1175,40 +1176,60 @@ class TestHeldPool:
         for mode in FunctionalityMode:
             tab = Tableau(parse_kb((data / "hierarchy.kedl").read_text()), mode)
             assert not tab.subsumes(Atom("Site"), Atom("Hazard"))
-            assert len(runs) == 2  # the seed and Site alone, whose model has a Site outside Monitored-site
+            assert len(runs) == 1  # the pair, whose model has a Site outside Monitored-site
             runs.clear()
             assert not tab.subsumes(Atom("Site"), Atom("Monitored-site"))
             assert runs == []
             tab = Tableau(parse_kb((data / "abox.kedl").read_text()), mode)
             assert not tab.instance_of("sensor1", Atom("Tunnel"))
-            assert len(runs) == 1  # the seed: sensor1 is asserted outside Tunnel
+            assert len(runs) == 1  # the instance, whose model has tunnel1 outside Sensor, and a Sensor outside Tunnel
             runs.clear()
             assert not tab.instance_of("tunnel1", Atom("Sensor")) and not tab.subsumes(Atom("Sensor"), Atom("Tunnel"))
             assert runs == []
 
+    # the five one-shot atom queries of the CI records loop, and their answers
+    ONE_SHOT = [("hierarchy.kedl", ("subsumes", "Hazard", "Monitored-site"), True),
+                ("hierarchy.kedl", ("subsumes", "Site", "Hazard"), False),
+                ("hierarchy.kedl", ("subsumes", "Sealed-hazard", "Site"), True),
+                ("abox.kedl", ("instance", "tunnel1", "Monitored-tunnel"), True),
+                ("abox.kedl", ("instance", "sensor1", "Tunnel"), False)]
 
     @pytest.mark.parametrize("mode", list(FunctionalityMode), ids=str)
-    def test_single_queries_make_no_pool(self, monkeypatch, mode):
+    def test_single_queries_cost_one_run(self, monkeypatch, mode):
         # the module-level functions answer one query with one run, as the
         # pair or the instance alone, however often it is asked
         data = pathlib.Path(__file__).parent / "data"
         runs = []
         expand = Tableau._expand
         monkeypatch.setattr(Tableau, "_expand", lambda self, g: runs.append(1) or expand(self, g))
-        hierarchy, abox = (parse_kb((data / name).read_text()) for name in ("hierarchy.kedl", "abox.kedl"))
-        for ask, holds in ((lambda: subsumes(hierarchy, Atom("Hazard"), Atom("Monitored-site"), mode), True),
-                           (lambda: subsumes(hierarchy, Atom("Site"), Atom("Hazard"), mode), False),
-                           (lambda: subsumes(hierarchy, Atom("Sealed-hazard"), Atom("Site"), mode), True),
-                           (lambda: instance_of(abox, "tunnel1", Atom("Monitored-tunnel"), mode), True),
-                           (lambda: instance_of(abox, "sensor1", Atom("Tunnel"), mode), False)):
+        kbs = {path: parse_kb((data / path).read_text()) for path, _, _ in self.ONE_SHOT}
+        for path, (kind, x, name), holds in self.ONE_SHOT:
             for _ in range(2):
                 runs.clear()
-                assert ask() is holds
+                if kind == "subsumes":
+                    assert subsumes(kbs[path], Atom(x), Atom(name), mode) is holds
+                else:
+                    assert instance_of(kbs[path], x, Atom(name), mode) is holds
                 assert len(runs) == 1
 
-    def test_a_rejected_pair_makes_no_pool(self, monkeypatch):
-        # the sorts are read before a pool is made, so a pair of an
-        # undeclared atom or of two sorts raises with no consistency run
+    @pytest.mark.parametrize("mode", list(FunctionalityMode), ids=str)
+    def test_a_held_tableaus_first_query_costs_one_run(self, monkeypatch, mode):
+        # a fresh held Tableau's pool is empty, so its first atom query
+        # makes as many runs as the module-level function: the pair or the
+        # instance alone
+        data = pathlib.Path(__file__).parent / "data"
+        runs = []
+        expand = Tableau._expand
+        monkeypatch.setattr(Tableau, "_expand", lambda self, g: runs.append(1) or expand(self, g))
+        for path, query, holds in self.ONE_SHOT:
+            tab = Tableau(parse_kb((data / path).read_text()), mode)
+            runs.clear()
+            assert _ask(tab, query) is holds
+            assert len(runs) == 1, query
+
+    def test_a_rejected_pair_makes_no_run(self, monkeypatch):
+        # a pair of an undeclared atom or of two sorts raises the full
+        # check's SortError with no tableau run
         from kedl import SortError
 
         runs = []
@@ -1218,7 +1239,7 @@ class TestHeldPool:
         for sub, sup in (("C", "S"), ("Ghost", "C"), ("C", "Ghost")):
             with pytest.raises(SortError):
                 tab.subsumes(Atom(sub), Atom(sup))
-        assert runs == [] and tab._pool is None
+        assert runs == []
 
 
 class TestStatedConcepts:
